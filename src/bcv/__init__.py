@@ -2,7 +2,8 @@
 
 Submodules:
 
-  dist        discrete laws, total variation, inverse moments
+  dist        discrete laws, the banded binomial-row kernel, total variation,
+              inverse moments
   bernstein   the operator, its iterates, derivatives, Krawtchouk polynomials
   moduli      moduli of continuity, including the phi-weighted second modulus
   central     H_n, I_n, the envelope C and its sup, K(s)
@@ -31,7 +32,7 @@ from .central import (CentralParams, SupSearchResult, C_of_lambda, C_tilde,
                       r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
 from .config import GridConfig, QuadConfig, SupSearchConfig
 from .dist import (LOG4, LOG2716, BetaOneM, BinomialLaw, PoissonLaw,
-                   TriangularV, inv_moment_shift_V, law_pmf,
+                   TriangularV, binomial_rows, inv_moment_shift_V, law_pmf,
                    stirling_mode_bound_check, tv_binom_poisson_bound,
                    tv_distance)
 from .moduli import ModulusResult, omega1, omega2, omega2_phi

@@ -6,6 +6,7 @@ representations of (B_n f)^(m), the Kantorovich representation through
 Irwin-Hall smoothing, and exact absolute central moments of S_n(x)/n.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -13,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .config import QuadConfig
-from .dist import BinomialLaw
+from .dist import BinomialLaw, _blocks, binomial_rows
 from .quadrature import adaptive_simpson
 
 
@@ -79,25 +80,35 @@ def grid_vector(f, n):
     return GridVector(n, vals)
 
 
-def _apply_grid(gv, x):
-    """B_n applied to the grid values, evaluated at a single x."""
-    return float(BinomialLaw(gv.n, x).pmf_vector() @ gv.values)
+def _apply_grid(gv, xs):
+    """B_n applied to the grid values at each point of the array xs.
+
+    One row @ values per point: a batched matrix-vector product would be a
+    BLAS gemv, whose rounding differs from the per-row dot product."""
+    out = np.empty(len(xs))
+    for sl in _blocks(gv.n, len(xs)):
+        rows = binomial_rows(gv.n, xs[sl])
+        out[sl] = [row @ gv.values for row in rows]
+    return out
 
 
 def bernstein_apply(f, n, x):
     """B_n f(x) = sum_k f(k/n) C(n,k) x^k (1-x)^(n-k)."""
-    return _apply_grid(grid_vector(f, n), x)
+    return float(_apply_grid(grid_vector(f, n), np.array([x], dtype=float))[0])
 
 
 def bernstein_apply_many(f, n, xs):
     """B_n f on an array of points, sharing one grid evaluation of f."""
-    gv = grid_vector(f, n)
-    return np.array([_apply_grid(gv, float(x)) for x in np.asarray(xs, dtype=float)])
+    return _apply_grid(grid_vector(f, n), np.asarray(xs, dtype=float).ravel())
 
 
 def _iteration_matrix(n):
     # row i holds the binomial(n, i/n) pmf, so M @ v evaluates B_n v on the grid
-    return np.vstack([BinomialLaw(n, i / n).pmf_vector() for i in range(n + 1)])
+    xs = np.arange(n + 1) / n
+    M = np.empty((n + 1, n + 1))
+    for sl in _blocks(n, n + 1):
+        M[sl] = binomial_rows(n, xs[sl])
+    return M
 
 
 def bernstein_iterate(f, n, k, x):
@@ -115,7 +126,7 @@ def bernstein_iterate(f, n, k, x):
         for _ in range(k - 1):
             vals = M @ vals
         gv = GridVector(n, vals)
-    return _apply_grid(gv, x)
+    return float(_apply_grid(gv, np.array([x], dtype=float))[0])
 
 
 def _gen_binom(z, j):
@@ -191,48 +202,75 @@ def forward_difference(phi_fn, h, m, y):
                      for j in range(m + 1)))
 
 
+@functools.lru_cache(maxsize=8)
+def _krawtchouk_basis(n, m):
+    """Row j holds C(n-k, m-j) C(k, j) over k = 0..n: the k-only factors of
+    K_m(x; k), in the operation order of krawtchouk; read-only."""
+    y = np.arange(n + 1, dtype=float)
+    out = np.array([_gen_binom(n - y, m - j) * _gen_binom(y, j) for j in range(m + 1)])
+    out.flags.writeable = False
+    return out
+
+
 def bernstein_derivative(f, n, m, x, rel_tol=1e-9):
     """(B_n f)^(m)(x) computed two ways, returning the Krawtchouk form:
 
         (m!/phi^(2m)(x)) E f(S_n(x)/n) K_m(x; S_n(x))
       = (n)_m E Delta_{1/n}^m f(S_{n-m}(x)/n).
 
+    x may be a scalar (a float is returned) or an array (an array of the
+    same shape is returned); every point is checked.
+
     Raises ConsistencyError if the two representations disagree beyond
-    rel_tol; that signals a numerics bug, not a user error.  Both
-    expectations can cancel far below the magnitude of their terms, and the
-    log-space pmf carries small relative noise per term, so the disagreement
-    is also measured against the absolute-sum envelopes of the two sums: a
-    formula bug moves the result by orders of magnitude more than that.
+    rel_tol at any point; that signals a numerics bug, not a user error.
+    Both expectations can cancel far below the magnitude of their terms, and
+    the log-space pmf carries small relative noise per term, so the
+    disagreement is also measured against the absolute-sum envelopes of the
+    two sums: a formula bug moves the result by orders of magnitude more
+    than that.
     """
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m={m}, n={n}")
-    if not 0.0 < x < 1.0:
+    xa = np.asarray(x, dtype=float)
+    xs = xa.ravel()
+    if not np.all((xs > 0.0) & (xs < 1.0)):
         raise ValueError("x must lie in (0,1)")
     k = np.arange(n + 1)
-    p = BinomialLaw(n, x).pmf_vector()
     fk = np.asarray(f(k / n), dtype=float)
-    pref = math.factorial(m) / phi(x) ** (2 * m)
-    terms = p * fk * krawtchouk(n, m, x, k)
-    kraw = pref * float(np.sum(terms))
-    kraw_env = pref * float(np.sum(np.abs(terms)))
-
-    j = np.arange(n - m + 1)
-    pj = BinomialLaw(n - m, x).pmf_vector() if m < n else np.array([1.0])
+    basis = _krawtchouk_basis(n, m)
     # Delta_{1/n}^m f(j/n) for all j at once, reusing the grid values of f
+    j = np.arange(n - m + 1)
     diff = np.zeros(n - m + 1)
     for l in range(m + 1):
         diff = diff + math.comb(m, l) * (-1) ** (m - l) * fk[j + l]
-    fall = falling_factorial(n, m)
-    fdiff = fall * float(np.sum(pj * diff))
-    fdiff_env = fall * float(np.sum(pj * np.abs(diff)))
-
-    scale = max(1.0, abs(kraw), abs(fdiff))
-    floor = 1e-10 * (kraw_env + fdiff_env)
-    if abs(kraw - fdiff) > rel_tol * scale + floor:
-        raise ConsistencyError(
-            f"derivative representations disagree: {kraw!r} vs {fdiff!r} "
-            f"(n={n}, m={m}, x={x})")
-    return kraw
+    fall = float(falling_factorial(n, m))
+    # per-point scalars with Python float powers, as in the scalar formulas
+    pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
+    out = np.empty(len(xs))
+    for sl in _blocks(n, len(xs)):
+        xb = xs[sl].tolist()
+        p = binomial_rows(n, xb)
+        kraw_poly = np.zeros_like(p)
+        for jj in range(m + 1):
+            s1 = np.array([(-v) ** (m - jj) for v in xb]).reshape(-1, 1)
+            s2 = np.array([(1.0 - v) ** jj for v in xb]).reshape(-1, 1)
+            kraw_poly = kraw_poly + basis[jj] * s1 * s2
+        terms = p * fk * kraw_poly
+        kraw = pref[sl] * np.sum(terms, axis=1)
+        kraw_env = pref[sl] * np.sum(np.abs(terms), axis=1)
+        pj = binomial_rows(n - m, xb) if m < n else np.ones((len(xb), 1))
+        fdiff = fall * np.sum(pj * diff, axis=1)
+        fdiff_env = fall * np.sum(pj * np.abs(diff), axis=1)
+        scale = np.maximum(1.0, np.maximum(np.abs(kraw), np.abs(fdiff)))
+        floor = 1e-10 * (kraw_env + fdiff_env)
+        bad = np.flatnonzero(np.abs(kraw - fdiff) > rel_tol * scale + floor)
+        if len(bad):
+            i = int(bad[0])
+            raise ConsistencyError(
+                f"derivative representations disagree: {float(kraw[i])!r} vs "
+                f"{float(fdiff[i])!r} (n={n}, m={m}, x={xb[i]})")
+        out[sl] = kraw
+    return out.reshape(xa.shape) if xa.ndim else float(out[0])
 
 
 def irwin_hall_density(m, t):

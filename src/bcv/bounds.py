@@ -262,10 +262,13 @@ def lower_bound_ratio(n, cfg=GridConfig()):
 
 
 def _sup_norms(f, n, points=1024):
-    """(sup |B_n f - f|, sup phi^2 |(B_n f)''|) over a grid on (0, 1/2]."""
+    """(sup |B_n f - f|, sup phi^2 |(B_n f)''|) over a grid on (0, 1/2].
+
+    Both are grid maxima, so each is a lower estimate of its norm; a check
+    built on them is not certified."""
     xs = np.linspace(0.0, 0.5, points + 1)[1:]
     err = float(np.max(np.abs(bernstein_apply_many(f, n, xs) - f(xs))))
-    d2 = np.array([bernstein_derivative(f, n, 2, float(x)) for x in xs])
+    d2 = bernstein_derivative(f, n, 2, xs)
     wd2 = float(np.max(xs * (1.0 - xs) * np.abs(d2)))
     return err, wd2
 
@@ -277,7 +280,9 @@ def modulus_upper_sides(f, n, cfg=GridConfig()):
     The norm grids combine a uniform grid with lambda = n x boundary layers
     (and any breakpoints of f): B_n resolves structure at scale 1/n near the
     endpoints, which a uniform grid undersamples for n-localized functions.
-    Both norms are grid maxima, so the reported RHS is conservative."""
+    Both norms are grid maxima, which under-estimate the norms, so the
+    reported RHS is a lower estimate of the true RHS and the check built on
+    it is not certified."""
     lhs = omega2_phi(f, 1.0 / math.sqrt(n), cfg).value
     lam = np.linspace(0.0, 40.0, 2001) / n
     xs = np.concatenate([np.linspace(0.0, 1.0, cfg.x_points // 2 + 1),
@@ -288,7 +293,7 @@ def modulus_upper_sides(f, n, cfg=GridConfig()):
     xs = np.unique(np.clip(xs, 0.0, 1.0))
     err = float(np.max(np.abs(bernstein_apply_many(f, n, xs) - f(xs))))
     interior = xs[(xs > 0.0) & (xs < 1.0)]
-    d2 = np.array([bernstein_derivative(f, n, 2, float(x)) for x in interior])
+    d2 = bernstein_derivative(f, n, 2, interior)
     wd2 = float(np.max(interior * (1.0 - interior) * np.abs(d2)))
     return lhs, 4.0 * err + LOG4 / n * wd2
 
@@ -363,8 +368,7 @@ def iterate_converse_check(f, n, points=1024):
     def g_fn(y):
         return g_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
 
-    d2_gap = np.array([bernstein_derivative(g_fn, n, 2, float(x))
-                       - bernstein_derivative(f, n, 2, float(x)) for x in xs])
+    d2_gap = bernstein_derivative(g_fn, n, 2, xs) - bernstein_derivative(f, n, 2, xs)
     wd2 = float(np.max(xs * (1.0 - xs) * np.abs(d2_gap)))
     lhs = wd2 / (2.0 * n)
     rhs = err / SQRT2

@@ -20,7 +20,7 @@ from scipy.special import gammaln, pdtr
 
 from .config import QuadConfig, SupSearchConfig
 from .dist import (LOG4, LOG2716, BetaOneM, BinomialLaw, PoissonLaw,
-                   inv_moment_shift_V)
+                   _blocks, binomial_rows, inv_moment_shift_V)
 from .quadrature import adaptive_simpson
 from .search import golden_max
 
@@ -210,23 +210,35 @@ def H_n_exact(n, x):
 
     Uses E 1/(y + V) from inv_moment_shift_V; the mirrored term needs
     E 1/(n - S_n(x) + 2 - V), which equals E 1/(n - S_n(x) + V) because
-    2 - V has the law of V.
+    2 - V has the law of V.  x may be a scalar (a float is returned) or an
+    array (an array of the same shape is returned).
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    if not 0.0 < x <= 0.5:
+    xa = np.asarray(x, dtype=float)
+    xs = xa.ravel()
+    if not np.all((xs > 0.0) & (xs <= 0.5)):
         raise ValueError("x must lie in (0, 1/2]")
     k = np.arange(n + 1)
-    p = BinomialLaw(n, x).pmf_vector()
     inv = inv_moment_shift_V(k)
-    return float(math.sqrt(x * (1.0 - x)) * math.sqrt(n)
-                 * np.sum(p * np.abs(k - n * x) * (inv + inv[::-1])))
+    w = inv + inv[::-1]
+    sums = np.empty(len(xs))
+    for sl in _blocks(n, len(xs)):
+        p = binomial_rows(n, xs[sl])
+        dev = np.abs(k - (n * xs[sl]).reshape(-1, 1))
+        sums[sl] = np.sum(p * dev * w, axis=1)
+    out = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n) * sums
+    return out.reshape(xa.shape) if xa.ndim else float(out[0])
 
 
 def sup_H_n(n, points=4096, refine=True, refine_tol=1e-12):
-    """sup of H_n over (0, 1/2] on a grid with golden refinement."""
+    """sup of H_n over (0, 1/2] on a grid with golden refinement.
+
+    The grid maximum and its golden refinement are attained values, so the
+    result is a lower estimate of the sup: the claim sup H_n <= 1 is checked
+    on a lower estimate and is not certified by this search."""
     xs = np.linspace(0.0, 0.5, points + 1)[1:]
-    vals = np.array([H_n_exact(n, float(x)) for x in xs])
+    vals = H_n_exact(n, xs)
     i = int(np.argmax(vals))
     value, arg = float(vals[i]), float(xs[i])
     if refine:

@@ -1,11 +1,13 @@
 """Discrete laws and inverse moments.
 
-Binomial and Poisson laws with log-space pmfs, the triangular law of
+Binomial and Poisson laws with log-space pmfs, the banded binomial-row
+kernel that every expectation over Binomial(n, x) runs on, the triangular law of
 V = U1 + U2 on [0, 2], the beta(1, m) laws, total variation distance, the
 binomial-Poisson total variation bound, the Stirling bound on the binomial
 mode, and the closed form E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,6 +16,63 @@ from scipy.special import gammaln, xlogy
 
 LOG4 = math.log(4.0)
 LOG2716 = math.log(27.0 / 16.0)
+
+# Entries of one transient block of binomial rows (about 2 MB of float64).
+_BLOCK_ENTRIES = 1 << 18
+# Log-mass beyond which exp underflows to exactly 0.0 with room to spare:
+# exp(-745.2) already rounds to zero.
+_BAND_LOG_MASS = 760.0
+
+
+@functools.lru_cache(maxsize=8)
+def _log_binom(n):
+    """log C(n, k) for k = 0..n as gammaln(n+1) - gammaln(k+1) - gammaln(n-k+1),
+    in that order; read-only."""
+    k = np.arange(n + 1, dtype=float)
+    out = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    out.flags.writeable = False
+    return out
+
+
+def _blocks(n, count):
+    """Slices of range(count) whose rows of n+1 entries fit one block."""
+    step = max(1, _BLOCK_ENTRIES // (n + 1))
+    return [slice(s, s + step) for s in range(0, count, step)]
+
+
+def binomial_rows(n, xs):
+    """The Binomial(n, x) pmf over k = 0..n for each x in xs, one row each.
+
+    Each row is bit-identical to the dense exp(logpmf(0..n)), but exp is
+    taken only over the union of the rows' bands |k - nx| <= t, with
+    t = T/3 + sqrt(T^2/9 + 2 T sigma^2), sigma^2 = nx(1-x) and T = 760.  By
+    Bernstein's inequality every entry outside its band has mass below
+    exp(-760), which the dense code rounds to exactly 0.0, so the zero fill
+    changes no bit of the row or of any sum over it.  Callers pass blocks of
+    points from _blocks, so that one call holds about _BLOCK_ENTRIES entries.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    xs = np.asarray(xs, dtype=float).ravel()
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise ValueError("success probabilities must lie in [0,1]")
+    out = np.zeros((len(xs), n + 1))
+    out[xs == 0.0, 0] = 1.0
+    out[xs == 1.0, n] = 1.0
+    inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
+    if len(inner) == 0:
+        return out
+    x = xs[inner]
+    var = n * x * (1.0 - x)
+    t = _BAND_LOG_MASS / 3.0 + np.sqrt(_BAND_LOG_MASS ** 2 / 9.0 + 2.0 * _BAND_LOG_MASS * var)
+    lo = max(0, int(np.floor(np.min(n * x - t))))
+    hi = min(n, int(np.ceil(np.max(n * x + t))))
+    k = np.arange(lo, hi + 1, dtype=float)
+    # math.log/log1p per x: np.log can differ from them by an ulp
+    lx = np.array([math.log(v) for v in x]).reshape(-1, 1)
+    l1x = np.array([math.log1p(-v) for v in x]).reshape(-1, 1)
+    out[inner, lo:hi + 1] = np.exp(_log_binom(n)[lo:hi + 1] + k * lx + (n - k) * l1x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -46,7 +105,7 @@ class BinomialLaw:
             out[valid & (k == n)] = 0.0
         else:
             kv = k[valid]
-            out[valid] = (gammaln(n + 1) - gammaln(kv + 1) - gammaln(n - kv + 1)
+            out[valid] = (_log_binom(n)[kv.astype(int)]
                           + kv * math.log(x) + (n - kv) * math.log1p(-x))
         return out if out.ndim else float(out)
 
@@ -55,7 +114,7 @@ class BinomialLaw:
 
     def pmf_vector(self):
         """All n+1 probabilities; sums to 1 up to rounding."""
-        return np.exp(self.logpmf(self.support()))
+        return binomial_rows(self.n, [self.x])[0]
 
     def cdf(self, k):
         k = np.asarray(k)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import (SYMPY_Y, frac_bernstein, frac_bernstein_grid,
                      quad_integral, sympy_bernstein_derivative)
-from bcv.bernstein import (GridVector, PiecewiseLinearFn, RealFn,
+import bcv.bernstein as bernstein_module
+from bcv.bernstein import (ConsistencyError, GridVector, PiecewiseLinearFn, RealFn,
                            bernstein_apply, bernstein_apply_many,
                            bernstein_derivative, bernstein_iterate,
                            central_moment, central_moment_closed,
@@ -253,6 +254,40 @@ def test_derivative_representations_agree_on_corpus(corpus):
             for m in (1, 2, 3):
                 for x in np.arange(0.1, 0.95, 0.1):
                     bernstein_derivative(f, n, m, float(x))
+
+
+def _batch_points(n):
+    """A uniform grid plus lambda = nx boundary layers at both ends."""
+    lam = np.array([0.5, 1.0, 2.0, 3.0, 7.5, 20.0])
+    xs = np.concatenate([np.linspace(0.01, 0.99, 15), lam / n, 1.0 - lam / n])
+    return xs[(xs > 0.0) & (xs < 1.0)]
+
+
+@pytest.mark.parametrize("n", [10, 50, 10_000])
+def test_batched_derivative_and_apply_equal_scalar_calls_bitwise(n):
+    f = build_fn_lower(n)
+    xs = _batch_points(n)
+    for m in (1, 2, 3):
+        many = bernstein_derivative(f, n, m, xs)
+        assert many.shape == xs.shape
+        each = np.array([bernstein_derivative(f, n, m, float(x)) for x in xs])
+        assert np.array_equal(many, each), (n, m)
+    grid = np.concatenate([[0.0, 1.0], xs])
+    many = bernstein_apply_many(f, n, grid)
+    each = np.array([bernstein_apply(f, n, float(x)) for x in grid])
+    assert np.array_equal(many, each), n
+
+
+def test_corrupted_krawtchouk_basis_raises_in_batched_path(monkeypatch):
+    n, m = 50, 2
+    xs = np.linspace(0.05, 0.95, 19)
+    f = lambda y: np.asarray(y) ** 3
+    bernstein_derivative(f, n, m, xs)  # the intact basis passes
+    bad = np.array(bernstein_module._krawtchouk_basis(n, m))
+    bad[1, 20] *= 1.5  # one entry, inside the band of x = 0.4
+    monkeypatch.setattr(bernstein_module, "_krawtchouk_basis", lambda n_, m_: bad)
+    with pytest.raises(ConsistencyError):
+        bernstein_derivative(f, n, m, xs)
 
 
 def test_derivative_of_affine_image():

@@ -155,6 +155,21 @@ def test_sup_H_n_values_and_bound():
     assert res500.arg < 0.05  # maximizer sits near the left edge
 
 
+@pytest.mark.parametrize("n", [10, 50, 10_000])
+def test_batched_H_n_equals_scalar_calls_bitwise(n):
+    lam = np.array([0.5, 1.0, 2.0, 3.0, 7.5, 20.0])
+    xs = np.concatenate([np.linspace(0.02, 0.5, 13), lam / n])
+    xs = xs[(xs > 0.0) & (xs <= 0.5)]
+    many = H_n_exact(n, xs)
+    assert many.shape == xs.shape
+    assert np.array_equal(many, [H_n_exact(n, float(x)) for x in xs])
+
+
+def test_sup_H_n_at_n_1e5_stays_below_one():
+    res = sup_H_n(100_000)
+    assert 0.8 < res.sup_value <= 1.0
+
+
 def test_H_upper_dominates_exact_on_spots():
     for n in (10, 50, 100):
         for x in (0.02, 0.1, 0.3, 0.5):

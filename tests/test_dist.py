@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammaln
 
 from oracles import frac_binom_pmf, mp_inv_moment_shift, quad_integral
 from bcv.dist import (LOG4, LOG2716, BetaOneM, BinomialLaw, PoissonLaw,
-                      TriangularV, inv_moment_shift_V, law_pmf, sample,
+                      TriangularV, _log_binom, binomial_rows,
+                      inv_moment_shift_V, law_pmf, sample,
                       stirling_mode_bound_check, tv_binom_poisson_bound,
                       tv_distance)
 
@@ -73,6 +75,79 @@ def test_binomial_mean_property(n, x):
     assert law.mean == pytest.approx(n * x)
     k = np.arange(n + 1)
     assert float(k @ law.pmf_vector()) == pytest.approx(n * x, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# banded binomial-row kernel
+
+# Bernstein's inequality puts every entry with |k - nx| > t below
+# exp(-_BAND_T), t = T/3 + sqrt(T^2/9 + 2 T nx(1-x)); exp(-745.2) is 0.0.
+_BAND_T = 760.0
+
+
+def _dense_row(n, x):
+    """exp(logpmf) over all of 0..n, with math.log/log1p, as the dense code."""
+    k = np.arange(n + 1, dtype=float)
+    if x == 0.0:
+        return (k == 0).astype(float)
+    if x == 1.0:
+        return (k == n).astype(float)
+    return np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                  + k * math.log(x) + (n - k) * math.log1p(-x))
+
+
+def _row_points(n):
+    xs = (0.0, 1e-12, 0.5 / n, 3.0 / n, 0.3, 0.5, 1.0 - 2.0 / n, 1.0 - 1e-9, 1.0)
+    return [x for x in xs if 0.0 <= x <= 1.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1000, 10_000, 100_000])
+def test_binomial_rows_equal_dense_reference_bitwise(n):
+    xs = _row_points(n)
+    rows = binomial_rows(n, xs)
+    assert rows.shape == (len(xs), n + 1)
+    for x, row in zip(xs, rows):
+        ref = _dense_row(n, x)
+        assert np.array_equal(row, ref), (n, x)
+        assert np.array_equal(BinomialLaw(n, x).pmf_vector(), ref), (n, x)
+
+
+@pytest.mark.parametrize("n", [10, 1000, 10_000, 100_000])
+def test_dense_reference_is_zero_outside_the_band(n):
+    k = np.arange(n + 1)
+    for x in _row_points(n):
+        t = _BAND_T / 3.0 + math.sqrt(_BAND_T ** 2 / 9.0 + 2.0 * _BAND_T * n * x * (1.0 - x))
+        outside = np.abs(k - n * x) > t
+        assert np.all(_dense_row(n, x)[outside] == 0.0), (n, x)
+
+
+def test_binomial_rows_match_exact_rationals_for_small_n():
+    for n in range(1, 13):
+        for p in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 7), Fraction(9, 10)):
+            row = binomial_rows(n, [float(p)])[0]
+            ref = [float(frac_binom_pmf(n, k, p)) for k in range(n + 1)]
+            assert row == pytest.approx(ref, rel=1e-13, abs=0.0), (n, p)
+
+
+def test_binomial_row_at_a_million_is_narrow_and_normalized():
+    n = 10 ** 6
+    row = binomial_rows(n, [0.5])[0]
+    nz = np.flatnonzero(row)
+    assert nz[-1] - nz[0] + 1 < n / 10
+    # log C(n, k) is a difference of gammaln values near 1.3e7, whose ulp
+    # is 1.9e-9, so the log-space row sums to 1 only to about 1e-9 here
+    assert abs(row.sum() - 1.0) < 5e-9
+
+
+def test_binomial_rows_validation_and_read_only_cache():
+    with pytest.raises(ValueError):
+        binomial_rows(0, [0.5])
+    with pytest.raises(ValueError):
+        binomial_rows(5, [0.2, 1.5])
+    with pytest.raises(ValueError):
+        binomial_rows(5, [float("nan")])
+    assert binomial_rows(5, []).shape == (0, 6)
+    assert not _log_binom(7).flags.writeable
 
 
 # ---------------------------------------------------------------------------
