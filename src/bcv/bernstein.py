@@ -244,7 +244,7 @@ def bernstein_derivative(f, n, m, x, rel_tol=1e-9):
     for l in range(m + 1):
         diff = diff + math.comb(m, l) * (-1) ** (m - l) * fk[j + l]
     fall = float(falling_factorial(n, m))
-    # per-point scalars with Python float powers, as in the scalar formulas
+    # per-point factors as Python floats, rounded as in the one-point formula
     pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
     out = np.empty(len(xs))
     for sl in _blocks(n, len(xs)):

@@ -26,8 +26,7 @@ _BAND_LOG_MASS = 760.0
 
 @functools.lru_cache(maxsize=8)
 def _log_binom(n):
-    """log C(n, k) for k = 0..n as gammaln(n+1) - gammaln(k+1) - gammaln(n-k+1),
-    in that order; read-only."""
+    """log C(n, k) for k = 0..n, read-only, in the operation order of logpmf."""
     k = np.arange(n + 1, dtype=float)
     out = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     out.flags.writeable = False
@@ -105,7 +104,7 @@ class BinomialLaw:
             out[valid & (k == n)] = 0.0
         else:
             kv = k[valid]
-            out[valid] = (_log_binom(n)[kv.astype(int)]
+            out[valid] = (gammaln(n + 1) - gammaln(kv + 1) - gammaln(n - kv + 1)
                           + kv * math.log(x) + (n - kv) * math.log1p(-x))
         return out if out.ndim else float(out)
 
