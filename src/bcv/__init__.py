@@ -13,7 +13,7 @@ Submodules:
 """
 
 from .bernstein import (ConsistencyError, GridVector, PiecewiseLinearFn,
-                        RealFn, bernstein_apply, bernstein_apply_many,
+                        bernstein_apply, bernstein_apply_many,
                         bernstein_derivative, bernstein_iterate,
                         central_moment, central_moment_closed,
                         forward_difference, kantorovich_check, krawtchouk,
@@ -32,7 +32,7 @@ from .central import (CentralParams, SupSearchResult, C_of_lambda, C_tilde,
                       r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
 from .config import GridConfig, QuadConfig, SupSearchConfig
 from .dist import (LOG4, LOG2716, BetaOneM, BinomialLaw, PoissonLaw,
-                   TriangularV, binomial_rows, inv_moment_shift_V, law_pmf,
+                   TriangularV, binomial_rows, inv_moment_shift_V,
                    stirling_mode_bound_check, tv_binom_poisson_bound,
                    tv_distance)
 from .moduli import ModulusResult, omega1, omega2, omega2_phi
@@ -41,7 +41,7 @@ from .noncentral import (AlphaIterates, NoncentralParams, SimulatedJ,
                          finite_n_J_bound, first_valid_i, J_limit, L_k,
                          simulate_J)
 from .quadrature import QuadratureError, adaptive_simpson
-from .search import golden_max, refine_grid_max
+from .search import golden_max, sup_search
 
 __version__ = "0.1.0"
 

@@ -9,7 +9,6 @@ Irwin-Hall smoothing, and exact absolute central moments of S_n(x)/n.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,16 +19,6 @@ from .quadrature import adaptive_simpson
 
 class ConsistencyError(RuntimeError):
     """Two representations of the same quantity disagreed beyond tolerance."""
-
-
-@dataclass(frozen=True)
-class RealFn:
-    """A real-valued function on [0,1]; the evaluator must accept numpy arrays."""
-    evaluator: Callable
-    label: str = "f"
-
-    def __call__(self, y):
-        return self.evaluator(y)
 
 
 @dataclass(frozen=True)

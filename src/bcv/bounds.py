@@ -24,7 +24,7 @@ from .config import GridConfig, QuadConfig, SupSearchConfig
 from .dist import LOG4, PoissonLaw
 from .moduli import omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
-from .search import golden_max
+from .search import sup_search
 
 SQRT2 = math.sqrt(2.0)
 
@@ -166,42 +166,28 @@ def g_of_lambda(lam):
 
 def G_of_lambda(lam):
     """Poisson profile G(lam) = E g(N_lam) = P0 - 0.8 P1 - P2 + 0.04 P3
-    + 1 - P(N <= 3)."""
-    if lam < 0.0:
-        raise ValueError("lam must be >= 0")
-    if lam == 0.0:
-        return 1.0
-    law = PoissonLaw(lam)
-    p = [law.pmf(k) for k in range(4)]
-    return p[0] - 0.8 * p[1] - p[2] + 0.04 * p[3] + 1.0 - sum(p)
-
-
-def _G_vec(lam):
+    + 1 - P(N <= 3); lam may be a scalar or an array."""
     lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0.0):
+        raise ValueError("lam must be >= 0")
     e = np.exp(-lam)
     p0, p1 = e, lam * e
     p2, p3 = lam ** 2 * e / 2.0, lam ** 3 * e / 6.0
-    return p0 - 0.8 * p1 - p2 + 0.04 * p3 + 1.0 - (p0 + p1 + p2 + p3)
+    out = p0 - 0.8 * p1 - p2 + 0.04 * p3 + 1.0 - (p0 + p1 + p2 + p3)
+    return out if out.ndim else float(out)
 
 
-def sup_G_minus_g(lambda_max=40.0, scan=SupSearchConfig(lambda_max=40.0)):
+def sup_G_minus_g(scan=SupSearchConfig(lambda_max=40.0)):
     """sup over [0, lambda_max] of |G - g|, with a Poisson-tail certificate
-    that nothing beyond lambda_max can compete."""
+    that nothing beyond lambda_max can compete.  Refinement stays between
+    neighbouring nodes of g, where |G - g| is smooth."""
+    lambda_max = scan.lambda_max
     if lambda_max < 40.0:
         raise ValueError("need lambda_max >= 40 for the tail certificate")
     lams = np.unique(np.concatenate([
         np.linspace(0.0, lambda_max, scan.points + 1), np.arange(5.0)]))
-    vals = np.abs(_G_vec(lams) - np.interp(lams, np.arange(5.0), _G_NODES))
-    k = int(np.argmax(vals))
-    value, arg = float(vals[k]), float(lams[k])
-    if scan.refine:
-        lo = max(float(lams[max(k - 1, 0)]), math.floor(arg))
-        hi = min(float(lams[min(k + 1, len(lams) - 1)]), math.floor(arg) + 1.0)
-        if hi > lo:
-            arg2, v2 = golden_max(
-                lambda t: abs(G_of_lambda(t) - g_of_lambda(t)), lo, hi, scan.refine_tol)
-            if v2 > value:
-                value, arg = v2, arg2
+    arg, value, _ = sup_search(lambda t: np.abs(G_of_lambda(t) - g_of_lambda(t)),
+                               lams, breaks=np.arange(5.0))
     tail = 2.0 * float(np.sum([PoissonLaw(lambda_max).pmf(k) for k in range(4)]))
     cert = (f"for lambda > {lambda_max:g}: |G - g| = |G - 1| <= 2 P(N <= 3) "
             f"<= {tail:.3e} (decreasing in lambda)")
@@ -233,16 +219,8 @@ def fn_lower_error_sup(n, cfg=GridConfig()):
         np.linspace(0.0, 40.0, 16001) / n,
         np.linspace(0.0, 1.0, cfg.x_points // 2 + 1),
         np.asarray(fn.breakpoints)]))
-    vals = _fn_lower_error(n, xs)
-    k = int(np.argmax(vals))
-    value, arg = float(vals[k]), float(xs[k])
-    if cfg.refine:
-        lo = float(xs[max(k - 1, 0)])
-        hi = float(xs[min(k + 1, len(xs) - 1)])
-        arg2, v2 = golden_max(lambda t: float(_fn_lower_error(n, t)), lo, hi,
-                              cfg.refine_tol)
-        if v2 > value:
-            value, arg = v2, arg2
+    arg, value, _ = sup_search(lambda t: _fn_lower_error(n, t), xs,
+                               cfg.refine_tol if cfg.refine else None)
     far = float(np.max(_fn_lower_error(n, np.linspace(40.0 / n, 1.0, 1001))))
     cert = f"max of |B_n f_n - f_n| over [40/n, 1] on a 1001-point grid: {far:.3e}"
     return SupSearchResult(value, arg, (0.0, 1.0), cert)

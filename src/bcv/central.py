@@ -12,6 +12,7 @@ asymptotic bound on H_n, and the auxiliary kernel K(s) and inverse-beta
 moment bound used downstream.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,10 +20,10 @@ import numpy as np
 from scipy.special import gammaln, pdtr
 
 from .config import QuadConfig, SupSearchConfig
-from .dist import (LOG4, LOG2716, BetaOneM, BinomialLaw, PoissonLaw,
-                   _blocks, binomial_rows, inv_moment_shift_V)
+from .dist import (LOG4, LOG2716, BetaOneM, BinomialLaw, _blocks,
+                   binomial_rows, inv_moment_shift_V)
 from .quadrature import adaptive_simpson
-from .search import golden_max
+from .search import sup_search
 
 
 @dataclass(frozen=True)
@@ -87,26 +88,18 @@ def nu(lam):
         nu(lam) = sqrt(lam) (2 P(N = ceil(lam)) - P(N = 0))
                 + (1/sqrt(lam)) (2 P(N <= ceil(lam)) - 1 - P(N = 0)),
 
-    N Poisson(lam).  Jumps at integer lam through the ceiling."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    law = PoissonLaw(lam)
-    m = math.ceil(lam)
-    pm = law.pmf(m)
-    p0 = law.pmf(0)
-    cm = law.cdf(m)
-    return (math.sqrt(lam) * (2.0 * pm - p0)
-            + (2.0 * cm - 1.0 - p0) / math.sqrt(lam))
-
-
-def _nu_vec(lam):
-    # vectorized twin of nu() for scans; pdtr is the regularized Poisson cdf
+    N Poisson(lam).  Jumps at integer lam through the ceiling.  lam may be
+    a scalar (a float is returned) or an array; P(N <= m) is the regularized
+    Poisson cdf pdtr."""
     lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0.0):
+        raise ValueError("lam must be positive")
     m = np.ceil(lam)
     pm = np.exp(m * np.log(lam) - lam - gammaln(m + 1.0))
     p0 = np.exp(-lam)
     cm = pdtr(m, lam)
-    return np.sqrt(lam) * (2.0 * pm - p0) + (2.0 * cm - 1.0 - p0) / np.sqrt(lam)
+    out = np.sqrt(lam) * (2.0 * pm - p0) + (2.0 * cm - 1.0 - p0) / np.sqrt(lam)
+    return out if out.ndim else float(out)
 
 
 def r_of_lambda(lam):
@@ -119,12 +112,15 @@ def r_of_lambda(lam):
 
 
 def C_of_lambda(lam):
-    """C(lam) = 2 log(27/16) nu(lam) + r(lam), extended by C(0) = 0."""
-    if lam < 0.0:
+    """C(lam) = 2 log(27/16) nu(lam) + r(lam), extended by C(0) = 0; lam may
+    be a scalar or an array."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0.0):
         raise ValueError("lam must be >= 0")
-    if lam == 0.0:
-        return 0.0
-    return 2.0 * LOG2716 * nu(lam) + r_of_lambda(lam)
+    pos = lam > 0.0
+    c = 2.0 * LOG2716 * nu(np.where(pos, lam, 1.0)) + r_of_lambda(lam)
+    out = np.where(pos, c, 0.0)
+    return out if out.ndim else float(out)
 
 
 def C_tilde(lam, c=0.8):
@@ -143,7 +139,7 @@ def _scan_lambdas(scan):
 def _tail_certificate(bound=0.87):
     lams = np.linspace(60.0, 200.0, 1001)
     nu_cap = math.sqrt(2.0 / math.pi) + 0.02
-    if np.max(_nu_vec(lams)) > nu_cap:
+    if np.max(nu(lams)) > nu_cap:
         raise RuntimeError("tail envelope for nu failed on [60,200]")
     r60 = r_of_lambda(60.0)
     if not r60 < 1e-20:
@@ -154,35 +150,18 @@ def _tail_certificate(bound=0.87):
     return cert
 
 
-def _refine_on_piece(fn, lam, lams, tol):
-    """Golden refinement around lam without crossing the ceiling's jumps."""
-    i = int(np.searchsorted(lams, lam))
-    lo = lams[max(i - 1, 0)]
-    hi = lams[min(i + 1, len(lams) - 1)]
-    m = math.ceil(lam) if lam > 0 else 1
-    lo = max(lo, m - 1 + 1e-12)
-    hi = min(hi, float(m))
-    if hi <= lo:
-        return lam, fn(lam)
-    return golden_max(fn, lo, hi, tol)
-
-
 def sup_C(scan=SupSearchConfig()):
     """sup over lambda of C(lambda), scanned on (0, lambda_max] with a
-    certificate that the tail beyond 60 stays below the reported sup."""
+    certificate that the tail beyond 60 stays below the reported sup.
+    Refinement stays on one piece (m-1, m] of the ceiling in nu."""
     if scan.lambda_max < 60.0:
         raise ValueError("scan must cover (0, 60]")
-    lams = _scan_lambdas(scan)
-    vals = 2.0 * LOG2716 * _nu_vec(lams) + r_of_lambda(lams)
-    i = int(np.argmax(vals))
-    value, arg = float(vals[i]), float(lams[i])
-    if scan.refine:
-        arg2, refined = _refine_on_piece(C_of_lambda, arg, lams, scan.refine_tol)
-        if abs(refined - value) > 1e-3:
-            raise RuntimeError("scan too coarse: refinement moved the sup by "
-                               f"{abs(refined - value):.2e}")
-        if refined > value:
-            value, arg = refined, arg2
+    arg, value, grid_value = sup_search(
+        C_of_lambda, _scan_lambdas(scan),
+        breaks=np.arange(math.ceil(scan.lambda_max) + 1.0))
+    if value - grid_value > 1e-3:
+        raise RuntimeError("scan too coarse: refinement moved the sup by "
+                           f"{value - grid_value:.2e}")
     return SupSearchResult(value, arg, (0.0, scan.lambda_max), _tail_certificate())
 
 
@@ -191,18 +170,19 @@ def sup_C_tilde(scan=SupSearchConfig(), c=0.8):
     all in r, whose unique maximum sits at lambda = 3/2."""
     if scan.lambda_max < 60.0:
         raise ValueError("scan must cover (0, 60]")
-    lams = _scan_lambdas(scan)
-    vals = C_tilde(lams, c)
-    i = int(np.argmax(vals))
-    value, arg = float(vals[i]), float(lams[i])
-    if scan.refine:
-        arg2, refined = golden_max(lambda t: C_tilde(t, c),
-                                   max(arg - 0.1, 1e-12), arg + 0.1, scan.refine_tol)
-        if refined > value:
-            value, arg = refined, arg2
+    arg, value, _ = sup_search(lambda t: C_tilde(t, c), _scan_lambdas(scan))
     cert = ("r is unimodal with peak at lambda = 3/2 and r(60) < 1e-20, "
             "so the scanned maximum is global")
     return SupSearchResult(value, arg, (0.0, scan.lambda_max), cert)
+
+
+@functools.lru_cache(maxsize=8)
+def _H_weight(n):
+    """E 1/(k+V) + E 1/(n-k+V) for k = 0..n, read-only."""
+    inv = inv_moment_shift_V(np.arange(n + 1))
+    out = inv + inv[::-1]
+    out.flags.writeable = False
+    return out
 
 
 def H_n_exact(n, x):
@@ -220,8 +200,7 @@ def H_n_exact(n, x):
     if not np.all((xs > 0.0) & (xs <= 0.5)):
         raise ValueError("x must lie in (0, 1/2]")
     k = np.arange(n + 1)
-    inv = inv_moment_shift_V(k)
-    w = inv + inv[::-1]
+    w = _H_weight(n)
     sums = np.empty(len(xs))
     for sl in _blocks(n, len(xs)):
         p = binomial_rows(n, xs[sl])
@@ -231,22 +210,14 @@ def H_n_exact(n, x):
     return out.reshape(xa.shape) if xa.ndim else float(out[0])
 
 
-def sup_H_n(n, points=4096, refine=True, refine_tol=1e-12):
+def sup_H_n(n, points=4096):
     """sup of H_n over (0, 1/2] on a grid with golden refinement.
 
     The grid maximum and its golden refinement are attained values, so the
     result is a lower estimate of the sup: the claim sup H_n <= 1 is checked
     on a lower estimate and is not certified by this search."""
     xs = np.linspace(0.0, 0.5, points + 1)[1:]
-    vals = H_n_exact(n, xs)
-    i = int(np.argmax(vals))
-    value, arg = float(vals[i]), float(xs[i])
-    if refine:
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, len(xs) - 1)]
-        arg2, v2 = golden_max(lambda t: H_n_exact(n, t), float(lo), float(hi), refine_tol)
-        if v2 > value:
-            value, arg = v2, arg2
+    arg, value, _ = sup_search(lambda t: H_n_exact(n, t), xs)
     cert = "H_n(x) -> 0 as x -> 0+ (exact sum is continuous with H_n(0+) = 0)"
     return SupSearchResult(value, arg, (0.0, 0.5), cert)
 

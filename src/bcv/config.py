@@ -41,8 +41,6 @@ class SupSearchConfig:
     """Scan range and resolution for one-dimensional sup searches over lambda."""
     lambda_max: float = 60.0
     points: int = 100_000
-    refine: bool = True
-    refine_tol: float = 1e-12
 
     def __post_init__(self):
         if self.lambda_max <= 0:

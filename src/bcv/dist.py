@@ -206,13 +206,6 @@ class BetaOneM:
         return out if out.ndim else float(out)
 
 
-def law_pmf(law, k):
-    """pmf of a BinomialLaw or PoissonLaw at k (0 outside the support)."""
-    if np.any(np.asarray(k) < 0):
-        raise ValueError("k must be nonnegative")
-    return law.pmf(k)
-
-
 def tv_distance(p, q):
     """Total variation distance (1/2) sum_k |p(k) - q(k)|.
 

@@ -1,4 +1,4 @@
-"""Golden-section maximization helpers for the sup searches."""
+"""Golden-section maximization and the grid-plus-golden sup search."""
 
 import numpy as np
 
@@ -33,22 +33,36 @@ def golden_max(f, lo, hi, tol=1e-13, max_iter=200):
     return x, f(x)
 
 
-def refine_grid_max(f, xs, values, top=8, tol=1e-13):
-    """Refine the best cells of a 1-d grid scan.
+def sup_search(f, xs, tol=1e-12, breaks=None):
+    """Grid scan plus golden refinement of the winning cell.
 
-    xs is the sorted grid, values = f(xs) already computed. Runs golden-section
-    around each of the `top` best points (bracket: the two neighbouring grid
-    points) and returns (argmax, max) never worse than the grid answer.
+    f is vectorised; f(xs) is scanned over the sorted grid xs and only the
+    winner is refined, by golden section between its two grid neighbours.
+    With sorted breaks, the bracket is clipped to the piece (b, b'] that
+    holds the winner, nudged 1e-12 off b, so refinement never crosses a jump
+    of f.  tol=None skips refinement.  The refined point is kept only if it
+    beats the grid.
+
+    Returns (arg, value, grid_value) as Python floats.  Both values are
+    attained, so each is a lower estimate of the sup, never a certified one.
     """
-    order = np.argsort(values)[::-1][:top]
-    best_i = int(order[0])
-    best = (float(xs[best_i]), float(values[best_i]))
-    for i in order:
-        lo = xs[max(int(i) - 1, 0)]
-        hi = xs[min(int(i) + 1, len(xs) - 1)]
-        if hi <= lo:
-            continue
-        x, v = golden_max(f, float(lo), float(hi), tol=tol)
-        if v > best[1]:
-            best = (x, v)
-    return best
+    xs = np.asarray(xs, dtype=float)
+    vals = f(xs)
+    i = int(np.argmax(vals))
+    arg, value = float(xs[i]), float(vals[i])
+    grid_value = value
+    if tol is None:
+        return arg, value, grid_value
+    lo = float(xs[max(i - 1, 0)])
+    hi = float(xs[min(i + 1, len(xs) - 1)])
+    if breaks is not None:
+        j = int(np.searchsorted(breaks, arg))
+        if j > 0:
+            lo = max(lo, float(breaks[j - 1]) + 1e-12)
+        if j < len(breaks):
+            hi = min(hi, float(breaks[j]))
+    if hi > lo:
+        x, v = golden_max(f, lo, hi, tol)
+        if v > value:
+            arg, value = float(x), float(v)
+    return arg, value, grid_value

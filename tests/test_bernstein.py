@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import (SYMPY_Y, frac_bernstein, frac_bernstein_grid,
                      quad_integral, sympy_bernstein_derivative)
 import bcv.bernstein as bernstein_module
-from bcv.bernstein import (ConsistencyError, GridVector, PiecewiseLinearFn, RealFn,
+from bcv.bernstein import (ConsistencyError, GridVector, PiecewiseLinearFn,
                            bernstein_apply, bernstein_apply_many,
                            bernstein_derivative, bernstein_iterate,
                            central_moment, central_moment_closed,
@@ -49,12 +49,6 @@ def test_piecewise_linear_interpolates_and_extends_constantly():
 def test_piecewise_linear_validation(bp, vals):
     with pytest.raises(ValueError):
         PiecewiseLinearFn(bp, vals)
-
-
-def test_real_fn_wraps_callable():
-    f = RealFn(lambda y: 2.0 * np.asarray(y), label="double")
-    assert f(0.25) == 0.5
-    assert f.label == "double"
 
 
 def test_grid_vector_validates_length():

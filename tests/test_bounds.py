@@ -17,6 +17,7 @@ from bcv.bounds import (G_of_lambda, LowerBoundReport, UpperBoundReport,
                         noncentral_converse_check, smooth_class_constant,
                         sup_G_minus_g, sweep_upper, upper_bound_report,
                         upper_expr_H1, upper_expr_H2)
+from bcv.config import SupSearchConfig
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +132,13 @@ def test_G_profile_values():
     expect = p[0] - 0.8 * p[1] - p[2] + 0.04 * p[3] + 1.0 - p.sum()
     assert G_of_lambda(2.0) == pytest.approx(float(expect), abs=1e-12)
     assert G_of_lambda(2.0) == pytest.approx(-0.2017773, abs=1e-6)
+    lams = (0.0, 0.5, 2.0, 7.0)
+    assert np.array_equal(G_of_lambda(np.array(lams)),
+                          [G_of_lambda(lam) for lam in lams])
     with pytest.raises(ValueError):
         G_of_lambda(-0.5)
+    with pytest.raises(ValueError):
+        G_of_lambda(np.array([1.0, -0.5]))
 
 
 @given(st.floats(0.0, 100.0))
@@ -147,7 +153,8 @@ def test_sup_G_minus_g_value_location_certificate():
     assert res.arg == pytest.approx(2.0, abs=1e-6)
     assert "2 P(N <= 3)" in res.tail_certificate
     with pytest.raises(ValueError):
-        sup_G_minus_g(lambda_max=30.0)
+        sup_G_minus_g(SupSearchConfig(lambda_max=30.0))
+    assert sup_G_minus_g(SupSearchConfig(lambda_max=50.0)).scan_range == (0.0, 50.0)
 
 
 def test_witness_error_closed_form_matches_operator():

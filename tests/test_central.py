@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import mc_H_n, mp_nu, quad_integral
 from bcv.central import (CentralParams, C_of_lambda, C_tilde, D_coeff,
-                         H_n_exact, H_n_sup_bound, H_n_upper, I_n_branch_check,
-                         I_n_brute, I_n_closed, K_func, SupSearchResult, nu,
+                         _H_weight, H_n_exact, H_n_sup_bound, H_n_upper,
+                         I_n_branch_check, I_n_brute, I_n_closed, K_func,
+                         SupSearchResult, nu,
                          phi_ratio_moment_check, phi_ratio_moment_sides,
                          r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
 from bcv.config import SupSearchConfig
@@ -50,8 +51,10 @@ def test_nu_at_one_equals_four_over_e_minus_one():
 
 
 def test_nu_matches_high_precision_oracle():
-    for lam in (0.3, 0.999, 1.0, 1.5, 2.0, 3.4794, 7.0, 25.3, 59.0):
+    lams = (0.3, 0.999, 1.0, 1.5, 2.0, 3.4794, 7.0, 25.3, 59.0)
+    for lam in lams:
         assert nu(lam) == pytest.approx(mp_nu(lam), abs=1e-12)
+    assert np.array_equal(nu(np.array(lams)), [nu(lam) for lam in lams])
 
 
 def test_nu_continuous_with_slope_kink_at_integers():
@@ -67,6 +70,8 @@ def test_nu_continuous_with_slope_kink_at_integers():
 def test_nu_positive_domain():
     with pytest.raises(ValueError):
         nu(0.0)
+    with pytest.raises(ValueError):
+        nu(np.array([1.0, -0.5]))
 
 
 def test_r_peaks_at_three_halves():
@@ -83,8 +88,13 @@ def test_C_assembles_nu_and_r():
         assert C_of_lambda(lam) == pytest.approx(
             2.0 * LOG2716 * nu(lam) + r_of_lambda(lam), abs=1e-14)
     assert C_of_lambda(0.0) == 0.0
+    lams = (0.0, 0.7, 1.5, 3.2)
+    assert np.array_equal(C_of_lambda(np.array(lams)),
+                          [C_of_lambda(lam) for lam in lams])
     with pytest.raises(ValueError):
         C_of_lambda(-0.1)
+    with pytest.raises(ValueError):
+        C_of_lambda(np.array([1.0, -0.1]))
 
 
 def test_C_tilde_is_flat_plus_r():
@@ -163,6 +173,7 @@ def test_batched_H_n_equals_scalar_calls_bitwise(n):
     many = H_n_exact(n, xs)
     assert many.shape == xs.shape
     assert np.array_equal(many, [H_n_exact(n, float(x)) for x in xs])
+    assert not _H_weight(n).flags.writeable
 
 
 def test_sup_H_n_at_n_1e5_stays_below_one():

@@ -13,7 +13,7 @@ from scipy.special import gammaln
 from oracles import frac_binom_pmf, mp_inv_moment_shift, quad_integral
 from bcv.dist import (LOG4, LOG2716, BetaOneM, BinomialLaw, PoissonLaw,
                       TriangularV, _log_binom, binomial_rows,
-                      inv_moment_shift_V, law_pmf, sample,
+                      inv_moment_shift_V, sample,
                       stirling_mode_bound_check, tv_binom_poisson_bound,
                       tv_distance)
 
@@ -210,11 +210,6 @@ def test_beta_one_m_validation():
         BetaOneM(0)
     with pytest.raises(ValueError):
         BetaOneM(1.5)
-
-
-def test_law_pmf_rejects_negative_argument():
-    with pytest.raises(ValueError):
-        law_pmf(PoissonLaw(1.0), -2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Golden-section maximization helpers."""
+"""Golden-section maximization and the grid-plus-golden sup search."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcv.search import golden_max, refine_grid_max
+from bcv.bounds import fn_lower_error_sup, sup_G_minus_g
+from bcv.central import sup_C, sup_C_tilde, sup_H_n
+from bcv.search import golden_max, sup_search
 
 
 def test_parabola_maximum_is_located():
@@ -35,18 +38,51 @@ def test_golden_never_below_bracket_midpoint_value(c):
     assert v >= f(0.5) - 1e-12
 
 
-def test_refine_grid_max_improves_on_the_grid():
-    f = lambda t: math.sin(3.0 * t)
+def test_sup_search_improves_on_the_grid():
+    f = lambda t: np.sin(3.0 * t)
     xs = np.linspace(0.0, 1.0, 17)
-    vals = np.array([f(x) for x in xs])
-    x, v = refine_grid_max(f, xs, vals)
-    assert v >= float(vals.max()) - 1e-15
+    x, v, grid = sup_search(f, xs, 1e-13)
+    assert grid == float(f(xs).max())
+    assert v >= grid
     assert abs(x - math.pi / 6.0) < 1e-6  # fp plateau limits the argument
     assert abs(v - 1.0) < 1e-12
 
 
-def test_refine_grid_max_handles_boundary_best_cell():
-    f = lambda t: t
+def test_sup_search_handles_boundary_best_cell():
     xs = np.linspace(0.0, 1.0, 9)
-    x, v = refine_grid_max(f, xs, xs.copy())
+    x, v, grid = sup_search(lambda t: t, xs, 1e-13)
     assert v >= 1.0 - 1e-12
+    assert grid == 1.0 and x == 1.0
+
+
+def test_sup_search_without_tol_returns_the_grid_winner():
+    xs = np.linspace(0.0, 1.0, 17)
+    assert sup_search(lambda t: np.sin(3.0 * t), xs, None) == (
+        0.5, float(np.sin(1.5)), float(np.sin(1.5)))
+
+
+def test_sup_search_refines_only_on_the_winners_piece():
+    # grid winner 0.5 on the piece (0, 0.55]; its right neighbour 0.625 lies
+    # past the jump at 0.55, and f peaks higher between the two, so an
+    # unclipped bracket leaves the winner's piece
+    f = lambda t: np.where(t <= 0.55, 1.0 - (t - 0.52) ** 2,
+                           2.0 - 1000.0 * (t - 0.58) ** 2)
+    xs = np.linspace(0.0, 1.0, 9)
+    x, v, grid = sup_search(f, xs, 1e-13, breaks=np.array([0.0, 0.55, 1.0]))
+    assert grid == float(f(0.5))
+    assert 0.5 <= x <= 0.55
+    assert abs(x - 0.52) < 1e-6
+    assert v == pytest.approx(1.0, abs=1e-12)
+    x_free, v_free, _ = sup_search(f, xs, 1e-13)
+    assert abs(x_free - 0.58) < 1e-6 and v_free > 1.0
+
+
+@pytest.mark.parametrize("search", [
+    sup_C, sup_C_tilde, lambda: sup_H_n(100), sup_G_minus_g,
+    lambda: fn_lower_error_sup(1000),
+], ids=["sup_C", "sup_C_tilde", "sup_H_n", "sup_G_minus_g", "fn_lower_error_sup"])
+def test_every_sup_reports_python_floats(search):
+    res = search()
+    assert type(res.sup_value) is float
+    assert type(res.arg) is float
+    assert all(type(b) is float for b in res.scan_range)
