@@ -36,8 +36,7 @@ from .dist import (LOG4, LOG2716, BetaOneM, BinomialLaw, PoissonLaw,
                    stirling_mode_bound_check, tv_binom_poisson_bound,
                    tv_distance)
 from .moduli import ModulusResult, omega1, omega2, omega2_phi
-from .noncentral import (AlphaIterates, NoncentralParams, SimulatedJ,
-                         alpha_iter, alpha_seq, b_n, epsilon_n,
+from .noncentral import (SimulatedJ, alpha_iter, b_n, epsilon_n,
                          finite_n_J_bound, first_valid_i, J_limit, L_k,
                          simulate_J)
 from .quadrature import QuadratureError, adaptive_simpson

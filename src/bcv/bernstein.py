@@ -16,6 +16,11 @@ from .config import QuadConfig
 from .dist import BinomialLaw, _blocks, binomial_rows
 from .quadrature import adaptive_simpson
 
+# Relative tolerance of the two-form check in bernstein_derivative.
+_REL_TOL = 1e-9
+# Quadrature of the smoothed side of kantorovich_check.
+_KANTOROVICH_QUAD = QuadConfig(abs_tol=1e-12)
+
 
 class ConsistencyError(RuntimeError):
     """Two representations of the same quantity disagreed beyond tolerance."""
@@ -201,7 +206,7 @@ def _krawtchouk_basis(n, m):
     return out
 
 
-def bernstein_derivative(f, n, m, x, rel_tol=1e-9):
+def bernstein_derivative(f, n, m, x):
     """(B_n f)^(m)(x) computed two ways, returning the Krawtchouk form:
 
         (m!/phi^(2m)(x)) E f(S_n(x)/n) K_m(x; S_n(x))
@@ -211,7 +216,7 @@ def bernstein_derivative(f, n, m, x, rel_tol=1e-9):
     same shape is returned); every point is checked.
 
     Raises ConsistencyError if the two representations disagree beyond
-    rel_tol at any point; that signals a numerics bug, not a user error.
+    _REL_TOL at any point; that signals a numerics bug, not a user error.
     Both expectations can cancel far below the magnitude of their terms, and
     the log-space pmf carries small relative noise per term, so the
     disagreement is also measured against the absolute-sum envelopes of the
@@ -252,7 +257,7 @@ def bernstein_derivative(f, n, m, x, rel_tol=1e-9):
         fdiff_env = fall * np.sum(pj * np.abs(diff), axis=1)
         scale = np.maximum(1.0, np.maximum(np.abs(kraw), np.abs(fdiff)))
         floor = 1e-10 * (kraw_env + fdiff_env)
-        bad = np.flatnonzero(np.abs(kraw - fdiff) > rel_tol * scale + floor)
+        bad = np.flatnonzero(np.abs(kraw - fdiff) > _REL_TOL * scale + floor)
         if len(bad):
             i = int(bad[0])
             raise ConsistencyError(
@@ -279,7 +284,7 @@ def irwin_hall_density(m, t):
     raise ValueError("Irwin-Hall density implemented for m <= 3 only")
 
 
-def kantorovich_check(f, f_deriv, n, m, x, quad=QuadConfig(abs_tol=1e-12)):
+def kantorovich_check(f, f_deriv, n, m, x):
     """Return both sides of the smoothed-derivative representation
 
         (B_n f)^(m)(x) = ((n)_m / n^m) E f^(m)((S_{n-m}(x) + U_1+...+U_m)/n),
@@ -297,7 +302,8 @@ def kantorovich_check(f, f_deriv, n, m, x, quad=QuadConfig(abs_tol=1e-12)):
         return irwin_hall_density(m, t) * float(np.sum(pj * f_deriv((j + t) / n)))
 
     # integrate per unit interval: the density has kinks at the integers
-    rhs = sum(adaptive_simpson(integrand, float(a), float(a + 1), quad) for a in range(m))
+    rhs = sum(adaptive_simpson(integrand, float(a), float(a + 1), _KANTOROVICH_QUAD)
+              for a in range(m))
     rhs *= falling_factorial(n, m) / n ** m
     return lhs, rhs
 

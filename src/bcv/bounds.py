@@ -15,18 +15,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bernstein import (PiecewiseLinearFn, _iteration_matrix,
                         bernstein_apply_many, bernstein_derivative)
 from .central import K_func, SupSearchResult, sup_H_n
-from .config import GridConfig, QuadConfig, SupSearchConfig
-from .dist import LOG4, PoissonLaw
+from .config import GridConfig, SupSearchConfig
+from .dist import LOG4, PoissonLaw, _log_binom
 from .moduli import omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
 from .search import sup_search
 
 SQRT2 = math.sqrt(2.0)
+# Grid points on (0, 1/2] of the norms in the converse validators.
+_NORM_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -70,23 +71,23 @@ def upper_expr_H1(a):
     return 4.0 + SQRT2 * (SQRT2 + 1.0) / denom * LOG4
 
 
-def upper_expr_H2(a, m, i, quad=QuadConfig()):
-    """4 + sqrt(2)(i + sum_{k=i}^m J(k,a)) / (1 - J(m+1,a)) * log 4."""
-    if i != first_valid_i(a):
-        raise ValueError(f"i must be first_valid_i(a) = {first_valid_i(a)}")
+def upper_expr_H2(a, m):
+    """4 + sqrt(2)(i + sum_{k=i}^m J(k,a)) / (1 - J(m+1,a)) * log 4, with
+    i = first_valid_i(a)."""
+    i = first_valid_i(a)
     if i > m:
-        raise ValueError("need i <= m")
-    j_top = J_limit(m + 1, a, quad)
+        raise ValueError(f"need m >= first_valid_i(a) = {i}")
+    j_top = J_limit(m + 1, a)
     if j_top >= 1.0:
         raise ValueError(f"J(m+1, a) = {j_top:.4g} >= 1: expression undefined")
-    total = sum(J_limit(k, a, quad) for k in range(i, m + 1))
+    total = sum(J_limit(k, a) for k in range(i, m + 1))
     return 4.0 + SQRT2 * (i + total) / (1.0 - j_top) * LOG4
 
 
-def upper_bound_report(a, m, quad=QuadConfig()):
+def upper_bound_report(a, m):
     i = first_valid_i(a)
     e1 = upper_expr_H1(a)
-    e2 = upper_expr_H2(a, m, i, quad)
+    e2 = upper_expr_H2(a, m)
     mx = max(e1, e2)
     return UpperBoundReport(a, m, i, e1, e2, mx, mx < 74.8)
 
@@ -102,7 +103,7 @@ def smooth_class_constant():
     return 4.0 + SQRT2 * (SQRT2 + 1.0) / (1.0 - 0.99 / math.sqrt(3.0)) * LOG4
 
 
-def sweep_upper(a_lo=5.0, a_hi=10.0, step=0.1, m=20, refine=True, quad=QuadConfig()):
+def sweep_upper(a_lo=5.0, a_hi=10.0, step=0.1, m=20):
     """Reports over an a-grid, plus a 0.01-step refinement pass around the
     coarse minimum of the max column.  Grid points where the K-driven
     expression is undefined (denominator <= 0, roughly a < 6.2) are skipped
@@ -113,12 +114,12 @@ def sweep_upper(a_lo=5.0, a_hi=10.0, step=0.1, m=20, refine=True, quad=QuadConfi
     reports = []
     for a in grid:
         try:
-            reports.append(upper_bound_report(float(a), m, quad))
+            reports.append(upper_bound_report(float(a), m))
         except ValueError:
             continue
     if not reports:
         raise ValueError("no a in the range admits the upper-bound expressions")
-    if refine and len(reports) > 2:
+    if len(reports) > 2:
         k = min(range(len(reports)), key=lambda j: reports[j].max)
         lo = reports[max(k - 1, 0)].a
         hi = reports[min(k + 1, len(reports) - 1)].a
@@ -128,7 +129,7 @@ def sweep_upper(a_lo=5.0, a_hi=10.0, step=0.1, m=20, refine=True, quad=QuadConfi
             if round(float(a), 6) in seen:
                 continue
             try:
-                reports.append(upper_bound_report(float(a), m, quad))
+                reports.append(upper_bound_report(float(a), m))
             except ValueError:
                 continue
         reports.sort(key=lambda r: r.a)
@@ -199,14 +200,14 @@ def _fn_lower_error(n, x):
     B_n f_n = 1 - 1.8 p_1 - 2 p_2 - 0.96 p_3."""
     x = np.asarray(x, dtype=float)
     fn = build_fn_lower(n)
+    logc = _log_binom(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         logx = np.log(x)
         log1mx = np.log1p(-x)
         b = np.ones_like(x)
         for k, w in ((1, -1.8), (2, -2.0), (3, -0.96)):
-            logc = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
             pk = np.where((x > 0.0) & (x < 1.0),
-                          np.exp(logc + k * logx + (n - k) * log1mx), 0.0)
+                          np.exp(logc[k] + k * logx + (n - k) * log1mx), 0.0)
             b = b + w * pk
     return np.abs(b - fn(x))
 
@@ -219,8 +220,7 @@ def fn_lower_error_sup(n, cfg=GridConfig()):
         np.linspace(0.0, 40.0, 16001) / n,
         np.linspace(0.0, 1.0, cfg.x_points // 2 + 1),
         np.asarray(fn.breakpoints)]))
-    arg, value, _ = sup_search(lambda t: _fn_lower_error(n, t), xs,
-                               cfg.refine_tol if cfg.refine else None)
+    arg, value, _ = sup_search(lambda t: _fn_lower_error(n, t), xs, tol=1e-13)
     far = float(np.max(_fn_lower_error(n, np.linspace(40.0 / n, 1.0, 1001))))
     cert = f"max of |B_n f_n - f_n| over [40/n, 1] on a 1001-point grid: {far:.3e}"
     return SupSearchResult(value, arg, (0.0, 1.0), cert)
@@ -239,12 +239,12 @@ def lower_bound_ratio(n, cfg=GridConfig()):
     return LowerBoundReport(n, om, err, om / err, gap)
 
 
-def _sup_norms(f, n, points=1024):
+def _sup_norms(f, n):
     """(sup |B_n f - f|, sup phi^2 |(B_n f)''|) over a grid on (0, 1/2].
 
     Both are grid maxima, so each is a lower estimate of its norm; a check
     built on them is not certified."""
-    xs = np.linspace(0.0, 0.5, points + 1)[1:]
+    xs = np.linspace(0.0, 0.5, _NORM_POINTS + 1)[1:]
     err = float(np.max(np.abs(bernstein_apply_many(f, n, xs) - f(xs))))
     d2 = bernstein_derivative(f, n, 2, xs)
     wd2 = float(np.max(xs * (1.0 - xs) * np.abs(d2)))
@@ -281,7 +281,7 @@ def modulus_upper_check(f, n, cfg=GridConfig()):
     return lhs <= rhs + 1e-12
 
 
-def central_converse_check(f, n, a=7.2, points=1024):
+def central_converse_check(f, n, a=7.2):
     """Central-region converse estimate at one n:
 
         (1 - sqrt((n+1)/n) H_{n-2} K(a) / 3) ||phi^2 (B_n f)''|| / (2n)
@@ -292,7 +292,7 @@ def central_converse_check(f, n, a=7.2, points=1024):
         raise ValueError("need n >= 5")
     h = sup_H_n(n - 2).sup_value
     mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(a) / 3.0
-    err, wd2 = _sup_norms(f, n, points)
+    err, wd2 = _sup_norms(f, n)
     if mult <= 0.0:
         return ValidatorResult(True, False, mult * wd2 / (2.0 * n),
                                (SQRT2 + 1.0) / SQRT2 * err,
@@ -303,21 +303,21 @@ def central_converse_check(f, n, a=7.2, points=1024):
                            f"multiplier {mult:.4f}")
 
 
-def noncentral_converse_check(f, n, a=7.2, m=20, i=13, points=1024,
-                              quad=QuadConfig()):
+def noncentral_converse_check(f, n, a=7.2, m=20):
     """Noncentral converse estimate with the finite-n J bounds substituted
     (conservative on both sides):
 
         ||phi^2 (B_n f)''|| (1 - J_n(m+1,a)) / n
-            <= sqrt(2) (i + sum_{k=i}^m J_n(k,a)) ||B_n f - f||.
+            <= sqrt(2) (i + sum_{k=i}^m J_n(k,a)) ||B_n f - f||,
 
-    Reports not-binding when the J-bound hypothesis fails at this n or the
-    multiplier is nonpositive."""
-    if i != first_valid_i(a):
-        raise ValueError(f"i must be first_valid_i(a) = {first_valid_i(a)}")
-    err, wd2 = _sup_norms(f, n, points)
+    i = first_valid_i(a).  Reports not-binding when the J-bound hypothesis
+    fails at this n or the multiplier is nonpositive."""
+    i = first_valid_i(a)
+    if i > m:
+        raise ValueError(f"need m >= first_valid_i(a) = {i}")
+    err, wd2 = _sup_norms(f, n)
     try:
-        js = {k: finite_n_J_bound(n, k, a, quad) for k in range(i, m + 2)}
+        js = {k: finite_n_J_bound(n, k, a) for k in range(i, m + 2)}
     except ValueError as e:
         return ValidatorResult(True, False, 0.0, 0.0, f"not binding: {e}")
     mult = 1.0 - js[m + 1]
@@ -330,7 +330,7 @@ def noncentral_converse_check(f, n, a=7.2, m=20, i=13, points=1024,
                            f"multiplier {mult:.4f}")
 
 
-def iterate_converse_check(f, n, points=1024):
+def iterate_converse_check(f, n):
     """Second-iterate smoothing estimate with g = B_n f:
 
         ||phi^2 ((B_n g)'' - g'')|| / (2n) <= (1/sqrt(2)) ||B_n f - f||,
@@ -338,7 +338,7 @@ def iterate_converse_check(f, n, points=1024):
     norms over (0, 1/2].  Both derivatives only read their argument on the
     grid j/n, so g is represented exactly by its grid values B_n f(j/n).
     """
-    xs = np.linspace(0.0, 0.5, points + 1)[1:]
+    xs = np.linspace(0.0, 0.5, _NORM_POINTS + 1)[1:]
     err = float(np.max(np.abs(bernstein_apply_many(f, n, xs) - f(xs))))
 
     g_grid = _iteration_matrix(n) @ np.asarray(f(np.arange(n + 1) / n), dtype=float)

@@ -25,6 +25,9 @@ from .dist import (LOG4, LOG2716, BetaOneM, BinomialLaw, _blocks,
 from .quadrature import adaptive_simpson
 from .search import sup_search
 
+# Grid points of the x-scan in sup_H_n.
+H_SCAN_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class CentralParams:
@@ -210,13 +213,14 @@ def H_n_exact(n, x):
     return out.reshape(xa.shape) if xa.ndim else float(out[0])
 
 
-def sup_H_n(n, points=4096):
-    """sup of H_n over (0, 1/2] on a grid with golden refinement.
+def sup_H_n(n):
+    """sup of H_n over (0, 1/2] on an H_SCAN_POINTS grid with golden
+    refinement.
 
     The grid maximum and its golden refinement are attained values, so the
     result is a lower estimate of the sup: the claim sup H_n <= 1 is checked
     on a lower estimate and is not certified by this search."""
-    xs = np.linspace(0.0, 0.5, points + 1)[1:]
+    xs = np.linspace(0.0, 0.5, H_SCAN_POINTS + 1)[1:]
     arg, value, _ = sup_search(lambda t: H_n_exact(n, t), xs)
     cert = "H_n(x) -> 0 as x -> 0+ (exact sum is continuous with H_n(0+) = 0)"
     return SupSearchResult(value, arg, (0.0, 0.5), cert)
@@ -297,7 +301,7 @@ def K_func(s):
     return out if out.ndim else float(out)
 
 
-def phi_ratio_moment_sides(m, x, z, quad=QuadConfig()):
+def phi_ratio_moment_sides(m, x, z):
     """Both sides of the inverse-beta moment bound
 
         E (phi(x)/phi(x+(z-x) B))^m
@@ -327,7 +331,7 @@ def phi_ratio_moment_sides(m, x, z, quad=QuadConfig()):
             return 2.0 * (x if z >= 0.5 else 1.0 - x)
         return beta.density(t) * phim / w ** (m / 2.0)
 
-    lhs = adaptive_simpson(integrand, 0.0, 1.0, quad)
+    lhs = adaptive_simpson(integrand, 0.0, 1.0)
     d = abs(z - x)
     p2 = x * (1.0 - x)
     rhs = (1.0 + m / (2.0 * (m + 1.0)) * d / p2
@@ -336,6 +340,6 @@ def phi_ratio_moment_sides(m, x, z, quad=QuadConfig()):
     return lhs, rhs
 
 
-def phi_ratio_moment_check(m, x, z, quad=QuadConfig()):
-    lhs, rhs = phi_ratio_moment_sides(m, x, z, quad)
-    return lhs <= rhs + 10.0 * quad.abs_tol
+def phi_ratio_moment_check(m, x, z):
+    lhs, rhs = phi_ratio_moment_sides(m, x, z)
+    return lhs <= rhs + 10.0 * QuadConfig().abs_tol

@@ -17,10 +17,8 @@ and seed give byte-identical JSON up to the runtime_ms fields.
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +40,6 @@ class ReportEntry:
     runtime_ms: int
     seed: int
     grid: str
-
-
-def _threads():
-    cap = os.environ.get("BCV_THREADS")
-    avail = os.cpu_count() or 1
-    if cap is None:
-        return min(4, avail)
-    try:
-        return max(1, min(avail, int(cap)))
-    except ValueError:
-        return 1
 
 
 class _Check:
@@ -81,11 +68,7 @@ class _Check:
 
 
 def _run_checks(checks):
-    workers = _threads()
-    if workers == 1 or len(checks) == 1:
-        return [s.run() for s in checks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: s.run(), checks))
+    return [c.run() for c in checks]
 
 
 def _render_json(command, entries):
@@ -152,10 +135,13 @@ def _emit(command, entries, args):
 
 
 def _cmd_constants(args):
-    scan = SupSearchConfig(lambda_max=args.lambda_max, points=args.grid)
+    try:
+        scan = SupSearchConfig(lambda_max=args.lambda_max, points=args.grid)
+        sup_c = central.sup_C(scan)
+        sup_ct = central.sup_C_tilde(scan)
+    except ValueError as e:
+        raise _Usage(str(e))
     desc = f"points={scan.points},lambda_max={scan.lambda_max:g}"
-    sup_c = central.sup_C(scan)
-    sup_ct = central.sup_C_tilde(scan)
     gap = abs(sup_ct.sup_value - 0.9792)
     print(f"note: sup of C~ computed as {sup_ct.sup_value:.6f}; quoted value "
           f"0.9792 differs by {gap:.2e}; the asserted claim is < 0.99",
@@ -220,7 +206,7 @@ def _cmd_hn(args):
     checks = [
         _Check(f"sup_H_{args.n}", lambda: res.sup_value,
               predicate=lambda v: v <= 1.0,
-              grid=f"x_points=4096,arg={res.arg:.6g}"),
+              grid=f"x_points={central.H_SCAN_POINTS},arg={res.arg:.6g}"),
     ]
     return _emit("hn", _run_checks(checks), args)
 
@@ -362,7 +348,8 @@ def _suite_central():
         _Check("central.H_upper_dominates", upper_margin,
               predicate=lambda v: v >= 0.0, grid="n in {10,100}"),
         _Check("central.sup_H_100", lambda: central.sup_H_n(100).sup_value,
-              predicate=lambda v: v <= 1.0, grid="x_points=4096"),
+              predicate=lambda v: v <= 1.0,
+              grid=f"x_points={central.H_SCAN_POINTS}"),
         _Check("central.phi_ratio_bound", ratio_margin,
               predicate=lambda v: v >= -1e-9, grid="m in {2,3}, 3x3 (x,z)"),
         _Check("central.I_branch_surrogate", branch_spots,
@@ -454,6 +441,8 @@ _SUITES = {
 def _cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     seed = DEFAULT_SEED if args.seed is None else args.seed
+    if seed < 0:
+        raise _Usage("need --seed >= 0")
     checks = []
     for name in names:
         checks.extend(_SUITES[name](seed))
@@ -467,7 +456,10 @@ def _cmd_sweep(args):
         raise _Usage("--a-range must look like 5.0,10.0")
     if not (0.0 < lo < hi) or args.step <= 0.0:
         raise _Usage("need 0 < lo < hi and --step > 0")
-    reports = bounds.sweep_upper(lo, hi, args.step, args.m)
+    try:
+        reports = bounds.sweep_upper(lo, hi, args.step, args.m)
+    except ValueError as e:
+        raise _Usage(str(e))
     lines = ["a,i,expr_H1,expr_H2,max"]
     lines.extend(f"{r.a:.2f},{r.i},{r.expr_H1:.6f},{r.expr_H2:.6f},{r.max:.6f}"
                  for r in reports)
@@ -522,8 +514,8 @@ def build_parser():
     v.add_argument("--seed", type=int, default=None)
     v.set_defaults(fn=_cmd_verify)
 
-    s = sub.add_parser("sweep", parents=[common],
-                       help="CSV sweep of the upper expressions")
+    s = sub.add_parser("sweep", help="CSV sweep of the upper expressions")
+    s.add_argument("--out", metavar="FILE", default=None)
     s.add_argument("--a-range", default="5.0,10.0")
     s.add_argument("--step", type=float, default=0.1)
     s.add_argument("--m", type=int, default=20)

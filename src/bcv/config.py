@@ -5,23 +5,13 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Controls the coarse grid and the local refinement of a sup search.
-
-    x_points, h_points: coarse resolution of the (x, h) scan.
-    refine_top: number of best coarse cells refined by golden section.
-    refine_tol: interval width at which golden section stops.
-    """
+    """Coarse resolution of the (x, h) scan of a modulus search."""
     x_points: int = 2048
     h_points: int = 512
-    refine: bool = True
-    refine_top: int = 8
-    refine_tol: float = 1e-13
 
     def __post_init__(self):
         if self.x_points < 2 or self.h_points < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        if self.refine_top < 1:
-            raise ValueError("refine_top must be positive")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ _BAND_LOG_MASS = 760.0
 
 @functools.lru_cache(maxsize=8)
 def _log_binom(n):
-    """log C(n, k) for k = 0..n, read-only, in the operation order of logpmf."""
+    """log C(n, k) for k = 0..n, read-only; every log C(n, k) in bcv is read
+    from here."""
     k = np.arange(n + 1, dtype=float)
     out = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     out.flags.writeable = False
@@ -104,7 +105,7 @@ class BinomialLaw:
             out[valid & (k == n)] = 0.0
         else:
             kv = k[valid]
-            out[valid] = (gammaln(n + 1) - gammaln(kv + 1) - gammaln(n - kv + 1)
+            out[valid] = (_log_binom(n)[kv.astype(int)]
                           + kv * math.log(x) + (n - kv) * math.log1p(-x))
         return out if out.ndim else float(out)
 
@@ -114,14 +115,6 @@ class BinomialLaw:
     def pmf_vector(self):
         """All n+1 probabilities; sums to 1 up to rounding."""
         return binomial_rows(self.n, [self.x])[0]
-
-    def cdf(self, k):
-        k = np.asarray(k)
-        p = self.pmf_vector()
-        c = np.concatenate([[0.0], np.cumsum(p)])
-        idx = np.clip(np.floor(np.asarray(k, dtype=float)).astype(int) + 1, 0, self.n + 1)
-        out = np.minimum(c[idx], 1.0)
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -159,14 +152,6 @@ class PoissonLaw:
 
     def pmf_vector(self):
         return np.exp(self.logpmf(self.support()))
-
-    def cdf(self, k):
-        k = np.asarray(k)
-        p = self.pmf_vector()
-        c = np.concatenate([[0.0], np.cumsum(p)])
-        idx = np.clip(np.floor(np.asarray(k, dtype=float)).astype(int) + 1, 0, len(p))
-        out = np.minimum(c[idx], 1.0)
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -250,13 +235,3 @@ def inv_moment_shift_V(y):
     out = xlogy(y + 2.0, y + 2.0) - 2.0 * xlogy(y + 1.0, y + 1.0) + xlogy(y, y)
     return out if out.ndim else float(out)
 
-
-def sample(law, rng, size=None):
-    """Draw from a BinomialLaw, TriangularV or BetaOneM with a numpy Generator."""
-    if isinstance(law, BinomialLaw):
-        return rng.binomial(law.n, law.x, size=size)
-    if isinstance(law, TriangularV):
-        return rng.random(size) + rng.random(size)
-    if isinstance(law, BetaOneM):
-        return rng.beta(1.0, law.m, size=size)
-    raise TypeError(f"cannot sample from {type(law).__name__}")

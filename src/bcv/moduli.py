@@ -23,6 +23,11 @@ from scipy.optimize import brentq
 from .config import GridConfig
 from .search import golden_max
 
+# Best grid cells (and best kink pairs) refined by golden section.
+_REFINE_TOP = 8
+# Interval width at which golden section stops.
+_REFINE_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class ModulusResult:
@@ -38,16 +43,18 @@ def _breakpoints(f):
     return None if bp is None else np.asarray(bp, dtype=float)
 
 
-def _scan(diff, hmax_fn, xs, h_points, top):
+def _scan(diff, hmax_fn, xs, h_points):
     """Max of diff over the grid {(x, t*hmax(x)) : t in [0,1]}; returns the
-    best value, its (x, h), the top cells as refinement seeds, and the grid
-    size scanned."""
+    best value, its (x, h), the _REFINE_TOP best cells in descending order as
+    refinement seeds, and the grid size scanned."""
     xs = np.asarray(xs, dtype=float).reshape(-1, 1)
     hm = hmax_fn(xs)
     t = np.linspace(0.0, 1.0, h_points + 1).reshape(1, -1)
     vals = diff(xs, hm * t)
     flat = vals.ravel()
-    order = np.argsort(flat)[::-1][:top]
+    # select the top cells without sorting the whole grid, then order them
+    top = np.argpartition(flat, -_REFINE_TOP)[-_REFINE_TOP:]
+    order = top[np.argsort(flat[top])[::-1]]
     seeds = []
     for idx in order:
         i, j = np.unravel_index(int(idx), vals.shape)
@@ -56,16 +63,16 @@ def _scan(diff, hmax_fn, xs, h_points, top):
     return float(vals[i, j]), float(xs[i, 0]), float(hm[i, 0] * t[0, j]), seeds, vals.size
 
 
-def _refine(diff, hmax_fn, x, h, dx, tol):
+def _refine(diff, hmax_fn, x, h, dx):
     """Two rounds of coordinate golden-section ascent around (x, h); the x
     move keeps h at a fixed fraction of hmax so admissibility is preserved."""
     best = (float(diff(x, h)), x, h)
     for _ in range(2):
         hm = float(hmax_fn(x))
         if hm > 0.0:
-            dh = max(hm / 64.0, 4.0 * tol)
+            dh = max(hm / 64.0, 4.0 * _REFINE_TOL)
             h, v = golden_max(lambda hh: float(diff(x, hh)),
-                              max(0.0, h - dh), min(hm, h + dh), tol)
+                              max(0.0, h - dh), min(hm, h + dh), _REFINE_TOL)
             if v > best[0]:
                 best = (v, x, h)
         frac = h / hm if hm > 0.0 else 0.0
@@ -73,7 +80,7 @@ def _refine(diff, hmax_fn, x, h, dx, tol):
         def along_x(xx):
             return float(diff(xx, frac * float(hmax_fn(xx))))
 
-        x, v = golden_max(along_x, max(0.0, x - dx), min(1.0, x + dx), tol)
+        x, v = golden_max(along_x, max(0.0, x - dx), min(1.0, x + dx), _REFINE_TOL)
         h = frac * float(hmax_fn(x))
         if v > best[0]:
             best = (v, x, h)
@@ -81,26 +88,22 @@ def _refine(diff, hmax_fn, x, h, dx, tol):
 
 
 def _search(diff, hmax_fn, xs, pairs, cfg):
-    value, ax, ah, seeds, npts = _scan(diff, hmax_fn, xs, cfg.h_points,
-                                       cfg.refine_top)
+    value, ax, ah, seeds, npts = _scan(diff, hmax_fn, xs, cfg.h_points)
     if len(pairs):
         px, ph = pairs[:, 0], pairs[:, 1]
         pv = diff(px, ph)
         k = int(np.argmax(pv))
         if pv[k] > value:
             value, ax, ah = float(pv[k]), float(px[k]), float(ph[k])
-        order = np.argsort(pv)[::-1][:cfg.refine_top]
+        order = np.argsort(pv)[::-1][:_REFINE_TOP]
         seeds.extend((float(px[i]), float(ph[i])) for i in order)
         npts += len(pairs)
-    refined = False
-    if cfg.refine:
-        refined = True
-        dx = 1.0 / cfg.x_points
-        for sx, sh in seeds:
-            v, rx, rh = _refine(diff, hmax_fn, sx, sh, dx, cfg.refine_tol)
-            if v > value:
-                value, ax, ah = v, rx, rh
-    return ModulusResult(value, ax, ah, npts, refined)
+    dx = 1.0 / cfg.x_points
+    for sx, sh in seeds:
+        v, rx, rh = _refine(diff, hmax_fn, sx, sh, dx)
+        if v > value:
+            value, ax, ah = v, rx, rh
+    return ModulusResult(value, ax, ah, npts, True)
 
 
 def _kink_pairs(xs, bp, hmax_fn, scale_fn):

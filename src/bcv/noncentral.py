@@ -19,62 +19,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import QuadConfig
 from .dist import LOG4, LOG2716
 from .quadrature import adaptive_simpson
 
 
-@dataclass(frozen=True)
-class AlphaIterates:
-    """alpha_0(theta) ... alpha_m(theta) for one theta."""
-    values: tuple
-    m: int
-
-    def __post_init__(self):
-        if len(self.values) != self.m + 1:
-            raise ValueError("need m+1 iterate values")
-
-
-def alpha_seq(m, theta):
-    if m < 0:
-        raise ValueError("iterate depth m must be >= 0")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0,1]")
-    vals = [float(theta)]
-    for _ in range(m):
-        vals.append(-math.expm1(-vals[-1]))
-    return AlphaIterates(tuple(vals), m)
+# Depth at which first_valid_i gives up.
+_MAX_DEPTH = 10_000
 
 
 def alpha_iter(m, theta):
     """alpha_m(theta) with alpha_0 = theta, alpha_{k+1} = 1 - e^{-alpha_k}."""
-    return alpha_seq(m, theta).values[-1]
+    if m < 0:
+        raise ValueError("iterate depth m must be >= 0")
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0,1]")
+    v = float(theta)
+    for _ in range(m):
+        v = -math.expm1(-v)
+    return v
 
 
-def first_valid_i(a, max_depth=10_000):
+def first_valid_i(a):
     """Smallest i >= 1 with a < 1/alpha_{i-1}(1); the iterates vanish slowly,
     so this grows roughly like 2a."""
     if a <= 0.0:
         raise ValueError("a must be positive")
     v = 1.0
-    for i in range(1, max_depth + 1):
+    for i in range(1, _MAX_DEPTH + 1):
         if a * v < 1.0:
             return i
         v = -math.expm1(-v)
-    raise RuntimeError(f"no valid index below depth {max_depth}")
-
-
-@dataclass(frozen=True)
-class NoncentralParams:
-    a: float
-    m: int
-    i: int
-
-    def __post_init__(self):
-        if self.i != first_valid_i(self.a):
-            raise ValueError(f"i must be the first valid index {first_valid_i(self.a)}")
-        if self.i > self.m:
-            raise ValueError("need i <= m")
+    raise RuntimeError(f"no valid index below depth {_MAX_DEPTH}")
 
 
 def b_n(a, n):
@@ -101,7 +76,7 @@ def _alpha_fn(k):
     return fn
 
 
-def L_k(k, a, quad=QuadConfig()):
+def L_k(k, a):
     """L_k(a) = integral_0^1 (alpha_{k-1}(theta)/theta)^2 e^{-a alpha_{k-1}(theta)} dtheta.
 
     The integrand extends continuously by 1 at theta = 0 (alpha_{k-1}(theta)
@@ -119,21 +94,21 @@ def L_k(k, a, quad=QuadConfig()):
         v = alpha(theta)
         return (v / theta) ** 2 * math.exp(-a * v)
 
-    return adaptive_simpson(integrand, 0.0, 1.0, quad)
+    return adaptive_simpson(integrand, 0.0, 1.0)
 
 
-def J_limit(k, a, quad=QuadConfig()):
+def J_limit(k, a):
     """Limit constant J(k, a); the second term decays exponentially in a."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if a <= 0.0:
         raise ValueError("a must be positive")
     a1 = alpha_iter(k - 1, 1.0)
-    return a * (2.0 * L_k(k, a, quad) * LOG2716
+    return a * (2.0 * L_k(k, a) * LOG2716
                 + (LOG4 - 2.0 * LOG2716) * a1 * a1 * math.exp(-a * a1))
 
 
-def finite_n_J_bound(n, m, a, quad=QuadConfig()):
+def finite_n_J_bound(n, m, a):
     """Finite-n upper bound for J_n(m, a):
 
         b_n e^{2 b_n m / n} (2 log(27/16) L_m(b_n)
@@ -151,7 +126,7 @@ def finite_n_J_bound(n, m, a, quad=QuadConfig()):
         raise ValueError(
             f"hypothesis fails: b_n = {b:.6g} > 1/alpha_{{m-1}}(1) = {1.0 / a1:.6g}")
     return b * math.exp(2.0 * b * m / n) * (
-        2.0 * LOG2716 * L_k(m, b, quad)
+        2.0 * LOG2716 * L_k(m, b)
         + (LOG4 - 2.0 * LOG2716) * a1 * a1 * math.exp(-b * a1)
         + epsilon_n(n))
 

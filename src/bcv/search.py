@@ -3,9 +3,11 @@
 import numpy as np
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps before golden_max stops regardless of tol.
+_MAX_ITER = 200
 
 
-def golden_max(f, lo, hi, tol=1e-13, max_iter=200):
+def golden_max(f, lo, hi, tol=1e-13):
     """Return (argmax, max) of f on [lo, hi] by golden-section search.
 
     Assumes f is unimodal on the bracket; on a multimodal bracket it still
@@ -18,7 +20,7 @@ def golden_max(f, lo, hi, tol=1e-13, max_iter=200):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if b - a <= tol:
             break
         if fc >= fd:

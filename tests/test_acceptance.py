@@ -52,7 +52,7 @@ def test_upper_bound_expressions_stay_below_74_8():
     t0 = time.perf_counter()
     assert first_valid_i(7.2) == 13
     e1 = upper_expr_H1(7.2)
-    e2 = upper_expr_H2(7.2, 20, 13)
+    e2 = upper_expr_H2(7.2, 20)
     elapsed = time.perf_counter() - t0
     assert 74.5 <= e1 < 74.8
     assert e2 < 74.8

@@ -45,16 +45,16 @@ def test_upper_expr_H1_rejects_small_a():
 
 
 def test_upper_expr_H2_frozen_value():
-    v = upper_expr_H2(7.2, 20, 13)
+    v = upper_expr_H2(7.2, 20)
     assert v == pytest.approx(74.79231321, abs=1e-6)
     assert v < 74.8
 
 
 def test_upper_expr_H2_validates_index():
+    # i = first_valid_i(7.2) = 13 must not exceed m
+    upper_expr_H2(7.2, 13)
     with pytest.raises(ValueError):
-        upper_expr_H2(7.2, 20, 12)
-    with pytest.raises(ValueError):
-        upper_expr_H2(7.2, 5, 13)  # i = 13 > m
+        upper_expr_H2(7.2, 12)
 
 
 def test_upper_bound_report_assembly():
@@ -90,11 +90,6 @@ def test_sweep_sorted_refined_and_consistent():
     direct = upper_bound_report(7.2, 20)
     assert at72.expr_H1 == pytest.approx(direct.expr_H1, rel=1e-12)
     assert at72.expr_H2 == pytest.approx(direct.expr_H2, rel=1e-12)
-
-
-def test_sweep_without_refinement_is_coarse_grid_only():
-    reports = sweep_upper(6.9, 7.5, 0.1, 20, refine=False)
-    assert len(reports) == 7
 
 
 def test_sweep_validation():
@@ -247,8 +242,9 @@ def test_noncentral_converse_binding_at_large_n():
 
 
 def test_noncentral_converse_validates_index():
+    # i = first_valid_i(7.2) = 13 must not exceed m
     with pytest.raises(ValueError):
-        noncentral_converse_check(lambda y: np.asarray(y) ** 3, 2000, i=12)
+        noncentral_converse_check(lambda y: np.asarray(y) ** 3, 2000, m=12)
 
 
 def test_iterate_converse_holds():

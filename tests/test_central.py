@@ -160,7 +160,7 @@ def test_sup_H_n_values_and_bound():
     res100 = sup_H_n(100)
     assert res100.sup_value == pytest.approx(0.9549235, abs=2e-4)
     assert res100.sup_value <= 1.0
-    res500 = sup_H_n(500, points=1024)
+    res500 = sup_H_n(500)
     assert res500.sup_value <= 1.0
     assert res500.arg < 0.05  # maximizer sits near the left edge
 

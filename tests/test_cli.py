@@ -2,6 +2,7 @@
 
 import json
 import re
+import threading
 
 import pytest
 
@@ -52,6 +53,14 @@ def test_constants_json_schema(capsys):
         assert entry["pass"] is True
     ids = [e["claim_id"] for e in payload["entries"]]
     assert "sup_C" in ids and "smooth_class_constant" in ids
+
+
+def test_constants_rejects_coarse_grid(capsys):
+    assert run_cli_usage_error(capsys, "constants", "--grid", "10") == 2
+
+
+def test_constants_rejects_short_lambda_range(capsys):
+    assert run_cli_usage_error(capsys, "constants", "--lambda-max", "30") == 2
 
 
 def test_constants_csv_header(capsys):
@@ -152,13 +161,23 @@ def test_json_deterministic_modulo_runtime(capsys):
     assert strip_runtimes(first) == strip_runtimes(second)
 
 
-def test_thread_cap_does_not_change_results(capsys, monkeypatch):
-    _, parallel, _ = run_cli(capsys, "verify", "--suite", "dist",
-                             "--format", "json")
-    monkeypatch.setenv("BCV_THREADS", "1")
-    _, serial, _ = run_cli(capsys, "verify", "--suite", "dist",
-                           "--format", "json")
-    assert strip_runtimes(parallel) == strip_runtimes(serial)
+def test_verify_checks_run_on_the_calling_thread(capsys, monkeypatch):
+    threads = []
+    run = cli._Check.run
+
+    def recording_run(self):
+        threads.append(threading.get_ident())
+        return run(self)
+
+    monkeypatch.setattr(cli._Check, "run", recording_run)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert "25/25 checks passed" in out
+    assert threads == [threading.get_ident()] * 25
+
+
+def test_verify_rejects_negative_seed(capsys):
+    assert run_cli_usage_error(capsys, "verify", "--seed", "-1") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -212,3 +231,12 @@ def test_sweep_rejects_malformed_range(capsys):
 
 def test_sweep_rejects_nonpositive_step(capsys):
     assert run_cli_usage_error(capsys, "sweep", "--step", "0") == 2
+
+
+def test_sweep_rejects_format(capsys):
+    # sweep has only a CSV form
+    assert run_cli_usage_error(capsys, "sweep", "--format", "json") == 2
+
+
+def test_sweep_rejects_m_below_first_valid_index(capsys):
+    assert run_cli_usage_error(capsys, "sweep", "--m", "0") == 2

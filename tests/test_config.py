@@ -9,13 +9,12 @@ def test_grid_config_defaults():
     cfg = GridConfig()
     assert cfg.x_points == 2048
     assert cfg.h_points == 512
-    assert cfg.refine and cfg.refine_top == 8
 
 
 @pytest.mark.parametrize("kwargs", [
     {"x_points": 1},
     {"h_points": 0},
-    {"refine_top": 0},
+    {"h_points": 1},
 ])
 def test_grid_config_rejects_degenerate(kwargs):
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bcv.bernstein import PiecewiseLinearFn
 from bcv.config import GridConfig
-from bcv.moduli import ModulusResult, omega1, omega2, omega2_phi
+from bcv.moduli import ModulusResult, _scan, omega1, omega2, omega2_phi
 
 
 SQUARE = lambda y: np.asarray(y) ** 2
@@ -147,12 +147,34 @@ def test_boundary_touching_steps_are_admissible():
 
 
 def test_result_reports_grid_metadata():
-    res = omega2(SQUARE, 0.2, GridConfig(refine=False))
-    assert res.refined is False
-    assert res.grid_points > 0
-    res2 = omega2(SQUARE, 0.2)
-    assert res2.refined is True
-    assert res2.value >= res.value - 1e-15
+    cfg = GridConfig(x_points=64, h_points=16)
+    res = omega2(SQUARE, 0.2, cfg)
+    assert res.refined is True
+    assert res.grid_points == (cfg.x_points + 1) * (cfg.h_points + 1)
+    # refinement only ever improves on the grid winner
+    grid_best = max(abs(SQUARE(x + h) - 2.0 * SQUARE(x) + SQUARE(x - h))
+                    for x in np.linspace(0.0, 1.0, cfg.x_points + 1)
+                    for h in min(0.2, x, 1.0 - x) * np.linspace(0.0, 1.0, cfg.h_points + 1))
+    assert res.value >= grid_best
+    assert omega2(SQUARE, 0.0).refined is False
+
+
+def test_scan_seeds_are_the_best_cells_in_descending_order():
+    rng = np.random.default_rng(5)
+    for x_points, h_points in ((16, 8), (100, 37), (2048, 512)):
+        xs = np.linspace(0.0, 1.0, x_points + 1)
+        table = rng.permutation((x_points + 1) * (h_points + 1)).astype(float)
+        table = table.reshape(x_points + 1, h_points + 1)
+        t = np.linspace(0.0, 1.0, h_points + 1)
+        # diff ignores its arguments: the grid values are the table itself
+        value, ax, ah, seeds, npts = _scan(lambda x, h: table,
+                                           lambda x: np.full_like(x, 0.5), xs, h_points)
+        flat = table.ravel()
+        expect = np.argsort(flat)[::-1][:8]
+        i, j = np.unravel_index(expect, table.shape)
+        assert seeds == [(float(xs[a]), float(0.5 * t[b])) for a, b in zip(i, j)]
+        assert (value, ax, ah) == (flat[expect[0]], *seeds[0])
+        assert npts == flat.size
 
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=6))

@@ -8,9 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import plain_alpha, quad_integral, riemann_midpoint
-from bcv.config import QuadConfig
-from bcv.noncentral import (AlphaIterates, L_k, NoncentralParams, SimulatedJ,
-                            alpha_iter, alpha_seq, b_n, edge_region_max,
+from bcv.noncentral import (L_k, SimulatedJ, alpha_iter, b_n, edge_region_max,
                             epsilon_n, finite_n_J_bound, first_valid_i,
                             J_limit, simulate_J)
 from bcv.dist import LOG4, LOG2716
@@ -20,10 +18,10 @@ from bcv.dist import LOG4, LOG2716
 # the iterates alpha_k
 
 
-def test_alpha_seq_start_and_recursion():
-    seq = alpha_seq(4, 0.7)
-    assert seq.values[0] == 0.7
-    for a, b in zip(seq.values, seq.values[1:]):
+def test_alpha_iter_start_and_recursion():
+    assert alpha_iter(0, 0.7) == 0.7
+    for m in range(4):
+        a, b = alpha_iter(m, 0.7), alpha_iter(m + 1, 0.7)
         assert b == pytest.approx(1.0 - math.exp(-a), abs=1e-15)
 
 
@@ -49,11 +47,9 @@ def test_alpha_fixes_zero():
 
 def test_alpha_domain_validation():
     with pytest.raises(ValueError):
-        alpha_seq(-1, 0.5)
+        alpha_iter(-1, 0.5)
     with pytest.raises(ValueError):
         alpha_iter(3, 1.5)
-    with pytest.raises(ValueError):
-        AlphaIterates((0.5, 0.4), 3)
 
 
 @given(st.integers(1, 60), st.floats(0.0, 1.0))
@@ -72,14 +68,6 @@ def test_first_valid_i_certificates():
     assert first_valid_i(0.9) == 1
     with pytest.raises(ValueError):
         first_valid_i(0.0)
-
-
-def test_noncentral_params_validation():
-    NoncentralParams(7.2, 20, 13)
-    with pytest.raises(ValueError):
-        NoncentralParams(7.2, 20, 12)
-    with pytest.raises(ValueError):
-        NoncentralParams(7.2, 5, 13)
 
 
 def test_b_n_limit_identity_and_domain():
