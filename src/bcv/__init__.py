@@ -28,18 +28,18 @@ from .bounds import (LowerBoundReport, UpperBoundReport, ValidatorResult,
 from .central import (CentralParams, SupSearchResult, C_of_lambda, C_tilde,
                       D_coeff, H_n_exact, H_n_sup_bound, H_n_upper,
                       I_n_branch_check, I_n_brute, I_n_closed, K_func, nu,
-                      phi_ratio_moment_check, phi_ratio_moment_sides,
-                      r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
-from .config import GridConfig, QuadConfig, SupSearchConfig
-from .dist import (LOG4, LOG2716, BetaOneM, BinomialLaw, PoissonLaw,
-                   TriangularV, binomial_rows, inv_moment_shift_V,
+                      phi_ratio_moment_sides, r_of_lambda, sup_C, sup_C_tilde,
+                      sup_H_n)
+from .config import GridConfig, SupSearchConfig
+from .dist import (LOG4, LOG2716, BinomialLaw, PoissonLaw, TriangularV,
+                   binomial_rows, inv_moment_shift_V,
                    stirling_mode_bound_check, tv_binom_poisson_bound,
                    tv_distance)
 from .moduli import ModulusResult, omega1, omega2, omega2_phi
 from .noncentral import (SimulatedJ, alpha_iter, b_n, epsilon_n,
                          finite_n_J_bound, first_valid_i, J_limit, L_k,
                          simulate_J)
-from .quadrature import QuadratureError, adaptive_simpson
+from .quadrature import gauss_legendre
 from .search import golden_max, sup_search
 
 __version__ = "0.1.0"

@@ -77,11 +77,11 @@ def upper_expr_H2(a, m):
     i = first_valid_i(a)
     if i > m:
         raise ValueError(f"need m >= first_valid_i(a) = {i}")
-    j_top = J_limit(m + 1, a)
+    js = J_limit(np.arange(i, m + 2), a).tolist()
+    j_top = js.pop()
     if j_top >= 1.0:
         raise ValueError(f"J(m+1, a) = {j_top:.4g} >= 1: expression undefined")
-    total = sum(J_limit(k, a) for k in range(i, m + 1))
-    return 4.0 + SQRT2 * (i + total) / (1.0 - j_top) * LOG4
+    return 4.0 + SQRT2 * (i + sum(js)) / (1.0 - j_top) * LOG4
 
 
 def upper_bound_report(a, m):

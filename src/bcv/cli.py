@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bernstein, bounds, central, dist, moduli, noncentral
-from .config import GridConfig, QuadConfig, SupSearchConfig
+from .config import GridConfig, SupSearchConfig
 
 SCHEMA = 1
 DEFAULT_SEED = 20240817

@@ -1,5 +1,6 @@
-"""Resolution and tolerance knobs shared by the sup searches and quadratures."""
+"""Resolution knobs shared by the sup searches."""
 
+import math
 from dataclasses import dataclass
 
 
@@ -15,25 +16,13 @@ class GridConfig:
 
 
 @dataclass(frozen=True)
-class QuadConfig:
-    abs_tol: float = 1e-10
-    max_depth: int = 40
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be positive")
-
-
-@dataclass(frozen=True)
 class SupSearchConfig:
     """Scan range and resolution for one-dimensional sup searches over lambda."""
     lambda_max: float = 60.0
     points: int = 100_000
 
     def __post_init__(self):
-        if self.lambda_max <= 0:
-            raise ValueError("lambda_max must be positive")
+        if not (math.isfinite(self.lambda_max) and self.lambda_max > 0):
+            raise ValueError("lambda_max must be positive and finite")
         if self.points < 100:
             raise ValueError("scan needs at least 100 points")

@@ -167,30 +167,6 @@ class TriangularV:
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class BetaOneM:
-    """beta(1, m) law with density m(1-theta)^(m-1) on [0, 1]."""
-    m: int
-
-    def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
-
-    @property
-    def mean(self):
-        return 1.0 / (self.m + 1)
-
-    @property
-    def second_moment(self):
-        return 2.0 / ((self.m + 1) * (self.m + 2))
-
-    def density(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.where((theta >= 0) & (theta <= 1),
-                       self.m * (1.0 - theta) ** (self.m - 1), 0.0)
-        return out if out.ndim else float(out)
-
-
 def tv_distance(p, q):
     """Total variation distance (1/2) sum_k |p(k) - q(k)|.
 

@@ -14,42 +14,50 @@ theta -> (S_{n-2}(theta) + V)/n.  A seeded Monte Carlo simulator of that
 composition sanity-checks the bound.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import LOG4, LOG2716
-from .quadrature import adaptive_simpson
+from .quadrature import gauss_legendre
 
 
 # Depth at which first_valid_i gives up.
 _MAX_DEPTH = 10_000
 
 
+def _alpha_iterates(theta):
+    """alpha_0(theta), alpha_1(theta), ... without end; theta a float or an
+    array."""
+    v = theta
+    while True:
+        yield v
+        v = -np.expm1(-v)
+
+
 def alpha_iter(m, theta):
-    """alpha_m(theta) with alpha_0 = theta, alpha_{k+1} = 1 - e^{-alpha_k}."""
+    """alpha_m(theta) with alpha_0 = theta, alpha_{k+1} = 1 - e^{-alpha_k};
+    theta is a float or an array of points in [0, 1]."""
     if m < 0:
         raise ValueError("iterate depth m must be >= 0")
-    if not 0.0 <= theta <= 1.0:
+    v = np.asarray(theta, dtype=float)
+    if not np.all((0.0 <= v) & (v <= 1.0)):
         raise ValueError("theta must lie in [0,1]")
-    v = float(theta)
-    for _ in range(m):
-        v = -math.expm1(-v)
-    return v
+    v = next(itertools.islice(_alpha_iterates(v), m, None))
+    return v if v.ndim else float(v)
 
 
 def first_valid_i(a):
     """Smallest i >= 1 with a < 1/alpha_{i-1}(1); the iterates vanish slowly,
     so this grows roughly like 2a."""
-    if a <= 0.0:
-        raise ValueError("a must be positive")
-    v = 1.0
-    for i in range(1, _MAX_DEPTH + 1):
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError("a must be positive and finite")
+    for i, v in enumerate(itertools.islice(_alpha_iterates(1.0), _MAX_DEPTH), 1):
         if a * v < 1.0:
             return i
-        v = -math.expm1(-v)
-    raise RuntimeError(f"no valid index below depth {_MAX_DEPTH}")
+    raise ValueError(f"a = {a:g} needs an index above depth {_MAX_DEPTH}")
 
 
 def b_n(a, n):
@@ -66,46 +74,47 @@ def epsilon_n(n):
     return 4.0 * LOG2716 / n + math.exp(-n / 2.0)
 
 
-def _alpha_fn(k):
-    # alpha_{k}(theta) as a scalar function of theta
-    def fn(theta):
-        v = theta
-        for _ in range(k):
-            v = -math.expm1(-v)
-        return v
-    return fn
+def _L_and_alpha1(k, a):
+    """L_k(a) and alpha_{k-1}(1) for an integer k >= 1 or an array of them.
+
+    One pass of the alpha recursion over the quadrature nodes and theta = 1
+    serves every k up to max(k), so a table of J(k, a) costs O(max k)."""
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu" or np.any(ks < 1):
+        raise ValueError("k must be an integer >= 1")
+    theta, w = gauss_legendre()
+    L = np.empty(int(ks.max()))
+    a1 = np.empty_like(L)
+    # v is alpha_j on the nodes and at theta = 1
+    for j, v in zip(range(len(L)), _alpha_iterates(np.append(theta, 1.0))):
+        r = v[:-1] / theta
+        L[j] = w @ (r * r * np.exp(-a * v[:-1]))
+        a1[j] = v[-1]
+    return L[ks - 1], a1[ks - 1]
 
 
 def L_k(k, a):
-    """L_k(a) = integral_0^1 (alpha_{k-1}(theta)/theta)^2 e^{-a alpha_{k-1}(theta)} dtheta.
+    """L_k(a) = integral_0^1 (alpha_{k-1}(theta)/theta)^2 e^{-a alpha_{k-1}(theta)} dtheta,
+    for an integer k >= 1 or an array of them.
 
     The integrand extends continuously by 1 at theta = 0 (alpha_{k-1}(theta)
-    ~ theta there); values lie in (0, 1].
+    ~ theta there) and is analytic, so the fixed rule of bcv.quadrature
+    integrates it to rounding; values lie in (0, 1].
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if a < 0.0:
+    if not a >= 0.0:
         raise ValueError("a must be >= 0")
-    alpha = _alpha_fn(k - 1)
-
-    def integrand(theta):
-        if theta == 0.0:
-            return 1.0
-        v = alpha(theta)
-        return (v / theta) ** 2 * math.exp(-a * v)
-
-    return adaptive_simpson(integrand, 0.0, 1.0)
+    L, _ = _L_and_alpha1(k, a)
+    return L if L.ndim else float(L)
 
 
 def J_limit(k, a):
-    """Limit constant J(k, a); the second term decays exponentially in a."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if a <= 0.0:
+    """Limit constant J(k, a) for an integer k >= 1 or an array of them; the
+    second term decays exponentially in a."""
+    if not a > 0.0:
         raise ValueError("a must be positive")
-    a1 = alpha_iter(k - 1, 1.0)
-    return a * (2.0 * L_k(k, a) * LOG2716
-                + (LOG4 - 2.0 * LOG2716) * a1 * a1 * math.exp(-a * a1))
+    L, a1 = _L_and_alpha1(k, a)
+    out = a * (2.0 * L * LOG2716 + (LOG4 - 2.0 * LOG2716) * a1 * a1 * np.exp(-a * a1))
+    return out if out.ndim else float(out)
 
 
 def finite_n_J_bound(n, m, a):
@@ -118,17 +127,15 @@ def finite_n_J_bound(n, m, a):
     valid under the hypothesis b_n <= 1/alpha_{m-1}(1); converges to
     J_limit(m, a) as n grows.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     b = b_n(a, n)
-    a1 = alpha_iter(m - 1, 1.0)
+    L, a1 = _L_and_alpha1(m, b)
     if b > 1.0 / a1:
         raise ValueError(
             f"hypothesis fails: b_n = {b:.6g} > 1/alpha_{{m-1}}(1) = {1.0 / a1:.6g}")
-    return b * math.exp(2.0 * b * m / n) * (
-        2.0 * LOG2716 * L_k(m, b)
+    return float(b * math.exp(2.0 * b * m / n) * (
+        2.0 * LOG2716 * L
         + (LOG4 - 2.0 * LOG2716) * a1 * a1 * math.exp(-b * a1)
-        + epsilon_n(n))
+        + epsilon_n(n)))
 
 
 def edge_region_max(a, n):

@@ -1,48 +1,33 @@
-"""Adaptive Simpson quadrature with interval bisection."""
+"""One fixed composite Gauss-Legendre rule on [0, 1].
 
-from .config import QuadConfig
+The panels are dyadic and graded toward 0: [0, 2^-19], [2^-19, 2^-18], ...,
+[1/2, 1], with 16 Gauss-Legendre nodes on each.  The rule is exact for
+polynomials of degree <= 31 on every panel, and the grading keeps the layer
+e^{-a theta} of width 1/a resolved up to a = 10^4.  Its callers integrate
+functions that are analytic on each panel, so the rule has no tolerance and
+no failure mode; the nodes are interior, so a removable singularity at 0 or
+1 is never evaluated.
+"""
 
+import functools
 
-class QuadratureError(RuntimeError):
-    """Raised when the recursion hits max_depth before meeting the tolerance."""
+import numpy as np
 
-
-def _simpson(f, a, fa, b, fb, m, fm):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _asr(f, a, fa, b, fb, m, fm, whole, tol, depth, max_depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
-    delta = left + right - whole
-    # second clause: a bounded kink can out-shrink the halving tolerance;
-    # accepting intervals this thin adds error well below abs_tol
-    if abs(delta) <= 15.0 * tol or b - a <= 1e-12:
-        return left + right + delta / 15.0
-    if depth >= max_depth:
-        raise QuadratureError(
-            f"adaptive Simpson did not converge on [{a}, {b}] at depth {depth}")
-    half = 0.5 * tol
-    return (_asr(f, a, fa, m, fm, lm, flm, left, half, depth + 1, max_depth)
-            + _asr(f, m, fm, b, fb, rm, frm, right, half, depth + 1, max_depth))
+PANELS = 20
+NODES_PER_PANEL = 16
 
 
-def adaptive_simpson(f, a, b, quad=QuadConfig()):
-    """Integrate f over [a, b] to absolute tolerance quad.abs_tol.
+@functools.cache
+def gauss_legendre():
+    """(nodes, weights) of the composite rule on [0, 1], as read-only arrays.
 
-    f is called with scalar floats, endpoints included; handle any removable
-    singularity inside f itself.
+    The integral of f over [0, 1] is weights @ f(nodes).
     """
-    if b < a:
-        return -adaptive_simpson(f, b, a, quad)
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(f, a, fa, b, fb, m, fm)
-    return _asr(f, a, fa, b, fb, m, fm, whole, quad.abs_tol, 0, quad.max_depth)
+    x, w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+    edges = np.concatenate(([0.0], 2.0 ** np.arange(1 - PANELS, 1)))
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    nodes = (lo + half * (x + 1.0)).ravel()
+    weights = (half * w).ravel()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights

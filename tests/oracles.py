@@ -99,6 +99,50 @@ def mp_inv_moment_shift(y, dps=40):
         return float(xlogx(y + 2) - 2 * xlogx(y + 1) + xlogx(y))
 
 
+def mp_L_k_table(ks, avals, dps=40):
+    """{(k, a): L_k(a)} by mpmath tanh-sinh quadrature on [0, 1] split at
+    4^-7, ..., 4^-1, so the layer e^{-a alpha} stays resolved up to a = 10^4.
+    alpha_{k-1}(t) is memoised per node, and every integral shares the nodes,
+    so the table costs about one integral per k."""
+    out = {}
+    with mp.workdps(dps):
+        memo = {}
+
+        def alpha(k, t):
+            if k == 0:
+                return t
+            if (k, t) not in memo:
+                memo[k, t] = -mp.expm1(-alpha(k - 1, t))
+            return memo[k, t]
+
+        pts = [0] + [mp.mpf(4) ** j for j in range(-7, 1)]
+        for k in ks:
+            for a in avals:
+                am = mp.mpf(a)
+                out[k, a] = mp.quad(
+                    lambda t: (alpha(k - 1, t) / t) ** 2 * mp.exp(-am * alpha(k - 1, t)),
+                    pts)
+    return out
+
+
+def mp_phi_ratio_lhs(m, x, z, dps=30):
+    """E (phi(x)/phi(x + (z-x)B))^m, B ~ Beta(1, m), as the defining integral
+    over t in [0, 1] by mpmath quadrature, split toward t = 1 where the
+    integrand steepens when z is on or near the boundary."""
+    with mp.workdps(dps):
+        x, z = mp.mpf(x), mp.mpf(z)
+
+        def f(t):
+            p = x + (z - x) * t
+            w = p * (1 - p)
+            if w == 0:  # t = 1 with z on the boundary: the integrand's limit
+                return mp.mpf(0) if m >= 3 else 2 * (x if z == 1 else 1 - x)
+            return m * (1 - t) ** (m - 1) * (x * (1 - x) / w) ** (mp.mpf(m) / 2)
+
+        pts = [0, mp.mpf(1) / 2] + [1 - mp.mpf(10) ** -j for j in range(1, 16, 3)] + [1]
+        return mp.quad(f, pts)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 

@@ -314,6 +314,15 @@ def test_irwin_hall_normalization_and_symmetry():
                     irwin_hall_density(m, m - t), abs=1e-14)
 
 
+def test_irwin_hall_on_an_array_equals_pointwise_calls():
+    t = np.linspace(-0.5, 3.5, 81)
+    for m in (1, 2, 3):
+        dens = irwin_hall_density(m, t)
+        assert dens.shape == t.shape
+        assert np.array_equal(dens, [irwin_hall_density(m, float(u)) for u in t])
+        assert np.all(dens[(t < 0.0) | (t > m)] == 0.0)
+
+
 def test_irwin_hall_known_values():
     assert irwin_hall_density(2, 1.0) == 1.0
     assert irwin_hall_density(3, 1.5) == 0.75

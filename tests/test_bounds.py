@@ -18,6 +18,8 @@ from bcv.bounds import (G_of_lambda, LowerBoundReport, UpperBoundReport,
                         sup_G_minus_g, sweep_upper, upper_bound_report,
                         upper_expr_H1, upper_expr_H2)
 from bcv.config import SupSearchConfig
+from bcv.dist import LOG4
+from bcv.noncentral import J_limit, first_valid_i
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +47,24 @@ def test_upper_expr_H1_rejects_small_a():
 
 
 def test_upper_expr_H2_frozen_value():
+    # 40-digit value 74.7923132104719858 from mpmath quadrature of every L_k
     v = upper_expr_H2(7.2, 20)
-    assert v == pytest.approx(74.79231321, abs=1e-6)
+    assert v == pytest.approx(74.7923132104719858, abs=1e-12)
     assert v < 74.8
+
+
+def test_upper_expr_H2_equals_the_sum_of_single_J_calls():
+    a, m = 7.2, 25
+    i = first_valid_i(a)
+    total = sum(J_limit(k, a) for k in range(i, m + 1))
+    expect = 4.0 + math.sqrt(2.0) * (i + total) / (1.0 - J_limit(m + 1, a)) * LOG4
+    assert upper_expr_H2(a, m) == expect
+
+
+def test_upper_expr_H2_at_large_m_is_one_pass():
+    # each J(k, a) re-running the alpha recursion from theta made this O(m^2)
+    v = upper_expr_H2(7.2, 2000)
+    assert math.isfinite(v) and v > upper_expr_H2(7.2, 20)
 
 
 def test_upper_expr_H2_validates_index():

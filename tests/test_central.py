@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import mc_H_n, mp_nu, quad_integral
+from oracles import mc_H_n, mp_nu, mp_phi_ratio_lhs, quad_integral
 from bcv.central import (CentralParams, C_of_lambda, C_tilde, D_coeff,
                          _H_weight, H_n_exact, H_n_sup_bound, H_n_upper,
                          I_n_branch_check, I_n_brute, I_n_closed, K_func,
-                         SupSearchResult, nu,
-                         phi_ratio_moment_check, phi_ratio_moment_sides,
+                         SupSearchResult, nu, phi_ratio_moment_sides,
                          r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
 from bcv.config import SupSearchConfig
 from bcv.dist import LOG4, LOG2716
@@ -264,19 +263,31 @@ def test_K_decreasing_and_domain():
 
 
 def test_phi_ratio_trivial_at_z_equal_x():
-    lhs, rhs = phi_ratio_moment_sides(2, 0.37, 0.37)
-    assert lhs == pytest.approx(1.0, abs=1e-10)
-    assert rhs == pytest.approx(1.0, abs=1e-14)
+    for m in (2, 3):
+        lhs, rhs = phi_ratio_moment_sides(m, 0.37, 0.37)
+        assert lhs == pytest.approx(1.0, abs=1e-15)
+        assert rhs == pytest.approx(1.0, abs=1e-14)
 
 
 def test_phi_ratio_named_spots_hold():
-    assert phi_ratio_moment_check(3, 0.5, 0.9)
-    assert phi_ratio_moment_check(2, 0.1, 0.05)
+    for m, x, z in ((3, 0.5, 0.9), (2, 0.1, 0.05)):
+        lhs, rhs = phi_ratio_moment_sides(m, x, z)
+        assert lhs <= rhs + 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("x", [1e-6, 0.1, 0.37, 0.9])
+def test_phi_ratio_lhs_matches_mpmath(m, x):
+    # the boundary, z next to x (where the closed forms need their series),
+    # z = x itself, and z just inside the far end
+    for z in (0.0, 1e-300, 1e-12, x - 1e-9, x + 1e-9, x, 0.5, 1.0 - 1e-9, 1.0):
+        lhs, _ = phi_ratio_moment_sides(m, x, z)
+        assert lhs == pytest.approx(float(mp_phi_ratio_lhs(m, x, z)), rel=1e-13, abs=0.0)
 
 
 def test_phi_ratio_lhs_matches_library_quadrature_at_boundary():
-    # z on the boundary gives a bounded kink at t=1; cross-check the adaptive
-    # integral against scipy with the same integrand limits
+    # z on the boundary gives a bounded kink at t=1; cross-check the closed
+    # form against scipy with the same integrand limits
     for m, x, z in ((2, 0.3, 0.0), (2, 0.7, 1.0), (3, 0.5, 1.0)):
         lhs, _ = phi_ratio_moment_sides(m, x, z)
         phim = (x * (1.0 - x)) ** (m / 2.0)
@@ -304,4 +315,4 @@ def test_phi_ratio_domain():
 def test_phi_ratio_bound_property(mi, x, z):
     m = 2 + mi
     lhs, rhs = phi_ratio_moment_sides(m, x, z)
-    assert lhs <= rhs + 1e-9
+    assert lhs <= rhs + 1e-12

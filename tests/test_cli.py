@@ -63,6 +63,14 @@ def test_constants_rejects_short_lambda_range(capsys):
     assert run_cli_usage_error(capsys, "constants", "--lambda-max", "30") == 2
 
 
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_constants_rejects_non_finite_lambda_max(capsys, lam):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", "--lambda-max", lam])
+    assert exc.value.code == 2
+    assert "lambda_max must be positive and finite" in capsys.readouterr().err
+
+
 def test_constants_csv_header(capsys):
     code, out, _ = run_cli(capsys, "constants", "--format", "csv")
     assert code == 0
@@ -92,6 +100,14 @@ def test_upper_off_optimum_fails_with_stderr(capsys):
 
 def test_upper_rejects_bad_a(capsys):
     assert run_cli_usage_error(capsys, "upper", "--a", "-1") == 2
+
+
+@pytest.mark.parametrize("a", ["nan", "inf", "1e300"])
+def test_upper_rejects_non_finite_and_unreachable_a(capsys, a):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["upper", "--a", a])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_lower_passes(capsys):

@@ -1,8 +1,10 @@
 """Validation behavior of the shared configuration dataclasses."""
 
+import math
+
 import pytest
 
-from bcv.config import GridConfig, QuadConfig, SupSearchConfig
+from bcv.config import GridConfig, SupSearchConfig
 
 
 def test_grid_config_defaults():
@@ -21,22 +23,13 @@ def test_grid_config_rejects_degenerate(kwargs):
         GridConfig(**kwargs)
 
 
-def test_quad_config_defaults_and_validation():
-    cfg = QuadConfig()
-    assert cfg.abs_tol == 1e-10
-    assert cfg.max_depth == 40
-    with pytest.raises(ValueError):
-        QuadConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(max_depth=0)
-
-
 def test_sup_search_config_defaults_and_validation():
     cfg = SupSearchConfig()
     assert cfg.lambda_max == 60.0
     assert cfg.points == 100_000
-    with pytest.raises(ValueError):
-        SupSearchConfig(lambda_max=0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SupSearchConfig(lambda_max=bad)
     with pytest.raises(ValueError):
         SupSearchConfig(points=99)
 

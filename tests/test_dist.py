@@ -11,7 +11,7 @@ from scipy import stats
 from scipy.special import gammaln
 
 from oracles import frac_binom_pmf, mp_inv_moment_shift, quad_integral
-from bcv.dist import (LOG4, LOG2716, BetaOneM, BinomialLaw, PoissonLaw,
+from bcv.dist import (LOG4, LOG2716, BinomialLaw, PoissonLaw,
                       TriangularV, _log_binom, binomial_rows,
                       inv_moment_shift_V,
                       stirling_mode_bound_check, tv_binom_poisson_bound,
@@ -193,22 +193,6 @@ def test_triangular_density_normalizes_and_peaks_at_one():
     assert law.density(-0.5) == 0.0 and law.density(2.5) == 0.0
     assert quad_integral(lambda v: v * law.density(v), 0.0, 2.0) == pytest.approx(
         law.mean, abs=1e-10)
-
-
-def test_beta_one_m_density_moments_match_scipy():
-    for m in (1, 2, 3, 7):
-        law = BetaOneM(m)
-        assert quad_integral(law.density, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
-        assert law.mean == pytest.approx(float(stats.beta.mean(1, m)))
-        assert law.second_moment == pytest.approx(
-            float(stats.beta.moment(2, 1, m)), rel=1e-10)
-
-
-def test_beta_one_m_validation():
-    with pytest.raises(ValueError):
-        BetaOneM(0)
-    with pytest.raises(ValueError):
-        BetaOneM(1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,17 @@
 Each fixture in tests/golden/ is the JSON report of one command with every
 runtime_ms value set to 0; the current report, treated the same way, must
 equal it byte for byte.  A change that moves any printed number fails here
-and has to regenerate the fixture and say why.
+and has to regenerate the fixture and say why:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+rewrites every fixture from the current code and prints each claim_id whose
+computed value moved, old -> new.
 """
 
+import contextlib
+import io
+import json
 import re
 from pathlib import Path
 
@@ -34,3 +42,27 @@ def test_report_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert _without_runtime(out) == (GOLDEN / f"{name}.json").read_text()
+
+
+def regenerate():
+    for name in sorted(CASES):
+        path = GOLDEN / f"{name}.json"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(CASES[name] + ["--format", "json"])
+        if rc != 0:
+            raise SystemExit(f"bcv {' '.join(CASES[name])} exited {rc}")
+        text = _without_runtime(out.getvalue())
+        old = {}
+        if path.exists():
+            entries = json.loads(path.read_text())["entries"]
+            old = {e["claim_id"]: e["computed"] for e in entries}
+        for e in json.loads(text)["entries"]:
+            was = old.get(e["claim_id"])
+            if was != e["computed"]:
+                print(f"{name}: {e['claim_id']}: {was!r} -> {e['computed']!r}")
+        path.write_text(text)
+
+
+if __name__ == "__main__":
+    regenerate()

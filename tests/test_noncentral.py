@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import plain_alpha, quad_integral, riemann_midpoint
+from oracles import mp_L_k_table, plain_alpha, riemann_midpoint
 from bcv.noncentral import (L_k, SimulatedJ, alpha_iter, b_n, edge_region_max,
                             epsilon_n, finite_n_J_bound, first_valid_i,
                             J_limit, simulate_J)
@@ -41,6 +41,16 @@ def test_alpha_iterates_decrease_to_zero():
     assert alpha_iter(200, 1.0) < 0.02
 
 
+def test_alpha_iter_on_an_array_equals_pointwise_calls():
+    theta = np.linspace(0.0, 1.0, 101)
+    for m in (0, 1, 13):
+        v = alpha_iter(m, theta)
+        assert v.shape == theta.shape
+        assert np.array_equal(v, [alpha_iter(m, float(t)) for t in theta])
+    with pytest.raises(ValueError):
+        alpha_iter(2, np.array([0.5, np.nan]))
+
+
 def test_alpha_fixes_zero():
     assert alpha_iter(17, 0.0) == 0.0
 
@@ -68,6 +78,13 @@ def test_first_valid_i_certificates():
     assert first_valid_i(0.9) == 1
     with pytest.raises(ValueError):
         first_valid_i(0.0)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, 1e300])
+def test_first_valid_i_rejects_non_finite_and_unreachable_a(a):
+    # 1e300 would need an index far past the depth cap, since i grows like 2a
+    with pytest.raises(ValueError):
+        first_valid_i(a)
 
 
 def test_b_n_limit_identity_and_domain():
@@ -110,12 +127,24 @@ def test_L_1_closed_form():
 
 
 def test_L_k_matches_library_quadrature():
-    for k, a in ((2, 7.2), (5, 7.2), (13, 0.9)):
-        ref = quad_integral(
-            lambda t: (plain_alpha(k - 1, t) / t) ** 2
-            * math.exp(-a * plain_alpha(k - 1, t)) if t > 0.0 else 1.0,
-            0.0, 1.0)
-        assert L_k(k, a) == pytest.approx(ref, abs=1e-10)
+    ks, avals = (1, 2, 5, 13, 21, 25), (0.0, 0.9, 5.0, 7.2, 10.0, 400.0, 1e4)
+    ref = mp_L_k_table(ks, avals)
+    for k in ks:
+        for a in avals:
+            assert L_k(k, a) == pytest.approx(float(ref[k, a]), rel=1e-14, abs=0.0)
+
+
+def test_L_k_and_J_limit_on_an_array_of_k_equal_single_calls():
+    ks = np.arange(1, 30)
+    for a in (0.9, 7.2):
+        L, J = L_k(ks, a), J_limit(ks, a)
+        assert L.shape == J.shape == ks.shape
+        assert np.array_equal(L, [L_k(int(k), a) for k in ks])
+        assert np.array_equal(J, [J_limit(int(k), a) for k in ks])
+    with pytest.raises(ValueError):
+        J_limit(np.array([2, 0]), 7.2)
+    with pytest.raises(ValueError):
+        L_k(1.5, 7.2)
 
 
 def test_L_k_matches_midpoint_riemann():

@@ -1,4 +1,4 @@
-"""Adaptive Simpson quadrature against closed forms and library quadrature."""
+"""The fixed composite Gauss-Legendre rule against closed forms."""
 
 import math
 
@@ -7,57 +7,52 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import quad_integral
-from bcv.config import QuadConfig
-from bcv.quadrature import QuadratureError, adaptive_simpson
+from bcv.quadrature import NODES_PER_PANEL, PANELS, gauss_legendre
+
+
+def integrate(f):
+    nodes, weights = gauss_legendre()
+    return float(weights @ f(nodes))
+
+
+def test_rule_is_cached_read_only_and_interior():
+    nodes, weights = gauss_legendre()
+    assert gauss_legendre()[0] is nodes
+    assert len(nodes) == len(weights) == PANELS * NODES_PER_PANEL
+    assert 0.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)
+    assert np.all(weights > 0.0)
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        nodes[0] = 0.5
+    with pytest.raises(ValueError):
+        weights[0] = 0.5
 
 
 def test_polynomials_are_integrated_exactly():
-    # Simpson is exact on cubics, so the adaptive version must be too
-    assert adaptive_simpson(lambda t: t ** 3 - 2 * t + 1, 0.0, 1.0) == pytest.approx(
-        1 / 4 - 1 + 1, abs=1e-14)
+    # 16 nodes per panel are exact through degree 31 on every panel
+    for d in range(32):
+        assert integrate(lambda t: t ** d) == pytest.approx(1.0 / (d + 1), rel=1e-15)
 
 
 def test_cosine_matches_sine_difference():
-    val = adaptive_simpson(math.cos, 0.0, 2.0)
-    assert abs(val - math.sin(2.0)) < 1e-10
+    assert integrate(lambda t: 2.0 * np.cos(2.0 * t)) == pytest.approx(
+        math.sin(2.0), abs=1e-15)
 
 
-def test_meets_absolute_tolerance_on_oscillatory_integrand():
-    f = lambda t: math.sin(40.0 * t) * math.exp(-t)
-    ref = quad_integral(f, 0.0, 3.0)
-    assert abs(adaptive_simpson(f, 0.0, 3.0) - ref) < 1e-9
-    tight = adaptive_simpson(f, 0.0, 3.0, QuadConfig(abs_tol=1e-12))
-    assert abs(tight - ref) < 1e-11
+def test_exponential_layer_is_resolved_up_to_a_1e4():
+    # e^{-a t} has a layer of width 1/a at 0; the dyadic grading follows it
+    for a in (1e-3, 1.0, 7.2, 100.0, 1e3, 1e4):
+        exact = -math.expm1(-a) / a
+        assert integrate(lambda t: np.exp(-a * t)) == pytest.approx(exact, rel=1e-14)
 
 
-def test_orientation_and_degenerate_interval():
-    f = lambda t: t * t
-    assert adaptive_simpson(f, 1.0, 0.0) == -adaptive_simpson(f, 0.0, 1.0)
-    assert adaptive_simpson(f, 0.5, 0.5) == 0.0
-
-
-def test_bounded_kink_converges_despite_tolerance_halving():
-    # sqrt has unbounded curvature at 0; the width floor keeps the recursion
-    # from dying at max_depth while the result stays within tolerance
-    val = adaptive_simpson(math.sqrt, 0.0, 1.0)
-    assert abs(val - 2.0 / 3.0) < 1e-9
-
-
-def test_jump_discontinuity_raises_at_shallow_depth():
-    f = lambda t: 0.0 if t < 1.0 / math.pi else 1.0
-    with pytest.raises(QuadratureError):
-        adaptive_simpson(f, 0.0, 1.0, QuadConfig(abs_tol=1e-10, max_depth=8))
-
-
-def test_endpoints_are_passed_to_the_integrand():
-    seen = []
-    adaptive_simpson(lambda t: seen.append(t) or t, 0.0, 1.0)
-    assert 0.0 in seen and 1.0 in seen
+def test_sqrt_endpoint_singularity_is_resolved_by_grading():
+    # sqrt is analytic on every panel but the first, [0, 2^-19], whose
+    # whole mass is below 2e-9
+    assert integrate(np.sqrt) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_quadratic_agreement_with_closed_form(a, b, c):
-    f = lambda t: a * t * t + b * t + c
     exact = a / 3.0 + b / 2.0 + c
-    assert abs(adaptive_simpson(f, 0.0, 1.0) - exact) < 1e-12
+    assert abs(integrate(lambda t: a * t * t + b * t + c) - exact) < 1e-14
