@@ -28,6 +28,10 @@ from .config import GridConfig, SupSearchConfig
 
 SCHEMA = 1
 DEFAULT_SEED = 20240817
+# Largest --n accepted: lower holds (n+1)-entry arrays (0.4 GB at n = 10^7);
+# hn takes about 35 s at n = 10^6 and over 120 s at 10^7.
+MAX_N_LOWER = 10 ** 8
+MAX_N_HN = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -181,8 +185,8 @@ def _cmd_upper(args):
 
 
 def _cmd_lower(args):
-    if args.n < 1000:
-        raise _Usage("need --n >= 1000")
+    if not 1000 <= args.n <= MAX_N_LOWER:
+        raise _Usage(f"need 1000 <= --n <= {MAX_N_LOWER}")
     cfg = GridConfig()
     rep = bounds.lower_bound_ratio(args.n, cfg)
     desc = f"n={rep.n},x_points={cfg.x_points},h_points={cfg.h_points}"
@@ -200,8 +204,8 @@ def _cmd_lower(args):
 
 
 def _cmd_hn(args):
-    if args.n < 3:
-        raise _Usage("need --n >= 3")
+    if not 3 <= args.n <= MAX_N_HN:
+        raise _Usage(f"need 3 <= --n <= {MAX_N_HN}")
     res = central.sup_H_n(args.n)
     checks = [
         _Check(f"sup_H_{args.n}", lambda: res.sup_value,
@@ -222,12 +226,8 @@ def _suite_dist():
         return worst
 
     def stirling_all():
-        count = 0
-        for n in range(2, 51):
-            for m in range(1, n):
-                if dist.stirling_mode_bound_check(n, m):
-                    count += 1
-        return float(count)
+        return float(sum(bool(dist.stirling_mode_bound_check(n, m))
+                         for n in range(2, 51) for m in range(1, n)))
 
     return [
         _Check("dist.tv_bound_dominates", tv_gap, predicate=lambda v: v <= 0.0,
@@ -336,11 +336,8 @@ def _suite_central():
         return worst
 
     def branch_spots():
-        count = 0
-        for x in (0.001, 0.003, 0.006, 0.009):
-            if central.I_n_branch_check(1000, x, lambda0=10.0):
-                count += 1
-        return float(count)
+        return float(sum(bool(central.I_n_branch_check(1000, x, lambda0=10.0))
+                         for x in (0.001, 0.003, 0.006, 0.009)))
 
     return [
         _Check("central.I_closed_vs_brute", closed_vs_brute,
@@ -398,12 +395,8 @@ def _suite_bounds():
     sine = lambda y: np.sin(math.pi * np.asarray(y))
 
     def modulus_corpus():
-        count = 0
-        for f in (square, cube, vee, sine):
-            for n in (10, 50):
-                if bounds.modulus_upper_check(f, n):
-                    count += 1
-        return float(count)
+        return float(sum(bool(bounds.modulus_upper_check(f, n))
+                         for f in (square, cube, vee, sine) for n in (10, 50)))
 
     def validators():
         count = 0

@@ -8,7 +8,10 @@ weighted second modulus
 
 with phi(x) = sqrt(x(1-x)).  All three are computed as a coarse scan over an
 (x, h) grid followed by golden-section refinement around the best cells, so
-the returned value is always a lower bound of the true supremum.
+the returned value is always a lower bound of the true supremum.  All seeds
+are refined in one lockstep golden-section pass, one lane per seed, on the
+same primitive (search.golden_max) that search.sup_search uses: each step
+evaluates the difference once, on the points of every lane still searching.
 
 For piecewise-linear functions the grids are augmented with breakpoint-exact
 candidates: the maximizers sit where a difference arm crosses a kink, and
@@ -55,54 +58,52 @@ def _scan(diff, hmax_fn, xs, h_points):
     # select the top cells without sorting the whole grid, then order them
     top = np.argpartition(flat, -_REFINE_TOP)[-_REFINE_TOP:]
     order = top[np.argsort(flat[top])[::-1]]
-    seeds = []
-    for idx in order:
-        i, j = np.unravel_index(int(idx), vals.shape)
-        seeds.append((float(xs[i, 0]), float(hm[i, 0] * t[0, j])))
-    i, j = np.unravel_index(int(order[0]), vals.shape)
-    return float(vals[i, j]), float(xs[i, 0]), float(hm[i, 0] * t[0, j]), seeds, vals.size
+    i, j = np.unravel_index(order, vals.shape)
+    seeds = [(float(a), float(b)) for a, b in zip(xs[i, 0], hm[i, 0] * t[0, j])]
+    return float(vals[i[0], j[0]]), *seeds[0], seeds, vals.size
 
 
 def _refine(diff, hmax_fn, x, h, dx):
-    """Two rounds of coordinate golden-section ascent around (x, h); the x
-    move keeps h at a fixed fraction of hmax so admissibility is preserved."""
-    best = (float(diff(x, h)), x, h)
+    """Two rounds of coordinate golden-section ascent from all seeds (x, h)
+    at once, one lane each; the x move keeps h at a fixed fraction of hmax so
+    admissibility is preserved.  Returns the rows (value, x, h) of each lane's
+    best point, updated only on a strict gain."""
+    best = np.array([diff(x, h), x, h])
+
+    def keep(lanes, *cand):
+        up = cand[0] > best[0, lanes]
+        best[:, lanes[up]] = np.array(cand)[:, up]
+
     for _ in range(2):
-        hm = float(hmax_fn(x))
-        if hm > 0.0:
-            dh = max(hm / 64.0, 4.0 * _REFINE_TOL)
-            h, v = golden_max(lambda hh: float(diff(x, hh)),
-                              max(0.0, h - dh), min(hm, h + dh), _REFINE_TOL)
-            if v > best[0]:
-                best = (v, x, h)
-        frac = h / hm if hm > 0.0 else 0.0
-
-        def along_x(xx):
-            return float(diff(xx, frac * float(hmax_fn(xx))))
-
-        x, v = golden_max(along_x, max(0.0, x - dx), min(1.0, x + dx), _REFINE_TOL)
-        h = frac * float(hmax_fn(x))
-        if v > best[0]:
-            best = (v, x, h)
+        hm = hmax_fn(x)
+        on = np.flatnonzero(hm > 0.0)  # lanes with hmax = 0 skip the h move
+        frac = np.zeros_like(h)
+        if on.size:
+            dh = np.maximum(hm[on] / 64.0, 4.0 * _REFINE_TOL)
+            hh, v = golden_max(lambda t, xx: diff(xx, t), np.maximum(0.0, h[on] - dh),
+                               np.minimum(hm[on], h[on] + dh), _REFINE_TOL, args=(x[on],))
+            keep(on, v, x[on], hh)
+            frac[on] = hh / hm[on]
+        x, v = golden_max(lambda xx, fr: diff(xx, fr * hmax_fn(xx)), np.maximum(0.0, x - dx),
+                          np.minimum(1.0, x + dx), _REFINE_TOL, args=(frac,))
+        h = frac * hmax_fn(x)
+        keep(np.arange(len(x)), v, x, h)
     return best
 
 
 def _search(diff, hmax_fn, xs, pairs, cfg):
     value, ax, ah, seeds, npts = _scan(diff, hmax_fn, xs, cfg.h_points)
     if len(pairs):
-        px, ph = pairs[:, 0], pairs[:, 1]
-        pv = diff(px, ph)
+        pv = diff(pairs[:, 0], pairs[:, 1])
         k = int(np.argmax(pv))
         if pv[k] > value:
-            value, ax, ah = float(pv[k]), float(px[k]), float(ph[k])
-        order = np.argsort(pv)[::-1][:_REFINE_TOP]
-        seeds.extend((float(px[i]), float(ph[i])) for i in order)
+            value, ax, ah = float(pv[k]), float(pairs[k, 0]), float(pairs[k, 1])
+        seeds = np.vstack([seeds, pairs[np.argsort(pv)[::-1][:_REFINE_TOP]]])
         npts += len(pairs)
-    dx = 1.0 / cfg.x_points
-    for sx, sh in seeds:
-        v, rx, rh = _refine(diff, hmax_fn, sx, sh, dx)
+    sx, sh = np.transpose(seeds)
+    for v, rx, rh in zip(*_refine(diff, hmax_fn, sx, sh, 1.0 / cfg.x_points)):
         if v > value:
-            value, ax, ah = v, rx, rh
+            value, ax, ah = float(v), float(rx), float(rh)
     return ModulusResult(value, ax, ah, npts, True)
 
 

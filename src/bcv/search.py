@@ -7,32 +7,38 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITER = 200
 
 
-def golden_max(f, lo, hi, tol=1e-13):
+def golden_max(f, lo, hi, tol=1e-13, args=()):
     """Return (argmax, max) of f on [lo, hi] by golden-section search.
+
+    lo and hi may be arrays, one lane per search; a lane stops once its
+    bracket is at most tol wide, or after _MAX_ITER steps.  Each step calls f
+    once, on the points of the lanes still searching and those lanes' entries
+    of each array in args.  Scalar lo and hi give two floats, arrays two arrays.
 
     Assumes f is unimodal on the bracket; on a multimodal bracket it still
     converges to a local maximum, so callers feed it brackets around coarse
     grid winners only.
     """
-    if hi < lo:
-        lo, hi = hi, lo
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    scalar = np.ndim(lo) == np.ndim(hi) == 0
+    a, b = np.atleast_1d(np.minimum(lo, hi, dtype=float), np.maximum(lo, hi, dtype=float))
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = np.split(np.asarray(f(np.concatenate([c, d]), *(np.tile(v, 2) for v in args))), 2)
+    s, live = np.array([a, b, c, d, fc, fd], dtype=float), np.arange(len(a))
     for _ in range(_MAX_ITER):
-        if b - a <= tol:
+        live = live[s[1, live] - s[0, live] > tol]
+        if not live.size:
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+        a, b, c, d, fc, fd = s[:, live]
+        # fc >= fd: the max lies in [a, d], so d becomes b and c becomes d;
+        # otherwise it lies in [c, b], so c becomes a and d becomes c
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        t = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        ft = f(t, *(v[live] for v in args))
+        s[:, live] = np.where(left, [a, b, t, c, ft, fc], [a, b, d, t, fd, ft])
+    x = 0.5 * (s[0] + s[1])
+    v = np.asarray(f(x, *args), dtype=float)
+    return (float(x[0]), float(v[0])) if scalar else (x, v)
 
 
 def sup_search(f, xs, tol=1e-12, breaks=None):

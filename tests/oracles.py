@@ -173,3 +173,58 @@ def plain_alpha(k, theta):
     for _ in range(k):
         v = 1.0 - math.exp(-v)
     return v
+
+
+# ---------------------------------------------------------------------------
+# scalar searches (one point per call of f): the per-seed refinement that the
+# package's lockstep one must reproduce bit for bit
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_golden_max(f, lo, hi, tol=1e-13, max_iter=200):
+    """Golden-section search for the max of a scalar f on [lo, hi], one point
+    per call of f; returns (argmax, max)."""
+    if hi < lo:
+        lo, hi = hi, lo
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def scalar_refine(diff, hmax_fn, x, h, dx, tol=1e-13):
+    """Two rounds of coordinate golden-section ascent from one seed (x, h):
+    an h-search on [h - dh, h + dh] within [0, hmax(x)], then an x-search on
+    [x - dx, x + dx] with h kept at its fraction of hmax.  Returns the best
+    (value, x, h), updated only on a strict gain."""
+    best = (float(diff(x, h)), x, h)
+    for _ in range(2):
+        hm = float(hmax_fn(x))
+        if hm > 0.0:
+            dh = max(hm / 64.0, 4.0 * tol)
+            h, v = scalar_golden_max(lambda hh: float(diff(x, hh)),
+                                     max(0.0, h - dh), min(hm, h + dh), tol)
+            if v > best[0]:
+                best = (v, x, h)
+        frac = h / hm if hm > 0.0 else 0.0
+        x, v = scalar_golden_max(lambda xx: float(diff(xx, frac * float(hmax_fn(xx)))),
+                                 max(0.0, x - dx), min(1.0, x + dx), tol)
+        h = frac * float(hmax_fn(x))
+        if v > best[0]:
+            best = (v, x, h)
+    return best

@@ -133,6 +133,18 @@ def test_hn_rejects_small_n(capsys):
     assert run_cli_usage_error(capsys, "hn", "--n", "2") == 2
 
 
+@pytest.mark.parametrize("cmd, limit", [("lower", cli.MAX_N_LOWER), ("hn", cli.MAX_N_HN)])
+@pytest.mark.parametrize("excess", [1, 10 ** 11])
+def test_huge_n_is_usage_error_not_traceback(capsys, cmd, limit, excess):
+    # only the argument check runs: a rejected n never reaches the numerics
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, "--n", str(limit + excess)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--n <= {limit}" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bcv import moduli
 from bcv.bernstein import PiecewiseLinearFn
+from bcv.bounds import build_fn_lower
 from bcv.config import GridConfig
 from bcv.moduli import ModulusResult, _scan, omega1, omega2, omega2_phi
+from oracles import scalar_refine
 
 
 SQUARE = lambda y: np.asarray(y) ** 2
@@ -183,3 +186,72 @@ def test_random_piecewise_linear_obeys_sup_norm_bound(vals):
     f = PiecewiseLinearFn(tuple(bp), tuple(vals))
     res = omega2_phi(f, 0.4, GridConfig(x_points=256, h_points=64))
     assert 0.0 <= res.value <= 4.0 * max(abs(v) for v in vals) + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# lockstep refinement against the scalar reference
+
+
+def _assert_lanes_match_scalar_refine(fn, f, delta, cfg=GridConfig()):
+    """Run fn(f, delta) and check every lane of its one _refine call against
+    the per-seed scalar refinement, bit for bit."""
+    calls = []
+    lane_refine = moduli._refine
+
+    def record(diff, hmax_fn, x, h, dx):
+        seeds = (x.copy(), h.copy())
+        out = lane_refine(diff, hmax_fn, x, h, dx)
+        calls.append((diff, hmax_fn, *seeds, dx, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moduli, "_refine", record)
+        fn(f, delta, cfg)
+    assert len(calls) == 1
+    diff, hmax_fn, x, h, dx, (v, rx, rh) = calls[0]
+    assert len(v) == len(rx) == len(rh) == len(x)
+    for i in range(len(x)):
+        want = scalar_refine(diff, hmax_fn, float(x[i]), float(h[i]), dx)
+        assert (float(v[i]), float(rx[i]), float(rh[i])) == want, (fn.__name__, delta, i)
+
+
+@pytest.mark.parametrize("fn, deltas", [
+    (omega1, (0.05, 1.0)),
+    (omega2, (0.05, 0.5)),
+    (omega2_phi, (0.01, 0.3, 1.0)),
+], ids=["omega1", "omega2", "omega2_phi"])
+def test_lane_refinement_matches_scalar_on_corpus(corpus, fn, deltas):
+    for f in corpus.values():
+        for delta in deltas:
+            _assert_lanes_match_scalar_refine(fn, f, delta)
+
+
+# constant functions tie every cell, so seeds with hmax = 0 (x at 0 or 1)
+# reach the refinement and skip their h-search; each example runs 48 scalar
+# reference refinements, about 0.4 s, so the example count is kept small
+@example([0.25, 0.25, 0.25])
+@example([-1.0, -1.0, -1.0, -1.0])
+@settings(max_examples=8)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=6))
+def test_lane_refinement_matches_scalar_on_piecewise_linear(vals):
+    f = PiecewiseLinearFn(tuple(np.linspace(0.0, 1.0, len(vals))), tuple(vals))
+    cfg = GridConfig(x_points=256, h_points=64)
+    for fn, delta in ((omega1, 0.4), (omega2, 0.4), (omega2_phi, 0.4)):
+        _assert_lanes_match_scalar_refine(fn, f, delta, cfg)
+
+
+def test_omega2_phi_call_budget():
+    # the refinement evaluates all seeds per golden-section step, so the
+    # user function sees a few hundred vector calls, not one per point
+    fn_n = build_fn_lower(10000)
+    for f, delta in ((SINE, 0.3), (fn_n, 0.01)):
+        calls = 0
+
+        def counted(y):
+            nonlocal calls
+            calls += 1
+            return f(y)
+
+        counted.breakpoints = getattr(f, "breakpoints", None)
+        omega2_phi(counted, delta)
+        assert 0 < calls <= 1000

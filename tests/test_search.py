@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bcv.bounds import fn_lower_error_sup, sup_G_minus_g
 from bcv.central import sup_C, sup_C_tilde, sup_H_n
 from bcv.search import golden_max, sup_search
+from oracles import scalar_golden_max
 
 
 def test_parabola_maximum_is_located():
@@ -24,7 +25,7 @@ def test_reversed_bracket_is_accepted():
 
 
 def test_sine_peak():
-    x, v = golden_max(math.sin, 0.0, math.pi)
+    x, v = golden_max(np.sin, 0.0, math.pi)
     # near a smooth peak the argument is only determined to ~sqrt(eps):
     # within that plateau all f values round to the same double
     assert abs(x - math.pi / 2.0) < 1e-6
@@ -36,6 +37,33 @@ def test_golden_never_below_bracket_midpoint_value(c):
     f = lambda t: -abs(t - c)
     _, v = golden_max(f, 0.0, 1.0)
     assert v >= f(0.5) - 1e-12
+
+
+@example([(1.0, -1.0, 0.3), (0.5, 0.5, 0.0), (-2.0, 2.0, 2.5), (0.0, 0.1, 0.05)], 1e-13)
+@given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                          st.floats(-3.0, 3.0)), min_size=1, max_size=12),
+       st.sampled_from([1e-13, 1e-6, 0.5]))
+def test_lane_call_equals_per_lane_scalar_calls(lanes, tol):
+    # lanes hold reversed and zero-width brackets and peaks inside and
+    # outside them, so they stop after different numbers of steps; f uses
+    # only correctly rounded operations, so a scalar and an array evaluation
+    # agree bit for bit
+    lo, hi, c = (np.array(v) for v in zip(*lanes))
+    calls = []
+
+    def f(t, cc):
+        calls.append(len(t))
+        return -np.abs(t - cc) * (1.0 + (t - cc) * (t - cc))
+
+    x, v = golden_max(f, lo, hi, tol, args=(c,))
+    assert calls[0] == 2 * len(lo) and all(n <= len(lo) for n in calls[1:])
+    for i, (a, b, ci) in enumerate(lanes):
+        g = lambda t: -np.abs(t - ci) * (1.0 + (t - ci) * (t - ci))
+        want = golden_max(g, a, b, tol)
+        assert type(want[0]) is float and type(want[1]) is float
+        assert (x[i], v[i]) == want
+        ref = scalar_golden_max(lambda t: float(g(t)), a, b, tol)
+        assert want == ref
 
 
 def test_sup_search_improves_on_the_grid():
