@@ -4,7 +4,7 @@ Submodules:
 
   dist        discrete laws, the banded binomial-row kernel, total variation,
               inverse moments
-  bernstein   the operator, its iterates, derivatives, Krawtchouk polynomials
+  bernstein   the operator, its derivatives, Krawtchouk polynomials
   moduli      moduli of continuity, including the phi-weighted second modulus
   central     H_n, I_n, the envelope C and its sup, K(s)
   noncentral  alpha-iterates, J constants, finite-n bounds, Monte Carlo
@@ -12,11 +12,10 @@ Submodules:
   cli         command-line front end (entry point: bcv)
 """
 
-from .bernstein import (ConsistencyError, GridVector, PiecewiseLinearFn,
-                        bernstein_apply, bernstein_apply_many,
-                        bernstein_derivative, bernstein_iterate,
+from .bernstein import (ConsistencyError, PiecewiseLinearFn,
+                        bernstein_apply_many, bernstein_derivative,
                         central_moment, central_moment_closed,
-                        forward_difference, kantorovich_check, krawtchouk,
+                        kantorovich_check, krawtchouk,
                         krawtchouk_orthogonality_check, phi)
 from .bounds import (LowerBoundReport, UpperBoundReport, ValidatorResult,
                      G_of_lambda, build_fn_lower, central_converse_check,
@@ -25,16 +24,14 @@ from .bounds import (LowerBoundReport, UpperBoundReport, ValidatorResult,
                      noncentral_converse_check, smooth_class_constant,
                      sup_G_minus_g, sweep_upper, upper_bound_report,
                      upper_expr_H1, upper_expr_H2)
-from .central import (CentralParams, SupSearchResult, C_of_lambda, C_tilde,
-                      D_coeff, H_n_exact, H_n_sup_bound, H_n_upper,
-                      I_n_branch_check, I_n_brute, I_n_closed, K_func, nu,
-                      phi_ratio_moment_sides, r_of_lambda, sup_C, sup_C_tilde,
-                      sup_H_n)
+from .central import (SupSearchResult, C_of_lambda, C_tilde, D_coeff,
+                      H_n_exact, H_n_upper, I_n_branch_check, I_n_brute,
+                      I_n_closed, K_func, nu, phi_ratio_moment_sides,
+                      r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
 from .config import GridConfig, SupSearchConfig
-from .dist import (LOG4, LOG2716, BinomialLaw, PoissonLaw, TriangularV,
-                   binomial_rows, inv_moment_shift_V,
-                   stirling_mode_bound_check, tv_binom_poisson_bound,
-                   tv_distance)
+from .dist import (LOG4, LOG2716, BinomialLaw, PoissonLaw, binomial_rows,
+                   inv_moment_shift_V, stirling_mode_bound_check,
+                   tv_binom_poisson_bound, tv_distance)
 from .moduli import ModulusResult, omega1, omega2, omega2_phi
 from .noncentral import (SimulatedJ, alpha_iter, b_n, epsilon_n,
                          finite_n_J_bound, first_valid_i, J_limit, L_k,

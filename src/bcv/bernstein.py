@@ -1,9 +1,9 @@
 """Bernstein operator machinery.
 
-Evaluation of B_n f, exact iteration of B_n on grid vectors, Krawtchouk
-polynomials and their orthogonality under the binomial law, the two closed
-representations of (B_n f)^(m), the Kantorovich representation through
-Irwin-Hall smoothing, and exact absolute central moments of S_n(x)/n.
+Evaluation of B_n f, the matrix of B_n on the grid j/n (for iterates),
+Krawtchouk polynomials and their orthogonality under the binomial law, the
+two closed representations of (B_n f)^(m), the Kantorovich representation
+through Irwin-Hall smoothing, and exact absolute central moments of S_n(x)/n.
 """
 
 import functools
@@ -46,17 +46,6 @@ class PiecewiseLinearFn:
         return out if np.ndim(out) else float(out)
 
 
-@dataclass(frozen=True)
-class GridVector:
-    """Values of a function at j/n, j = 0..n; the state B_n iterates on."""
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != self.n + 1:
-            raise ValueError(f"grid vector for n={self.n} needs {self.n + 1} values")
-
-
 def phi(x):
     """The weight sqrt(x(1-x)), in [0, 1/2] and symmetric about 1/2."""
     x = np.asarray(x, dtype=float)
@@ -66,31 +55,19 @@ def phi(x):
     return out if out.ndim else float(out)
 
 
-def grid_vector(f, n):
-    vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
-    return GridVector(n, vals)
-
-
-def _apply_grid(gv, xs):
-    """B_n applied to the grid values at each point of the array xs.
+def bernstein_apply_many(f, n, xs):
+    """B_n f(x) = sum_k f(k/n) C(n,k) x^k (1-x)^(n-k) on an array of points,
+    sharing one grid evaluation of f.
 
     One row @ values per point: a batched matrix-vector product would be a
     BLAS gemv, whose rounding differs from the per-row dot product."""
+    vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
+    xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
-    for sl in _blocks(gv.n, len(xs)):
-        rows = binomial_rows(gv.n, xs[sl])
-        out[sl] = [row @ gv.values for row in rows]
+    for sl in _blocks(n, len(xs)):
+        rows = binomial_rows(n, xs[sl])
+        out[sl] = [row @ vals for row in rows]
     return out
-
-
-def bernstein_apply(f, n, x):
-    """B_n f(x) = sum_k f(k/n) C(n,k) x^k (1-x)^(n-k)."""
-    return float(_apply_grid(grid_vector(f, n), np.array([x], dtype=float))[0])
-
-
-def bernstein_apply_many(f, n, xs):
-    """B_n f on an array of points, sharing one grid evaluation of f."""
-    return _apply_grid(grid_vector(f, n), np.asarray(xs, dtype=float).ravel())
 
 
 def _iteration_matrix(n):
@@ -100,24 +77,6 @@ def _iteration_matrix(n):
     for sl in _blocks(n, n + 1):
         M[sl] = binomial_rows(n, xs[sl])
     return M
-
-
-def bernstein_iterate(f, n, k, x):
-    """The k-th iterate B_n^k f at x, computed exactly on the (n+1)-point grid.
-
-    B_n f depends on f only through its grid values, so each iteration is a
-    single (n+1) x (n+1) stochastic-matrix product; cost O(k n^2).
-    """
-    if k < 1:
-        raise ValueError("iterate count k must be >= 1")
-    gv = grid_vector(f, n)
-    if k > 1:
-        M = _iteration_matrix(n)
-        vals = gv.values
-        for _ in range(k - 1):
-            vals = M @ vals
-        gv = GridVector(n, vals)
-    return float(_apply_grid(gv, np.array([x], dtype=float))[0])
 
 
 def _gen_binom(z, j):
@@ -130,6 +89,33 @@ def _gen_binom(z, j):
     return out if out.ndim else float(out)
 
 
+def _krawtchouk_factors(n, m, y):
+    """Row j holds C(n-y, m-j) C(y, j) over the 1-D array y: the y-only
+    factors of K_m(x; y)."""
+    return np.array([_gen_binom(n - y, m - j) * _gen_binom(y, j) for j in range(m + 1)])
+
+
+@functools.lru_cache(maxsize=8)
+def _krawtchouk_basis(n, m):
+    """_krawtchouk_factors over y = 0..n, read-only."""
+    out = _krawtchouk_factors(n, m, np.arange(n + 1, dtype=float))
+    out.flags.writeable = False
+    return out
+
+
+def _krawtchouk_rows(factors, xs):
+    """K_m(x; y) for each x in the list xs, one row each, from the factors of
+    _krawtchouk_factors.  The per-point powers are taken on Python floats:
+    numpy's array power can round them differently."""
+    m = len(factors) - 1
+    out = np.zeros((len(xs), factors.shape[1]))
+    for j in range(m + 1):
+        s1 = np.array([(-v) ** (m - j) for v in xs]).reshape(-1, 1)
+        s2 = np.array([(1.0 - v) ** j for v in xs]).reshape(-1, 1)
+        out = out + factors[j] * s1 * s2
+    return out
+
+
 def krawtchouk(n, m, x, y):
     """Krawtchouk polynomial K_m(x; y) for the binomial(n, x) law:
 
@@ -140,20 +126,8 @@ def krawtchouk(n, m, x, y):
     if not 0 <= m <= n:
         raise ValueError(f"m must lie in [0, n], got m={m}, n={n}")
     y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    for j in range(m + 1):
-        out = out + (_gen_binom(n - y, m - j) * _gen_binom(y, j)
-                     * (-x) ** (m - j) * (1.0 - x) ** j)
-    return out if out.ndim else float(out)
-
-
-def krawtchouk_k1(n, x, y):
-    return np.asarray(y, dtype=float) - n * x
-
-
-def krawtchouk_k2(n, x, y):
-    d = np.asarray(y, dtype=float) - n * x
-    return 0.5 * (d * d - (1.0 - 2.0 * x) * d - n * x * (1.0 - x))
+    out = _krawtchouk_rows(_krawtchouk_factors(n, m, y.ravel()), [x])[0]
+    return out.reshape(y.shape) if y.ndim else float(out[0])
 
 
 def krawtchouk_orthogonality_check(n, x, r, m):
@@ -171,36 +145,6 @@ def krawtchouk_orthogonality_check(n, x, r, m):
     computed = float(np.sum(p * krawtchouk(n, r, x, k) * krawtchouk(n, m, x, k)))
     expected = math.comb(n, m) * phi(x) ** (2 * m) if r == m else 0.0
     return computed, expected
-
-
-def falling_factorial(n, m):
-    out = 1
-    for t in range(m):
-        out *= n - t
-    return out
-
-
-def forward_difference(phi_fn, h, m, y):
-    """m-th forward difference at step h:
-
-        sum_j C(m,j) (-1)^(m-j) phi_fn(y + h j).
-    """
-    if m < 0:
-        raise ValueError("difference order m must be >= 0")
-    if h < 0:
-        raise ValueError("step h must be >= 0")
-    return float(sum(math.comb(m, j) * (-1) ** (m - j) * phi_fn(y + h * j)
-                     for j in range(m + 1)))
-
-
-@functools.lru_cache(maxsize=8)
-def _krawtchouk_basis(n, m):
-    """Row j holds C(n-k, m-j) C(k, j) over k = 0..n: the k-only factors of
-    K_m(x; k), in the operation order of krawtchouk; read-only."""
-    y = np.arange(n + 1, dtype=float)
-    out = np.array([_gen_binom(n - y, m - j) * _gen_binom(y, j) for j in range(m + 1)])
-    out.flags.writeable = False
-    return out
 
 
 def bernstein_derivative(f, n, m, x):
@@ -234,19 +178,17 @@ def bernstein_derivative(f, n, m, x):
     diff = np.zeros(n - m + 1)
     for l in range(m + 1):
         diff = diff + math.comb(m, l) * (-1) ** (m - l) * fk[j + l]
-    fall = float(falling_factorial(n, m))
+    fall = float(math.perm(n, m))
     # per-point factors as Python floats, rounded as in the one-point formula
     pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
     out = np.empty(len(xs))
     for sl in _blocks(n, len(xs)):
         xb = xs[sl].tolist()
         p = binomial_rows(n, xb)
-        kraw_poly = np.zeros_like(p)
-        for jj in range(m + 1):
-            s1 = np.array([(-v) ** (m - jj) for v in xb]).reshape(-1, 1)
-            s2 = np.array([(1.0 - v) ** jj for v in xb]).reshape(-1, 1)
-            kraw_poly = kraw_poly + basis[jj] * s1 * s2
-        terms = p * fk * kraw_poly
+        # built before p * fk and bound to terms, so neither that product
+        # nor the previous block's K_m rows is alive while the rows build
+        terms = _krawtchouk_rows(basis, xb)
+        terms = p * fk * terms
         kraw = pref[sl] * np.sum(terms, axis=1)
         kraw_env = pref[sl] * np.sum(np.abs(terms), axis=1)
         pj = binomial_rows(n - m, xb) if m < n else np.ones((len(xb), 1))
@@ -300,7 +242,7 @@ def kantorovich_check(f, f_deriv, n, m, x):
     t = (np.arange(m)[:, None] + theta).ravel()
     smoothed = pj @ f_deriv((j[:, None] + t) / n)
     rhs = float(np.tile(w, m) @ (irwin_hall_density(m, t) * smoothed))
-    rhs *= falling_factorial(n, m) / n ** m
+    rhs *= math.perm(n, m) / n ** m
     return lhs, rhs
 
 

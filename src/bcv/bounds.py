@@ -20,14 +20,14 @@ from .bernstein import (PiecewiseLinearFn, _iteration_matrix,
                         bernstein_apply_many, bernstein_derivative)
 from .central import K_func, SupSearchResult, sup_H_n
 from .config import GridConfig, SupSearchConfig
-from .dist import LOG4, PoissonLaw, _log_binom
+from .dist import LOG4, PoissonLaw, _log_comb
 from .moduli import omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
 from .search import sup_search
 
 SQRT2 = math.sqrt(2.0)
-# Grid points on (0, 1/2] of the norms in the converse validators.
-_NORM_POINTS = 1024
+# Grid of the norms in the converse validators: 1024 points on (0, 1/2].
+_NORM_XS = np.linspace(0.0, 0.5, 1025)[1:]
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _fn_lower_error(n, x):
     B_n f_n = 1 - 1.8 p_1 - 2 p_2 - 0.96 p_3."""
     x = np.asarray(x, dtype=float)
     fn = build_fn_lower(n)
-    logc = _log_binom(n)
+    logc = _log_comb(n, np.arange(4.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         logx = np.log(x)
         log1mx = np.log1p(-x)
@@ -239,16 +239,18 @@ def lower_bound_ratio(n, cfg=GridConfig()):
     return LowerBoundReport(n, om, err, om / err, gap)
 
 
-def _sup_norms(f, n):
-    """(sup |B_n f - f|, sup phi^2 |(B_n f)''|) over a grid on (0, 1/2].
+def _grid_norms(f, n, xs, g=None):
+    """(max |B_n f - f| over xs, max phi^2 |(B_n f)''| over the points of xs
+    inside (0, 1)); given g, the second is max phi^2 |(B_n g)'' - (B_n f)''|.
 
     Both are grid maxima, so each is a lower estimate of its norm; a check
     built on them is not certified."""
-    xs = np.linspace(0.0, 0.5, _NORM_POINTS + 1)[1:]
     err = float(np.max(np.abs(bernstein_apply_many(f, n, xs) - f(xs))))
-    d2 = bernstein_derivative(f, n, 2, xs)
-    wd2 = float(np.max(xs * (1.0 - xs) * np.abs(d2)))
-    return err, wd2
+    x = xs[(xs > 0.0) & (xs < 1.0)]
+    d2 = bernstein_derivative(f, n, 2, x)
+    if g is not None:
+        d2 = bernstein_derivative(g, n, 2, x) - d2
+    return err, float(np.max(x * (1.0 - x) * np.abs(d2)))
 
 
 def modulus_upper_sides(f, n, cfg=GridConfig()):
@@ -268,11 +270,7 @@ def modulus_upper_sides(f, n, cfg=GridConfig()):
     bp = getattr(f, "breakpoints", None)
     if bp is not None:
         xs = np.concatenate([xs, np.asarray(bp, dtype=float)])
-    xs = np.unique(np.clip(xs, 0.0, 1.0))
-    err = float(np.max(np.abs(bernstein_apply_many(f, n, xs) - f(xs))))
-    interior = xs[(xs > 0.0) & (xs < 1.0)]
-    d2 = bernstein_derivative(f, n, 2, interior)
-    wd2 = float(np.max(interior * (1.0 - interior) * np.abs(d2)))
+    err, wd2 = _grid_norms(f, n, np.unique(np.clip(xs, 0.0, 1.0)))
     return lhs, 4.0 * err + LOG4 / n * wd2
 
 
@@ -292,7 +290,7 @@ def central_converse_check(f, n, a=7.2):
         raise ValueError("need n >= 5")
     h = sup_H_n(n - 2).sup_value
     mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(a) / 3.0
-    err, wd2 = _sup_norms(f, n)
+    err, wd2 = _grid_norms(f, n, _NORM_XS)
     if mult <= 0.0:
         return ValidatorResult(True, False, mult * wd2 / (2.0 * n),
                                (SQRT2 + 1.0) / SQRT2 * err,
@@ -315,7 +313,7 @@ def noncentral_converse_check(f, n, a=7.2, m=20):
     i = first_valid_i(a)
     if i > m:
         raise ValueError(f"need m >= first_valid_i(a) = {i}")
-    err, wd2 = _sup_norms(f, n)
+    err, wd2 = _grid_norms(f, n, _NORM_XS)
     try:
         js = {k: finite_n_J_bound(n, k, a) for k in range(i, m + 2)}
     except ValueError as e:
@@ -338,16 +336,12 @@ def iterate_converse_check(f, n):
     norms over (0, 1/2].  Both derivatives only read their argument on the
     grid j/n, so g is represented exactly by its grid values B_n f(j/n).
     """
-    xs = np.linspace(0.0, 0.5, _NORM_POINTS + 1)[1:]
-    err = float(np.max(np.abs(bernstein_apply_many(f, n, xs) - f(xs))))
-
     g_grid = _iteration_matrix(n) @ np.asarray(f(np.arange(n + 1) / n), dtype=float)
 
     def g_fn(y):
         return g_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
 
-    d2_gap = bernstein_derivative(g_fn, n, 2, xs) - bernstein_derivative(f, n, 2, xs)
-    wd2 = float(np.max(xs * (1.0 - xs) * np.abs(d2_gap)))
+    err, wd2 = _grid_norms(f, n, _NORM_XS, g=g_fn)
     lhs = wd2 / (2.0 * n)
     rhs = err / SQRT2
     return ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs, "g = B_n f")

@@ -8,7 +8,7 @@ The key object is
 with S_n(x) binomial(n, x) and V = U_1 + U_2 independent uniform.  Everything
 here feeds the claim sup_x H_n(x) <= 1 for large n: the inverse-moment
 quantity I_n, its Poisson-limit profile nu, the envelope C(lambda), the
-asymptotic bound on H_n, and the auxiliary kernel K(s) and inverse-beta
+pointwise upper bound on H_n, and the auxiliary kernel K(s) and inverse-beta
 moment bound used downstream.
 """
 
@@ -32,25 +32,6 @@ H_SCAN_POINTS = 4096
 # cancel; there the series, truncated below 1e-17, take over.
 _Q_SERIES = np.array([(-1.0) ** j / ((j + 1) * (j + 2)) for j in range(24)])
 _A_SERIES = np.array([(-1.0) ** j / (2 * j + 3) for j in range(13)])
-
-
-@dataclass(frozen=True)
-class CentralParams:
-    """Threshold and constant for the two-branch bound on I_n.
-
-    The defaults satisfy sqrt(2/pi) + 1/sqrt(lambda0) <= c, which is what
-    makes the large-lambda branch work; lambda0 this size renders the
-    resulting finite-n bound vacuous at desk scale, and the code keeps it
-    only for transparency.
-    """
-    lambda0: float = 223600.0
-    c: float = 0.8
-
-    def __post_init__(self):
-        if not self.lambda0 > 5.0:
-            raise ValueError("lambda0 must exceed 5")
-        if math.sqrt(2.0 / math.pi) + 1.0 / math.sqrt(self.lambda0) > self.c:
-            raise ValueError("need sqrt(2/pi) + 1/sqrt(lambda0) <= c")
 
 
 @dataclass(frozen=True)
@@ -81,10 +62,9 @@ def I_n_closed(n, x):
         raise ValueError("x must lie in (0,1)")
     lam = n * x
     m = math.ceil(lam)
-    law = BinomialLaw(n, x)
-    pm = law.pmf(m)
-    p0 = law.pmf(0)
-    cm = float(np.sum(law.pmf_vector()[:m + 1]))
+    p = BinomialLaw(n, x).pmf_vector()
+    pm, p0 = float(p[m]), float(p[0])
+    cm = float(np.sum(p[:m + 1]))
     return (n * (1.0 - x) ** 1.5 / (n + 1.0)) * (
         math.sqrt(lam) * (2.0 * pm - p0)
         + (2.0 * cm - 1.0 - p0) / math.sqrt(lam))
@@ -237,21 +217,6 @@ def D_coeff(lambda0):
         raise ValueError("lambda0 must be positive")
     return (3.0 * math.sqrt(lambda0) * (lambda0 + 1.0)
             * (math.sqrt(2.0) / 4.0 + (2.0 / 11.0) * (3.0 * lambda0 + 4.0) * lambda0))
-
-
-def H_n_sup_bound(n, params=CentralParams()):
-    """Asymptotic upper bound for sup_x H_n(x):
-
-        0.99 + (2 D(lambda0) log(27/16)) / n + n^{3/2} / 2^{n+1/2}.
-
-    Requires n >= 2 lambda0; with the default threshold this only bites for
-    astronomically large n, so treat the value as an envelope, not an
-    estimate.
-    """
-    if n < 2.0 * params.lambda0:
-        raise ValueError(f"bound needs n >= 2*lambda0 = {2.0 * params.lambda0:g}")
-    tail = math.exp(1.5 * math.log(n) - (n + 0.5) * LOG4 / 2.0)
-    return 0.99 + 2.0 * D_coeff(params.lambda0) * LOG2716 / n + tail
 
 
 def H_n_upper(n, x):

@@ -28,10 +28,17 @@ from .config import GridConfig, SupSearchConfig
 
 SCHEMA = 1
 DEFAULT_SEED = 20240817
-# Largest --n accepted: lower holds (n+1)-entry arrays (0.4 GB at n = 10^7);
-# hn takes about 35 s at n = 10^6 and over 120 s at 10^7.
+# Largest --n accepted: lower takes about 1 s and 120 MB at n = 10^8 (it
+# holds no (n+1)-entry array); hn takes about 35 s at n = 10^6 and over
+# 120 s at 10^7.
 MAX_N_LOWER = 10 ** 8
 MAX_N_HN = 10 ** 6
+# Largest --m accepted by upper and sweep: upper_expr_H2 sums m J values,
+# about 0.1 s at m = 10^4 and 11 s at 10^6.
+MAX_M = 10 ** 4
+# Most a-grid points in a sweep, (hi - lo) / step: about 0.3 ms each at
+# m = 20, so 10^5 points take about 30 s.
+MAX_SWEEP_POINTS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,8 @@ def _emit(command, entries, args):
 
 
 def _cmd_constants(args):
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise _Usage("need a finite --tol >= 0")
     try:
         scan = SupSearchConfig(lambda_max=args.lambda_max, points=args.grid)
         sup_c = central.sup_C(scan)
@@ -166,8 +175,8 @@ def _cmd_constants(args):
 
 
 def _cmd_upper(args):
-    if args.a <= 0.0 or args.m < 1:
-        raise _Usage("need --a > 0 and --m >= 1")
+    if args.a <= 0.0 or not 1 <= args.m <= MAX_M:
+        raise _Usage(f"need --a > 0 and 1 <= --m <= {MAX_M}")
     try:
         rep = bounds.upper_bound_report(args.a, args.m)
     except ValueError as e:
@@ -226,8 +235,8 @@ def _suite_dist():
         return worst
 
     def stirling_all():
-        return float(sum(bool(dist.stirling_mode_bound_check(n, m))
-                         for n in range(2, 51) for m in range(1, n)))
+        return float(sum(np.sum(dist.stirling_mode_bound_check(n, np.arange(1, n)))
+                         for n in range(2, 51)))
 
     return [
         _Check("dist.tv_bound_dominates", tv_gap, predicate=lambda v: v <= 0.0,
@@ -449,6 +458,10 @@ def _cmd_sweep(args):
         raise _Usage("--a-range must look like 5.0,10.0")
     if not (0.0 < lo < hi) or args.step <= 0.0:
         raise _Usage("need 0 < lo < hi and --step > 0")
+    if (hi - lo) / args.step > MAX_SWEEP_POINTS:
+        raise _Usage(f"need at most {MAX_SWEEP_POINTS} grid points in --a-range")
+    if not 1 <= args.m <= MAX_M:
+        raise _Usage(f"need 1 <= --m <= {MAX_M}")
     try:
         reports = bounds.sweep_upper(lo, hi, args.step, args.m)
     except ValueError as e:

@@ -1,10 +1,10 @@
 """Discrete laws and inverse moments.
 
-Binomial and Poisson laws with log-space pmfs, the banded binomial-row
-kernel that every expectation over Binomial(n, x) runs on, the triangular law of
-V = U1 + U2 on [0, 2], the beta(1, m) laws, total variation distance, the
+Binomial and Poisson laws, the banded binomial-row kernel that every
+expectation over Binomial(n, x) runs on, total variation distance, the
 binomial-Poisson total variation bound, the Stirling bound on the binomial
-mode, and the closed form E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y.
+mode, and the closed form E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y
+for V = U1 + U2.
 """
 
 import functools
@@ -24,12 +24,16 @@ _BLOCK_ENTRIES = 1 << 18
 _BAND_LOG_MASS = 760.0
 
 
+def _log_comb(n, k):
+    """log C(n, k) for a float array k; every log C(n, k) in bcv is formed
+    here."""
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
 @functools.lru_cache(maxsize=8)
 def _log_binom(n):
-    """log C(n, k) for k = 0..n, read-only; every log C(n, k) in bcv is read
-    from here."""
-    k = np.arange(n + 1, dtype=float)
-    out = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    """log C(n, k) for k = 0..n, read-only."""
+    out = _log_comb(n, np.arange(n + 1, dtype=float))
     out.flags.writeable = False
     return out
 
@@ -43,8 +47,9 @@ def _blocks(n, count):
 def binomial_rows(n, xs):
     """The Binomial(n, x) pmf over k = 0..n for each x in xs, one row each.
 
-    Each row is bit-identical to the dense exp(logpmf(0..n)), but exp is
-    taken only over the union of the rows' bands |k - nx| <= t, with
+    Each row is bit-identical to the dense exp(log C(n, k) + k log x
+    + (n - k) log1p(-x)) over k = 0..n, but exp is taken only over the union
+    of the rows' bands |k - nx| <= t, with
     t = T/3 + sqrt(T^2/9 + 2 T sigma^2), sigma^2 = nx(1-x) and T = 760.  By
     Bernstein's inequality every entry outside its band has mass below
     exp(-760), which the dense code rounds to exactly 0.0, so the zero fill
@@ -94,23 +99,13 @@ class BinomialLaw:
     def support(self):
         return np.arange(self.n + 1)
 
-    def logpmf(self, k):
-        k = np.asarray(k, dtype=float)
-        n, x = self.n, self.x
-        out = np.full(k.shape, -np.inf)
-        valid = (k >= 0) & (k <= n) & (k == np.floor(k))
-        if x == 0.0:
-            out[valid & (k == 0)] = 0.0
-        elif x == 1.0:
-            out[valid & (k == n)] = 0.0
-        else:
-            kv = k[valid]
-            out[valid] = (_log_binom(n)[kv.astype(int)]
-                          + kv * math.log(x) + (n - kv) * math.log1p(-x))
-        return out if out.ndim else float(out)
-
     def pmf(self, k):
-        return np.exp(self.logpmf(k))
+        """P(S = k), read from pmf_vector; 0 off the support 0..n, at
+        non-integer k too."""
+        k = np.asarray(k, dtype=float)
+        valid = (k >= 0) & (k <= self.n) & (k == np.floor(k))
+        out = np.where(valid, self.pmf_vector()[np.where(valid, k, 0).astype(int)], 0.0)
+        return out if out.ndim else float(out)
 
     def pmf_vector(self):
         """All n+1 probabilities; sums to 1 up to rounding."""
@@ -154,19 +149,6 @@ class PoissonLaw:
         return np.exp(self.logpmf(self.support()))
 
 
-@dataclass(frozen=True)
-class TriangularV:
-    """Law of V = U1 + U2: tent density min(v, 2-v) on [0, 2]."""
-
-    mean = 1.0
-    var = 1.0 / 6.0
-
-    def density(self, v):
-        v = np.asarray(v, dtype=float)
-        out = np.maximum(0.0, np.minimum(v, 2.0 - v))
-        return out if out.ndim else float(out)
-
-
 def tv_distance(p, q):
     """Total variation distance (1/2) sum_k |p(k) - q(k)|.
 
@@ -192,12 +174,19 @@ def tv_binom_poisson_bound(n, lam):
 
 
 def stirling_mode_bound_check(n, m):
-    """Check P(S_n(m/n) = m) <= (1/sqrt(2 pi)) sqrt(n/(m(n-m)))."""
-    if not 1 <= m <= n - 1:
+    """Check P(S_n(m/n) = m) <= (1/sqrt(2 pi)) sqrt(n/(m(n-m))) at an int m
+    (a bool is returned) or at each entry of an int array m (a bool array),
+    reading the pmf rows of all m in blocks of binomial_rows calls."""
+    ma = np.asarray(m)
+    ms = ma.ravel()
+    if np.any((ms < 1) | (ms > n - 1)):
         raise ValueError(f"m must lie in [1, n-1], got m={m}, n={n}")
-    pmf = BinomialLaw(n, m / n).pmf(m)
-    bound = math.sqrt(n / (m * (n - m))) / math.sqrt(2.0 * math.pi)
-    return bool(pmf <= bound)
+    pmf = np.empty(len(ms))
+    for sl in _blocks(n, len(ms)):
+        rows = binomial_rows(n, ms[sl] / n)
+        pmf[sl] = rows[np.arange(len(rows)), ms[sl]]
+    out = pmf <= np.sqrt(n / (ms * (n - ms))) / math.sqrt(2.0 * math.pi)
+    return out.reshape(ma.shape) if ma.ndim else bool(out[0])
 
 
 def inv_moment_shift_V(y):

@@ -164,6 +164,26 @@ def mc_H_n(n, x, trials, seed):
 
 
 # ---------------------------------------------------------------------------
+# closed forms
+
+
+def krawtchouk_k1(n, x, y):
+    """K_1(x; y) = y - nx."""
+    return np.asarray(y, dtype=float) - n * x
+
+
+def krawtchouk_k2(n, x, y):
+    """K_2(x; y) = (d^2 - (1-2x) d - nx(1-x))/2 with d = y - nx."""
+    d = np.asarray(y, dtype=float) - n * x
+    return 0.5 * (d * d - (1.0 - 2.0 * x) * d - n * x * (1.0 - x))
+
+
+def tent_density(v):
+    """Density min(v, 2-v) on [0, 2] of V = U1 + U2, zero elsewhere."""
+    return np.maximum(0.0, np.minimum(v, 2.0 - v))
+
+
+# ---------------------------------------------------------------------------
 # elementary recursions (re-derived, not imported)
 
 

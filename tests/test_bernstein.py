@@ -10,15 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (SYMPY_Y, frac_bernstein, frac_bernstein_grid,
-                     quad_integral, sympy_bernstein_derivative)
+                     krawtchouk_k1, krawtchouk_k2, quad_integral,
+                     sympy_bernstein_derivative)
 import bcv.bernstein as bernstein_module
-from bcv.bernstein import (ConsistencyError, GridVector, PiecewiseLinearFn,
-                           bernstein_apply, bernstein_apply_many,
-                           bernstein_derivative, bernstein_iterate,
-                           central_moment, central_moment_closed,
-                           falling_factorial, forward_difference,
-                           irwin_hall_density, kantorovich_check, krawtchouk,
-                           krawtchouk_k1, krawtchouk_k2,
+from bcv.bernstein import (ConsistencyError, PiecewiseLinearFn,
+                           _iteration_matrix, bernstein_apply_many,
+                           bernstein_derivative, central_moment,
+                           central_moment_closed, irwin_hall_density,
+                           kantorovich_check, krawtchouk,
                            krawtchouk_orthogonality_check, phi)
 from bcv.bounds import build_fn_lower
 from bcv.central import K_func
@@ -51,11 +50,6 @@ def test_piecewise_linear_validation(bp, vals):
         PiecewiseLinearFn(bp, vals)
 
 
-def test_grid_vector_validates_length():
-    with pytest.raises(ValueError):
-        GridVector(3, np.zeros(3))
-
-
 def test_phi_range_symmetry_and_domain():
     assert phi(0.0) == 0.0 and phi(1.0) == 0.0
     assert phi(0.5) == 0.5
@@ -76,6 +70,11 @@ def test_phi_symmetric_and_bounded(x):
 
 # ---------------------------------------------------------------------------
 # operator evaluation against exact rational oracles
+
+
+def bernstein_apply(f, n, x):
+    """B_n f at the one point x."""
+    return float(bernstein_apply_many(f, n, [x])[0])
 
 
 def test_partition_of_unity():
@@ -116,34 +115,27 @@ def test_apply_many_matches_pointwise_apply():
     xs = np.linspace(0.0, 1.0, 11)
     many = bernstein_apply_many(f, 25, xs)
     each = [bernstein_apply(f, 25, float(x)) for x in xs]
-    assert np.allclose(many, each, atol=1e-15)
+    assert np.array_equal(many, each)
 
 
 def test_iterate_k1_equals_apply():
+    # one product with the grid matrix is B_n f at the grid points
     f = lambda y: np.cos(np.asarray(y))
     for n in (5, 30):
-        for x in (0.2, 0.8):
-            assert abs(bernstein_iterate(f, n, 1, x)
-                       - bernstein_apply(f, n, x)) < 1e-14
+        grid = np.arange(n + 1) / n
+        once = _iteration_matrix(n) @ f(grid)
+        assert np.allclose(once, bernstein_apply_many(f, n, grid), rtol=0, atol=1e-14)
 
 
 def test_iterate_matches_exact_rational_iteration():
+    # B_n^k f on the grid j/n is M^k applied to the grid values of f
     n = 8
-    f = lambda y: np.asarray(y) ** 3
     grid = [Fraction(k, n) ** 3 for k in range(n + 1)]
-    x = Fraction(1, 3)
-    for k in (2, 3):
+    M = _iteration_matrix(n)
+    for k in (1, 2, 3):
         grid = frac_bernstein_grid(grid)
-        expect = float(frac_bernstein(grid, x))
-        # the loop has applied the operator k-1 times to the grid; the final
-        # evaluation applies it once more
-        assert bernstein_iterate(f, n, k, float(x)) == pytest.approx(
-            expect, rel=1e-13)
-
-
-def test_iterate_rejects_zero_iterations():
-    with pytest.raises(ValueError):
-        bernstein_iterate(lambda y: np.asarray(y), 5, 0, 0.5)
+        vals = np.linalg.matrix_power(M, k) @ ((np.arange(n + 1) / n) ** 3)
+        assert vals == pytest.approx([float(v) for v in grid], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +186,22 @@ def test_orthogonality_check_restricted_to_small_n():
 # differences and derivatives
 
 
-@given(st.integers(0, 6), st.integers(1, 5))
-def test_falling_factorial_matches_permutations(m, n):
-    if m <= n:
-        assert falling_factorial(n, m) == math.perm(n, m)
-
-
 def test_forward_difference_annihilates_low_degree_polynomials():
+    # Delta_{1/n}^m kills degree m-1, so (B_n p)^(m) = 0; bernstein_derivative
+    # also checks its Krawtchouk form against the difference form
     for m in (1, 2, 3):
-        poly = lambda t: sum((j + 1.0) * t ** j for j in range(m))  # degree m-1
-        assert forward_difference(poly, 0.05, m, 0.3) == pytest.approx(0.0, abs=1e-10)
+        poly = lambda t: sum((j + 1.0) * np.asarray(t) ** j for j in range(m))
+        for n in (5, 20):
+            assert bernstein_derivative(poly, n, m, 0.3) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_forward_difference_of_top_degree_monomial():
-    # Delta_h^m applied to t^m equals m! h^m everywhere
+    # Delta_h^m t^m = m! h^m everywhere, so (B_n t^m)^(m) = (n)_m m! / n^m
     for m in (1, 2, 3):
-        h = 0.07
-        got = forward_difference(lambda t: t ** m, h, m, 0.2)
-        assert got == pytest.approx(math.factorial(m) * h ** m, rel=1e-9)
-
-
-def test_forward_difference_validation():
-    with pytest.raises(ValueError):
-        forward_difference(lambda t: t, 0.1, -1, 0.0)
-    with pytest.raises(ValueError):
-        forward_difference(lambda t: t, -0.1, 1, 0.0)
+        for n in (5, 20):
+            got = bernstein_derivative(lambda t: np.asarray(t) ** m, n, m, 0.2)
+            expect = math.perm(n, m) * math.factorial(m) / n ** m
+            assert got == pytest.approx(expect, rel=1e-9)
 
 
 def test_derivative_matches_symbolic_oracle_on_polynomials():

@@ -10,7 +10,7 @@ from scipy import stats
 
 from bcv.bernstein import bernstein_apply_many
 from bcv.bounds import (G_of_lambda, LowerBoundReport, UpperBoundReport,
-                        ValidatorResult, build_fn_lower,
+                        ValidatorResult, _fn_lower_error, build_fn_lower,
                         central_converse_check, fn_lower_error_sup,
                         g_of_lambda, iterate_converse_check, lower_bound_ratio,
                         modulus_upper_check, modulus_upper_sides,
@@ -18,7 +18,7 @@ from bcv.bounds import (G_of_lambda, LowerBoundReport, UpperBoundReport,
                         sup_G_minus_g, sweep_upper, upper_bound_report,
                         upper_expr_H1, upper_expr_H2)
 from bcv.config import SupSearchConfig
-from bcv.dist import LOG4
+from bcv.dist import LOG4, _log_binom
 from bcv.noncentral import J_limit, first_valid_i
 
 
@@ -174,8 +174,24 @@ def test_witness_error_closed_form_matches_operator():
     fn = build_fn_lower(n)
     xs = np.linspace(0.0, 60.0 / n, 401)
     direct = np.abs(bernstein_apply_many(fn, n, xs) - fn(xs))
-    from bcv.bounds import _fn_lower_error
     assert np.allclose(_fn_lower_error(n, xs), direct, atol=1e-11)
+
+
+def test_witness_error_reads_three_log_binomials_not_the_table():
+    # the (n+1)-entry log C(n, k) table would hold 80 MB at n = 10^7
+    _log_binom.cache_clear()
+    _fn_lower_error(10 ** 7, np.linspace(0.0, 40.0 / 10 ** 7, 101))
+    assert _log_binom.cache_info().currsize == 0
+    for n in (10 ** 3, 10 ** 4):
+        xs = np.concatenate([np.linspace(0.0, 40.0 / n, 3001), np.linspace(0.0, 1.0, 1001)])
+        logc = _log_binom(n)
+        b = np.ones_like(xs)
+        with np.errstate(divide="ignore"):
+            for k, w in ((1, -1.8), (2, -2.0), (3, -0.96)):
+                pk = np.exp(logc[k] + k * np.log(xs) + (n - k) * np.log1p(-xs))
+                b = b + w * np.where((xs > 0.0) & (xs < 1.0), pk, 0.0)
+        expect = np.abs(b - build_fn_lower(n)(xs))
+        assert np.array_equal(_fn_lower_error(n, xs), expect), n
 
 
 def test_witness_error_sup_value_and_certificate():

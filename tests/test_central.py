@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import mc_H_n, mp_nu, mp_phi_ratio_lhs, quad_integral
-from bcv.central import (CentralParams, C_of_lambda, C_tilde, D_coeff,
-                         _H_weight, H_n_exact, H_n_sup_bound, H_n_upper,
+from bcv.central import (C_of_lambda, C_tilde, D_coeff,
+                         _H_weight, H_n_exact, H_n_upper,
                          I_n_branch_check, I_n_brute, I_n_closed, K_func,
                          SupSearchResult, nu, phi_ratio_moment_sides,
                          r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
@@ -191,23 +191,6 @@ def test_H_upper_domain():
         H_n_upper(10, 0.0)
     with pytest.raises(ValueError):
         H_n_upper(10, 0.7)
-
-
-def test_asymptotic_sup_bound_requires_huge_n_and_is_vacuous():
-    params = CentralParams()
-    with pytest.raises(ValueError):
-        H_n_sup_bound(100_000, params)
-    val = H_n_sup_bound(1_000_000, params)
-    expect = 0.99 + 2.0 * D_coeff(params.lambda0) * LOG2716 / 1e6
-    assert val == pytest.approx(expect, rel=1e-12)
-    assert val > 1.0  # envelope, not an estimate, at this threshold
-
-
-def test_central_params_validation():
-    with pytest.raises(ValueError):
-        CentralParams(lambda0=4.0)
-    with pytest.raises(ValueError):
-        CentralParams(lambda0=10.0, c=0.8)  # sqrt(2/pi)+1/sqrt(10) > 0.8
 
 
 def test_D_coeff_value_and_domain():

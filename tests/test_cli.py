@@ -71,6 +71,14 @@ def test_constants_rejects_non_finite_lambda_max(capsys, lam):
     assert "lambda_max must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_constants_rejects_negative_and_non_finite_tol(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol >= 0" in capsys.readouterr().err
+
+
 def test_constants_csv_header(capsys):
     code, out, _ = run_cli(capsys, "constants", "--format", "csv")
     assert code == 0
@@ -108,6 +116,15 @@ def test_upper_rejects_non_finite_and_unreachable_a(capsys, a):
         cli.main(["upper", "--a", a])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["upper", "sweep"])
+def test_huge_m_is_usage_error_not_a_long_run(capsys, cmd):
+    # only the argument check runs: a rejected m never reaches the numerics
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, "--m", str(cli.MAX_M + 1)])
+    assert exc.value.code == 2
+    assert f"--m <= {cli.MAX_M}" in capsys.readouterr().err
 
 
 def test_lower_passes(capsys):
@@ -259,6 +276,16 @@ def test_sweep_rejects_malformed_range(capsys):
 
 def test_sweep_rejects_nonpositive_step(capsys):
     assert run_cli_usage_error(capsys, "sweep", "--step", "0") == 2
+
+
+@pytest.mark.parametrize("argv", [("--step", "1e-9"), ("--a-range", "5,1e12")])
+def test_sweep_rejects_oversized_grid(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"at most {cli.MAX_SWEEP_POINTS} grid points" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_rejects_format(capsys):

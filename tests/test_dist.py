@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln
 
-from oracles import frac_binom_pmf, mp_inv_moment_shift, quad_integral
-from bcv.dist import (LOG4, LOG2716, BinomialLaw, PoissonLaw,
-                      TriangularV, _log_binom, binomial_rows,
-                      inv_moment_shift_V,
+from oracles import (frac_binom_pmf, mp_inv_moment_shift, quad_integral,
+                     tent_density)
+from bcv.dist import (LOG4, LOG2716, BinomialLaw, PoissonLaw, _log_binom,
+                      binomial_rows, inv_moment_shift_V,
                       stirling_mode_bound_check, tv_binom_poisson_bound,
                       tv_distance)
 
@@ -52,6 +52,21 @@ def test_binomial_pmf_outside_support_is_zero():
     assert law.pmf(2.5) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 7, 59, 200, 1000, 10_000])
+def test_binomial_pmf_reads_the_pmf_vector_bitwise(n):
+    for x in (0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0, 3.0 / (n + 3)):
+        law = BinomialLaw(n, x)
+        row = law.pmf_vector()
+        k = np.arange(-2, n + 3)
+        got = law.pmf(k)
+        assert got.shape == k.shape
+        assert np.array_equal(got[2:n + 3], row), (n, x)
+        assert np.all(got[:2] == 0.0) and np.all(got[n + 3:] == 0.0)
+        assert np.array_equal(law.pmf(k + 0.5), np.zeros(len(k)))
+        for kk in (0, n // 2, n):
+            assert law.pmf(kk) == row[kk]
+
+
 def test_binomial_cdf_endpoints_and_monotonicity():
     # the cdf as the running sum of the pmf row
     cdf = np.cumsum(BinomialLaw(9, 0.42).pmf_vector())
@@ -85,7 +100,8 @@ _BAND_T = 760.0
 
 
 def _dense_row(n, x):
-    """exp(logpmf) over all of 0..n, with math.log/log1p, as the dense code."""
+    """exp(log C(n,k) + k log x + (n-k) log1p(-x)) over all of 0..n, with
+    math.log/log1p, as the dense code."""
     k = np.arange(n + 1, dtype=float)
     if x == 0.0:
         return (k == 0).astype(float)
@@ -187,12 +203,12 @@ def test_poisson_validation():
 
 
 def test_triangular_density_normalizes_and_peaks_at_one():
-    law = TriangularV()
-    assert quad_integral(law.density, 0.0, 2.0) == pytest.approx(1.0, abs=1e-10)
-    assert law.density(1.0) == 1.0
-    assert law.density(-0.5) == 0.0 and law.density(2.5) == 0.0
-    assert quad_integral(lambda v: v * law.density(v), 0.0, 2.0) == pytest.approx(
-        law.mean, abs=1e-10)
+    # the law of V that the quadrature oracle for E 1/(y+V) integrates against
+    assert quad_integral(tent_density, 0.0, 2.0) == pytest.approx(1.0, abs=1e-10)
+    assert tent_density(1.0) == 1.0
+    assert tent_density(-0.5) == 0.0 and tent_density(2.5) == 0.0
+    assert quad_integral(lambda v: v * tent_density(v), 0.0, 2.0) == pytest.approx(
+        1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +260,10 @@ def test_tv_bound_dominates_exact_distance_on_grid():
 
 
 def test_stirling_mode_bound_holds_up_to_n_60():
-    assert all(stirling_mode_bound_check(n, m)
-               for n in range(2, 61) for m in range(1, n))
+    for n in range(2, 61):
+        each = [stirling_mode_bound_check(n, m) for m in range(1, n)]
+        assert all(each)
+        assert stirling_mode_bound_check(n, np.arange(1, n)).tolist() == each
 
 
 def test_stirling_mode_bound_validation():
@@ -253,6 +271,8 @@ def test_stirling_mode_bound_validation():
         stirling_mode_bound_check(5, 0)
     with pytest.raises(ValueError):
         stirling_mode_bound_check(5, 5)
+    with pytest.raises(ValueError):
+        stirling_mode_bound_check(5, np.array([1, 5]))
 
 
 def test_inv_moment_closed_form_values():
@@ -261,9 +281,8 @@ def test_inv_moment_closed_form_values():
 
 
 def test_inv_moment_matches_quadrature_oracle():
-    tri = TriangularV()
     for y in (0.0, 0.5, 1.0, 2.0, 10.0, 100.0):
-        ref = quad_integral(lambda v: tri.density(v) / (y + v), 0.0, 2.0)
+        ref = quad_integral(lambda v: tent_density(v) / (y + v), 0.0, 2.0)
         assert inv_moment_shift_V(y) == pytest.approx(ref, abs=1e-10)
 
 

@@ -1,14 +1,15 @@
-"""Golden report fixtures: `bcv <cmd> --format json` must stay byte-identical.
+"""Golden report fixtures: every renderer's output must stay byte-identical.
 
-Each fixture in tests/golden/ is the JSON report of one command with every
-runtime_ms value set to 0; the current report, treated the same way, must
-equal it byte for byte.  A change that moves any printed number fails here
-and has to regenerate the fixture and say why:
+Each fixture in tests/golden/ is the stdout of one command with every
+runtime_ms value set to 0 (JSON field or CSV column); the current output,
+treated the same way, must equal it byte for byte.  A change that moves any
+printed number fails here and has to regenerate the fixture and say why:
 
     PYTHONPATH=src python tests/test_golden.py
 
 rewrites every fixture from the current code and prints each claim_id whose
-computed value moved, old -> new.
+computed value moved, old -> new (or the name of a non-JSON fixture whose
+bytes moved).
 """
 
 import contextlib
@@ -24,35 +25,51 @@ from bcv.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
-    "constants": ["constants"],
-    "upper": ["upper"],
-    "lower_10000": ["lower", "--n", "10000"],
-    "hn_10000": ["hn", "--n", "10000"],
-    "verify_seed31": ["verify", "--seed", "31"],
+    "constants": ["constants", "--format", "json"],
+    "upper": ["upper", "--format", "json"],
+    "lower_10000": ["lower", "--n", "10000", "--format", "json"],
+    "hn_10000": ["hn", "--n", "10000", "--format", "json"],
+    "verify_seed31": ["verify", "--seed", "31", "--format", "json"],
+    "upper_csv": ["upper", "--format", "csv"],
+    "constants_text": ["constants", "--format", "text"],
+    "sweep": ["sweep", "--a-range", "5.0,10.0", "--step", "0.1"],
 }
+_SUFFIX = {"json": ".json", "csv": ".csv", "text": ".txt"}
+
+
+def _fixture(name):
+    argv = CASES[name]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+    return GOLDEN / f"{name}{_SUFFIX[fmt]}"
 
 
 def _without_runtime(text):
-    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text)
+    text = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text)
+    return re.sub(r",(true|false),\d+,", r",\1,0,", text)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, capsys):
-    rc = main(CASES[name] + ["--format", "json"])
+    rc = main(CASES[name])
     out = capsys.readouterr().out
     assert rc == 0
-    assert _without_runtime(out) == (GOLDEN / f"{name}.json").read_text()
+    assert _without_runtime(out) == _fixture(name).read_text()
 
 
 def regenerate():
     for name in sorted(CASES):
-        path = GOLDEN / f"{name}.json"
+        path = _fixture(name)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            rc = main(CASES[name] + ["--format", "json"])
+            rc = main(CASES[name])
         if rc != 0:
             raise SystemExit(f"bcv {' '.join(CASES[name])} exited {rc}")
         text = _without_runtime(out.getvalue())
+        if path.suffix != ".json":
+            if not path.exists() or path.read_text() != text:
+                print(f"{name}: {path.name} changed")
+            path.write_text(text)
+            continue
         old = {}
         if path.exists():
             entries = json.loads(path.read_text())["entries"]
