@@ -28,7 +28,7 @@ from .central import (SupSearchResult, C_of_lambda, C_tilde, D_coeff,
                       H_n_exact, H_n_upper, I_n_branch_check, I_n_brute,
                       I_n_closed, K_func, nu, phi_ratio_moment_sides,
                       r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
-from .config import GridConfig, SupSearchConfig
+from .config import SupSearchConfig
 from .dist import (LOG4, LOG2716, BinomialLaw, PoissonLaw, binomial_rows,
                    inv_moment_shift_V, stirling_mode_bound_check,
                    tv_binom_poisson_bound, tv_distance)

@@ -25,7 +25,9 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class PiecewiseLinearFn:
-    """Piecewise-linear interpolant with constant extension beyond the ends."""
+    """Piecewise-linear interpolant with constant extension beyond the ends,
+    so linear between consecutive points of {0, 1} U breakpoints on [0, 1]:
+    the contract under which bcv.moduli computes its moduli exactly."""
     breakpoints: tuple
     values: tuple
     label: str = "piecewise-linear"

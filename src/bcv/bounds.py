@@ -19,9 +19,9 @@ import numpy as np
 from .bernstein import (PiecewiseLinearFn, _iteration_matrix,
                         bernstein_apply_many, bernstein_derivative)
 from .central import K_func, SupSearchResult, sup_H_n
-from .config import GridConfig, SupSearchConfig
+from .config import SupSearchConfig
 from .dist import LOG4, PoissonLaw, _log_comb
-from .moduli import omega2_phi
+from .moduli import X_POINTS, omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
 from .search import sup_search
 
@@ -212,13 +212,13 @@ def _fn_lower_error(n, x):
     return np.abs(b - fn(x))
 
 
-def fn_lower_error_sup(n, cfg=GridConfig()):
+def fn_lower_error_sup(n):
     """sup over [0,1] of |B_n f_n - f_n|: a lambda-grid on [0,40] mapped to
     x = lambda/n, a uniform grid, the breakpoints, then golden refinement."""
     fn = build_fn_lower(n)
     xs = np.unique(np.concatenate([
         np.linspace(0.0, 40.0, 16001) / n,
-        np.linspace(0.0, 1.0, cfg.x_points // 2 + 1),
+        np.linspace(0.0, 1.0, X_POINTS // 2 + 1),
         np.asarray(fn.breakpoints)]))
     arg, value, _ = sup_search(lambda t: _fn_lower_error(n, t), xs, tol=1e-13)
     far = float(np.max(_fn_lower_error(n, np.linspace(40.0 / n, 1.0, 1001))))
@@ -226,15 +226,15 @@ def fn_lower_error_sup(n, cfg=GridConfig()):
     return SupSearchResult(value, arg, (0.0, 1.0), cert)
 
 
-def lower_bound_ratio(n, cfg=GridConfig()):
+def lower_bound_ratio(n):
     """Lower-bound report at one n: the weighted modulus at delta = 1/sqrt(n),
     the Bernstein approximation error of f_n, their ratio, and the Poisson
     profile gap."""
     if n < 1000:
         raise ValueError("need n >= 1000 for the asymptotic regime")
     fn = build_fn_lower(n)
-    om = omega2_phi(fn, 1.0 / math.sqrt(n), cfg).value
-    err = fn_lower_error_sup(n, cfg).sup_value
+    om = omega2_phi(fn, 1.0 / math.sqrt(n)).value
+    err = fn_lower_error_sup(n).sup_value
     gap = sup_G_minus_g().sup_value
     return LowerBoundReport(n, om, err, om / err, gap)
 
@@ -253,7 +253,7 @@ def _grid_norms(f, n, xs, g=None):
     return err, float(np.max(x * (1.0 - x) * np.abs(d2)))
 
 
-def modulus_upper_sides(f, n, cfg=GridConfig()):
+def modulus_upper_sides(f, n):
     """(LHS, RHS) of omega2_phi(f; 1/sqrt(n)) <= 4 ||B_n f - f||
     + (log 4 / n) ||phi^2 (B_n f)''||, norms over grids on [0,1] and (0,1).
 
@@ -263,9 +263,9 @@ def modulus_upper_sides(f, n, cfg=GridConfig()):
     Both norms are grid maxima, which under-estimate the norms, so the
     reported RHS is a lower estimate of the true RHS and the check built on
     it is not certified."""
-    lhs = omega2_phi(f, 1.0 / math.sqrt(n), cfg).value
+    lhs = omega2_phi(f, 1.0 / math.sqrt(n)).value
     lam = np.linspace(0.0, 40.0, 2001) / n
-    xs = np.concatenate([np.linspace(0.0, 1.0, cfg.x_points // 2 + 1),
+    xs = np.concatenate([np.linspace(0.0, 1.0, X_POINTS // 2 + 1),
                          lam, 1.0 - lam])
     bp = getattr(f, "breakpoints", None)
     if bp is not None:
@@ -274,8 +274,8 @@ def modulus_upper_sides(f, n, cfg=GridConfig()):
     return lhs, 4.0 * err + LOG4 / n * wd2
 
 
-def modulus_upper_check(f, n, cfg=GridConfig()):
-    lhs, rhs = modulus_upper_sides(f, n, cfg)
+def modulus_upper_check(f, n):
+    lhs, rhs = modulus_upper_sides(f, n)
     return lhs <= rhs + 1e-12
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bernstein, bounds, central, dist, moduli, noncentral
-from .config import GridConfig, SupSearchConfig
+from .config import SupSearchConfig
 
 SCHEMA = 1
 DEFAULT_SEED = 20240817
@@ -39,6 +39,8 @@ MAX_M = 10 ** 4
 # Most a-grid points in a sweep, (hi - lo) / step: about 0.3 ms each at
 # m = 20, so 10^5 points take about 30 s.
 MAX_SWEEP_POINTS = 10 ** 5
+# Most a-grid points times m, as a point's cost grows with m: 10^5 at m = 20.
+MAX_SWEEP_WORK = 20 * MAX_SWEEP_POINTS
 
 
 @dataclass(frozen=True)
@@ -196,9 +198,8 @@ def _cmd_upper(args):
 def _cmd_lower(args):
     if not 1000 <= args.n <= MAX_N_LOWER:
         raise _Usage(f"need 1000 <= --n <= {MAX_N_LOWER}")
-    cfg = GridConfig()
-    rep = bounds.lower_bound_ratio(args.n, cfg)
-    desc = f"n={rep.n},x_points={cfg.x_points},h_points={cfg.h_points}"
+    rep = bounds.lower_bound_ratio(args.n)
+    desc = f"n={rep.n},x_points={moduli.X_POINTS},h_points={moduli.H_POINTS}"
     checks = [
         _Check("omega2phi_fn", lambda: rep.omega2phi,
               predicate=lambda v: 3.98 <= v <= 4.0, grid=desc),
@@ -462,6 +463,8 @@ def _cmd_sweep(args):
         raise _Usage(f"need at most {MAX_SWEEP_POINTS} grid points in --a-range")
     if not 1 <= args.m <= MAX_M:
         raise _Usage(f"need 1 <= --m <= {MAX_M}")
+    if (hi - lo) / args.step * args.m > MAX_SWEEP_WORK:
+        raise _Usage(f"need grid points times --m at most {MAX_SWEEP_WORK}")
     try:
         reports = bounds.sweep_upper(lo, hi, args.step, args.m)
     except ValueError as e:

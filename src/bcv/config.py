@@ -1,18 +1,7 @@
-"""Resolution knobs shared by the sup searches."""
+"""Resolution knobs of the one-dimensional sup searches."""
 
 import math
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Coarse resolution of the (x, h) scan of a modulus search."""
-    x_points: int = 2048
-    h_points: int = 512
-
-    def __post_init__(self):
-        if self.x_points < 2 or self.h_points < 2:
-            raise ValueError("grid needs at least 2 points per axis")
 
 
 @dataclass(frozen=True)

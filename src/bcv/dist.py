@@ -7,8 +7,10 @@ mode, and the closed form E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y
 for V = U1 + U2.
 """
 
+import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +40,22 @@ def _log_binom(n):
     return out
 
 
+@functools.cache
+def _keep_freed_memory():
+    """Under glibc, serve arrays below 32 MB from the heap and keep up to 64 MB
+    of it when freed, so block loops reuse their memory: one
+    bernstein_derivative(f, 10**4, 2, x) over 5,000 points then takes 2.0e3
+    minor page faults, not 2.9e5 (glibc 2.36)."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, the largest glibc allows
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _blocks(n, count):
     """Slices of range(count) whose rows of n+1 entries fit one block."""
+    _keep_freed_memory()
     step = max(1, _BLOCK_ENTRIES // (n + 1))
     return [slice(s, s + step) for s in range(0, count, step)]
 

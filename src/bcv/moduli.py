@@ -1,32 +1,32 @@
-"""Moduli of continuity by grid search with local refinement.
+"""Moduli of continuity: exact for piecewise-linear f, by grid search otherwise.
 
-omega1 and omega2 are the usual first and second moduli.  omega2_phi is the
-weighted second modulus
+omega1 and omega2 are the usual first and second moduli and omega2_phi the
+weighted second modulus, whose step is h phi(x), phi(x) = sqrt(x(1-x)).  Each
+is the sup of |sum_j c_j f(x + a_j s)| over the admissible (x, s), with s = h,
+or s = h phi(x) for omega2_phi.
 
-    sup{ |f(x+h phi(x)) - 2 f(x) + f(x - h phi(x))| : 0 <= h <= delta,
-         x +/- h phi(x) in [0,1] },
+If f has `breakpoints`, it is taken to be linear between consecutive points
+of {0, 1} U breakpoints (the knots).  The difference is then linear on each
+cell of the lines x + a_j s = b (b a knot), which with s = 0 and s = delta,
+or for omega2_phi the ellipse s^2 = delta^2 x(1-x), bound the admissible set.
+So |diff| peaks at a crossing of two lines or of a line and the ellipse, or
+where a cell's level lines touch the ellipse; all are evaluated through f in
+one pass (bound "exact"), so the value is attained even for wrong breakpoints.
 
-with phi(x) = sqrt(x(1-x)).  All three are computed as a coarse scan over an
-(x, h) grid followed by golden-section refinement around the best cells, so
-the returned value is always a lower bound of the true supremum.  All seeds
-are refined in one lockstep golden-section pass, one lane per seed, on the
-same primitive (search.golden_max) that search.sup_search uses: each step
-evaluates the difference once, on the points of every lane still searching.
-
-For piecewise-linear functions the grids are augmented with breakpoint-exact
-candidates: the maximizers sit where a difference arm crosses a kink, and
-uniform grids alone miss them.
+Otherwise an (x, h) grid scan is refined around its best cells in one lockstep
+golden-section pass on search.golden_max (bound "lower").
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .config import GridConfig
 from .search import golden_max
 
-# Best grid cells (and best kink pairs) refined by golden section.
+# The (x, h) scan: X_POINTS + 1 values of x, H_POINTS + 1 steps h each.
+X_POINTS = 2048
+H_POINTS = 512
+# Best grid cells refined by golden section.
 _REFINE_TOP = 8
 # Interval width at which golden section stops.
 _REFINE_TOL = 1e-13
@@ -38,12 +38,59 @@ class ModulusResult:
     arg_x: float
     arg_h: float
     grid_points: int
-    refined: bool
+    bound: str  # "exact", or "lower" for the grid search
 
 
-def _breakpoints(f):
-    bp = getattr(f, "breakpoints", None)
-    return None if bp is None else np.asarray(bp, dtype=float)
+def _second(f, x, s):
+    return np.abs(f(np.clip(x + s, 0.0, 1.0)) - 2.0 * f(x) + f(np.clip(x - s, 0.0, 1.0)))
+
+
+def _vertices(f, diff, hmax_fn, delta, arms, coef, weighted):
+    """Exact sup of diff(x, h) = |sum_j coef_j f(x + arms_j s)| for f linear
+    between its knots.  The step is s = h, capped by the line s = delta, or,
+    weighted, s = h phi(x), capped by the ellipse s^2 = delta^2 x(1-x)."""
+    knots = np.unique(np.clip(np.concatenate([[0.0, 1.0], f.breakpoints]), 0.0, 1.0))
+    a, b = np.repeat(arms, len(knots)), np.tile(knots, len(arms))
+    # lines p x + q s = r: x + a s = b for each arm and knot, s = 0, s = delta;
+    # with p in {0, 1} and q in {-1, 0, 1} Cramer's rule adds like signs only
+    caps = [0.0] if weighted else [0.0, delta]
+    p, q, r = np.hstack([[np.ones_like(a), a, b], [[0.0] * len(caps), [1.0] * len(caps), caps]])
+    i, j = np.triu_indices(len(p), 1)
+    det = p[i] * q[j] - p[j] * q[i]  # 0 for parallel lines: dropped below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs, ss = [(r[i] * q[j] - r[j] * q[i]) / det], [(p[i] * r[j] - p[j] * r[i]) / det]
+        if weighted:
+            # x + a s = b on the ellipse: (1 + d2 a^2) s^2 + d2 a (1 - 2b) s
+            # - d2 b (1 - b) = 0, both roots in the cancellation-free form
+            d2 = delta * delta
+            qa, qb, qc = 1.0 + d2 * a * a, d2 * a * (1.0 - 2.0 * b), -d2 * b * (1.0 - b)
+            t = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+            roots = np.concatenate([t / qa, qc / t])
+            cx = np.tile(b, 2) - np.tile(a, 2) * roots
+            xs, ss = xs + [cx], ss + [roots]
+            # each upper arc between crossings lies in one cell, with gradient
+            # g = (sum c m, sum c a m) for arm slopes m; +-g is the outward
+            # normal at x = 1/2 +- gx/(2N), s = +-d2 gs/(2N), N = |(gx, delta gs)|,
+            # and the x nearer an edge is d2 gs^2 / (2N (N + |gx|))
+            ex = np.sort(np.clip(np.concatenate([[0.0, 1.0], cx[roots >= 0.0]]), 0.0, 1.0))
+            mid = 0.5 * (ex[1:] + ex[:-1])
+            arm = mid + np.multiply.outer(arms, delta * np.sqrt(mid * (1.0 - mid)))
+            seg = np.clip(np.searchsorted(knots, arm, side="right") - 1, 0, len(knots) - 2)
+            m = (np.diff(f(knots)) / np.diff(knots))[seg]
+            gx, gs = np.asarray(coef) @ m, np.asarray(coef) * arms @ m
+            n = np.hypot(gx, delta * gs)
+            near, far = d2 * gs * gs / (2.0 * n * (n + np.abs(gx))), (n + np.abs(gx)) / (2.0 * n)
+            xs += [np.where(gx >= 0.0, far, near), np.where(gx >= 0.0, near, far)]
+            ss += [d2 * gs / (2.0 * n), -d2 * gs / (2.0 * n)]
+        x, s = np.concatenate(xs), np.concatenate(ss)
+        ok = np.isfinite(x + s)
+        x, s = np.clip(x[ok], 0.0, 1.0), s[ok]
+        if weighted:
+            s = np.where(x * (1.0 - x) > 0.0, s / np.sqrt(x * (1.0 - x)), 0.0)
+    h = np.clip(s, 0.0, hmax_fn(x))
+    vals = diff(x, h)
+    k = int(np.argmax(vals))
+    return ModulusResult(float(vals[k]), float(x[k]), float(h[k]), len(x), "exact")
 
 
 def _scan(diff, hmax_fn, xs, h_points):
@@ -91,93 +138,44 @@ def _refine(diff, hmax_fn, x, h, dx):
     return best
 
 
-def _search(diff, hmax_fn, xs, pairs, cfg):
-    value, ax, ah, seeds, npts = _scan(diff, hmax_fn, xs, cfg.h_points)
-    if len(pairs):
-        pv = diff(pairs[:, 0], pairs[:, 1])
-        k = int(np.argmax(pv))
-        if pv[k] > value:
-            value, ax, ah = float(pv[k]), float(pairs[k, 0]), float(pairs[k, 1])
-        seeds = np.vstack([seeds, pairs[np.argsort(pv)[::-1][:_REFINE_TOP]]])
-        npts += len(pairs)
+def _search(diff, hmax_fn, xs):
+    value, ax, ah, seeds, npts = _scan(diff, hmax_fn, xs, H_POINTS)
     sx, sh = np.transpose(seeds)
-    for v, rx, rh in zip(*_refine(diff, hmax_fn, sx, sh, 1.0 / cfg.x_points)):
+    for v, rx, rh in zip(*_refine(diff, hmax_fn, sx, sh, 1.0 / X_POINTS)):
         if v > value:
             value, ax, ah = float(v), float(rx), float(rh)
-    return ModulusResult(value, ax, ah, npts, True)
+    return ModulusResult(value, ax, ah, npts, "lower")
 
 
-def _kink_pairs(xs, bp, hmax_fn, scale_fn):
-    """(x, h) candidates where x + h*scale(x) or x - h*scale(x) hits a kink."""
-    out = []
-    xs = np.asarray(xs, dtype=float)
-    s = scale_fn(xs)
-    hm = hmax_fn(xs)
-    ok = s > 0.0
-    for b in bp:
-        for signed in ((xs - b) / np.where(ok, s, 1.0), (b - xs) / np.where(ok, s, 1.0)):
-            m = ok & (signed > 0.0) & (signed <= hm)
-            out.append(np.column_stack([xs[m], signed[m]]))
-    return np.concatenate(out) if out else np.empty((0, 2))
-
-
-def _boundary_roots(bp, delta):
-    """x solving x - delta*phi(x) = b and x + delta*phi(x) = b for kinks b."""
-    roots = []
-    for b in bp:
-        g = lambda x: x - delta * np.sqrt(x * (1.0 - x)) - b
-        if b < 1.0 and g(b) * g(1.0) <= 0.0:
-            roots.append(brentq(g, b, 1.0, xtol=1e-14))
-        g = lambda x: x + delta * np.sqrt(x * (1.0 - x)) - b
-        if b > 0.0 and g(0.0) * g(b) <= 0.0:
-            roots.append(brentq(g, 0.0, b, xtol=1e-14))
-    return roots
-
-
-def omega1(f, delta, cfg=GridConfig()):
+def omega1(f, delta):
     """First modulus sup{|f(x+h)-f(x)| : 0 <= h <= delta, x+h <= 1}."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0,1]")
     if delta == 0.0:
-        return ModulusResult(0.0, 0.0, 0.0, 0, False)
-    xs = np.linspace(0.0, 1.0, cfg.x_points + 1)
-    bp = _breakpoints(f)
-    pairs = np.empty((0, 2))
-    if bp is not None:
-        xs = np.unique(np.concatenate([xs, bp]))
-        pairs = _kink_pairs(xs, bp, lambda x: np.minimum(delta, 1.0 - x),
-                            lambda x: np.ones_like(x))
-
-    def diff(x, h):
-        return np.abs(f(np.clip(x + h, 0.0, 1.0)) - f(x))
-
-    return _search(diff, lambda x: np.minimum(delta, 1.0 - x), xs, pairs, cfg)
+        return ModulusResult(0.0, 0.0, 0.0, 0, "exact")
+    hmax = lambda x: np.minimum(delta, 1.0 - x)
+    diff = lambda x, h: np.abs(f(np.clip(x + h, 0.0, 1.0)) - f(x))
+    if getattr(f, "breakpoints", None) is not None:
+        return _vertices(f, diff, hmax, delta, (1.0, 0.0), (1.0, -1.0), False)
+    return _search(diff, hmax, np.linspace(0.0, 1.0, X_POINTS + 1))
 
 
-def omega2(f, delta, cfg=GridConfig()):
+def omega2(f, delta):
     """Second modulus sup{|f(x+h)-2f(x)+f(x-h)| : h <= delta, x+/-h in [0,1]}."""
     if not 0.0 <= delta <= 0.5:
         raise ValueError("delta must lie in [0,1/2]")
     if delta == 0.0:
-        return ModulusResult(0.0, 0.5, 0.0, 0, False)
-    xs = np.linspace(0.0, 1.0, cfg.x_points + 1)
-    bp = _breakpoints(f)
-    pairs = np.empty((0, 2))
+        return ModulusResult(0.0, 0.5, 0.0, 0, "exact")
     hmax = lambda x: np.minimum(delta, np.minimum(x, 1.0 - x))
-    if bp is not None:
-        mids = (bp.reshape(-1, 1) + bp.reshape(1, -1)).ravel() / 2.0
-        xs = np.unique(np.concatenate([xs, bp, mids]))
-        pairs = _kink_pairs(xs, bp, hmax, lambda x: np.ones_like(x))
-
-    def diff(x, h):
-        return np.abs(f(np.clip(x + h, 0.0, 1.0)) - 2.0 * f(x) + f(np.clip(x - h, 0.0, 1.0)))
-
-    return _search(diff, hmax, xs, pairs, cfg)
+    diff = lambda x, h: _second(f, x, h)
+    if getattr(f, "breakpoints", None) is not None:
+        return _vertices(f, diff, hmax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), False)
+    return _search(diff, hmax, np.linspace(0.0, 1.0, X_POINTS + 1))
 
 
 def _hmax_phi(x, delta):
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         left = np.sqrt(x / (1.0 - x))    # h with x - h phi(x) = 0
         right = np.sqrt((1.0 - x) / x)   # h with x + h phi(x) = 1
     out = np.minimum(delta, np.minimum(np.where(x < 1.0, left, np.inf),
@@ -185,29 +183,20 @@ def _hmax_phi(x, delta):
     return np.where((x <= 0.0) | (x >= 1.0), 0.0, out)
 
 
-def omega2_phi(f, delta, cfg=GridConfig()):
+def omega2_phi(f, delta):
     """Weighted second modulus with step h*phi(x); boundary-touching steps
     (x - h phi(x) = 0 exactly, and symmetrically) are admissible."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0,1]")
     if delta == 0.0:
-        return ModulusResult(0.0, 0.5, 0.0, 0, False)
-    xs = np.linspace(0.0, 1.0, cfg.x_points + 1)
+        return ModulusResult(0.0, 0.5, 0.0, 0, "exact")
+    hmax = lambda x: _hmax_phi(x, delta)
+    diff = lambda x, h: _second(f, x, h * np.sqrt(x * (1.0 - x)))
+    if getattr(f, "breakpoints", None) is not None:
+        return _vertices(f, diff, hmax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), True)
     # corners of the admissible region, where the boundary-touching cap
     # sqrt(x/(1-x)) (or its mirror) crosses delta: suprema attained on the
     # boundary sit exactly there and uniform grids only approach them
     corner = delta ** 2 / (1.0 + delta ** 2)
-    xs = np.unique(np.concatenate([xs, [corner, 1.0 - corner]]))
-    bp = _breakpoints(f)
-    pairs = np.empty((0, 2))
-    phi_fn = lambda x: np.sqrt(np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float)))
-    hmax = lambda x: _hmax_phi(x, delta)
-    if bp is not None:
-        xs = np.unique(np.concatenate([xs, bp, _boundary_roots(bp, delta)]))
-        pairs = _kink_pairs(xs, bp, hmax, phi_fn)
-
-    def diff(x, h):
-        s = h * phi_fn(x)
-        return np.abs(f(np.clip(x + s, 0.0, 1.0)) - 2.0 * f(x) + f(np.clip(x - s, 0.0, 1.0)))
-
-    return _search(diff, hmax, xs, pairs, cfg)
+    xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, X_POINTS + 1), [corner, 1.0 - corner]]))
+    return _search(diff, hmax, xs)

@@ -1,12 +1,18 @@
 """End-to-end checks of the command-line front end."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import bcv
 from bcv import cli
+
+SRC = os.path.dirname(os.path.dirname(bcv.__file__))
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +253,14 @@ def test_no_arguments_is_usage_error(capsys):
     assert run_cli_usage_error(capsys) == 2
 
 
+def test_import_does_not_load_scipy_optimize():
+    # every bcv call pays the import; no module needs a root finder
+    code = "import sys, bcv; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -285,6 +299,21 @@ def test_sweep_rejects_oversized_grid(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"at most {cli.MAX_SWEEP_POINTS} grid points" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_caps_grid_points_times_m(capsys, monkeypatch):
+    # 10^5 points at m = 10^4 pass each cap alone but would run for hours;
+    # only the argument check runs, sweep_upper is never reached
+    def never(*args, **kwargs):
+        raise AssertionError("sweep_upper ran")
+
+    monkeypatch.setattr(cli.bounds, "sweep_upper", never)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--m", str(cli.MAX_M), "--step", "5e-5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"at most {cli.MAX_SWEEP_WORK}" in err
     assert "Traceback" not in err
 
 

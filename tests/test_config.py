@@ -1,26 +1,18 @@
-"""Validation behavior of the shared configuration dataclasses."""
+"""Validation behavior of the shared configuration: the modulus scan grid
+constants and the sup-search dataclass."""
 
 import math
 
 import pytest
 
-from bcv.config import GridConfig, SupSearchConfig
+from bcv import moduli
+from bcv.config import SupSearchConfig
 
 
 def test_grid_config_defaults():
-    cfg = GridConfig()
-    assert cfg.x_points == 2048
-    assert cfg.h_points == 512
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"x_points": 1},
-    {"h_points": 0},
-    {"h_points": 1},
-])
-def test_grid_config_rejects_degenerate(kwargs):
-    with pytest.raises(ValueError):
-        GridConfig(**kwargs)
+    # bcv lower reports this grid as x_points=2048,h_points=512
+    assert moduli.X_POINTS == 2048
+    assert moduli.H_POINTS == 512
 
 
 def test_sup_search_config_defaults_and_validation():
@@ -35,6 +27,6 @@ def test_sup_search_config_defaults_and_validation():
 
 
 def test_configs_are_frozen():
-    cfg = GridConfig()
+    cfg = SupSearchConfig()
     with pytest.raises(Exception):
-        cfg.x_points = 4096
+        cfg.points = 200_000

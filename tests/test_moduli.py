@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bcv import moduli
 from bcv.bernstein import PiecewiseLinearFn
 from bcv.bounds import build_fn_lower
-from bcv.config import GridConfig
 from bcv.moduli import ModulusResult, _scan, omega1, omega2, omega2_phi
 from oracles import scalar_refine
 
@@ -129,10 +128,12 @@ def test_omega2_phi_second_order_bound_for_smooth_functions():
             assert omega2_phi(f, delta).value <= delta ** 2 * wsec * math.log(4.0) + 1e-10
 
 
-def test_refinement_is_stable_under_grid_doubling():
+def test_refinement_is_stable_under_grid_doubling(monkeypatch):
     for f in (CUBE, SINE):
-        base = omega2_phi(f, 0.3, GridConfig(x_points=2048)).value
-        fine = omega2_phi(f, 0.3, GridConfig(x_points=4096)).value
+        base = omega2_phi(f, 0.3).value
+        with monkeypatch.context() as mp:
+            mp.setattr(moduli, "X_POINTS", 2 * moduli.X_POINTS)
+            fine = omega2_phi(f, 0.3).value
         assert abs(base - fine) < 1e-3
 
 
@@ -149,17 +150,18 @@ def test_boundary_touching_steps_are_admissible():
     assert res.value >= corner - 1e-9
 
 
-def test_result_reports_grid_metadata():
-    cfg = GridConfig(x_points=64, h_points=16)
-    res = omega2(SQUARE, 0.2, cfg)
-    assert res.refined is True
-    assert res.grid_points == (cfg.x_points + 1) * (cfg.h_points + 1)
+def test_result_reports_grid_metadata(monkeypatch):
+    monkeypatch.setattr(moduli, "X_POINTS", 64)
+    monkeypatch.setattr(moduli, "H_POINTS", 16)
+    res = omega2(SQUARE, 0.2)
+    assert res.bound == "lower"
+    assert res.grid_points == (64 + 1) * (16 + 1)
     # refinement only ever improves on the grid winner
     grid_best = max(abs(SQUARE(x + h) - 2.0 * SQUARE(x) + SQUARE(x - h))
-                    for x in np.linspace(0.0, 1.0, cfg.x_points + 1)
-                    for h in min(0.2, x, 1.0 - x) * np.linspace(0.0, 1.0, cfg.h_points + 1))
+                    for x in np.linspace(0.0, 1.0, 64 + 1)
+                    for h in min(0.2, x, 1.0 - x) * np.linspace(0.0, 1.0, 16 + 1))
     assert res.value >= grid_best
-    assert omega2(SQUARE, 0.0).refined is False
+    assert omega2(SQUARE, 0.0).bound == "exact"
 
 
 def test_scan_seeds_are_the_best_cells_in_descending_order():
@@ -184,7 +186,8 @@ def test_scan_seeds_are_the_best_cells_in_descending_order():
 def test_random_piecewise_linear_obeys_sup_norm_bound(vals):
     bp = np.linspace(0.0, 1.0, len(vals))
     f = PiecewiseLinearFn(tuple(bp), tuple(vals))
-    res = omega2_phi(f, 0.4, GridConfig(x_points=256, h_points=64))
+    res = omega2_phi(f, 0.4)
+    assert res.bound == "exact"
     assert 0.0 <= res.value <= 4.0 * max(abs(v) for v in vals) + 1e-10
 
 
@@ -192,9 +195,10 @@ def test_random_piecewise_linear_obeys_sup_norm_bound(vals):
 # lockstep refinement against the scalar reference
 
 
-def _assert_lanes_match_scalar_refine(fn, f, delta, cfg=GridConfig()):
-    """Run fn(f, delta) and check every lane of its one _refine call against
-    the per-seed scalar refinement, bit for bit."""
+def _assert_lanes_match_scalar_refine(fn, f, delta, grid=None):
+    """Run fn(f, delta), on the (x_points, h_points) grid if given, and check
+    every lane of its one _refine call against the per-seed scalar
+    refinement, bit for bit."""
     calls = []
     lane_refine = moduli._refine
 
@@ -206,7 +210,10 @@ def _assert_lanes_match_scalar_refine(fn, f, delta, cfg=GridConfig()):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moduli, "_refine", record)
-        fn(f, delta, cfg)
+        if grid is not None:
+            mp.setattr(moduli, "X_POINTS", grid[0])
+            mp.setattr(moduli, "H_POINTS", grid[1])
+        fn(f, delta)
     assert len(calls) == 1
     diff, hmax_fn, x, h, dx, (v, rx, rh) = calls[0]
     assert len(v) == len(rx) == len(rh) == len(x)
@@ -226,18 +233,20 @@ def test_lane_refinement_matches_scalar_on_corpus(corpus, fn, deltas):
             _assert_lanes_match_scalar_refine(fn, f, delta)
 
 
-# constant functions tie every cell, so seeds with hmax = 0 (x at 0 or 1)
-# reach the refinement and skip their h-search; each example runs 48 scalar
-# reference refinements, about 0.4 s, so the example count is kept small
+# the wrapper hides the breakpoints, so the grid path runs on a
+# piecewise-linear function; constant functions tie every cell, so seeds
+# with hmax = 0 (x at 0 or 1) reach the refinement and skip their h-search;
+# each example runs 24 scalar reference refinements, so the example count
+# is kept small
 @example([0.25, 0.25, 0.25])
 @example([-1.0, -1.0, -1.0, -1.0])
 @settings(max_examples=8)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=6))
 def test_lane_refinement_matches_scalar_on_piecewise_linear(vals):
     f = PiecewiseLinearFn(tuple(np.linspace(0.0, 1.0, len(vals))), tuple(vals))
-    cfg = GridConfig(x_points=256, h_points=64)
+    wrapped = lambda y: f(y)
     for fn, delta in ((omega1, 0.4), (omega2, 0.4), (omega2_phi, 0.4)):
-        _assert_lanes_match_scalar_refine(fn, f, delta, cfg)
+        _assert_lanes_match_scalar_refine(fn, wrapped, delta, (256, 64))
 
 
 def test_omega2_phi_call_budget():
@@ -255,3 +264,113 @@ def test_omega2_phi_call_budget():
         counted.breakpoints = getattr(f, "breakpoints", None)
         omega2_phi(counted, delta)
         assert 0 < calls <= 1000
+
+
+# ---------------------------------------------------------------------------
+# exact path for piecewise-linear functions
+
+MODULI_DELTAS = ((omega1, (0.05, 0.3, 1.0)),
+                 (omega2, (0.05, 0.2, 0.5)),
+                 (omega2_phi, (0.01, 0.3, 1.0)))
+
+
+def _arms_and_value(fn, f, x, h):
+    """(x - s, x + s, |difference|) at (x, h), from the modulus definition:
+    the step s is h, or h phi(x) for omega2_phi."""
+    s = h * math.sqrt(x * (1.0 - x)) if fn is omega2_phi else h
+    up = f(min(x + s, 1.0))
+    if fn is omega1:
+        return x, x + s, abs(up - f(x))
+    return x - s, x + s, abs(up - 2.0 * f(x) + f(max(x - s, 0.0)))
+
+
+def _assert_attained(fn, f, delta, res):
+    lo, hi, value = _arms_and_value(fn, f, res.arg_x, res.arg_h)
+    assert 0.0 <= res.arg_x <= 1.0 and 0.0 <= res.arg_h <= delta
+    assert lo >= -1e-15 and hi <= 1.0 + 1e-15
+    assert res.value == value
+
+
+def _brute_force(fn, f, delta):
+    """Max of |difference| over a dense grid of admissible (x, s)."""
+    x = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
+    smax = np.minimum(delta, 1.0 - x)
+    if fn is not omega1:
+        smax = np.minimum(smax, x)
+    if fn is omega2_phi:
+        smax = np.minimum(smax, delta * np.sqrt(x * (1.0 - x)))
+    s = smax * np.linspace(0.0, 1.0, 201)
+    up = f(np.minimum(x + s, 1.0))
+    if fn is omega1:
+        return float(np.max(np.abs(up - f(x))))
+    return float(np.max(np.abs(up - 2.0 * f(x) + f(np.maximum(x - s, 0.0)))))
+
+
+@st.composite
+def piecewise_linear(draw):
+    """(breakpoints, values) with 3-6 kinks at non-uniform positions in (0, 1)."""
+    k = draw(st.integers(3, 6))
+    gaps = np.array(draw(st.lists(st.floats(0.02, 1.0), min_size=k + 1, max_size=k + 1)))
+    vals = draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k))
+    return tuple(float(b) for b in np.cumsum(gaps)[:-1] / gaps.sum()), tuple(vals)
+
+
+# the omega2 maximizer of the first sits on the vertex x - h = 0, x + h = 0.76;
+# at delta = 0.3 the omega2_phi maximizer of the second is where the line
+# x - s = 0.29 crosses the ellipse (without those crossings: 1.56613 of
+# 1.61632), and that of the third is a tangency point inside an arc of the
+# ellipse (x = 0.35485, h = delta; the vertices alone reach 0.69353 of 0.69417)
+@example(((0.05, 0.36, 0.75, 0.76), (0.9, -0.6, 0.0, 0.8)))
+@example(((0.29, 0.36, 0.56, 0.77), (-0.7, 0.8, 1.0, -0.2)))
+@example(((0.17, 0.34, 0.47, 0.81), (-0.18, -0.85, -0.77, 0.73)))
+@settings(max_examples=10)
+@given(piecewise_linear())
+def test_exact_moduli_dominate_brute_force_and_grid(knots):
+    f = PiecewiseLinearFn(*knots)
+    hidden = lambda y: f(y)  # no breakpoints: the grid path
+    for fn, deltas in MODULI_DELTAS:
+        for delta in deltas:
+            res = fn(f, delta)
+            assert res.bound == "exact"
+            _assert_attained(fn, f, delta, res)
+            assert res.value >= _brute_force(fn, f, delta) - 1e-12
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(moduli, "X_POINTS", 256)
+                mp.setattr(moduli, "H_POINTS", 64)
+                assert res.value >= fn(hidden, delta).value - 1e-12
+
+
+def test_exact_path_finds_vertices_the_augmented_grids_missed():
+    # omega1: x + h = 0.9 (a kink) and h = delta meet at (0.6, 0.3), where
+    # |f(0.9) - f(0.6)| = 1 + 4/15; the kink-pair grids stopped at 1.26654
+    res = omega1(PiecewiseLinearFn((0.05, 0.8, 0.9), (1.0, 0.0, -1.0)), 0.3)
+    assert res.value == pytest.approx(19.0 / 15.0, abs=1e-15)
+    assert (res.arg_x, res.arg_h) == pytest.approx((0.6, 0.3), abs=1e-15)
+    # omega2: x - h = 0 and x + h = 0.76 meet at (0.38, 0.38), value
+    # 0.9 + 2 (0.6 - 0.02 * 0.6 / 0.39) + 0.8 = 369/130; the grids gave 2.83732
+    res = omega2(PiecewiseLinearFn((0.05, 0.36, 0.75, 0.76), (0.9, -0.6, 0.0, 0.8)), 0.5)
+    assert res.value == pytest.approx(369.0 / 130.0, abs=1e-15)
+    assert (res.arg_x, res.arg_h) == pytest.approx((0.38, 0.38), abs=1e-15)
+
+
+def test_witness_modulus_is_exact_and_at_least_the_grid_value():
+    for n in (10 ** 4, 10 ** 6):
+        fn = build_fn_lower(n)
+        res = omega2_phi(fn, n ** -0.5)
+        assert res.bound == "exact"
+        # 7 knots: 168 line crossings, 40 line-ellipse crossings and 30
+        # tangency points, one pair per arc of the ellipse between crossings
+        # (the 9 arcs with zero gradient and the 2 degenerate roots dropped)
+        assert res.grid_points == 238
+        _assert_attained(omega2_phi, fn, n ** -0.5, res)
+        assert res.value >= omega2_phi(lambda y: fn(y), n ** -0.5).value - 1e-12
+
+
+def test_wrong_breakpoints_still_give_an_attained_value():
+    # sine is not piecewise linear: the candidates are no longer complete,
+    # but each is admissible and evaluated through f
+    f = lambda y: np.sin(math.pi * np.asarray(y, dtype=float))
+    f.breakpoints = (0.3, 0.7)
+    for fn, deltas in MODULI_DELTAS:
+        for delta in deltas:
+            _assert_attained(fn, f, delta, fn(f, delta))
