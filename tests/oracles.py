@@ -163,6 +163,33 @@ def mc_H_n(n, x, trials, seed):
     return c * float(np.mean(vals)), c * float(np.std(vals, ddof=1)) / math.sqrt(trials)
 
 
+def serial_simulate_J(n, m, a, trials, rng, grid_points=64):
+    """bcv.noncentral.simulate_J as one loop over the grid on the calling
+    thread: the reference its concurrent grid points must reproduce bit for
+    bit."""
+    from bcv.noncentral import SimulatedJ, edge_region_max
+
+    xa = edge_region_max(a, n)
+    xs = np.linspace(0.0, xa, grid_points + 2)[1:-1]
+    streams = rng.spawn(len(xs))
+    est = np.empty(len(xs))
+    se = np.empty(len(xs))
+    for idx, (x, g) in enumerate(zip(xs, streams)):
+        theta = np.full(trials, x)
+        for _ in range(m):
+            s = g.binomial(n - 2, theta)
+            v = g.random(trials) + g.random(trials)
+            theta = (s + v) / n
+        if not (np.all(theta > 0.0) and np.all(theta < 1.0)):
+            raise AssertionError("composition left (0,1); V in (0,2) forbids this")
+        ratio = (x * (1.0 - x)) / (theta * (1.0 - theta))
+        est[idx] = np.mean(ratio)
+        se[idx] = np.std(ratio, ddof=1) / math.sqrt(trials)
+    k = int(np.argmax(est))
+    return SimulatedJ(float(est[k]), float(se[k]), float(xs[k]),
+                      tuple(xs), tuple(est), tuple(se))
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 

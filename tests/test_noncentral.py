@@ -1,13 +1,15 @@
 """Noncentral-region machinery: fixpoint iterates, J constants, simulation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import mp_L_k_table, plain_alpha, riemann_midpoint
+from oracles import mp_L_k_table, plain_alpha, riemann_midpoint, serial_simulate_J
+from bcv import noncentral
 from bcv.noncentral import (L_k, SimulatedJ, alpha_iter, b_n, edge_region_max,
                             epsilon_n, finite_n_J_bound, first_valid_i,
                             J_limit, simulate_J)
@@ -249,3 +251,75 @@ def test_simulate_J_validation():
         simulate_J(500, 1, 0.9, 5000, rng)
     with pytest.raises(ValueError):
         simulate_J(500, 0, 0.9, 10_000, rng)
+    for bad in (0, -3, 8.0):
+        with pytest.raises(ValueError, match="grid_points"):
+            simulate_J(500, 1, 0.9, 10_000, rng, grid_points=bad)
+    for bad in (1000.7, 1):
+        with pytest.raises(ValueError, match="^n "):
+            simulate_J(bad, 1, 0.1, 10_000, rng)
+    with pytest.raises(ValueError, match="^m "):
+        simulate_J(500, 1.0, 0.9, 10_000, rng)
+    with pytest.raises(ValueError, match="trials"):
+        simulate_J(500, 1, 0.9, 2e4, rng)
+    for bad in (0.0, -0.9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^a "):
+            simulate_J(500, 1, bad, 10_000, rng)
+
+
+_SERIAL_CASES = [(500, 2, 0.9, 10_000, 8, 7), (1000, 1, 0.9, 20_000, 64, 1),
+                 (2000, 13, 7.2, 10_000, 5, 31), (500, 2, 0.9, 10_000, 1, 31)]
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+@pytest.mark.parametrize("n, m, a, trials, points, seed", _SERIAL_CASES)
+def test_simulate_J_equals_serial_loop(monkeypatch, cpus, n, m, a, trials, points, seed):
+    if cpus is not None:
+        monkeypatch.setattr(noncentral, "_cpu_count", lambda: cpus)
+    got = simulate_J(n, m, a, trials, np.random.default_rng(seed), grid_points=points)
+    want = serial_simulate_J(n, m, a, trials, np.random.default_rng(seed), grid_points=points)
+    assert got == want  # tuple fields make this a bitwise comparison
+
+
+class _PointFailure(Exception):
+    pass
+
+
+def _record_point_threads(monkeypatch, fail_at=None):
+    """Patch the per-point helper to record the thread running each grid
+    point, and to raise _PointFailure at grid point x = fail_at."""
+    seen = []
+    point = noncentral._simulate_point
+
+    def recording(n, m, trials, x, g):
+        seen.append(threading.get_ident())
+        if x == fail_at:
+            raise _PointFailure(x)
+        return point(n, m, trials, x, g)
+
+    monkeypatch.setattr(noncentral, "_simulate_point", recording)
+    return seen
+
+
+@pytest.mark.parametrize("cpus, points", [(None, 8), (3, 8), (3, 2), (1, 4)])
+def test_simulate_J_pool_is_bounded_and_joined(monkeypatch, cpus, points):
+    if cpus is not None:
+        monkeypatch.setattr(noncentral, "_cpu_count", lambda: cpus)
+    limit = min(points, noncentral._cpu_count())
+    seen = _record_point_threads(monkeypatch)
+    before = set(threading.enumerate())
+    simulate_J(500, 1, 0.9, 10_000, np.random.default_rng(5), grid_points=points)
+    assert len(seen) == points
+    assert 1 <= len(set(seen)) <= limit
+    assert threading.get_ident() not in seen  # the points ran on the pool
+    assert set(threading.enumerate()) == before
+    assert threading.active_count() == len(before)
+
+
+def test_simulate_J_passes_a_point_error_through(monkeypatch):
+    monkeypatch.setattr(noncentral, "_cpu_count", lambda: 2)
+    xs = np.linspace(0.0, edge_region_max(0.9, 500), 10)[1:-1]
+    _record_point_threads(monkeypatch, fail_at=xs[3])
+    before = set(threading.enumerate())
+    with pytest.raises(_PointFailure):
+        simulate_J(500, 1, 0.9, 10_000, np.random.default_rng(5), grid_points=8)
+    assert set(threading.enumerate()) == before
