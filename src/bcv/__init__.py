@@ -2,7 +2,7 @@
 
 Submodules:
 
-  dist        discrete laws, the banded binomial-row kernel, total variation,
+  dist        discrete laws, the binomial band kernel, total variation,
               inverse moments
   bernstein   the operator, its derivatives, Krawtchouk polynomials
   moduli      moduli of continuity, including the phi-weighted second modulus
@@ -29,13 +29,13 @@ from .central import (SupSearchResult, C_of_lambda, C_tilde, D_coeff,
                       I_n_closed, K_func, nu, phi_ratio_moment_sides,
                       r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
 from .config import SupSearchConfig
-from .dist import (LOG4, LOG2716, BinomialLaw, PoissonLaw, binomial_rows,
+from .dist import (LOG4, LOG2716, BinomialBand, BinomialLaw, PoissonLaw,
+                   binomial_band, binomial_rows,
                    inv_moment_shift_V, stirling_mode_bound_check,
                    tv_binom_poisson_bound, tv_distance)
 from .moduli import ModulusResult, omega1, omega2, omega2_phi
-from .noncentral import (SimulatedJ, alpha_iter, b_n, epsilon_n,
-                         finite_n_J_bound, first_valid_i, J_limit, L_k,
-                         simulate_J)
+from .noncentral import (SimulatedJ, b_n, epsilon_n, finite_n_J_bound,
+                         first_valid_i, J_limit, L_k, simulate_J)
 from .quadrature import gauss_legendre
 from .search import golden_max, sup_search
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import BinomialLaw, _blocks, binomial_rows
+from .dist import BinomialLaw, _blocks, binomial_band, binomial_rows
 from .quadrature import gauss_legendre
 
 # Relative tolerance of the two-form check in bernstein_derivative.
@@ -59,26 +59,18 @@ def phi(x):
 
 def bernstein_apply_many(f, n, xs):
     """B_n f(x) = sum_k f(k/n) C(n,k) x^k (1-x)^(n-k) on an array of points,
-    sharing one grid evaluation of f.
-
-    One row @ values per point: a batched matrix-vector product would be a
-    BLAS gemv, whose rounding differs from the per-row dot product."""
+    sharing one grid evaluation of f; each point's sum runs over its window."""
     vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
-    for sl in _blocks(n, len(xs)):
-        rows = binomial_rows(n, xs[sl])
-        out[sl] = [row @ vals for row in rows]
+    for sl in _blocks(n, xs):
+        out[sl] = binomial_band(n, xs[sl]).dots(vals)
     return out
 
 
 def _iteration_matrix(n):
     # row i holds the binomial(n, i/n) pmf, so M @ v evaluates B_n v on the grid
-    xs = np.arange(n + 1) / n
-    M = np.empty((n + 1, n + 1))
-    for sl in _blocks(n, n + 1):
-        M[sl] = binomial_rows(n, xs[sl])
-    return M
+    return binomial_rows(n, np.arange(n + 1) / n)
 
 
 def _gen_binom(z, j):
@@ -184,18 +176,21 @@ def bernstein_derivative(f, n, m, x):
     # per-point factors as Python floats, rounded as in the one-point formula
     pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
     out = np.empty(len(xs))
-    for sl in _blocks(n, len(xs)):
+    for sl in _blocks(n, xs):
         xb = xs[sl].tolist()
-        p = binomial_rows(n, xb)
-        # built before p * fk and bound to terms, so neither that product
-        # nor the previous block's K_m rows is alive while the rows build
-        terms = _krawtchouk_rows(basis, xb)
-        terms = p * fk * terms
-        kraw = pref[sl] * np.sum(terms, axis=1)
-        kraw_env = pref[sl] * np.sum(np.abs(terms), axis=1)
-        pj = binomial_rows(n - m, xb) if m < n else np.ones((len(xb), 1))
-        fdiff = fall * np.sum(pj * diff, axis=1)
-        fdiff_env = fall * np.sum(pj * np.abs(diff), axis=1)
+        band = binomial_band(n, xb)
+        # the terms (p * fk) * K_m, multiplied into the K_m rows in place
+        terms = _krawtchouk_rows(basis[:, band.cols], xb)
+        terms *= band.rows * fk[band.cols]
+        kraw = pref[sl] * band.sums(terms)
+        kraw_env = pref[sl] * band.sums(np.abs(terms))
+        if m < n:
+            pj = binomial_band(n - m, xb)
+            fdiff = fall * pj.sums(pj.rows * diff[pj.cols])
+            fdiff_env = fall * pj.sums(pj.rows * np.abs(diff[pj.cols]))
+        else:  # S_0 = 0
+            fdiff = np.full(len(xb), fall * diff[0])
+            fdiff_env = np.abs(fdiff)
         scale = np.maximum(1.0, np.maximum(np.abs(kraw), np.abs(fdiff)))
         floor = 1e-10 * (kraw_env + fdiff_env)
         bad = np.flatnonzero(np.abs(kraw - fdiff) > _REL_TOL * scale + floor)

@@ -21,7 +21,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, pdtr, xlogy
 
 from .config import SupSearchConfig
-from .dist import (LOG4, LOG2716, BinomialLaw, _blocks, binomial_rows,
+from .dist import (LOG4, LOG2716, BinomialLaw, _blocks, binomial_band,
                    inv_moment_shift_V)
 from .search import sup_search
 
@@ -190,10 +190,10 @@ def H_n_exact(n, x):
     k = np.arange(n + 1)
     w = _H_weight(n)
     sums = np.empty(len(xs))
-    for sl in _blocks(n, len(xs)):
-        p = binomial_rows(n, xs[sl])
-        dev = np.abs(k - (n * xs[sl]).reshape(-1, 1))
-        sums[sl] = np.sum(p * dev * w, axis=1)
+    for sl in _blocks(n, xs):
+        band = binomial_band(n, xs[sl])
+        dev = np.abs(k[band.cols] - (n * xs[sl]).reshape(-1, 1))
+        sums[sl] = band.sums(band.rows * dev * w[band.cols])
     out = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n) * sums
     return out.reshape(xa.shape) if xa.ndim else float(out[0])
 

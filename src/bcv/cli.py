@@ -29,8 +29,9 @@ from .config import SupSearchConfig
 SCHEMA = 1
 DEFAULT_SEED = 20240817
 # Largest --n accepted: lower takes about 1 s and 120 MB at n = 10^8 (it
-# holds no (n+1)-entry array); hn takes about 35 s at n = 10^6 and over
-# 120 s at 10^7.
+# holds no (n+1)-entry array); hn takes about 2 s at n = 10^6, and stops
+# there because log C(n, k) from gammaln carries about 3e-8 relative error
+# per entry at 10^7.
 MAX_N_LOWER = 10 ** 8
 MAX_N_HN = 10 ** 6
 # Largest --m accepted by upper and sweep: upper_expr_H2 sums m J values,

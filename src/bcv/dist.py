@@ -1,10 +1,20 @@
 """Discrete laws and inverse moments.
 
-Binomial and Poisson laws, the banded binomial-row kernel that every
-expectation over Binomial(n, x) runs on, total variation distance, the
-binomial-Poisson total variation bound, the Stirling bound on the binomial
-mode, and the closed form E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y
-for V = U1 + U2.
+Binomial and Poisson laws, the band kernel that every expectation over
+Binomial(n, x) runs on, total variation distance, the binomial-Poisson total
+variation bound, the Stirling bound on the binomial mode, and the closed form
+E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y for V = U1 + U2.
+
+The band kernel: by Bernstein's inequality all but exp(-760) of a
+Binomial(n, x) row lies in a band |k - nx| <= t around nx, and every entry
+outside it rounds to exactly 0.0.  Each point x gets a window [lo, hi] that
+holds its band, snapped outward to multiples of 64 and clamped to [0, n], so
+the window depends on (n, x) alone.  _blocks cuts the points into blocks of
+about _BLOCK_ENTRIES band entries; binomial_band takes exp over the union of
+one block's windows and returns it as a BinomialBand, whose sums and dots
+reduce each row over its own window.  A point's summation tree is therefore
+the same alone and inside any batch.  binomial_rows is the dense view: the
+band scattered into rows of n+1 entries.
 """
 
 import ctypes
@@ -19,11 +29,13 @@ from scipy.special import gammaln, xlogy
 LOG4 = math.log(4.0)
 LOG2716 = math.log(27.0 / 16.0)
 
-# Entries of one transient block of binomial rows (about 2 MB of float64).
+# Band entries of one transient block of binomial rows (about 2 MB of float64).
 _BLOCK_ENTRIES = 1 << 18
 # Log-mass beyond which exp underflows to exactly 0.0 with room to spare:
 # exp(-745.2) already rounds to zero.
 _BAND_LOG_MASS = 760.0
+# Window edges are multiples of this, so nearby points share a window.
+_BAND_LATTICE = 64
 
 
 def _log_comb(n, k):
@@ -44,8 +56,8 @@ def _log_binom(n):
 def _keep_freed_memory():
     """Under glibc, serve arrays below 32 MB from the heap and keep up to 64 MB
     of it when freed, so block loops reuse their memory: one
-    bernstein_derivative(f, 10**4, 2, x) over 5,000 points then takes 2.0e3
-    minor page faults, not 2.9e5 (glibc 2.36)."""
+    bernstein_derivative(f, 10**4, 2, x) over 5,000 points then takes 4.9e3
+    minor page faults, not 3.9e4 (glibc 2.36)."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -53,46 +65,142 @@ def _keep_freed_memory():
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def _blocks(n, count):
-    """Slices of range(count) whose rows of n+1 entries fit one block."""
-    _keep_freed_memory()
-    step = max(1, _BLOCK_ENTRIES // (n + 1))
-    return [slice(s, s + step) for s in range(0, count, step)]
+def _band_windows(n, xs):
+    """Validated points and each one's window [lo, hi] of k.
 
-
-def binomial_rows(n, xs):
-    """The Binomial(n, x) pmf over k = 0..n for each x in xs, one row each.
-
-    Each row is bit-identical to the dense exp(log C(n, k) + k log x
-    + (n - k) log1p(-x)) over k = 0..n, but exp is taken only over the union
-    of the rows' bands |k - nx| <= t, with
-    t = T/3 + sqrt(T^2/9 + 2 T sigma^2), sigma^2 = nx(1-x) and T = 760.  By
-    Bernstein's inequality every entry outside its band has mass below
-    exp(-760), which the dense code rounds to exactly 0.0, so the zero fill
-    changes no bit of the row or of any sum over it.  Callers pass blocks of
-    points from _blocks, so that one call holds about _BLOCK_ENTRIES entries.
-    """
+    The window holds the Bernstein band |k - nx| <= t, with
+    t = T/3 + sqrt(T^2/9 + 2 T nx(1-x)) and T = _BAND_LOG_MASS, snapped
+    outward to multiples of _BAND_LATTICE and clamped to [0, n].  It depends
+    on (n, x) alone, never on the other points of a call."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     xs = np.asarray(xs, dtype=float).ravel()
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("success probabilities must lie in [0,1]")
-    out = np.zeros((len(xs), n + 1))
-    out[xs == 0.0, 0] = 1.0
-    out[xs == 1.0, n] = 1.0
-    inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
-    if len(inner) == 0:
+    nx = n * xs
+    t = _BAND_LOG_MASS / 3.0 + np.sqrt(_BAND_LOG_MASS ** 2 / 9.0
+                                       + 2.0 * _BAND_LOG_MASS * nx * (1.0 - xs))
+    lo = np.floor((nx - t) / _BAND_LATTICE) * _BAND_LATTICE
+    hi = np.ceil((nx + t + 1.0) / _BAND_LATTICE) * _BAND_LATTICE - 1.0
+    return xs, np.maximum(lo, 0.0).astype(int), np.minimum(hi, n).astype(int)
+
+
+@functools.lru_cache(maxsize=64)
+def _block_points(n):
+    """Points per block: as many windows at x = 1/2, the widest at n, as fit
+    _BLOCK_ENTRIES."""
+    _, lo, hi = _band_windows(n, [0.5])
+    return max(1, _BLOCK_ENTRIES // int(hi[0] - lo[0] + 1))
+
+
+def _blocks(n, xs):
+    """Consecutive slices of the points xs whose bands fit one block.
+
+    A slice holds _block_points(n) points: sized by the widest window at n,
+    not by n+1 entries a row, because nearby points share most of their
+    band.  A slice of points so spread that the union of their windows holds
+    over twice _BLOCK_ENTRIES entries is halved until it fits, or holds a
+    single point."""
+    _keep_freed_memory()
+    count, step = len(xs), _block_points(n)
+    out = [slice(s, min(s + step, count)) for s in range(0, count, step)]
+    if step * (n + 1) <= 2 * _BLOCK_ENTRIES:  # no slice can overflow
         return out
-    x = xs[inner]
-    var = n * x * (1.0 - x)
-    t = _BAND_LOG_MASS / 3.0 + np.sqrt(_BAND_LOG_MASS ** 2 / 9.0 + 2.0 * _BAND_LOG_MASS * var)
-    lo = max(0, int(np.floor(np.min(n * x - t))))
-    hi = min(n, int(np.ceil(np.max(n * x + t))))
-    k = np.arange(lo, hi + 1, dtype=float)
+    _, lo, hi = _band_windows(n, xs)
+    todo, out = [(sl.start, sl.stop) for sl in reversed(out)], []
+    while todo:
+        s, e = todo.pop()
+        if e - s > 1 and (e - s) * (hi[s:e].max() - lo[s:e].min() + 1) > 2 * _BLOCK_ENTRIES:
+            todo += [((s + e) // 2, e), (s, (s + e) // 2)]
+        else:
+            out.append(slice(s, e))
+    return out
+
+
+@dataclass(frozen=True)
+class BinomialBand:
+    """Binomial(n, x) pmf rows over the band k = offset..offset+width-1 that
+    holds every point's window; row i is exactly 0.0 outside [lo[i], hi[i]].
+
+    Each expectation reduces row i over its own window only, so a point's
+    summation tree is the same alone and inside any batch."""
+    offset: int
+    rows: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @property
+    def cols(self):
+        """The band's slice of a vector indexed by k = 0..n."""
+        return slice(self.offset, self.offset + self.rows.shape[1])
+
+    def _runs(self):
+        """(rows, columns) of each run of consecutive points sharing a window,
+        columns relative to the band."""
+        cut = np.flatnonzero((np.diff(self.lo) != 0) | (np.diff(self.hi) != 0)) + 1
+        starts = [0, *cut.tolist()] if len(self.lo) else []
+        for s, e in zip(starts, [*starts[1:], len(self.lo)]):
+            yield slice(s, e), slice(int(self.lo[s]) - self.offset, int(self.hi[s]) + 1 - self.offset)
+
+    def sums(self, terms):
+        """Sum each row of the (points x width) terms over its own window; a
+        run of points sharing a window reduces in one np.sum(axis=1)."""
+        out = np.empty(len(terms))
+        for r, c in self._runs():
+            out[r] = np.sum(terms[r, c], axis=1)
+        return out
+
+    def dots(self, vals):
+        """row i @ vals over row i's window, vals indexed by k = 0..n: one dot
+        product per row, because a batched matrix-vector product would be a
+        BLAS gemv, whose rounding differs from it."""
+        out = np.empty(len(self.rows))
+        for r, c in self._runs():
+            v = vals[self.offset + c.start:self.offset + c.stop]
+            out[r] = [row @ v for row in self.rows[r, c]]
+        return out
+
+
+def binomial_band(n, xs):
+    """The Binomial(n, x) pmf of each x in xs over the union of their windows.
+
+    Every entry is bit-identical to the dense exp(log C(n, k) + k log x
+    + (n - k) log1p(-x)), and exp is taken only over the union of the
+    windows from _band_windows.  By Bernstein's inequality every entry
+    outside a row's band has mass below exp(-760), which exp rounds to
+    exactly 0.0, so dropping the rest of the row changes no entry, and a sum
+    over the window differs from the dense sum only in its summation tree.
+    Callers pass blocks of points from _blocks, so that one band holds about
+    _BLOCK_ENTRIES entries."""
+    xs, lo, hi = _band_windows(n, xs)
+    offset, end = (int(lo.min()), int(hi.max()) + 1) if len(xs) else (0, 0)
+    inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
+    k = np.arange(offset, end, dtype=float)
     # math.log/log1p per x: np.log can differ from them by an ulp
-    lx = np.array([math.log(v) for v in x]).reshape(-1, 1)
-    l1x = np.array([math.log1p(-v) for v in x]).reshape(-1, 1)
-    out[inner, lo:hi + 1] = np.exp(_log_binom(n)[lo:hi + 1] + k * lx + (n - k) * l1x)
+    lx = np.array([math.log(v) for v in xs[inner]]).reshape(-1, 1)
+    l1x = np.array([math.log1p(-v) for v in xs[inner]]).reshape(-1, 1)
+    # exp(log C + k log x + (n - k) log1p(-x)), added in that order
+    out = k * lx
+    out += _log_binom(n)[offset:end]
+    out += (n - k) * l1x
+    np.exp(out, out=out)
+    if len(inner) < len(xs):
+        rows, out = out, np.zeros((len(xs), end - offset))
+        out[inner] = rows
+        edge = np.flatnonzero((xs == 0.0) | (xs == 1.0))
+        out[edge, (n * xs[edge]).astype(int) - offset] = 1.0
+    return BinomialBand(offset, out, lo, hi)
+
+
+def binomial_rows(n, xs):
+    """The dense view of binomial_band: the Binomial(n, x) pmf over k = 0..n
+    for each x in xs, one row each, the band scattered into a zero row."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    blocks = _blocks(n, xs)
+    out = np.zeros((len(xs), n + 1))
+    for sl in blocks:
+        band = binomial_band(n, xs[sl])
+        out[sl, band.cols] = band.rows
     return out
 
 
@@ -192,15 +300,16 @@ def tv_binom_poisson_bound(n, lam):
 def stirling_mode_bound_check(n, m):
     """Check P(S_n(m/n) = m) <= (1/sqrt(2 pi)) sqrt(n/(m(n-m))) at an int m
     (a bool is returned) or at each entry of an int array m (a bool array),
-    reading the pmf rows of all m in blocks of binomial_rows calls."""
+    reading the pmf rows of all m in blocks of binomial_band calls."""
     ma = np.asarray(m)
     ms = ma.ravel()
     if np.any((ms < 1) | (ms > n - 1)):
         raise ValueError(f"m must lie in [1, n-1], got m={m}, n={n}")
+    xs = ms / n
     pmf = np.empty(len(ms))
-    for sl in _blocks(n, len(ms)):
-        rows = binomial_rows(n, ms[sl] / n)
-        pmf[sl] = rows[np.arange(len(rows)), ms[sl]]
+    for sl in _blocks(n, xs):
+        band = binomial_band(n, xs[sl])
+        pmf[sl] = band.rows[np.arange(len(band.rows)), ms[sl] - band.offset]
     out = pmf <= np.sqrt(n / (ms * (n - ms))) / math.sqrt(2.0 * math.pi)
     return out.reshape(ma.shape) if ma.ndim else bool(out[0])
 

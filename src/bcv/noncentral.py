@@ -40,18 +40,6 @@ def _alpha_iterates(theta):
         v = -np.expm1(-v)
 
 
-def alpha_iter(m, theta):
-    """alpha_m(theta) with alpha_0 = theta, alpha_{k+1} = 1 - e^{-alpha_k};
-    theta is a float or an array of points in [0, 1]."""
-    if m < 0:
-        raise ValueError("iterate depth m must be >= 0")
-    v = np.asarray(theta, dtype=float)
-    if not np.all((0.0 <= v) & (v <= 1.0)):
-        raise ValueError("theta must lie in [0,1]")
-    v = next(itertools.islice(_alpha_iterates(v), m, None))
-    return v if v.ndim else float(v)
-
-
 def first_valid_i(a):
     """Smallest i >= 1 with a < 1/alpha_{i-1}(1); the iterates vanish slowly,
     so this grows roughly like 2a."""

@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import sympy
 from scipy import integrate
+from scipy.special import gammaln
 
 _Y, _X = sympy.symbols("y x")
 
@@ -188,6 +189,53 @@ def serial_simulate_J(n, m, a, trials, rng, grid_points=64):
     k = int(np.argmax(est))
     return SimulatedJ(float(est[k]), float(se[k]), float(xs[k]),
                       tuple(xs), tuple(est), tuple(se))
+
+
+# ---------------------------------------------------------------------------
+# dense binomial rows: every expectation summed over all n+1 entries, the
+# reference for the package's sums over each row's window
+
+
+def dense_binomial_row(n, x):
+    """exp(log C(n,k) + k log x + (n-k) log1p(-x)) over all of k = 0..n, with
+    math.log/log1p, as the package's rows."""
+    k = np.arange(n + 1, dtype=float)
+    if x == 0.0:
+        return (k == 0).astype(float)
+    if x == 1.0:
+        return (k == n).astype(float)
+    return np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                  + k * math.log(x) + (n - k) * math.log1p(-x))
+
+
+def dense_bernstein_apply_many(f, n, xs):
+    """B_n f at each x of xs: the full row @ f(k/n)."""
+    vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
+    return np.array([dense_binomial_row(n, x) @ vals for x in map(float, xs)])
+
+
+def dense_bernstein_derivative(f, n, m, xs):
+    """(B_n f)^(m) at each x of xs in the Krawtchouk form
+    (m!/phi^(2m)(x)) E f(S_n(x)/n) K_m(x; S_n(x)), summed over the full row."""
+    from bcv.bernstein import krawtchouk
+
+    k = np.arange(n + 1)
+    fk = np.asarray(f(k / n), dtype=float)
+    return np.array([math.factorial(m) / (x * (1.0 - x)) ** m
+                     * np.sum(dense_binomial_row(n, x) * fk * krawtchouk(n, m, x, k))
+                     for x in map(float, xs)])
+
+
+def dense_H_n(n, xs):
+    """H_n at each x of xs, phi(x) sqrt(n) E|S - nx| (E 1/(S+V) + E 1/(n-S+V)),
+    summed over the full row."""
+    from bcv.dist import inv_moment_shift_V
+
+    k = np.arange(n + 1)
+    inv = inv_moment_shift_V(k)
+    return np.array([math.sqrt(x * (1.0 - x) * n)
+                     * np.sum(dense_binomial_row(n, x) * np.abs(k - n * x) * (inv + inv[::-1]))
+                     for x in map(float, xs)])
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (SYMPY_Y, frac_bernstein, frac_bernstein_grid,
-                     krawtchouk_k1, krawtchouk_k2, quad_integral,
-                     sympy_bernstein_derivative)
+from oracles import (SYMPY_Y, dense_bernstein_apply_many,
+                     dense_bernstein_derivative, dense_H_n, frac_bernstein,
+                     frac_bernstein_grid, krawtchouk_k1, krawtchouk_k2,
+                     quad_integral, sympy_bernstein_derivative)
 import bcv.bernstein as bernstein_module
 from bcv.bernstein import (ConsistencyError, PiecewiseLinearFn,
                            _iteration_matrix, bernstein_apply_many,
@@ -20,7 +21,7 @@ from bcv.bernstein import (ConsistencyError, PiecewiseLinearFn,
                            kantorovich_check, krawtchouk,
                            krawtchouk_orthogonality_check, phi)
 from bcv.bounds import build_fn_lower
-from bcv.central import K_func
+from bcv.central import H_n_exact, K_func
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +254,43 @@ def test_batched_derivative_and_apply_equal_scalar_calls_bitwise(n):
     many = bernstein_apply_many(f, n, grid)
     each = np.array([bernstein_apply(f, n, float(x)) for x in grid])
     assert np.array_equal(many, each), n
+
+
+# At n = 1e5 the third derivative of the witness fails the two-form check in
+# bernstein_derivative (ConsistencyError at x = 0.15, ..., 0.85): the
+# Krawtchouk form cancels about 1e9 down to 0 there, and the log-space pmf
+# carries about 1e-10 relative noise per entry at that n.
+_M_AT = {100_000: (1, 2)}
+
+
+@pytest.mark.parametrize("m", _M_AT[100_000])
+def test_batched_derivative_and_apply_equal_scalar_calls_bitwise_at_1e5(m):
+    n = 100_000
+    f = build_fn_lower(n)
+    xs = _batch_points(n)
+    many = bernstein_derivative(f, n, m, xs)
+    assert np.array_equal(many, [bernstein_derivative(f, n, m, float(x)) for x in xs]), m
+    grid = np.concatenate([[0.0, 1.0], xs])
+    many = bernstein_apply_many(f, n, grid)
+    assert np.array_equal(many, [bernstein_apply(f, n, float(x)) for x in grid])
+
+
+@pytest.mark.parametrize("n", [10, 1000, 10_000, 100_000])
+def test_band_sums_agree_with_dense_rows(n):
+    # each row is summed over its window only, so only the summation tree
+    # differs from the sum over all n+1 entries of the dense row
+    xs = np.concatenate([_batch_points(n), [1e-12, 1.0 - 1e-9]])
+    f = build_fn_lower(n)
+    positive = lambda y: 2.0 + f(y)  # no cancellation, so relative error is meaningful
+    grid = np.concatenate([[0.0, 1.0], xs])
+    got, ref = bernstein_apply_many(positive, n, grid), dense_bernstein_apply_many(positive, n, grid)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), n
+    for m in _M_AT.get(n, (1, 2, 3)):
+        got, ref = bernstein_derivative(f, n, m, xs), dense_bernstein_derivative(f, n, m, xs)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, m)
+    half = xs[xs <= 0.5]
+    got, ref = H_n_exact(n, half), dense_H_n(n, half)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), n
 
 
 def test_corrupted_krawtchouk_basis_raises_in_batched_path(monkeypatch):

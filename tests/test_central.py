@@ -164,7 +164,7 @@ def test_sup_H_n_values_and_bound():
     assert res500.arg < 0.05  # maximizer sits near the left edge
 
 
-@pytest.mark.parametrize("n", [10, 50, 10_000])
+@pytest.mark.parametrize("n", [10, 50, 10_000, 100_000])
 def test_batched_H_n_equals_scalar_calls_bitwise(n):
     lam = np.array([0.5, 1.0, 2.0, 3.0, 7.5, 20.0])
     xs = np.concatenate([np.linspace(0.02, 0.5, 13), lam / n])

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import gammaln
 
 import bcv
-from oracles import (frac_binom_pmf, mp_inv_moment_shift, quad_integral,
-                     tent_density)
-from bcv.dist import (LOG4, LOG2716, BinomialLaw, PoissonLaw, _log_binom,
+from oracles import (dense_binomial_row, frac_binom_pmf, mp_inv_moment_shift,
+                     quad_integral, tent_density)
+from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, BinomialLaw, PoissonLaw,
+                      _band_windows, _blocks, _log_binom, binomial_band,
                       binomial_rows, inv_moment_shift_V,
                       stirling_mode_bound_check, tv_binom_poisson_bound,
                       tv_distance)
@@ -104,18 +104,6 @@ def test_binomial_mean_property(n, x):
 _BAND_T = 760.0
 
 
-def _dense_row(n, x):
-    """exp(log C(n,k) + k log x + (n-k) log1p(-x)) over all of 0..n, with
-    math.log/log1p, as the dense code."""
-    k = np.arange(n + 1, dtype=float)
-    if x == 0.0:
-        return (k == 0).astype(float)
-    if x == 1.0:
-        return (k == n).astype(float)
-    return np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-                  + k * math.log(x) + (n - k) * math.log1p(-x))
-
-
 def _row_points(n):
     xs = (0.0, 1e-12, 0.5 / n, 3.0 / n, 0.3, 0.5, 1.0 - 2.0 / n, 1.0 - 1e-9, 1.0)
     return [x for x in xs if 0.0 <= x <= 1.0]
@@ -127,7 +115,7 @@ def test_binomial_rows_equal_dense_reference_bitwise(n):
     rows = binomial_rows(n, xs)
     assert rows.shape == (len(xs), n + 1)
     for x, row in zip(xs, rows):
-        ref = _dense_row(n, x)
+        ref = dense_binomial_row(n, x)
         assert np.array_equal(row, ref), (n, x)
         assert np.array_equal(BinomialLaw(n, x).pmf_vector(), ref), (n, x)
 
@@ -138,7 +126,43 @@ def test_dense_reference_is_zero_outside_the_band(n):
     for x in _row_points(n):
         t = _BAND_T / 3.0 + math.sqrt(_BAND_T ** 2 / 9.0 + 2.0 * _BAND_T * n * x * (1.0 - x))
         outside = np.abs(k - n * x) > t
-        assert np.all(_dense_row(n, x)[outside] == 0.0), (n, x)
+        assert np.all(dense_binomial_row(n, x)[outside] == 0.0), (n, x)
+
+
+_EDGE_POINTS = st.sampled_from([0.0, 1e-12, 0.5, 1.0 - 1e-9, 1.0])
+
+
+@given(st.sampled_from([1, 2, 10, 500, 1000, 10_000, 100_000]),
+       st.lists(st.one_of(st.floats(0.0, 1.0), _EDGE_POINTS), min_size=1, max_size=8))
+def test_band_window_is_per_point_and_holds_the_band(n, xs):
+    band = binomial_band(n, xs)
+    for i, x in enumerate(xs):
+        alone = binomial_band(n, [x])
+        lo, hi = int(band.lo[i]), int(band.hi[i])
+        assert (lo, hi) == (int(alone.lo[0]), int(alone.hi[0])), (n, x)
+        assert 0 <= lo <= hi <= n
+        # every k with |k - nx| <= t lies in [lo, hi]
+        t = _BAND_T / 3.0 + math.sqrt(_BAND_T ** 2 / 9.0 + 2.0 * _BAND_T * n * x * (1.0 - x))
+        assert lo == 0 or lo <= n * x - t, (n, x)
+        assert hi == n or hi >= n * x + t, (n, x)
+        # and the row is exactly zero outside its window
+        k = np.arange(band.offset, band.offset + band.rows.shape[1])
+        assert np.all(band.rows[i][(k < lo) | (k > hi)] == 0.0), (n, x)
+        assert np.array_equal(band.rows[i][(k >= lo) & (k <= hi)],
+                              alone.rows[0][lo - alone.offset:hi + 1 - alone.offset])
+
+
+@pytest.mark.parametrize("n", [10, 10_000, 1_000_000])
+def test_blocks_cover_the_points_in_order_within_the_block_size(n):
+    # a sorted run, then points spread over the whole row
+    xs = np.concatenate([np.linspace(0.2, 0.3, 500), np.linspace(0.0, 1.0, 300)])
+    slices = _blocks(n, xs)
+    stops = [sl.stop for sl in slices]
+    assert [sl.start for sl in slices] == [0] + stops[:-1] and stops[-1] == len(xs)
+    _, lo, hi = _band_windows(n, xs)
+    for sl in slices:
+        width = hi[sl].max() - lo[sl].min() + 1
+        assert sl.stop - sl.start == 1 or (sl.stop - sl.start) * width <= 2 * _BLOCK_ENTRIES
 
 
 def test_binomial_rows_match_exact_rationals_for_small_n():
@@ -173,7 +197,7 @@ def test_binomial_rows_validation_and_read_only_cache():
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's heap limits")
 def test_block_loops_do_not_page_fault_every_block():
     # in a fresh interpreter, so no earlier test has grown glibc's limits:
-    # without them the 77 row blocks of this derivative take 1.35e5 minor
+    # without them the 35 band blocks of this derivative take 1.3e4 minor
     # page faults, with them about 4.6e3
     code = ("import resource, numpy as np\n"
             "from bcv import bernstein\n"
@@ -184,7 +208,7 @@ def test_block_loops_do_not_page_fault_every_block():
     src = os.path.dirname(os.path.dirname(bcv.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
-    assert int(out.stdout) < 20_000
+    assert int(out.stdout) < 10_000
 
 
 # ---------------------------------------------------------------------------
