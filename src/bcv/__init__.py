@@ -30,8 +30,7 @@ from .central import (SupSearchResult, C_of_lambda, C_tilde, D_coeff,
                       r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
 from .config import SupSearchConfig
 from .dist import (LOG4, LOG2716, BinomialBand, BinomialLaw, PoissonLaw,
-                   binomial_band, binomial_rows,
-                   inv_moment_shift_V, stirling_mode_bound_check,
+                   binomial_band, inv_moment_shift_V, stirling_mode_bound_check,
                    tv_binom_poisson_bound, tv_distance)
 from .moduli import ModulusResult, omega1, omega2, omega2_phi
 from .noncentral import (SimulatedJ, b_n, epsilon_n, finite_n_J_bound,

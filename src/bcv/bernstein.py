@@ -1,9 +1,9 @@
 """Bernstein operator machinery.
 
-Evaluation of B_n f, the matrix of B_n on the grid j/n (for iterates),
-Krawtchouk polynomials and their orthogonality under the binomial law, the
-two closed representations of (B_n f)^(m), the Kantorovich representation
-through Irwin-Hall smoothing, and exact absolute central moments of S_n(x)/n.
+Evaluation of B_n f, Krawtchouk polynomials and their orthogonality under
+the binomial law, the two closed representations of (B_n f)^(m), the
+Kantorovich representation through Irwin-Hall smoothing, and exact absolute
+central moments of S_n(x)/n.
 """
 
 import functools
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import BinomialLaw, _blocks, binomial_band, binomial_rows
+from .dist import BinomialLaw, _blocks, binomial_band
 from .quadrature import gauss_legendre
 
 # Relative tolerance of the two-form check in bernstein_derivative.
@@ -64,13 +64,9 @@ def bernstein_apply_many(f, n, xs):
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
     for sl in _blocks(n, xs):
-        out[sl] = binomial_band(n, xs[sl]).dots(vals)
+        band = binomial_band(n, xs[sl])
+        out[sl] = band.sums(band.rows * vals[band.cols])
     return out
-
-
-def _iteration_matrix(n):
-    # row i holds the binomial(n, i/n) pmf, so M @ v evaluates B_n v on the grid
-    return binomial_rows(n, np.arange(n + 1) / n)
 
 
 def _gen_binom(z, j):

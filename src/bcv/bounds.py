@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import (PiecewiseLinearFn, _iteration_matrix,
-                        bernstein_apply_many, bernstein_derivative)
+from .bernstein import (PiecewiseLinearFn, bernstein_apply_many,
+                        bernstein_derivative)
 from .central import K_func, SupSearchResult, sup_H_n
 from .config import SupSearchConfig
 from .dist import LOG4, PoissonLaw, _log_comb
@@ -197,7 +197,11 @@ def sup_G_minus_g(scan=SupSearchConfig(lambda_max=40.0)):
 
 def _fn_lower_error(n, x):
     """|B_n f_n - f_n| at points x, using the exact four-term form
-    B_n f_n = 1 - 1.8 p_1 - 2 p_2 - 0.96 p_3."""
+    B_n f_n = 1 - 1.8 p_1 - 2 p_2 - 0.96 p_3.
+
+    The three binomial probabilities p_1, p_2, p_3 are formed here from
+    three log C(n, k) values, not read from the band kernel: lower accepts n
+    up to 10^8, where a table of n+1 log C(n, k) values does not fit."""
     x = np.asarray(x, dtype=float)
     fn = build_fn_lower(n)
     logc = _log_comb(n, np.arange(4.0))
@@ -336,7 +340,7 @@ def iterate_converse_check(f, n):
     norms over (0, 1/2].  Both derivatives only read their argument on the
     grid j/n, so g is represented exactly by its grid values B_n f(j/n).
     """
-    g_grid = _iteration_matrix(n) @ np.asarray(f(np.arange(n + 1) / n), dtype=float)
+    g_grid = bernstein_apply_many(f, n, np.arange(n + 1) / n)
 
     def g_fn(y):
         return g_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]

@@ -27,6 +27,9 @@ from .search import sup_search
 
 # Grid points of the x-scan in sup_H_n.
 H_SCAN_POINTS = 4096
+# The flat profile level c of C~ = 2 c log(27/16) + r and of the large-lambda
+# branch I_n(x) <= c (1-x).
+C_FLAT = 0.8
 # Taylor coefficients of q(u) = ((1+u) log(1+u) - u)/u^2 in u, and of
 # A(y) = (y - atan y)/y^3 in y^2.  Below |u|, |y| = 1/4 the closed forms
 # cancel; there the series, truncated below 1e-17, take over.
@@ -111,9 +114,9 @@ def C_of_lambda(lam):
     return out if out.ndim else float(out)
 
 
-def C_tilde(lam, c=0.8):
-    """Flat-profile variant 2 c log(27/16) + r(lam)."""
-    return 2.0 * c * LOG2716 + r_of_lambda(lam)
+def C_tilde(lam):
+    """Flat-profile variant 2 c log(27/16) + r(lam), c = C_FLAT."""
+    return 2.0 * C_FLAT * LOG2716 + r_of_lambda(lam)
 
 
 def _scan_lambdas(scan):
@@ -124,7 +127,7 @@ def _scan_lambdas(scan):
     return np.unique(np.concatenate([lams, extra]))
 
 
-def _tail_certificate(bound=0.87):
+def _tail_certificate():
     lams = np.linspace(60.0, 200.0, 1001)
     nu_cap = math.sqrt(2.0 / math.pi) + 0.02
     if np.max(nu(lams)) > nu_cap:
@@ -134,7 +137,7 @@ def _tail_certificate(bound=0.87):
         raise RuntimeError("tail bound for r failed at lambda=60")
     cert = ("for lambda >= 60: r(lambda) <= r(60) < 1e-20 (r decreasing there) "
             "and nu(lambda) <= sqrt(2/pi)+0.02 checked on [60,200], "
-            f"so C(lambda) <= 2*log(27/16)*0.82 < {bound}")
+            "so C(lambda) <= 2*log(27/16)*0.82 < 0.87")
     return cert
 
 
@@ -153,12 +156,12 @@ def sup_C(scan=SupSearchConfig()):
     return SupSearchResult(value, arg, (0.0, scan.lambda_max), _tail_certificate())
 
 
-def sup_C_tilde(scan=SupSearchConfig(), c=0.8):
+def sup_C_tilde(scan=SupSearchConfig()):
     """sup over lambda of the flat-profile variant; the lambda-dependence is
     all in r, whose unique maximum sits at lambda = 3/2."""
     if scan.lambda_max < 60.0:
         raise ValueError("scan must cover (0, 60]")
-    arg, value, _ = sup_search(lambda t: C_tilde(t, c), _scan_lambdas(scan))
+    arg, value, _ = sup_search(C_tilde, _scan_lambdas(scan))
     cert = ("r is unimodal with peak at lambda = 3/2 and r(60) < 1e-20, "
             "so the scanned maximum is global")
     return SupSearchResult(value, arg, (0.0, scan.lambda_max), cert)
@@ -233,13 +236,13 @@ def H_n_upper(n, x):
     return 2.0 * LOG2716 * (I_n_closed(n, x) + I_n_closed(n, 1.0 - x)) + mid + tail
 
 
-def I_n_branch_check(n, x, lambda0, c=0.8):
-    """Check the two-branch bound on I_n at one point:
+def I_n_branch_check(n, x, lambda0):
+    """Check the two-branch bound on I_n at one point, c = C_FLAT:
 
         I_n(x) <= c (1-x)                          if nx >= lambda0,
         I_n(x) <= (1-x)(nu(nx) + D(lambda0)/n)     if nx <  lambda0.
 
-    lambda0 and c are plain floats so small surrogate thresholds can be
+    lambda0 is a plain float so small surrogate thresholds can be
     exercised; the caller owns the hypotheses that make each branch valid.
     """
     if n < 2.0 * lambda0:
@@ -247,7 +250,7 @@ def I_n_branch_check(n, x, lambda0, c=0.8):
     lam = n * x
     v = I_n_closed(n, x)
     if lam >= lambda0:
-        return v <= c * (1.0 - x)
+        return v <= C_FLAT * (1.0 - x)
     return v <= (1.0 - x) * (nu(lam) + D_coeff(lambda0) / n)
 
 

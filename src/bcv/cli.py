@@ -81,10 +81,6 @@ class _Check:
                            ok, ms, self.seed, self.grid)
 
 
-def _run_checks(checks):
-    return [c.run() for c in checks]
-
-
 def _render_json(command, entries):
     payload = {
         "schema": SCHEMA,
@@ -129,18 +125,25 @@ def _render_text(entries):
     return "\n".join(lines) + "\n"
 
 
-def _emit(command, entries, args):
+def _write(text, out):
+    """Write text to the file out, or to stdout when out is None."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(command, checks, args):
+    """Run the checks, write their report and return the exit code."""
+    entries = [c.run() for c in checks]
     if args.format == "json":
         text = _render_json(command, entries)
     elif args.format == "csv":
         text = _render_csv(entries)
     else:
         text = _render_text(entries)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     failing = [e.claim_id for e in entries if not e.passed]
     if failing:
         print("failing: " + ", ".join(failing), file=sys.stderr)
@@ -174,7 +177,7 @@ def _cmd_constants(args):
         _Check("K_7.2", lambda: central.K_func(7.2),
               reference=2.8276, tolerance=5e-4),
     ]
-    return _emit("constants", _run_checks(checks), args)
+    return _emit("constants", checks, args)
 
 
 def _cmd_upper(args):
@@ -193,7 +196,7 @@ def _cmd_upper(args):
         _Check("upper_expr_H2_below_74.8", lambda: rep.expr_H2,
               predicate=lambda v: v < 74.8, grid=desc),
     ]
-    return _emit("upper", _run_checks(checks), args)
+    return _emit("upper", checks, args)
 
 
 def _cmd_lower(args):
@@ -211,7 +214,7 @@ def _cmd_lower(args):
         _Check("sup_G_minus_g", lambda: rep.sup_G_minus_g,
               predicate=lambda v: v <= 0.80, grid=desc),
     ]
-    return _emit("lower", _run_checks(checks), args)
+    return _emit("lower", checks, args)
 
 
 def _cmd_hn(args):
@@ -223,7 +226,7 @@ def _cmd_hn(args):
               predicate=lambda v: v <= 1.0,
               grid=f"x_points={central.H_SCAN_POINTS},arg={res.arg:.6g}"),
     ]
-    return _emit("hn", _run_checks(checks), args)
+    return _emit("hn", checks, args)
 
 
 def _suite_dist():
@@ -450,7 +453,7 @@ def _cmd_verify(args):
     checks = []
     for name in names:
         checks.extend(_SUITES[name](seed))
-    return _emit("verify", _run_checks(checks), args)
+    return _emit("verify", checks, args)
 
 
 def _cmd_sweep(args):
@@ -473,12 +476,7 @@ def _cmd_sweep(args):
     lines = ["a,i,expr_H1,expr_H2,max"]
     lines.extend(f"{r.a:.2f},{r.i},{r.expr_H1:.6f},{r.expr_H2:.6f},{r.max:.6f}"
                  for r in reports)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -11,10 +11,9 @@ outside it rounds to exactly 0.0.  Each point x gets a window [lo, hi] that
 holds its band, snapped outward to multiples of 64 and clamped to [0, n], so
 the window depends on (n, x) alone.  _blocks cuts the points into blocks of
 about _BLOCK_ENTRIES band entries; binomial_band takes exp over the union of
-one block's windows and returns it as a BinomialBand, whose sums and dots
-reduce each row over its own window.  A point's summation tree is therefore
-the same alone and inside any batch.  binomial_rows is the dense view: the
-band scattered into rows of n+1 entries.
+one block's windows and returns it as a BinomialBand, whose sums reduce each
+row over its own window.  A point's summation tree is therefore the same
+alone and inside any batch.
 """
 
 import ctypes
@@ -150,16 +149,6 @@ class BinomialBand:
             out[r] = np.sum(terms[r, c], axis=1)
         return out
 
-    def dots(self, vals):
-        """row i @ vals over row i's window, vals indexed by k = 0..n: one dot
-        product per row, because a batched matrix-vector product would be a
-        BLAS gemv, whose rounding differs from it."""
-        out = np.empty(len(self.rows))
-        for r, c in self._runs():
-            v = vals[self.offset + c.start:self.offset + c.stop]
-            out[r] = [row @ v for row in self.rows[r, c]]
-        return out
-
 
 def binomial_band(n, xs):
     """The Binomial(n, x) pmf of each x in xs over the union of their windows.
@@ -192,18 +181,6 @@ def binomial_band(n, xs):
     return BinomialBand(offset, out, lo, hi)
 
 
-def binomial_rows(n, xs):
-    """The dense view of binomial_band: the Binomial(n, x) pmf over k = 0..n
-    for each x in xs, one row each, the band scattered into a zero row."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    blocks = _blocks(n, xs)
-    out = np.zeros((len(xs), n + 1))
-    for sl in blocks:
-        band = binomial_band(n, xs[sl])
-        out[sl, band.cols] = band.rows
-    return out
-
-
 @dataclass(frozen=True)
 class BinomialLaw:
     """Law of the number of successes in n trials with probability x."""
@@ -215,10 +192,6 @@ class BinomialLaw:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not 0.0 <= self.x <= 1.0:
             raise ValueError(f"success probability must lie in [0,1], got {self.x}")
-
-    @property
-    def mean(self):
-        return self.n * self.x
 
     def support(self):
         return np.arange(self.n + 1)
@@ -232,8 +205,12 @@ class BinomialLaw:
         return out if out.ndim else float(out)
 
     def pmf_vector(self):
-        """All n+1 probabilities; sums to 1 up to rounding."""
-        return binomial_rows(self.n, [self.x])[0]
+        """All n+1 probabilities, the one-point band scattered into a zero
+        row; sums to 1 up to rounding."""
+        band = binomial_band(self.n, [self.x])
+        out = np.zeros(self.n + 1)
+        out[band.cols] = band.rows[0]
+        return out
 
 
 @dataclass(frozen=True)
@@ -243,10 +220,6 @@ class PoissonLaw:
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError(f"Poisson mean must be >= 0, got {self.lam}")
-
-    @property
-    def mean(self):
-        return self.lam
 
     def truncation(self):
         """Support cutoff k* with tail mass below 1e-15 for lam <= 100."""
@@ -268,9 +241,6 @@ class PoissonLaw:
 
     def pmf(self, k):
         return np.exp(self.logpmf(k))
-
-    def pmf_vector(self):
-        return np.exp(self.logpmf(self.support()))
 
 
 def tv_distance(p, q):

@@ -208,6 +208,12 @@ def dense_binomial_row(n, x):
                   + k * math.log(x) + (n - k) * math.log1p(-x))
 
 
+def dense_iteration_matrix(n):
+    """The matrix of B_n on the grid j/n: row i is the full Binomial(n, i/n)
+    row, so M @ v is B_n v on the grid and M^k @ v is B_n^k v."""
+    return np.array([dense_binomial_row(n, i / n) for i in range(n + 1)])
+
+
 def dense_bernstein_apply_many(f, n, xs):
     """B_n f at each x of xs: the full row @ f(k/n)."""
     vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)

@@ -10,15 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (SYMPY_Y, dense_bernstein_apply_many,
-                     dense_bernstein_derivative, dense_H_n, frac_bernstein,
+                     dense_bernstein_derivative, dense_H_n,
+                     dense_iteration_matrix, frac_bernstein,
                      frac_bernstein_grid, krawtchouk_k1, krawtchouk_k2,
                      quad_integral, sympy_bernstein_derivative)
 import bcv.bernstein as bernstein_module
 from bcv.bernstein import (ConsistencyError, PiecewiseLinearFn,
-                           _iteration_matrix, bernstein_apply_many,
-                           bernstein_derivative, central_moment,
-                           central_moment_closed, irwin_hall_density,
-                           kantorovich_check, krawtchouk,
+                           bernstein_apply_many, bernstein_derivative,
+                           central_moment, central_moment_closed,
+                           irwin_hall_density, kantorovich_check, krawtchouk,
                            krawtchouk_orthogonality_check, phi)
 from bcv.bounds import build_fn_lower
 from bcv.central import H_n_exact, K_func
@@ -124,7 +124,7 @@ def test_iterate_k1_equals_apply():
     f = lambda y: np.cos(np.asarray(y))
     for n in (5, 30):
         grid = np.arange(n + 1) / n
-        once = _iteration_matrix(n) @ f(grid)
+        once = dense_iteration_matrix(n) @ f(grid)
         assert np.allclose(once, bernstein_apply_many(f, n, grid), rtol=0, atol=1e-14)
 
 
@@ -132,7 +132,7 @@ def test_iterate_matches_exact_rational_iteration():
     # B_n^k f on the grid j/n is M^k applied to the grid values of f
     n = 8
     grid = [Fraction(k, n) ** 3 for k in range(n + 1)]
-    M = _iteration_matrix(n)
+    M = dense_iteration_matrix(n)
     for k in (1, 2, 3):
         grid = frac_bernstein_grid(grid)
         vals = np.linalg.matrix_power(M, k) @ ((np.arange(n + 1) / n) ** 3)

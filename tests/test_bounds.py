@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from oracles import dense_iteration_matrix
 from bcv.bernstein import bernstein_apply_many
-from bcv.bounds import (G_of_lambda, LowerBoundReport, UpperBoundReport,
-                        ValidatorResult, _fn_lower_error, build_fn_lower,
+from bcv.bounds import (SQRT2, _NORM_XS, G_of_lambda, LowerBoundReport,
+                        UpperBoundReport, ValidatorResult, _fn_lower_error,
+                        _grid_norms, build_fn_lower,
                         central_converse_check, fn_lower_error_sup,
                         g_of_lambda, iterate_converse_check, lower_bound_ratio,
                         modulus_upper_check, modulus_upper_sides,
@@ -284,3 +286,30 @@ def test_iterate_converse_holds():
     res = iterate_converse_check(lambda y: np.asarray(y) ** 3, 50)
     assert res.binding and res.holds
     assert res.note == "g = B_n f"
+
+
+def _matrix_iterate_converse(f, n):
+    """(holds, binding, lhs, rhs) of iterate_converse_check with g = B_n f
+    on the grid taken as the dense iteration matrix times f's grid values."""
+    g_grid = dense_iteration_matrix(n) @ np.asarray(f(np.arange(n + 1) / n), dtype=float)
+    g_fn = lambda y: g_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
+    err, wd2 = _grid_norms(f, n, _NORM_XS, g=g_fn)
+    lhs, rhs = wd2 / (2.0 * n), err / SQRT2
+    return lhs <= rhs + 1e-12, True, lhs, rhs
+
+
+@pytest.mark.parametrize("n", [10, 50, 200])
+@pytest.mark.parametrize("f", [lambda y: np.asarray(y) ** 3,
+                               lambda y: np.sin(math.pi * np.asarray(y))],
+                         ids=["cube", "sine"])
+def test_iterate_converse_matches_the_matrix_path(f, n):
+    res = iterate_converse_check(f, n)
+    holds, binding, lhs, rhs = _matrix_iterate_converse(f, n)
+    assert (res.holds, res.binding) == (holds, binding)
+    assert res.rhs == pytest.approx(rhs, rel=1e-13, abs=0.0)
+    # lhs is max phi^2 |(B_n g)'' - (B_n f)''| / (2n), a difference of two
+    # derivatives up to n times its size: the ulps by which the two paths'
+    # g differ move it by up to 2.7e-13 of itself at n = 200, so it is
+    # compared at 1e-13 of the scale of what it subtracts
+    scale = _grid_norms(f, n, _NORM_XS)[1] / (2.0 * n)
+    assert abs(res.lhs - lhs) <= 1e-13 * scale

@@ -216,7 +216,7 @@ def test_branch_check_large_lambda_at_real_threshold():
     n = 450_000
     for x in (0.497, 0.5):
         assert n * x >= 223600.0
-        assert I_n_branch_check(n, x, lambda0=223600.0, c=0.8)
+        assert I_n_branch_check(n, x, lambda0=223600.0)
 
 
 def test_branch_check_domain():

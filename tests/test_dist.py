@@ -16,11 +16,13 @@ from scipy import stats
 import bcv
 from oracles import (dense_binomial_row, frac_binom_pmf, mp_inv_moment_shift,
                      quad_integral, tent_density)
+from bcv.bernstein import bernstein_apply_many, bernstein_derivative
+from bcv.bounds import iterate_converse_check
+from bcv.central import H_n_exact
 from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, BinomialLaw, PoissonLaw,
                       _band_windows, _blocks, _log_binom, binomial_band,
-                      binomial_rows, inv_moment_shift_V,
-                      stirling_mode_bound_check, tv_binom_poisson_bound,
-                      tv_distance)
+                      inv_moment_shift_V, stirling_mode_bound_check,
+                      tv_binom_poisson_bound, tv_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +93,6 @@ def test_binomial_validation():
 @given(st.integers(1, 40), st.floats(0.0, 1.0))
 def test_binomial_mean_property(n, x):
     law = BinomialLaw(n, x)
-    assert law.mean == pytest.approx(n * x)
     k = np.arange(n + 1)
     assert float(k @ law.pmf_vector()) == pytest.approx(n * x, abs=1e-9)
 
@@ -109,11 +110,21 @@ def _row_points(n):
     return [x for x in xs if 0.0 <= x <= 1.0]
 
 
+def _scattered_rows(n, xs):
+    """The rows of one binomial_band over all of xs, each scattered into a
+    zero row of n+1 entries."""
+    band = binomial_band(n, xs)
+    out = np.zeros((len(xs), n + 1))
+    out[:, band.cols] = band.rows
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 10, 1000, 10_000, 100_000])
 def test_binomial_rows_equal_dense_reference_bitwise(n):
+    # the band's rows and pmf_vector's one-point band, both against the
+    # full row of n+1 entries
     xs = _row_points(n)
-    rows = binomial_rows(n, xs)
-    assert rows.shape == (len(xs), n + 1)
+    rows = _scattered_rows(n, xs)
     for x, row in zip(xs, rows):
         ref = dense_binomial_row(n, x)
         assert np.array_equal(row, ref), (n, x)
@@ -166,16 +177,19 @@ def test_blocks_cover_the_points_in_order_within_the_block_size(n):
 
 
 def test_binomial_rows_match_exact_rationals_for_small_n():
+    ps = (Fraction(1, 3), Fraction(2, 5), Fraction(1, 7), Fraction(9, 10))
     for n in range(1, 13):
-        for p in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 7), Fraction(9, 10)):
-            row = binomial_rows(n, [float(p)])[0]
+        rows = _scattered_rows(n, [float(p) for p in ps])
+        for p, row in zip(ps, rows):
             ref = [float(frac_binom_pmf(n, k, p)) for k in range(n + 1)]
             assert row == pytest.approx(ref, rel=1e-13, abs=0.0), (n, p)
+            assert BinomialLaw(n, float(p)).pmf_vector() == pytest.approx(
+                ref, rel=1e-13, abs=0.0), (n, p)
 
 
 def test_binomial_row_at_a_million_is_narrow_and_normalized():
     n = 10 ** 6
-    row = binomial_rows(n, [0.5])[0]
+    row = BinomialLaw(n, 0.5).pmf_vector()
     nz = np.flatnonzero(row)
     assert nz[-1] - nz[0] + 1 < n / 10
     # log C(n, k) is a difference of gammaln values near 1.3e7, whose ulp
@@ -184,14 +198,33 @@ def test_binomial_row_at_a_million_is_narrow_and_normalized():
 
 
 def test_binomial_rows_validation_and_read_only_cache():
-    with pytest.raises(ValueError):
-        binomial_rows(0, [0.5])
-    with pytest.raises(ValueError):
-        binomial_rows(5, [0.2, 1.5])
-    with pytest.raises(ValueError):
-        binomial_rows(5, [float("nan")])
-    assert binomial_rows(5, []).shape == (0, 6)
+    for n, xs in ((0, [0.5]), (5, [0.2, 1.5]), (5, [float("nan")])):
+        with pytest.raises(ValueError):
+            binomial_band(n, xs)
+        with pytest.raises(ValueError):
+            BinomialLaw(n, xs[-1])
+    empty = binomial_band(5, [])
+    assert empty.rows.shape == (0, 0) and empty.sums(empty.rows).shape == (0,)
+    assert bernstein_apply_many(np.cos, 5, []).shape == (0,)
     assert not _log_binom(7).flags.writeable
+
+
+def test_batched_expectations_never_build_a_dense_row(monkeypatch):
+    # every batched expectation reads binomial_band; only the one-point
+    # helpers of BinomialLaw build a row of n+1 entries
+    def no_dense_row(self):
+        raise AssertionError("dense pmf row built")
+
+    monkeypatch.setattr(BinomialLaw, "pmf_vector", no_dense_row)
+    cube = lambda y: np.asarray(y) ** 3
+    xs = np.linspace(0.05, 0.5, 7)
+    assert np.all(np.isfinite(bernstein_apply_many(cube, 200, xs)))
+    assert np.all(np.isfinite(bernstein_derivative(cube, 200, 2, xs)))
+    assert np.all(np.isfinite(H_n_exact(200, xs)))
+    assert np.all(stirling_mode_bound_check(200, np.arange(1, 200)))
+    assert iterate_converse_check(cube, 50).holds
+    with pytest.raises(AssertionError, match="dense pmf row"):
+        BinomialLaw(5, 0.5).pmf_vector()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's heap limits")
@@ -230,7 +263,8 @@ def test_poisson_truncation_tail_is_negligible():
 
 def test_poisson_pmf_vector_sums_to_one():
     for lam in (0.0, 2.0, 55.0):
-        assert abs(PoissonLaw(lam).pmf_vector().sum() - 1.0) < 1e-12
+        law = PoissonLaw(lam)
+        assert abs(law.pmf(law.support()).sum() - 1.0) < 1e-12
 
 
 def test_poisson_zero_mean_is_point_mass():
