@@ -30,7 +30,6 @@ class PiecewiseLinearFn:
     the contract under which bcv.moduli computes its moduli exactly."""
     breakpoints: tuple
     values: tuple
-    label: str = "piecewise-linear"
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -65,7 +64,7 @@ def bernstein_apply_many(f, n, xs):
     out = np.empty(len(xs))
     for sl in _blocks(n, xs):
         band = binomial_band(n, xs[sl])
-        out[sl] = band.sums(band.rows * vals[band.cols])
+        out[sl] = np.sum(band.rows * vals[band.cols], axis=1)
     return out
 
 
@@ -171,32 +170,33 @@ def bernstein_derivative(f, n, m, x):
     fall = float(math.perm(n, m))
     # per-point factors as Python floats, rounded as in the one-point formula
     pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
-    out = np.empty(len(xs))
+    kraw, kraw_env = np.empty(len(xs)), np.empty(len(xs))
     for sl in _blocks(n, xs):
         xb = xs[sl].tolist()
         band = binomial_band(n, xb)
         # the terms (p * fk) * K_m, multiplied into the K_m rows in place
         terms = _krawtchouk_rows(basis[:, band.cols], xb)
         terms *= band.rows * fk[band.cols]
-        kraw = pref[sl] * band.sums(terms)
-        kraw_env = pref[sl] * band.sums(np.abs(terms))
-        if m < n:
-            pj = binomial_band(n - m, xb)
-            fdiff = fall * pj.sums(pj.rows * diff[pj.cols])
-            fdiff_env = fall * pj.sums(pj.rows * np.abs(diff[pj.cols]))
-        else:  # S_0 = 0
-            fdiff = np.full(len(xb), fall * diff[0])
-            fdiff_env = np.abs(fdiff)
-        scale = np.maximum(1.0, np.maximum(np.abs(kraw), np.abs(fdiff)))
-        floor = 1e-10 * (kraw_env + fdiff_env)
-        bad = np.flatnonzero(np.abs(kraw - fdiff) > _REL_TOL * scale + floor)
-        if len(bad):
-            i = int(bad[0])
-            raise ConsistencyError(
-                f"derivative representations disagree: {float(kraw[i])!r} vs "
-                f"{float(fdiff[i])!r} (n={n}, m={m}, x={xb[i]})")
-        out[sl] = kraw
-    return out.reshape(xa.shape) if xa.ndim else float(out[0])
+        kraw[sl] = pref[sl] * np.sum(terms, axis=1)
+        kraw_env[sl] = pref[sl] * np.sum(np.abs(terms), axis=1)
+    if m < n:
+        fdiff, fdiff_env = np.empty(len(xs)), np.empty(len(xs))
+        for sl in _blocks(n - m, xs):
+            pj = binomial_band(n - m, xs[sl])
+            fdiff[sl] = fall * np.sum(pj.rows * diff[pj.cols], axis=1)
+            fdiff_env[sl] = fall * np.sum(pj.rows * np.abs(diff[pj.cols]), axis=1)
+    else:  # S_0 = 0
+        fdiff = np.full(len(xs), fall * diff[0])
+        fdiff_env = np.abs(fdiff)
+    scale = np.maximum(1.0, np.maximum(np.abs(kraw), np.abs(fdiff)))
+    floor = 1e-10 * (kraw_env + fdiff_env)
+    bad = np.flatnonzero(np.abs(kraw - fdiff) > _REL_TOL * scale + floor)
+    if len(bad):
+        i = int(bad[0])
+        raise ConsistencyError(
+            f"derivative representations disagree: {float(kraw[i])!r} vs "
+            f"{float(fdiff[i])!r} (n={n}, m={m}, x={float(xs[i])})")
+    return kraw.reshape(xa.shape) if xa.ndim else float(kraw[0])
 
 
 def irwin_hall_density(m, t):

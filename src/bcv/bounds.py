@@ -18,8 +18,7 @@ import numpy as np
 
 from .bernstein import (PiecewiseLinearFn, bernstein_apply_many,
                         bernstein_derivative)
-from .central import K_func, SupSearchResult, sup_H_n
-from .config import SupSearchConfig
+from .central import K_func, SupSearchResult, _check_scan, sup_H_n
 from .dist import LOG4, PoissonLaw, _log_comb
 from .moduli import X_POINTS, omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
@@ -143,7 +142,7 @@ def build_fn_lower(n):
     if n < 8:
         raise ValueError("need n >= 8")
     bp = ((2.0 - SQRT2) / n, 1.0 / n, 2.0 / n, 3.0 / n, (2.0 + SQRT2) / n)
-    return PiecewiseLinearFn(bp, (1.0, -0.8, -1.0, 0.04, 1.0), label="fn-lower")
+    return PiecewiseLinearFn(bp, (1.0, -0.8, -1.0, 0.04, 1.0))
 
 
 _G_NODES = np.array([1.0, -0.8, -1.0, 0.04, 1.0])
@@ -178,15 +177,16 @@ def G_of_lambda(lam):
     return out if out.ndim else float(out)
 
 
-def sup_G_minus_g(scan=SupSearchConfig(lambda_max=40.0)):
-    """sup over [0, lambda_max] of |G - g|, with a Poisson-tail certificate
-    that nothing beyond lambda_max can compete.  Refinement stays between
-    neighbouring nodes of g, where |G - g| is smooth."""
-    lambda_max = scan.lambda_max
+def sup_G_minus_g(*, lambda_max=40.0, points=100_000):
+    """sup over [0, lambda_max] of |G - g|, scanned on points + 1 grid points
+    and the nodes of g, with a Poisson-tail certificate that nothing beyond
+    lambda_max can compete.  Refinement stays between neighbouring nodes of
+    g, where |G - g| is smooth."""
+    _check_scan(lambda_max, points)
     if lambda_max < 40.0:
         raise ValueError("need lambda_max >= 40 for the tail certificate")
     lams = np.unique(np.concatenate([
-        np.linspace(0.0, lambda_max, scan.points + 1), np.arange(5.0)]))
+        np.linspace(0.0, lambda_max, points + 1), np.arange(5.0)]))
     arg, value, _ = sup_search(lambda t: np.abs(G_of_lambda(t) - g_of_lambda(t)),
                                lams, breaks=np.arange(5.0))
     tail = 2.0 * float(np.sum([PoissonLaw(lambda_max).pmf(k) for k in range(4)]))
@@ -243,18 +243,17 @@ def lower_bound_ratio(n):
     return LowerBoundReport(n, om, err, om / err, gap)
 
 
-def _grid_norms(f, n, xs, g=None):
-    """(max |B_n f - f| over xs, max phi^2 |(B_n f)''| over the points of xs
-    inside (0, 1)); given g, the second is max phi^2 |(B_n g)'' - (B_n f)''|.
+def _error_norm(f, n, xs):
+    """max |B_n f - f| over xs, a grid maximum: a lower estimate of the norm,
+    so a check built on it is not certified."""
+    return float(np.max(np.abs(bernstein_apply_many(f, n, xs) - f(xs))))
 
-    Both are grid maxima, so each is a lower estimate of its norm; a check
-    built on them is not certified."""
-    err = float(np.max(np.abs(bernstein_apply_many(f, n, xs) - f(xs))))
+
+def _d2_norm(f, n, xs):
+    """max phi^2 |(B_n f)''| over the points of xs inside (0, 1), a grid
+    maximum: a lower estimate of the norm, as in _error_norm."""
     x = xs[(xs > 0.0) & (xs < 1.0)]
-    d2 = bernstein_derivative(f, n, 2, x)
-    if g is not None:
-        d2 = bernstein_derivative(g, n, 2, x) - d2
-    return err, float(np.max(x * (1.0 - x) * np.abs(d2)))
+    return float(np.max(x * (1.0 - x) * np.abs(bernstein_derivative(f, n, 2, x))))
 
 
 def modulus_upper_sides(f, n):
@@ -274,8 +273,8 @@ def modulus_upper_sides(f, n):
     bp = getattr(f, "breakpoints", None)
     if bp is not None:
         xs = np.concatenate([xs, np.asarray(bp, dtype=float)])
-    err, wd2 = _grid_norms(f, n, np.unique(np.clip(xs, 0.0, 1.0)))
-    return lhs, 4.0 * err + LOG4 / n * wd2
+    xs = np.unique(np.clip(xs, 0.0, 1.0))
+    return lhs, 4.0 * _error_norm(f, n, xs) + LOG4 / n * _d2_norm(f, n, xs)
 
 
 def modulus_upper_check(f, n):
@@ -294,7 +293,7 @@ def central_converse_check(f, n, a=7.2):
         raise ValueError("need n >= 5")
     h = sup_H_n(n - 2).sup_value
     mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(a) / 3.0
-    err, wd2 = _grid_norms(f, n, _NORM_XS)
+    err, wd2 = _error_norm(f, n, _NORM_XS), _d2_norm(f, n, _NORM_XS)
     if mult <= 0.0:
         return ValidatorResult(True, False, mult * wd2 / (2.0 * n),
                                (SQRT2 + 1.0) / SQRT2 * err,
@@ -317,7 +316,7 @@ def noncentral_converse_check(f, n, a=7.2, m=20):
     i = first_valid_i(a)
     if i > m:
         raise ValueError(f"need m >= first_valid_i(a) = {i}")
-    err, wd2 = _grid_norms(f, n, _NORM_XS)
+    err, wd2 = _error_norm(f, n, _NORM_XS), _d2_norm(f, n, _NORM_XS)
     try:
         js = {k: finite_n_J_bound(n, k, a) for k in range(i, m + 2)}
     except ValueError as e:
@@ -337,15 +336,17 @@ def iterate_converse_check(f, n):
 
         ||phi^2 ((B_n g)'' - g'')|| / (2n) <= (1/sqrt(2)) ||B_n f - f||,
 
-    norms over (0, 1/2].  Both derivatives only read their argument on the
-    grid j/n, so g is represented exactly by its grid values B_n f(j/n).
+    norms over (0, 1/2].  By linearity (B_n g)'' - g'' = (B_n h)'' with
+    h = g - f, taken as one derivative: the two derivatives it replaces are
+    up to n times their difference.  The derivative only reads h on the grid
+    j/n, so h is represented exactly by its grid values B_n f(j/n) - f(j/n).
     """
-    g_grid = bernstein_apply_many(f, n, np.arange(n + 1) / n)
+    grid = np.arange(n + 1) / n
+    h_grid = bernstein_apply_many(f, n, grid) - f(grid)
 
-    def g_fn(y):
-        return g_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
+    def h_fn(y):
+        return h_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
 
-    err, wd2 = _grid_norms(f, n, _NORM_XS, g=g_fn)
-    lhs = wd2 / (2.0 * n)
-    rhs = err / SQRT2
+    lhs = _d2_norm(h_fn, n, _NORM_XS) / (2.0 * n)
+    rhs = _error_norm(f, n, _NORM_XS) / SQRT2
     return ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs, "g = B_n f")

@@ -20,7 +20,6 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, pdtr, xlogy
 
-from .config import SupSearchConfig
 from .dist import (LOG4, LOG2716, BinomialLaw, _blocks, binomial_band,
                    inv_moment_shift_V)
 from .search import sup_search
@@ -119,9 +118,17 @@ def C_tilde(lam):
     return 2.0 * C_FLAT * LOG2716 + r_of_lambda(lam)
 
 
-def _scan_lambdas(scan):
-    lams = np.linspace(0.0, scan.lambda_max, scan.points + 1)[1:]
-    ints = np.arange(1.0, math.floor(scan.lambda_max) + 1.0)
+def _check_scan(lambda_max, points):
+    """Validate a sup search's scan range (0, lambda_max] and its grid size."""
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ValueError("lambda_max must be positive and finite")
+    if points < 100:
+        raise ValueError("scan needs at least 100 points")
+
+
+def _scan_lambdas(lambda_max, points):
+    lams = np.linspace(0.0, lambda_max, points + 1)[1:]
+    ints = np.arange(1.0, math.floor(lambda_max) + 1.0)
     # the ceiling jumps at integers; sample both sides and the integer itself
     extra = np.concatenate([ints - 1e-9, ints, ints + 1e-9])
     return np.unique(np.concatenate([lams, extra]))
@@ -141,30 +148,34 @@ def _tail_certificate():
     return cert
 
 
-def sup_C(scan=SupSearchConfig()):
-    """sup over lambda of C(lambda), scanned on (0, lambda_max] with a
+def sup_C(*, lambda_max=60.0, points=100_000):
+    """sup over lambda of C(lambda), scanned on points grid points of
+    (0, lambda_max] and at each integer and either side of it, with a
     certificate that the tail beyond 60 stays below the reported sup.
     Refinement stays on one piece (m-1, m] of the ceiling in nu."""
-    if scan.lambda_max < 60.0:
+    _check_scan(lambda_max, points)
+    if lambda_max < 60.0:
         raise ValueError("scan must cover (0, 60]")
     arg, value, grid_value = sup_search(
-        C_of_lambda, _scan_lambdas(scan),
-        breaks=np.arange(math.ceil(scan.lambda_max) + 1.0))
+        C_of_lambda, _scan_lambdas(lambda_max, points),
+        breaks=np.arange(math.ceil(lambda_max) + 1.0))
     if value - grid_value > 1e-3:
         raise RuntimeError("scan too coarse: refinement moved the sup by "
                            f"{value - grid_value:.2e}")
-    return SupSearchResult(value, arg, (0.0, scan.lambda_max), _tail_certificate())
+    return SupSearchResult(value, arg, (0.0, lambda_max), _tail_certificate())
 
 
-def sup_C_tilde(scan=SupSearchConfig()):
-    """sup over lambda of the flat-profile variant; the lambda-dependence is
-    all in r, whose unique maximum sits at lambda = 3/2."""
-    if scan.lambda_max < 60.0:
+def sup_C_tilde(*, lambda_max=60.0, points=100_000):
+    """sup over lambda of the flat-profile variant, scanned as in sup_C; the
+    lambda-dependence is all in r, whose unique maximum sits at
+    lambda = 3/2."""
+    _check_scan(lambda_max, points)
+    if lambda_max < 60.0:
         raise ValueError("scan must cover (0, 60]")
-    arg, value, _ = sup_search(C_tilde, _scan_lambdas(scan))
+    arg, value, _ = sup_search(C_tilde, _scan_lambdas(lambda_max, points))
     cert = ("r is unimodal with peak at lambda = 3/2 and r(60) < 1e-20, "
             "so the scanned maximum is global")
-    return SupSearchResult(value, arg, (0.0, scan.lambda_max), cert)
+    return SupSearchResult(value, arg, (0.0, lambda_max), cert)
 
 
 @functools.lru_cache(maxsize=8)
@@ -196,7 +207,7 @@ def H_n_exact(n, x):
     for sl in _blocks(n, xs):
         band = binomial_band(n, xs[sl])
         dev = np.abs(k[band.cols] - (n * xs[sl]).reshape(-1, 1))
-        sums[sl] = band.sums(band.rows * dev * w[band.cols])
+        sums[sl] = np.sum(band.rows * dev * w[band.cols], axis=1)
     out = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n) * sums
     return out.reshape(xa.shape) if xa.ndim else float(out[0])
 

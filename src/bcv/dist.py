@@ -9,11 +9,11 @@ The band kernel: by Bernstein's inequality all but exp(-760) of a
 Binomial(n, x) row lies in a band |k - nx| <= t around nx, and every entry
 outside it rounds to exactly 0.0.  Each point x gets a window [lo, hi] that
 holds its band, snapped outward to multiples of 64 and clamped to [0, n], so
-the window depends on (n, x) alone.  _blocks cuts the points into blocks of
-about _BLOCK_ENTRIES band entries; binomial_band takes exp over the union of
-one block's windows and returns it as a BinomialBand, whose sums reduce each
-row over its own window.  A point's summation tree is therefore the same
-alone and inside any batch.
+the window depends on (n, x) alone.  _blocks cuts the points into runs that
+share one window, of at most _BLOCK_ENTRIES band entries each, and
+binomial_band takes exp over that window, so every expectation is one
+np.sum(axis=1) over a block's rows.  A point's summation tree is therefore
+the same alone and inside any batch.
 """
 
 import ctypes
@@ -84,70 +84,37 @@ def _band_windows(n, xs):
     return xs, np.maximum(lo, 0.0).astype(int), np.minimum(hi, n).astype(int)
 
 
-@functools.lru_cache(maxsize=64)
-def _block_points(n):
-    """Points per block: as many windows at x = 1/2, the widest at n, as fit
-    _BLOCK_ENTRIES."""
-    _, lo, hi = _band_windows(n, [0.5])
-    return max(1, _BLOCK_ENTRIES // int(hi[0] - lo[0] + 1))
-
-
 def _blocks(n, xs):
-    """Consecutive slices of the points xs whose bands fit one block.
+    """Consecutive slices of the points xs, each a run of points that share
+    one window [lo, hi] from _band_windows.
 
-    A slice holds _block_points(n) points: sized by the widest window at n,
-    not by n+1 entries a row, because nearby points share most of their
-    band.  A slice of points so spread that the union of their windows holds
-    over twice _BLOCK_ENTRIES entries is halved until it fits, or holds a
-    single point."""
+    A run holding more than _BLOCK_ENTRIES entries is cut into chunks of
+    max(1, _BLOCK_ENTRIES // width) points, so a block's band is one window
+    wide and holds at most _BLOCK_ENTRIES entries, or one point."""
     _keep_freed_memory()
-    count, step = len(xs), _block_points(n)
-    out = [slice(s, min(s + step, count)) for s in range(0, count, step)]
-    if step * (n + 1) <= 2 * _BLOCK_ENTRIES:  # no slice can overflow
-        return out
     _, lo, hi = _band_windows(n, xs)
-    todo, out = [(sl.start, sl.stop) for sl in reversed(out)], []
-    while todo:
-        s, e = todo.pop()
-        if e - s > 1 and (e - s) * (hi[s:e].max() - lo[s:e].min() + 1) > 2 * _BLOCK_ENTRIES:
-            todo += [((s + e) // 2, e), (s, (s + e) // 2)]
-        else:
-            out.append(slice(s, e))
+    cut = np.flatnonzero((np.diff(lo) != 0) | (np.diff(hi) != 0)) + 1
+    starts = [0, *cut.tolist()] if len(lo) else []
+    out = []
+    for s, e in zip(starts, [*starts[1:], len(lo)]):
+        step = max(1, _BLOCK_ENTRIES // int(hi[s] - lo[s] + 1))
+        out += [slice(a, min(a + step, e)) for a in range(s, e, step)]
     return out
 
 
 @dataclass(frozen=True)
 class BinomialBand:
     """Binomial(n, x) pmf rows over the band k = offset..offset+width-1 that
-    holds every point's window; row i is exactly 0.0 outside [lo[i], hi[i]].
-
-    Each expectation reduces row i over its own window only, so a point's
-    summation tree is the same alone and inside any batch."""
+    holds every point's window; each row is exactly 0.0 outside its own
+    window.  For a block from _blocks the band is the one window its points
+    share, so np.sum(..., axis=1) reduces each row over exactly its window."""
     offset: int
     rows: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
 
     @property
     def cols(self):
         """The band's slice of a vector indexed by k = 0..n."""
         return slice(self.offset, self.offset + self.rows.shape[1])
-
-    def _runs(self):
-        """(rows, columns) of each run of consecutive points sharing a window,
-        columns relative to the band."""
-        cut = np.flatnonzero((np.diff(self.lo) != 0) | (np.diff(self.hi) != 0)) + 1
-        starts = [0, *cut.tolist()] if len(self.lo) else []
-        for s, e in zip(starts, [*starts[1:], len(self.lo)]):
-            yield slice(s, e), slice(int(self.lo[s]) - self.offset, int(self.hi[s]) + 1 - self.offset)
-
-    def sums(self, terms):
-        """Sum each row of the (points x width) terms over its own window; a
-        run of points sharing a window reduces in one np.sum(axis=1)."""
-        out = np.empty(len(terms))
-        for r, c in self._runs():
-            out[r] = np.sum(terms[r, c], axis=1)
-        return out
 
 
 def binomial_band(n, xs):
@@ -159,8 +126,8 @@ def binomial_band(n, xs):
     outside a row's band has mass below exp(-760), which exp rounds to
     exactly 0.0, so dropping the rest of the row changes no entry, and a sum
     over the window differs from the dense sum only in its summation tree.
-    Callers pass blocks of points from _blocks, so that one band holds about
-    _BLOCK_ENTRIES entries."""
+    Callers pass blocks of points from _blocks, so that the band is one
+    window of at most _BLOCK_ENTRIES entries, or one point's window."""
     xs, lo, hi = _band_windows(n, xs)
     offset, end = (int(lo.min()), int(hi.max()) + 1) if len(xs) else (0, 0)
     inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
@@ -178,7 +145,7 @@ def binomial_band(n, xs):
         out[inner] = rows
         edge = np.flatnonzero((xs == 0.0) | (xs == 1.0))
         out[edge, (n * xs[edge]).astype(int) - offset] = 1.0
-    return BinomialBand(offset, out, lo, hi)
+    return BinomialBand(offset, out)
 
 
 @dataclass(frozen=True)

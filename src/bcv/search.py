@@ -48,8 +48,7 @@ def sup_search(f, xs, tol=1e-12, breaks=None):
     winner is refined, by golden section between its two grid neighbours.
     With sorted breaks, the bracket is clipped to the piece (b, b'] that
     holds the winner, nudged 1e-12 off b, so refinement never crosses a jump
-    of f.  tol=None skips refinement.  The refined point is kept only if it
-    beats the grid.
+    of f.  The refined point is kept only if it beats the grid.
 
     Returns (arg, value, grid_value) as Python floats.  Both values are
     attained, so each is a lower estimate of the sup, never a certified one.
@@ -59,8 +58,6 @@ def sup_search(f, xs, tol=1e-12, breaks=None):
     i = int(np.argmax(vals))
     arg, value = float(xs[i]), float(vals[i])
     grid_value = value
-    if tol is None:
-        return arg, value, grid_value
     lo = float(xs[max(i - 1, 0)])
     hi = float(xs[min(i + 1, len(xs) - 1)])
     if breaks is not None:

@@ -12,14 +12,13 @@ from oracles import dense_iteration_matrix
 from bcv.bernstein import bernstein_apply_many
 from bcv.bounds import (SQRT2, _NORM_XS, G_of_lambda, LowerBoundReport,
                         UpperBoundReport, ValidatorResult, _fn_lower_error,
-                        _grid_norms, build_fn_lower,
+                        _d2_norm, _error_norm, build_fn_lower,
                         central_converse_check, fn_lower_error_sup,
                         g_of_lambda, iterate_converse_check, lower_bound_ratio,
                         modulus_upper_check, modulus_upper_sides,
                         noncentral_converse_check, smooth_class_constant,
                         sup_G_minus_g, sweep_upper, upper_bound_report,
                         upper_expr_H1, upper_expr_H2)
-from bcv.config import SupSearchConfig
 from bcv.dist import LOG4, _log_binom
 from bcv.noncentral import J_limit, first_valid_i
 
@@ -167,8 +166,8 @@ def test_sup_G_minus_g_value_location_certificate():
     assert res.arg == pytest.approx(2.0, abs=1e-6)
     assert "2 P(N <= 3)" in res.tail_certificate
     with pytest.raises(ValueError):
-        sup_G_minus_g(SupSearchConfig(lambda_max=30.0))
-    assert sup_G_minus_g(SupSearchConfig(lambda_max=50.0)).scan_range == (0.0, 50.0)
+        sup_G_minus_g(lambda_max=30.0)
+    assert sup_G_minus_g(lambda_max=50.0).scan_range == (0.0, 50.0)
 
 
 def test_witness_error_closed_form_matches_operator():
@@ -289,12 +288,14 @@ def test_iterate_converse_holds():
 
 
 def _matrix_iterate_converse(f, n):
-    """(holds, binding, lhs, rhs) of iterate_converse_check with g = B_n f
-    on the grid taken as the dense iteration matrix times f's grid values."""
-    g_grid = dense_iteration_matrix(n) @ np.asarray(f(np.arange(n + 1) / n), dtype=float)
-    g_fn = lambda y: g_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
-    err, wd2 = _grid_norms(f, n, _NORM_XS, g=g_fn)
-    lhs, rhs = wd2 / (2.0 * n), err / SQRT2
+    """(holds, binding, lhs, rhs) of iterate_converse_check with h = B_n f - f
+    on the grid taken as the dense iteration matrix times f's grid values,
+    minus those values."""
+    f_grid = np.asarray(f(np.arange(n + 1) / n), dtype=float)
+    h_grid = dense_iteration_matrix(n) @ f_grid - f_grid
+    h_fn = lambda y: h_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
+    lhs = _d2_norm(h_fn, n, _NORM_XS) / (2.0 * n)
+    rhs = _error_norm(f, n, _NORM_XS) / SQRT2
     return lhs <= rhs + 1e-12, True, lhs, rhs
 
 
@@ -307,9 +308,9 @@ def test_iterate_converse_matches_the_matrix_path(f, n):
     holds, binding, lhs, rhs = _matrix_iterate_converse(f, n)
     assert (res.holds, res.binding) == (holds, binding)
     assert res.rhs == pytest.approx(rhs, rel=1e-13, abs=0.0)
-    # lhs is max phi^2 |(B_n g)'' - (B_n f)''| / (2n), a difference of two
-    # derivatives up to n times its size: the ulps by which the two paths'
-    # g differ move it by up to 2.7e-13 of itself at n = 200, so it is
-    # compared at 1e-13 of the scale of what it subtracts
-    scale = _grid_norms(f, n, _NORM_XS)[1] / (2.0 * n)
+    # lhs is max phi^2 |(B_n h)''| / (2n) for h = B_n f - f, up to n times
+    # smaller than B_n f: the ulps by which the two paths' B_n f differ move
+    # it by up to 2.5e-13 of itself at n = 200, so it is compared at 1e-13
+    # of the scale max phi^2 |(B_n f)''| / (2n)
+    scale = _d2_norm(f, n, _NORM_XS) / (2.0 * n)
     assert abs(res.lhs - lhs) <= 1e-13 * scale

@@ -13,7 +13,6 @@ from bcv.central import (C_of_lambda, C_tilde, D_coeff,
                          I_n_branch_check, I_n_brute, I_n_closed, K_func,
                          SupSearchResult, nu, phi_ratio_moment_sides,
                          r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
-from bcv.config import SupSearchConfig
 from bcv.dist import LOG4, LOG2716
 
 
@@ -113,7 +112,7 @@ def test_sup_C_value_location_and_certificate():
 
 def test_sup_C_requires_full_scan_range():
     with pytest.raises(ValueError):
-        sup_C(SupSearchConfig(lambda_max=30.0))
+        sup_C(lambda_max=30.0)
 
 
 def test_sup_C_deterministic():

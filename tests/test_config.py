@@ -1,12 +1,13 @@
-"""Validation behavior of the shared configuration: the modulus scan grid
-constants and the sup-search dataclass."""
+"""Validation behavior of the scan settings: the modulus scan grid constants
+and the lambda scan of sup_C."""
 
+import inspect
 import math
 
 import pytest
 
 from bcv import moduli
-from bcv.config import SupSearchConfig
+from bcv.central import sup_C
 
 
 def test_grid_config_defaults():
@@ -16,17 +17,11 @@ def test_grid_config_defaults():
 
 
 def test_sup_search_config_defaults_and_validation():
-    cfg = SupSearchConfig()
-    assert cfg.lambda_max == 60.0
-    assert cfg.points == 100_000
+    params = inspect.signature(sup_C).parameters
+    assert params["lambda_max"].default == 60.0
+    assert params["points"].default == 100_000
     for bad in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            SupSearchConfig(lambda_max=bad)
-    with pytest.raises(ValueError):
-        SupSearchConfig(points=99)
-
-
-def test_configs_are_frozen():
-    cfg = SupSearchConfig()
-    with pytest.raises(Exception):
-        cfg.points = 200_000
+        with pytest.raises(ValueError, match="positive and finite"):
+            sup_C(lambda_max=bad)
+    with pytest.raises(ValueError, match="at least 100 points"):
+        sup_C(points=99)

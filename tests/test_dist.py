@@ -147,33 +147,41 @@ _EDGE_POINTS = st.sampled_from([0.0, 1e-12, 0.5, 1.0 - 1e-9, 1.0])
        st.lists(st.one_of(st.floats(0.0, 1.0), _EDGE_POINTS), min_size=1, max_size=8))
 def test_band_window_is_per_point_and_holds_the_band(n, xs):
     band = binomial_band(n, xs)
+    _, lo, hi = _band_windows(n, xs)
     for i, x in enumerate(xs):
         alone = binomial_band(n, [x])
-        lo, hi = int(band.lo[i]), int(band.hi[i])
-        assert (lo, hi) == (int(alone.lo[0]), int(alone.hi[0])), (n, x)
-        assert 0 <= lo <= hi <= n
+        _, lo1, hi1 = _band_windows(n, [x])
+        assert (lo[i], hi[i]) == (lo1[0], hi1[0]), (n, x)
+        assert 0 <= lo[i] <= hi[i] <= n
         # every k with |k - nx| <= t lies in [lo, hi]
         t = _BAND_T / 3.0 + math.sqrt(_BAND_T ** 2 / 9.0 + 2.0 * _BAND_T * n * x * (1.0 - x))
-        assert lo == 0 or lo <= n * x - t, (n, x)
-        assert hi == n or hi >= n * x + t, (n, x)
-        # and the row is exactly zero outside its window
+        assert lo[i] == 0 or lo[i] <= n * x - t, (n, x)
+        assert hi[i] == n or hi[i] >= n * x + t, (n, x)
+        # and the row is exactly zero outside its window, the one-point row in it
         k = np.arange(band.offset, band.offset + band.rows.shape[1])
-        assert np.all(band.rows[i][(k < lo) | (k > hi)] == 0.0), (n, x)
-        assert np.array_equal(band.rows[i][(k >= lo) & (k <= hi)],
-                              alone.rows[0][lo - alone.offset:hi + 1 - alone.offset])
+        inside = (k >= lo[i]) & (k <= hi[i])
+        assert np.all(band.rows[i][~inside] == 0.0), (n, x)
+        assert np.array_equal(band.rows[i][inside],
+                              alone.rows[0][lo[i] - alone.offset:hi[i] + 1 - alone.offset])
 
 
 @pytest.mark.parametrize("n", [10, 10_000, 1_000_000])
 def test_blocks_cover_the_points_in_order_within_the_block_size(n):
-    # a sorted run, then points spread over the whole row
-    xs = np.concatenate([np.linspace(0.2, 0.3, 500), np.linspace(0.0, 1.0, 300)])
+    # a sorted run, points spread over the whole row, then one window held
+    # by more points than fit a block at n >= 10^4
+    xs = np.concatenate([np.linspace(0.2, 0.3, 500), np.linspace(0.0, 1.0, 300),
+                         np.full(300, 0.5)])
     slices = _blocks(n, xs)
     stops = [sl.stop for sl in slices]
     assert [sl.start for sl in slices] == [0] + stops[:-1] and stops[-1] == len(xs)
     _, lo, hi = _band_windows(n, xs)
     for sl in slices:
-        width = hi[sl].max() - lo[sl].min() + 1
-        assert sl.stop - sl.start == 1 or (sl.stop - sl.start) * width <= 2 * _BLOCK_ENTRIES
+        # one window per block, so its band is that window
+        assert len(set(lo[sl])) == len(set(hi[sl])) == 1
+        width = hi[sl.start] - lo[sl.start] + 1
+        assert sl.stop - sl.start == 1 or (sl.stop - sl.start) * width <= _BLOCK_ENTRIES
+        band = binomial_band(n, xs[sl])
+        assert (band.offset, band.rows.shape[1]) == (lo[sl.start], width)
 
 
 def test_binomial_rows_match_exact_rationals_for_small_n():
@@ -204,7 +212,7 @@ def test_binomial_rows_validation_and_read_only_cache():
         with pytest.raises(ValueError):
             BinomialLaw(n, xs[-1])
     empty = binomial_band(5, [])
-    assert empty.rows.shape == (0, 0) and empty.sums(empty.rows).shape == (0,)
+    assert empty.rows.shape == (0, 0)
     assert bernstein_apply_many(np.cos, 5, []).shape == (0,)
     assert not _log_binom(7).flags.writeable
 

@@ -83,12 +83,6 @@ def test_sup_search_handles_boundary_best_cell():
     assert grid == 1.0 and x == 1.0
 
 
-def test_sup_search_without_tol_returns_the_grid_winner():
-    xs = np.linspace(0.0, 1.0, 17)
-    assert sup_search(lambda t: np.sin(3.0 * t), xs, None) == (
-        0.5, float(np.sin(1.5)), float(np.sin(1.5)))
-
-
 def test_sup_search_refines_only_on_the_winners_piece():
     # grid winner 0.5 on the piece (0, 0.55]; its right neighbour 0.625 lies
     # past the jump at 0.55, and f peaks higher between the two, so an
