@@ -204,8 +204,8 @@ def H_n_exact(n, x):
     k = np.arange(n + 1)
     w = _H_weight(n)
     sums = np.empty(len(xs))
-    for sl in _blocks(n, xs):
-        band = binomial_band(n, xs[sl])
+    for sl, lo, hi in _blocks(n, xs):
+        band = binomial_band(n, xs[sl], lo, hi)
         dev = np.abs(k[band.cols] - (n * xs[sl]).reshape(-1, 1))
         sums[sl] = np.sum(band.rows * dev * w[band.cols], axis=1)
     out = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n) * sums

@@ -14,7 +14,11 @@ where a cell's level lines touch the ellipse; all are evaluated through f in
 one pass (bound "exact"), so the value is attained even for wrong breakpoints.
 
 Otherwise an (x, h) grid scan is refined around its best cells in one lockstep
-golden-section pass on search.golden_max (bound "lower").
+golden-section pass on search.golden_max (bound "lower").  The seeds are the
+_REFINE_TOP best cells by value, descending, ties going to the lower
+row-major flat index (smaller x, then smaller h); they are picked in time
+linear in the grid size.  Both paths raise ValueError, naming the modulus and
+delta, when f is not finite at a point they evaluate.
 """
 
 from dataclasses import dataclass
@@ -45,10 +49,12 @@ def _second(f, x, s):
     return np.abs(f(np.clip(x + s, 0.0, 1.0)) - 2.0 * f(x) + f(np.clip(x - s, 0.0, 1.0)))
 
 
-def _vertices(f, diff, hmax_fn, delta, arms, coef, weighted):
+def _vertices(f, diff, hmax_fn, delta, arms, coef, weighted, what):
     """Exact sup of diff(x, h) = |sum_j coef_j f(x + arms_j s)| for f linear
     between its knots.  The step is s = h, capped by the line s = delta, or,
-    weighted, s = h phi(x), capped by the ellipse s^2 = delta^2 x(1-x)."""
+    weighted, s = h phi(x), capped by the ellipse s^2 = delta^2 x(1-x).
+    `what` names the modulus in the ValueError raised when a candidate's
+    value is not finite."""
     knots = np.unique(np.clip(np.concatenate([[0.0, 1.0], f.breakpoints]), 0.0, 1.0))
     a, b = np.repeat(arms, len(knots)), np.tile(knots, len(arms))
     # lines p x + q s = r: x + a s = b for each arm and knot, s = 0, s = delta;
@@ -88,23 +94,38 @@ def _vertices(f, diff, hmax_fn, delta, arms, coef, weighted):
         if weighted:
             s = np.where(x * (1.0 - x) > 0.0, s / np.sqrt(x * (1.0 - x)), 0.0)
     h = np.clip(s, 0.0, hmax_fn(x))
-    vals = diff(x, h)
+    with np.errstate(invalid="ignore"):  # inf - inf: raised below instead
+        vals = diff(x, h)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{what}: f is not finite at every candidate point")
     k = int(np.argmax(vals))
     return ModulusResult(float(vals[k]), float(x[k]), float(h[k]), len(x), "exact")
 
 
-def _scan(diff, hmax_fn, xs, h_points):
+def _scan(diff, hmax_fn, xs, h_points, what):
     """Max of diff over the grid {(x, t*hmax(x)) : t in [0,1]}; returns the
-    best value, its (x, h), the _REFINE_TOP best cells in descending order as
-    refinement seeds, and the grid size scanned."""
+    best value, its (x, h), the _REFINE_TOP best cells as refinement seeds
+    and the grid size scanned.  The seeds run by value, descending, with
+    ties to the lower row-major flat index (smaller x, then smaller h), and
+    are picked in time linear in the grid size.  `what` names the modulus in
+    the ValueError raised when a grid value is not finite."""
     xs = np.asarray(xs, dtype=float).reshape(-1, 1)
     hm = hmax_fn(xs)
     t = np.linspace(0.0, 1.0, h_points + 1).reshape(1, -1)
-    vals = diff(xs, hm * t)
+    with np.errstate(invalid="ignore"):  # inf - inf: raised below instead
+        vals = diff(xs, hm * t)
+    rowmax = vals.max(axis=1)
+    if not np.all(np.isfinite(rowmax)):
+        raise ValueError(f"{what}: f is not finite at every scan point")
     flat = vals.ravel()
-    # select the top cells without sorting the whole grid, then order them
-    top = np.argpartition(flat, -_REFINE_TOP)[-_REFINE_TOP:]
-    order = top[np.argsort(flat[top])[::-1]]
+    # the _REFINE_TOP-th largest row max is reached by that many distinct
+    # cells, so no seed lies below it; with fewer rows every cell may be one
+    if len(rowmax) < _REFINE_TOP:
+        cand = np.arange(flat.size)
+    else:
+        thr = np.partition(rowmax, -_REFINE_TOP)[-_REFINE_TOP]
+        cand = np.flatnonzero(flat >= thr)
+    order = cand[np.argsort(-flat[cand], kind="stable")[:_REFINE_TOP]]
     i, j = np.unravel_index(order, vals.shape)
     seeds = [(float(a), float(b)) for a, b in zip(xs[i, 0], hm[i, 0] * t[0, j])]
     return float(vals[i[0], j[0]]), *seeds[0], seeds, vals.size
@@ -138,8 +159,8 @@ def _refine(diff, hmax_fn, x, h, dx):
     return best
 
 
-def _search(diff, hmax_fn, xs):
-    value, ax, ah, seeds, npts = _scan(diff, hmax_fn, xs, H_POINTS)
+def _search(diff, hmax_fn, xs, what):
+    value, ax, ah, seeds, npts = _scan(diff, hmax_fn, xs, H_POINTS, what)
     sx, sh = np.transpose(seeds)
     for v, rx, rh in zip(*_refine(diff, hmax_fn, sx, sh, 1.0 / X_POINTS)):
         if v > value:
@@ -155,9 +176,10 @@ def omega1(f, delta):
         return ModulusResult(0.0, 0.0, 0.0, 0, "exact")
     hmax = lambda x: np.minimum(delta, 1.0 - x)
     diff = lambda x, h: np.abs(f(np.clip(x + h, 0.0, 1.0)) - f(x))
+    what = f"omega1 at delta={delta}"
     if getattr(f, "breakpoints", None) is not None:
-        return _vertices(f, diff, hmax, delta, (1.0, 0.0), (1.0, -1.0), False)
-    return _search(diff, hmax, np.linspace(0.0, 1.0, X_POINTS + 1))
+        return _vertices(f, diff, hmax, delta, (1.0, 0.0), (1.0, -1.0), False, what)
+    return _search(diff, hmax, np.linspace(0.0, 1.0, X_POINTS + 1), what)
 
 
 def omega2(f, delta):
@@ -168,9 +190,10 @@ def omega2(f, delta):
         return ModulusResult(0.0, 0.5, 0.0, 0, "exact")
     hmax = lambda x: np.minimum(delta, np.minimum(x, 1.0 - x))
     diff = lambda x, h: _second(f, x, h)
+    what = f"omega2 at delta={delta}"
     if getattr(f, "breakpoints", None) is not None:
-        return _vertices(f, diff, hmax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), False)
-    return _search(diff, hmax, np.linspace(0.0, 1.0, X_POINTS + 1))
+        return _vertices(f, diff, hmax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), False, what)
+    return _search(diff, hmax, np.linspace(0.0, 1.0, X_POINTS + 1), what)
 
 
 def _hmax_phi(x, delta):
@@ -192,11 +215,12 @@ def omega2_phi(f, delta):
         return ModulusResult(0.0, 0.5, 0.0, 0, "exact")
     hmax = lambda x: _hmax_phi(x, delta)
     diff = lambda x, h: _second(f, x, h * np.sqrt(x * (1.0 - x)))
+    what = f"omega2_phi at delta={delta}"
     if getattr(f, "breakpoints", None) is not None:
-        return _vertices(f, diff, hmax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), True)
+        return _vertices(f, diff, hmax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), True, what)
     # corners of the admissible region, where the boundary-touching cap
     # sqrt(x/(1-x)) (or its mirror) crosses delta: suprema attained on the
     # boundary sit exactly there and uniform grids only approach them
     corner = delta ** 2 / (1.0 + delta ** 2)
     xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, X_POINTS + 1), [corner, 1.0 - corner]]))
-    return _search(diff, hmax, xs)
+    return _search(diff, hmax, xs, what)

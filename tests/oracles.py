@@ -277,6 +277,17 @@ def plain_alpha(k, theta):
 
 
 # ---------------------------------------------------------------------------
+# the refinement seeds of a grid scan
+
+
+def top_cells(flat, k):
+    """Flat indices of the k best cells of flat, by value descending, ties
+    to the lower index: a full sort, against moduli._scan's linear-time
+    selection."""
+    return np.lexsort((np.arange(flat.size), -flat))[:k]
+
+
+# ---------------------------------------------------------------------------
 # scalar searches (one point per call of f): the per-seed refinement that the
 # package's lockstep one must reproduce bit for bit
 

@@ -11,7 +11,7 @@ from bcv import moduli
 from bcv.bernstein import PiecewiseLinearFn
 from bcv.bounds import build_fn_lower
 from bcv.moduli import ModulusResult, _scan, omega1, omega2, omega2_phi
-from oracles import scalar_refine
+from oracles import scalar_refine, top_cells
 
 
 SQUARE = lambda y: np.asarray(y) ** 2
@@ -173,13 +173,69 @@ def test_scan_seeds_are_the_best_cells_in_descending_order():
         t = np.linspace(0.0, 1.0, h_points + 1)
         # diff ignores its arguments: the grid values are the table itself
         value, ax, ah, seeds, npts = _scan(lambda x, h: table,
-                                           lambda x: np.full_like(x, 0.5), xs, h_points)
+                                           lambda x: np.full_like(x, 0.5), xs, h_points, "t")
         flat = table.ravel()
         expect = np.argsort(flat)[::-1][:8]
         i, j = np.unravel_index(expect, table.shape)
         assert seeds == [(float(xs[a]), float(0.5 * t[b])) for a, b in zip(i, j)]
         assert (value, ax, ah) == (flat[expect[0]], *seeds[0])
         assert npts == flat.size
+    # tied cells go to the lower flat index: smaller x, then smaller h
+    assert _scan_seed_cells(np.full((9, 12), 3.0)) == [(0, j) for j in range(8)]
+    for distinct in (2, 3, 4, 5):
+        _assert_seeds_are_top_cells(rng.integers(0, distinct, (40, 17)).astype(float))
+    # five cells above, and many tied at, 8th place, scattered over the rows
+    table = np.zeros((30, 20))
+    table[rng.integers(0, 30, 200), rng.integers(0, 20, 200)] = 1.0
+    table[[3, 29, 0, 17, 3], [5, 0, 19, 17, 6]] = [6.0, 5.0, 4.0, 3.0, 2.0]
+    cells = _assert_seeds_are_top_cells(table)
+    assert cells[:5] == [(3, 5), (29, 0), (0, 19), (17, 17), (3, 6)]
+    assert all(table[c] == 1.0 for c in cells[5:])
+    # fewer than 8 rows, and fewer than 8 cells
+    for shape in ((3, 10), (1, 12), (5, 2), (2, 3)):
+        _assert_seeds_are_top_cells(rng.integers(0, 3, shape).astype(float))
+
+
+def _scan_seed_cells(table):
+    """The (row, column) cells that _scan picks as seeds on a table of grid
+    values, after checking the value and grid size it reports."""
+    rows, cols = table.shape
+    xs, t = np.linspace(0.0, 1.0, rows), np.linspace(0.0, 1.0, cols)
+    value, ax, ah, seeds, npts = _scan(lambda x, h: table,
+                                       lambda x: np.full_like(x, 0.5), xs, cols - 1, "t")
+    assert (value, ax, ah, npts) == (table.max(), *seeds[0], table.size)
+    # the x values and steps differ by row and column, so a seed names its cell
+    return [(int(np.flatnonzero(xs == a)[0]), int(np.flatnonzero(0.5 * t == b)[0]))
+            for a, b in seeds]
+
+
+def _assert_seeds_are_top_cells(table):
+    cells = _scan_seed_cells(table)
+    i, j = np.unravel_index(top_cells(table.ravel(), 8), table.shape)
+    assert cells == list(zip(i.tolist(), j.tolist())), table
+    return cells
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.data())
+def test_scan_seeds_follow_the_tie_rule_on_integer_tables(rows, cols, top, data):
+    vals = data.draw(st.lists(st.integers(0, top), min_size=rows * cols,
+                              max_size=rows * cols))
+    _assert_seeds_are_top_cells(np.array(vals, dtype=float).reshape(rows, cols))
+
+
+@pytest.mark.parametrize("fn", [omega1, omega2, omega2_phi],
+                         ids=["omega1", "omega2", "omega2_phi"])
+def test_non_finite_f_raises_naming_the_modulus_and_delta(fn):
+    nan_above = lambda y: np.where(np.asarray(y) > 0.7, np.nan, np.asarray(y) ** 2)
+    all_inf = lambda y: np.full(np.shape(y), np.inf)
+    grid = [nan_above, all_inf]
+    # with breakpoints the exact path evaluates the candidates instead
+    exact = [PiecewiseLinearFn((0.0, 0.7, 1.0), (0.0, 0.49, np.nan)),
+             PiecewiseLinearFn((0.0, 1.0), (np.inf, np.inf))]
+    for f, where in [(f, "scan") for f in grid] + [(f, "candidate") for f in exact]:
+        with pytest.raises(ValueError, match=rf"^{fn.__name__} at delta=0\.3: f is not "
+                                             rf"finite at every {where} point$"):
+            fn(f, 0.3)
 
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=6))
@@ -234,10 +290,11 @@ def test_lane_refinement_matches_scalar_on_corpus(corpus, fn, deltas):
 
 
 # the wrapper hides the breakpoints, so the grid path runs on a
-# piecewise-linear function; constant functions tie every cell, so seeds
-# with hmax = 0 (x at 0 or 1) reach the refinement and skip their h-search;
-# each example runs 24 scalar reference refinements, so the example count
-# is kept small
+# piecewise-linear function; constant functions tie every cell, and ties go
+# to the lower flat index, so all 8 seeds are the first cells of the row
+# x = 0: for omega2 and omega2_phi hmax(0) = 0, so they reach the refinement
+# with h = 0 and skip their h-search, while omega1's run it; each example
+# runs 24 scalar reference refinements, so the example count is kept small
 @example([0.25, 0.25, 0.25])
 @example([-1.0, -1.0, -1.0, -1.0])
 @settings(max_examples=8)
