@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import BinomialLaw, _blocks, binomial_band
+from .dist import BinomialLaw, _blocks
 from .quadrature import gauss_legendre
 
 # Relative tolerance of the two-form check in bernstein_derivative.
@@ -62,8 +62,7 @@ def bernstein_apply_many(f, n, xs):
     vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
-    for sl, lo, hi in _blocks(n, xs):
-        band = binomial_band(n, xs[sl], lo, hi)
+    for sl, band in _blocks(n, xs):
         out[sl] = np.sum(band.rows * vals[band.cols], axis=1)
     return out
 
@@ -171,9 +170,8 @@ def bernstein_derivative(f, n, m, x):
     # per-point factors as Python floats, rounded as in the one-point formula
     pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
     kraw, kraw_env = np.empty(len(xs)), np.empty(len(xs))
-    for sl, lo, hi in _blocks(n, xs):
+    for sl, band in _blocks(n, xs):
         xb = xs[sl].tolist()
-        band = binomial_band(n, xb, lo, hi)
         # the terms (p * fk) * K_m, multiplied into the K_m rows in place
         terms = _krawtchouk_rows(basis[:, band.cols], xb)
         terms *= band.rows * fk[band.cols]
@@ -181,8 +179,7 @@ def bernstein_derivative(f, n, m, x):
         kraw_env[sl] = pref[sl] * np.sum(np.abs(terms), axis=1)
     if m < n:
         fdiff, fdiff_env = np.empty(len(xs)), np.empty(len(xs))
-        for sl, lo, hi in _blocks(n - m, xs):
-            pj = binomial_band(n - m, xs[sl], lo, hi)
+        for sl, pj in _blocks(n - m, xs):
             fdiff[sl] = fall * np.sum(pj.rows * diff[pj.cols], axis=1)
             fdiff_env[sl] = fall * np.sum(pj.rows * np.abs(diff[pj.cols]), axis=1)
     else:  # S_0 = 0

@@ -20,8 +20,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, pdtr, xlogy
 
-from .dist import (LOG4, LOG2716, BinomialLaw, _blocks, binomial_band,
-                   inv_moment_shift_V)
+from .dist import LOG4, LOG2716, BinomialLaw, _blocks, inv_moment_shift_V
 from .search import sup_search
 
 # Grid points of the x-scan in sup_H_n.
@@ -204,8 +203,7 @@ def H_n_exact(n, x):
     k = np.arange(n + 1)
     w = _H_weight(n)
     sums = np.empty(len(xs))
-    for sl, lo, hi in _blocks(n, xs):
-        band = binomial_band(n, xs[sl], lo, hi)
+    for sl, band in _blocks(n, xs):
         dev = np.abs(k[band.cols] - (n * xs[sl]).reshape(-1, 1))
         sums[sl] = np.sum(band.rows * dev * w[band.cols], axis=1)
     out = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n) * sums

@@ -10,10 +10,10 @@ Binomial(n, x) row lies in a band |k - nx| <= t around nx, and every entry
 outside it rounds to exactly 0.0.  Each point x gets a window [lo, hi] that
 holds its band, snapped outward to multiples of 64 and clamped to [0, n], so
 the window depends on (n, x) alone.  _blocks cuts the points into runs that
-share one window, of at most _BLOCK_ENTRIES band entries each, and hands
-each block's window to binomial_band, which takes exp over it, so every
-expectation is one np.sum(axis=1) over a block's rows.  A point's summation
-tree is therefore the same alone and inside any batch.
+share one window, of at most _BLOCK_ENTRIES band entries each, and builds
+each block's rows by taking exp over that window, so every expectation is
+one np.sum(axis=1) over a block's rows.  A point's summation tree is
+therefore the same alone and inside any batch.
 """
 
 import ctypes
@@ -85,30 +85,30 @@ def _band_windows(n, xs):
 
 
 def _blocks(n, xs):
-    """Blocks (sl, lo, hi) of the points xs: consecutive slices sl, each a
-    run of points that share one window [lo, hi] from _band_windows.
+    """Yield blocks (sl, band) of the points xs: consecutive slices sl, each
+    a run of points that share one window from _band_windows, and band, the
+    BinomialBand of xs[sl] over that window.
 
     A run holding more than _BLOCK_ENTRIES entries is cut into chunks of
-    max(1, _BLOCK_ENTRIES // width) points, so a block's window holds at
-    most _BLOCK_ENTRIES entries, or one point."""
+    max(1, _BLOCK_ENTRIES // width) points, so a block's band holds at most
+    _BLOCK_ENTRIES entries, or one point's window."""
     _keep_freed_memory()
-    _, lo, hi = _band_windows(n, xs)
+    xs, lo, hi = _band_windows(n, xs)
     cut = np.flatnonzero((np.diff(lo) != 0) | (np.diff(hi) != 0)) + 1
     starts = [0, *cut.tolist()] if len(lo) else []
-    out = []
     for s, e in zip(starts, [*starts[1:], len(lo)]):
         step = max(1, _BLOCK_ENTRIES // int(hi[s] - lo[s] + 1))
-        out += [(slice(a, min(a + step, e)), int(lo[s]), int(hi[s]))
-                for a in range(s, e, step)]
-    return out
+        for a in range(s, e, step):
+            sl = slice(a, min(a + step, e))
+            yield sl, _window_rows(n, xs[sl], int(lo[s]), int(hi[s]) + 1)
 
 
 @dataclass(frozen=True)
 class BinomialBand:
-    """Binomial(n, x) pmf rows over the window k = offset..offset+width-1
-    handed to binomial_band.  For a block from _blocks that is the one window
-    its points share, so np.sum(..., axis=1) reduces each row over exactly
-    its window."""
+    """Binomial(n, x) pmf rows over the band k = offset..offset+width-1 that
+    holds every point's window; each row is exactly 0.0 outside its own
+    window.  For a block from _blocks the band is the one window its points
+    share, so np.sum(..., axis=1) reduces each row over exactly its window."""
     offset: int
     rows: np.ndarray
 
@@ -118,18 +118,25 @@ class BinomialBand:
         return slice(self.offset, self.offset + self.rows.shape[1])
 
 
-def binomial_band(n, xs, lo, hi):
-    """The Binomial(n, x) pmf of each x in xs over the window k = lo..hi.
+def binomial_band(n, xs):
+    """The Binomial(n, x) pmf of each x in xs over the union of their windows.
 
     Every entry is bit-identical to the dense exp(log C(n, k) + k log x
-    + (n - k) log1p(-x)).  Callers take the window from _band_windows, as a
-    block (sl, lo, hi) of _blocks, which validates the points, so the window
-    holds every point's band.  By Bernstein's inequality every entry outside a
-    row's band has mass below exp(-760), which exp rounds to exactly 0.0, so
-    dropping the rest of the row changes no entry, and a sum over the window
-    differs from the dense sum only in its summation tree."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    offset, end = lo, hi + 1
+    + (n - k) log1p(-x)), and exp is taken only over the union of the
+    windows from _band_windows.  By Bernstein's inequality every entry
+    outside a row's band has mass below exp(-760), which exp rounds to
+    exactly 0.0, so dropping the rest of the row changes no entry, and a sum
+    over the window differs from the dense sum only in its summation tree.
+    Batched expectations take their bands from _blocks instead, one window
+    of at most _BLOCK_ENTRIES entries, or one point's window, per block."""
+    xs, lo, hi = _band_windows(n, xs)
+    offset, end = (int(lo.min()), int(hi.max()) + 1) if len(xs) else (0, 0)
+    return _window_rows(n, xs, offset, end)
+
+
+def _window_rows(n, xs, offset, end):
+    """The band of the validated float array xs over k = offset..end-1,
+    which must hold every point's window."""
     inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
     k = np.arange(offset, end, dtype=float)
     # math.log/log1p per x: np.log can differ from them by an ulp
@@ -174,8 +181,7 @@ class BinomialLaw:
     def pmf_vector(self):
         """All n+1 probabilities, the one-point band scattered into a zero
         row; sums to 1 up to rounding."""
-        _, lo, hi = _band_windows(self.n, [self.x])
-        band = binomial_band(self.n, [self.x], int(lo[0]), int(hi[0]))
+        band = binomial_band(self.n, [self.x])
         out = np.zeros(self.n + 1)
         out[band.cols] = band.rows[0]
         return out
@@ -238,15 +244,14 @@ def tv_binom_poisson_bound(n, lam):
 def stirling_mode_bound_check(n, m):
     """Check P(S_n(m/n) = m) <= (1/sqrt(2 pi)) sqrt(n/(m(n-m))) at an int m
     (a bool is returned) or at each entry of an int array m (a bool array),
-    reading the pmf rows of all m in blocks of binomial_band calls."""
+    reading the pmf rows of all m in the bands of _blocks."""
     ma = np.asarray(m)
     ms = ma.ravel()
     if np.any((ms < 1) | (ms > n - 1)):
         raise ValueError(f"m must lie in [1, n-1], got m={m}, n={n}")
     xs = ms / n
     pmf = np.empty(len(ms))
-    for sl, lo, hi in _blocks(n, xs):
-        band = binomial_band(n, xs[sl], lo, hi)
+    for sl, band in _blocks(n, xs):
         pmf[sl] = band.rows[np.arange(len(band.rows)), ms[sl] - band.offset]
     out = pmf <= np.sqrt(n / (ms * (n - ms))) / math.sqrt(2.0 * math.pi)
     return out.reshape(ma.shape) if ma.ndim else bool(out[0])

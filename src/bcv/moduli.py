@@ -16,9 +16,12 @@ one pass (bound "exact"), so the value is attained even for wrong breakpoints.
 Otherwise an (x, h) grid scan is refined around its best cells in one lockstep
 golden-section pass on search.golden_max (bound "lower").  The seeds are the
 _REFINE_TOP best cells by value, descending, ties going to the lower
-row-major flat index (smaller x, then smaller h); they are picked in time
-linear in the grid size.  Both paths raise ValueError, naming the modulus and
-delta, when f is not finite at a point they evaluate.
+row-major flat index (smaller x, then smaller h); picking them costs one
+linear pass over the grid plus a stable sort of the cells at or above the
+_REFINE_TOP-th largest row maximum.  Both paths raise ValueError, naming the
+modulus and delta, when f is not finite at a grid cell, at the point a
+refinement lane settles on after each golden-section search, or at a vertex
+candidate; the steps inside a search are not checked.
 """
 
 from dataclasses import dataclass
@@ -106,9 +109,10 @@ def _scan(diff, hmax_fn, xs, h_points, what):
     """Max of diff over the grid {(x, t*hmax(x)) : t in [0,1]}; returns the
     best value, its (x, h), the _REFINE_TOP best cells as refinement seeds
     and the grid size scanned.  The seeds run by value, descending, with
-    ties to the lower row-major flat index (smaller x, then smaller h), and
-    are picked in time linear in the grid size.  `what` names the modulus in
-    the ValueError raised when a grid value is not finite."""
+    ties to the lower row-major flat index (smaller x, then smaller h); they
+    cost one linear pass plus a stable sort of the cells at or above the
+    _REFINE_TOP-th largest row maximum.  `what` names the modulus in the
+    ValueError raised when a grid value is not finite."""
     xs = np.asarray(xs, dtype=float).reshape(-1, 1)
     hm = hmax_fn(xs)
     t = np.linspace(0.0, 1.0, h_points + 1).reshape(1, -1)
@@ -131,14 +135,17 @@ def _scan(diff, hmax_fn, xs, h_points, what):
     return float(vals[i[0], j[0]]), *seeds[0], seeds, vals.size
 
 
-def _refine(diff, hmax_fn, x, h, dx):
+def _refine(diff, hmax_fn, x, h, dx, what):
     """Two rounds of coordinate golden-section ascent from all seeds (x, h)
     at once, one lane each; the x move keeps h at a fixed fraction of hmax so
     admissibility is preserved.  Returns the rows (value, x, h) of each lane's
-    best point, updated only on a strict gain."""
+    best point, updated only on a strict gain.  `what` names the modulus in
+    the ValueError raised when a point a lane settles on has no finite value."""
     best = np.array([diff(x, h), x, h])
 
     def keep(lanes, *cand):
+        if not np.all(np.isfinite(cand[0])):
+            raise ValueError(f"{what}: f is not finite at every refined point")
         up = cand[0] > best[0, lanes]
         best[:, lanes[up]] = np.array(cand)[:, up]
 
@@ -162,7 +169,9 @@ def _refine(diff, hmax_fn, x, h, dx):
 def _search(diff, hmax_fn, xs, what):
     value, ax, ah, seeds, npts = _scan(diff, hmax_fn, xs, H_POINTS, what)
     sx, sh = np.transpose(seeds)
-    for v, rx, rh in zip(*_refine(diff, hmax_fn, sx, sh, 1.0 / X_POINTS)):
+    with np.errstate(invalid="ignore"):  # inf - inf: raised by _refine instead
+        best = _refine(diff, hmax_fn, sx, sh, 1.0 / X_POINTS, what)
+    for v, rx, rh in zip(*best):
         if v > value:
             value, ax, ah = float(v), float(rx), float(rh)
     return ModulusResult(value, ax, ah, npts, "lower")

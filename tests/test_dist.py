@@ -110,16 +110,10 @@ def _row_points(n):
     return [x for x in xs if 0.0 <= x <= 1.0]
 
 
-def _union_band(n, xs):
-    """One binomial_band over all of xs, on the union of their windows."""
-    _, lo, hi = _band_windows(n, xs)
-    return binomial_band(n, xs, int(lo.min()), int(hi.max()))
-
-
 def _scattered_rows(n, xs):
     """The rows of one binomial_band over all of xs, each scattered into a
     zero row of n+1 entries."""
-    band = _union_band(n, xs)
+    band = binomial_band(n, xs)
     out = np.zeros((len(xs), n + 1))
     out[:, band.cols] = band.rows
     return out
@@ -152,11 +146,11 @@ _EDGE_POINTS = st.sampled_from([0.0, 1e-12, 0.5, 1.0 - 1e-9, 1.0])
 @given(st.sampled_from([1, 2, 10, 500, 1000, 10_000, 100_000]),
        st.lists(st.one_of(st.floats(0.0, 1.0), _EDGE_POINTS), min_size=1, max_size=8))
 def test_band_window_is_per_point_and_holds_the_band(n, xs):
-    band = _union_band(n, xs)
+    band = binomial_band(n, xs)
     _, lo, hi = _band_windows(n, xs)
     for i, x in enumerate(xs):
+        alone = binomial_band(n, [x])
         _, lo1, hi1 = _band_windows(n, [x])
-        alone = binomial_band(n, [x], int(lo1[0]), int(hi1[0]))
         assert (lo[i], hi[i]) == (lo1[0], hi1[0]), (n, x)
         assert 0 <= lo[i] <= hi[i] <= n
         # every k with |k - nx| <= t lies in [lo, hi]
@@ -177,17 +171,18 @@ def test_blocks_cover_the_points_in_order_within_the_block_size(n):
     # by more points than fit a block at n >= 10^4
     xs = np.concatenate([np.linspace(0.2, 0.3, 500), np.linspace(0.0, 1.0, 300),
                          np.full(300, 0.5)])
-    blocks = _blocks(n, xs)
-    stops = [sl.stop for sl, _, _ in blocks]
-    assert [sl.start for sl, _, _ in blocks] == [0] + stops[:-1] and stops[-1] == len(xs)
+    blocks = list(_blocks(n, xs))
+    stops = [sl.stop for sl, _ in blocks]
+    assert [sl.start for sl, _ in blocks] == [0] + stops[:-1] and stops[-1] == len(xs)
     _, lo, hi = _band_windows(n, xs)
-    for sl, blo, bhi in blocks:
-        # one window per block, handed on with it, so its band is that window
-        assert set(lo[sl]) == {blo} and set(hi[sl]) == {bhi}
-        width = bhi - blo + 1
+    for sl, band in blocks:
+        # one window per block, so its band is that window
+        assert len(set(lo[sl])) == len(set(hi[sl])) == 1
+        width = hi[sl.start] - lo[sl.start] + 1
         assert sl.stop - sl.start == 1 or (sl.stop - sl.start) * width <= _BLOCK_ENTRIES
-        band = binomial_band(n, xs[sl], blo, bhi)
-        assert (band.offset, band.rows.shape[1]) == (blo, width)
+        assert (band.offset, band.rows.shape[1]) == (lo[sl.start], width)
+        # the rows built on the block's window are those of binomial_band
+        assert np.array_equal(band.rows, binomial_band(n, xs[sl]).rows)
 
 
 def test_binomial_rows_match_exact_rationals_for_small_n():
@@ -213,19 +208,22 @@ def test_binomial_row_at_a_million_is_narrow_and_normalized():
 
 def test_binomial_rows_validation_and_read_only_cache():
     for n, xs in ((0, [0.5]), (5, [0.2, 1.5]), (5, [float("nan")])):
-        # _blocks validates the points and windows every band is built on
         with pytest.raises(ValueError):
-            _blocks(n, xs)
+            binomial_band(n, xs)
+        with pytest.raises(ValueError):
+            list(_blocks(n, xs))
         with pytest.raises(ValueError):
             BinomialLaw(n, xs[-1])
-    assert _blocks(5, []) == []
+    empty = binomial_band(5, [])
+    assert empty.rows.shape == (0, 0)
+    assert list(_blocks(5, [])) == []
     assert bernstein_apply_many(np.cos, 5, []).shape == (0,)
     assert not _log_binom(7).flags.writeable
 
 
 def test_batched_expectations_never_build_a_dense_row(monkeypatch):
-    # every batched expectation reads binomial_band; only the one-point
-    # helpers of BinomialLaw build a row of n+1 entries
+    # every batched expectation reads the bands of _blocks; only the
+    # one-point helpers of BinomialLaw build a row of n+1 entries
     def no_dense_row(self):
         raise AssertionError("dense pmf row built")
 

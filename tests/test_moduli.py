@@ -229,10 +229,15 @@ def test_non_finite_f_raises_naming_the_modulus_and_delta(fn):
     nan_above = lambda y: np.where(np.asarray(y) > 0.7, np.nan, np.asarray(y) ** 2)
     all_inf = lambda y: np.full(np.shape(y), np.inf)
     grid = [nan_above, all_inf]
+    # finite on the (x, h) grid, whose arrays are 2-D, but not at the 1-D
+    # lanes of the refinement
+    off_grid = [lambda y, bad=bad: np.asarray(y) ** 2 if np.ndim(y) == 2
+                else np.full(np.shape(y), bad) for bad in (np.nan, np.inf)]
     # with breakpoints the exact path evaluates the candidates instead
     exact = [PiecewiseLinearFn((0.0, 0.7, 1.0), (0.0, 0.49, np.nan)),
              PiecewiseLinearFn((0.0, 1.0), (np.inf, np.inf))]
-    for f, where in [(f, "scan") for f in grid] + [(f, "candidate") for f in exact]:
+    for f, where in ([(f, "scan") for f in grid] + [(f, "refined") for f in off_grid]
+                     + [(f, "candidate") for f in exact]):
         with pytest.raises(ValueError, match=rf"^{fn.__name__} at delta=0\.3: f is not "
                                              rf"finite at every {where} point$"):
             fn(f, 0.3)
@@ -258,9 +263,9 @@ def _assert_lanes_match_scalar_refine(fn, f, delta, grid=None):
     calls = []
     lane_refine = moduli._refine
 
-    def record(diff, hmax_fn, x, h, dx):
+    def record(diff, hmax_fn, x, h, dx, what):
         seeds = (x.copy(), h.copy())
-        out = lane_refine(diff, hmax_fn, x, h, dx)
+        out = lane_refine(diff, hmax_fn, x, h, dx, what)
         calls.append((diff, hmax_fn, *seeds, dx, out))
         return out
 
