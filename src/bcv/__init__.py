@@ -2,12 +2,14 @@
 
 Submodules:
 
-  dist        discrete laws, the binomial band kernel, total variation,
-              inverse moments
+  dist        the binomial law and its band kernel, the binomial-Poisson
+              total variation distance and bound, inverse moments
   bernstein   the operator, its derivatives, Krawtchouk polynomials
   moduli      moduli of continuity, including the phi-weighted second modulus
+  search      the sup-search primitive: grid scan plus golden-section lanes
   central     H_n, I_n, the envelope C and its sup, K(s)
   noncentral  alpha-iterates, J constants, finite-n bounds, Monte Carlo
+  quadrature  the fixed composite Gauss-Legendre rule
   bounds      headline upper/lower-bound assembly and inequality validators
   cli         command-line front end (entry point: bcv)
 """
@@ -28,9 +30,9 @@ from .central import (SupSearchResult, C_of_lambda, C_tilde, D_coeff,
                       H_n_exact, H_n_upper, I_n_branch_check, I_n_brute,
                       I_n_closed, K_func, nu, phi_ratio_moment_sides,
                       r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
-from .dist import (LOG4, LOG2716, BinomialBand, BinomialLaw, PoissonLaw,
-                   binomial_band, inv_moment_shift_V, stirling_mode_bound_check,
-                   tv_binom_poisson_bound, tv_distance)
+from .dist import (LOG4, LOG2716, BinomialLaw, inv_moment_shift_V,
+                   stirling_mode_bound_check, tv_binom_poisson,
+                   tv_binom_poisson_bound)
 from .moduli import ModulusResult, omega1, omega2, omega2_phi
 from .noncentral import (SimulatedJ, b_n, epsilon_n, finite_n_J_bound,
                          first_valid_i, J_limit, L_k, simulate_J)

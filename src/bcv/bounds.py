@@ -18,8 +18,8 @@ import numpy as np
 
 from .bernstein import (PiecewiseLinearFn, bernstein_apply_many,
                         bernstein_derivative)
-from .central import K_func, SupSearchResult, _check_scan, sup_H_n
-from .dist import LOG4, PoissonLaw, _log_comb
+from .central import K_func, SupSearchResult, sup_H_n
+from .dist import LOG4, _log_comb
 from .moduli import X_POINTS, omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
 from .search import sup_search
@@ -27,6 +27,14 @@ from .search import sup_search
 SQRT2 = math.sqrt(2.0)
 # Grid of the norms in the converse validators: 1024 points on (0, 1/2].
 _NORM_XS = np.linspace(0.0, 0.5, 1025)[1:]
+# The a of K(a) and J(k, a) in the converse validators, and the m of the
+# noncentral one: the headline point, where first_valid_i(a) = 13 <= m.
+CONVERSE_A = 7.2
+CONVERSE_M = 20
+# sup_G_minus_g scans [0, G_LAMBDA_MAX] on G_POINTS + 1 points; its tail
+# certificate needs G_LAMBDA_MAX >= 40.
+G_LAMBDA_MAX = 40.0
+G_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -177,22 +185,20 @@ def G_of_lambda(lam):
     return out if out.ndim else float(out)
 
 
-def sup_G_minus_g(*, lambda_max=40.0, points=100_000):
-    """sup over [0, lambda_max] of |G - g|, scanned on points + 1 grid points
-    and the nodes of g, with a Poisson-tail certificate that nothing beyond
-    lambda_max can compete.  Refinement stays between neighbouring nodes of
-    g, where |G - g| is smooth."""
-    _check_scan(lambda_max, points)
-    if lambda_max < 40.0:
-        raise ValueError("need lambda_max >= 40 for the tail certificate")
+def sup_G_minus_g():
+    """sup over [0, G_LAMBDA_MAX] of |G - g|, scanned on G_POINTS + 1 grid
+    points and the nodes of g, with a Poisson-tail certificate that nothing
+    beyond G_LAMBDA_MAX can compete.  Refinement stays between neighbouring
+    nodes of g, where |G - g| is smooth."""
+    lam = G_LAMBDA_MAX
     lams = np.unique(np.concatenate([
-        np.linspace(0.0, lambda_max, points + 1), np.arange(5.0)]))
+        np.linspace(0.0, lam, G_POINTS + 1), np.arange(5.0)]))
     arg, value, _ = sup_search(lambda t: np.abs(G_of_lambda(t) - g_of_lambda(t)),
                                lams, breaks=np.arange(5.0))
-    tail = 2.0 * float(np.sum([PoissonLaw(lambda_max).pmf(k) for k in range(4)]))
-    cert = (f"for lambda > {lambda_max:g}: |G - g| = |G - 1| <= 2 P(N <= 3) "
+    tail = 2.0 * math.exp(-lam) * (1.0 + lam + lam ** 2 / 2.0 + lam ** 3 / 6.0)
+    cert = (f"for lambda > {lam:g}: |G - g| = |G - 1| <= 2 P(N <= 3) "
             f"<= {tail:.3e} (decreasing in lambda)")
-    return SupSearchResult(value, arg, (0.0, lambda_max), cert)
+    return SupSearchResult(value, arg, (0.0, lam), cert)
 
 
 def _fn_lower_error(n, x):
@@ -282,8 +288,8 @@ def modulus_upper_check(f, n):
     return lhs <= rhs + 1e-12
 
 
-def central_converse_check(f, n, a=7.2):
-    """Central-region converse estimate at one n:
+def central_converse_check(f, n):
+    """Central-region converse estimate at one n, a = CONVERSE_A:
 
         (1 - sqrt((n+1)/n) H_{n-2} K(a) / 3) ||phi^2 (B_n f)''|| / (2n)
             <= ((sqrt(2)+1)/sqrt(2)) ||B_n f - f||,
@@ -292,7 +298,7 @@ def central_converse_check(f, n, a=7.2):
     if n < 5:
         raise ValueError("need n >= 5")
     h = sup_H_n(n - 2).sup_value
-    mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(a) / 3.0
+    mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(CONVERSE_A) / 3.0
     err, wd2 = _error_norm(f, n, _NORM_XS), _d2_norm(f, n, _NORM_XS)
     if mult <= 0.0:
         return ValidatorResult(True, False, mult * wd2 / (2.0 * n),
@@ -304,18 +310,17 @@ def central_converse_check(f, n, a=7.2):
                            f"multiplier {mult:.4f}")
 
 
-def noncentral_converse_check(f, n, a=7.2, m=20):
+def noncentral_converse_check(f, n):
     """Noncentral converse estimate with the finite-n J bounds substituted
-    (conservative on both sides):
+    (conservative on both sides), at a = CONVERSE_A and m = CONVERSE_M:
 
         ||phi^2 (B_n f)''|| (1 - J_n(m+1,a)) / n
             <= sqrt(2) (i + sum_{k=i}^m J_n(k,a)) ||B_n f - f||,
 
     i = first_valid_i(a).  Reports not-binding when the J-bound hypothesis
     fails at this n or the multiplier is nonpositive."""
+    a, m = CONVERSE_A, CONVERSE_M
     i = first_valid_i(a)
-    if i > m:
-        raise ValueError(f"need m >= first_valid_i(a) = {i}")
     err, wd2 = _error_norm(f, n, _NORM_XS), _d2_norm(f, n, _NORM_XS)
     try:
         js = {k: finite_n_J_bound(n, k, a) for k in range(i, m + 2)}

@@ -151,7 +151,9 @@ def sup_C(*, lambda_max=60.0, points=100_000):
     """sup over lambda of C(lambda), scanned on points grid points of
     (0, lambda_max] and at each integer and either side of it, with a
     certificate that the tail beyond 60 stays below the reported sup.
-    Refinement stays on one piece (m-1, m] of the ceiling in nu."""
+    Refinement stays on one piece (m-1, m] of the ceiling in nu.  Raises
+    ValueError when the grid is too coarse for its range: refinement then
+    moves the sup by more than 1e-3."""
     _check_scan(lambda_max, points)
     if lambda_max < 60.0:
         raise ValueError("scan must cover (0, 60]")
@@ -159,8 +161,8 @@ def sup_C(*, lambda_max=60.0, points=100_000):
         C_of_lambda, _scan_lambdas(lambda_max, points),
         breaks=np.arange(math.ceil(lambda_max) + 1.0))
     if value - grid_value > 1e-3:
-        raise RuntimeError("scan too coarse: refinement moved the sup by "
-                           f"{value - grid_value:.2e}")
+        raise ValueError("scan too coarse: refinement moved the sup by "
+                         f"{value - grid_value:.2e}")
     return SupSearchResult(value, arg, (0.0, lambda_max), _tail_certificate())
 
 

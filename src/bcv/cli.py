@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +40,12 @@ MAX_M = 10 ** 4
 MAX_SWEEP_POINTS = 10 ** 5
 # Most a-grid points times m, as a point's cost grows with m: 10^5 at m = 20.
 MAX_SWEEP_WORK = 20 * MAX_SWEEP_POINTS
-
-
-@dataclass(frozen=True)
-class ReportEntry:
-    claim_id: str
-    computed: float
-    reference: float
-    tolerance: float
-    passed: bool
-    runtime_ms: int
-    seed: int
-    grid: str
+# Largest --grid and --lambda-max accepted by constants.  Each integer up to
+# lambda_max adds three scan points to the grid's.  At --grid 10^6 constants
+# takes about 1.0 s and 126 MB peak RSS in a fresh interpreter on 2 vCPUs;
+# at both caps, 0.9 s and 141 MB.
+MAX_GRID = 10 ** 6
+MAX_LAMBDA_MAX = 10 ** 5
 
 
 class _Check:
@@ -69,6 +62,7 @@ class _Check:
         self.grid = grid
 
     def run(self):
+        """Run the thunk and return the claim's schema-1 report entry."""
         t0 = time.perf_counter()
         value = float(self.thunk())
         ms = int(round((time.perf_counter() - t0) * 1000.0))
@@ -76,50 +70,38 @@ class _Check:
             ok = abs(value - self.reference) <= self.tolerance
         else:
             ok = bool(self.predicate(value))
-        return ReportEntry(self.claim_id, value, self.reference, self.tolerance,
-                           ok, ms, self.seed, self.grid)
+        return {"claim_id": self.claim_id, "computed": value,
+                "reference": self.reference, "tolerance": self.tolerance,
+                "pass": ok, "runtime_ms": ms, "seed": self.seed, "grid": self.grid}
 
 
 def _render_json(command, entries):
-    payload = {
-        "schema": SCHEMA,
-        "command": command,
-        "entries": [{
-            "claim_id": e.claim_id,
-            "computed": e.computed,
-            "reference": e.reference,
-            "tolerance": e.tolerance,
-            "pass": e.passed,
-            "runtime_ms": e.runtime_ms,
-            "seed": e.seed,
-            "grid": e.grid,
-        } for e in entries],
-    }
+    payload = {"schema": SCHEMA, "command": command, "entries": entries}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _render_csv(entries):
     lines = ["claim_id,computed,reference,tolerance,pass,runtime_ms,seed,grid"]
     for e in entries:
-        ref = "" if e.reference is None else repr(e.reference)
-        tol = "" if e.tolerance is None else repr(e.tolerance)
-        seed = "" if e.seed is None else str(e.seed)
-        lines.append(f"{e.claim_id},{e.computed!r},{ref},{tol},"
-                     f"{str(e.passed).lower()},{e.runtime_ms},{seed},\"{e.grid}\"")
+        ref = "" if e["reference"] is None else repr(e["reference"])
+        tol = "" if e["tolerance"] is None else repr(e["tolerance"])
+        seed = "" if e["seed"] is None else str(e["seed"])
+        lines.append(f"{e['claim_id']},{e['computed']!r},{ref},{tol},"
+                     f"{str(e['pass']).lower()},{e['runtime_ms']},{seed},\"{e['grid']}\"")
     return "\n".join(lines) + "\n"
 
 
 def _render_text(entries):
     lines = []
     for e in entries:
-        tag = "PASS" if e.passed else "FAIL"
+        tag = "PASS" if e["pass"] else "FAIL"
         extra = ""
-        if e.reference is not None:
-            extra = f"  (reference {e.reference:g}, tol {e.tolerance:g})"
-        if e.grid:
-            extra += f"  [{e.grid}]"
-        lines.append(f"[{tag}] {e.claim_id}: {e.computed:.10g}{extra}")
-    npass = sum(e.passed for e in entries)
+        if e["reference"] is not None:
+            extra = f"  (reference {e['reference']:g}, tol {e['tolerance']:g})"
+        if e["grid"]:
+            extra += f"  [{e['grid']}]"
+        lines.append(f"[{tag}] {e['claim_id']}: {e['computed']:.10g}{extra}")
+    npass = sum(e["pass"] for e in entries)
     lines.append(f"{npass}/{len(entries)} checks passed")
     return "\n".join(lines) + "\n"
 
@@ -143,7 +125,7 @@ def _emit(command, checks, args):
     else:
         text = _render_text(entries)
     _write(text, args.out)
-    failing = [e.claim_id for e in entries if not e.passed]
+    failing = [e["claim_id"] for e in entries if not e["pass"]]
     if failing:
         print("failing: " + ", ".join(failing), file=sys.stderr)
         return 1
@@ -153,6 +135,9 @@ def _emit(command, checks, args):
 def _cmd_constants(args):
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise _Usage("need a finite --tol >= 0")
+    # an infinite or NaN --lambda-max gets sup_C's own message
+    if args.grid > MAX_GRID or MAX_LAMBDA_MAX < args.lambda_max < math.inf:
+        raise _Usage(f"need --grid <= {MAX_GRID} and --lambda-max <= {MAX_LAMBDA_MAX}")
     try:
         sup_c = central.sup_C(lambda_max=args.lambda_max, points=args.grid)
         sup_ct = central.sup_C_tilde(lambda_max=args.lambda_max, points=args.grid)
@@ -232,9 +217,8 @@ def _suite_dist():
         worst = -math.inf
         for n in (10, 20, 50):
             for lam in (0.5, 1.0, 2.0):
-                d = dist.tv_distance(dist.BinomialLaw(n, lam / n),
-                                     dist.PoissonLaw(lam))
-                worst = max(worst, d - dist.tv_binom_poisson_bound(n, lam))
+                worst = max(worst, dist.tv_binom_poisson(n, lam)
+                            - dist.tv_binom_poisson_bound(n, lam))
         return worst
 
     def stirling_all():

@@ -1,9 +1,9 @@
 """Discrete laws and inverse moments.
 
-Binomial and Poisson laws, the band kernel that every expectation over
-Binomial(n, x) runs on, total variation distance, the binomial-Poisson total
-variation bound, the Stirling bound on the binomial mode, and the closed form
-E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y for V = U1 + U2.
+The binomial law and the band kernel that every expectation over
+Binomial(n, x) runs on, the exact binomial-Poisson total variation distance
+beside its bound, the Stirling bound on the binomial mode, and the closed
+form E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y for V = U1 + U2.
 
 The band kernel: by Bernstein's inequality all but exp(-760) of a
 Binomial(n, x) row lies in a band |k - nx| <= t around nx, and every entry
@@ -13,7 +13,8 @@ the window depends on (n, x) alone.  _blocks cuts the points into runs that
 share one window, of at most _BLOCK_ENTRIES band entries each, and builds
 each block's rows by taking exp over that window, so every expectation is
 one np.sum(axis=1) over a block's rows.  A point's summation tree is
-therefore the same alone and inside any batch.
+therefore the same alone and inside any batch.  BinomialLaw.pmf_vector is a
+one-point block scattered into a row of n + 1 entries.
 """
 
 import ctypes
@@ -105,10 +106,9 @@ def _blocks(n, xs):
 
 @dataclass(frozen=True)
 class BinomialBand:
-    """Binomial(n, x) pmf rows over the band k = offset..offset+width-1 that
-    holds every point's window; each row is exactly 0.0 outside its own
-    window.  For a block from _blocks the band is the one window its points
-    share, so np.sum(..., axis=1) reduces each row over exactly its window."""
+    """Binomial(n, x) pmf rows over the window k = offset..offset+width-1
+    that a block of _blocks shares, so np.sum(..., axis=1) reduces each row
+    over exactly its window."""
     offset: int
     rows: np.ndarray
 
@@ -118,25 +118,13 @@ class BinomialBand:
         return slice(self.offset, self.offset + self.rows.shape[1])
 
 
-def binomial_band(n, xs):
-    """The Binomial(n, x) pmf of each x in xs over the union of their windows.
-
-    Every entry is bit-identical to the dense exp(log C(n, k) + k log x
-    + (n - k) log1p(-x)), and exp is taken only over the union of the
-    windows from _band_windows.  By Bernstein's inequality every entry
-    outside a row's band has mass below exp(-760), which exp rounds to
-    exactly 0.0, so dropping the rest of the row changes no entry, and a sum
-    over the window differs from the dense sum only in its summation tree.
-    Batched expectations take their bands from _blocks instead, one window
-    of at most _BLOCK_ENTRIES entries, or one point's window, per block."""
-    xs, lo, hi = _band_windows(n, xs)
-    offset, end = (int(lo.min()), int(hi.max()) + 1) if len(xs) else (0, 0)
-    return _window_rows(n, xs, offset, end)
-
-
 def _window_rows(n, xs, offset, end):
     """The band of the validated float array xs over k = offset..end-1,
-    which must hold every point's window."""
+    which must hold every point's window.
+
+    Every entry is bit-identical to the dense exp(log C(n, k) + k log x
+    + (n - k) log1p(-x)): by Bernstein's inequality every entry outside a
+    row's band has mass below exp(-760), which exp rounds to exactly 0.0."""
     inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
     k = np.arange(offset, end, dtype=float)
     # math.log/log1p per x: np.log can differ from them by an ulp
@@ -167,66 +155,29 @@ class BinomialLaw:
         if not 0.0 <= self.x <= 1.0:
             raise ValueError(f"success probability must lie in [0,1], got {self.x}")
 
-    def support(self):
-        return np.arange(self.n + 1)
-
-    def pmf(self, k):
-        """P(S = k), read from pmf_vector; 0 off the support 0..n, at
-        non-integer k too."""
-        k = np.asarray(k, dtype=float)
-        valid = (k >= 0) & (k <= self.n) & (k == np.floor(k))
-        out = np.where(valid, self.pmf_vector()[np.where(valid, k, 0).astype(int)], 0.0)
-        return out if out.ndim else float(out)
-
     def pmf_vector(self):
-        """All n+1 probabilities, the one-point band scattered into a zero
-        row; sums to 1 up to rounding."""
-        band = binomial_band(self.n, [self.x])
+        """All n+1 probabilities, the one-point block of _blocks scattered
+        into a zero row; sums to 1 up to rounding."""
+        (_, band), = _blocks(self.n, [self.x])
         out = np.zeros(self.n + 1)
         out[band.cols] = band.rows[0]
         return out
 
 
-@dataclass(frozen=True)
-class PoissonLaw:
-    lam: float
+def tv_binom_poisson(n, lam):
+    """d_TV(S_n(lam/n), N_lam) = (1/2) sum_k |P(S = k) - P(N = k)|, for
+    0 < lam <= n.
 
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"Poisson mean must be >= 0, got {self.lam}")
-
-    def truncation(self):
-        """Support cutoff k* with tail mass below 1e-15 for lam <= 100."""
-        return math.ceil(self.lam) + math.ceil(40.0 * math.sqrt(self.lam + 1.0)) + 40
-
-    def support(self):
-        return np.arange(self.truncation() + 1)
-
-    def logpmf(self, k):
-        k = np.asarray(k, dtype=float)
-        out = np.full(k.shape, -np.inf)
-        valid = (k >= 0) & (k == np.floor(k))
-        if self.lam == 0.0:
-            out[valid & (k == 0)] = 0.0
-        else:
-            kv = k[valid]
-            out[valid] = kv * math.log(self.lam) - self.lam - gammaln(kv + 1)
-        return out if out.ndim else float(out)
-
-    def pmf(self, k):
-        return np.exp(self.logpmf(k))
-
-
-def tv_distance(p, q):
-    """Total variation distance (1/2) sum_k |p(k) - q(k)|.
-
-    Both laws live on the nonnegative integers; the sum is truncated where
-    both effective supports end (binomial at n, Poisson where the tail is
-    below 1e-15), so the truncation error is < 1e-14.
-    """
-    hi = max(int(p.support()[-1]), int(q.support()[-1]))
-    k = np.arange(hi + 1)
-    return 0.5 * float(np.sum(np.abs(p.pmf(k) - q.pmf(k))))
+    The sum runs to max(n, k*) with k* = ceil(lam) + ceil(40 sqrt(lam + 1))
+    + 40, beyond which the Poisson mass is below 1e-15 for lam <= 100."""
+    if not 0.0 < lam <= n:
+        raise ValueError(f"need 0 < lam <= n, got lam={lam}, n={n}")
+    cut = max(n, math.ceil(lam) + math.ceil(40.0 * math.sqrt(lam + 1.0)) + 40)
+    k = np.arange(cut + 1, dtype=float)
+    p = np.zeros(cut + 1)
+    p[:n + 1] = BinomialLaw(n, lam / n).pmf_vector()
+    q = np.exp(k * math.log(lam) - lam - gammaln(k + 1))
+    return 0.5 * float(np.sum(np.abs(p - q)))
 
 
 def tv_binom_poisson_bound(n, lam):

@@ -10,9 +10,10 @@ from scipy import stats
 
 from oracles import dense_iteration_matrix
 from bcv.bernstein import bernstein_apply_many
-from bcv.bounds import (SQRT2, _NORM_XS, G_of_lambda, LowerBoundReport,
-                        UpperBoundReport, ValidatorResult, _fn_lower_error,
-                        _d2_norm, _error_norm, build_fn_lower,
+from bcv.bounds import (CONVERSE_A, CONVERSE_M, G_LAMBDA_MAX, SQRT2, _NORM_XS,
+                        G_of_lambda, LowerBoundReport, UpperBoundReport,
+                        ValidatorResult, _fn_lower_error, _d2_norm,
+                        _error_norm, build_fn_lower,
                         central_converse_check, fn_lower_error_sup,
                         g_of_lambda, iterate_converse_check, lower_bound_ratio,
                         modulus_upper_check, modulus_upper_sides,
@@ -165,9 +166,9 @@ def test_sup_G_minus_g_value_location_certificate():
     assert res.sup_value == pytest.approx(0.798222684859, abs=1e-9)
     assert res.arg == pytest.approx(2.0, abs=1e-6)
     assert "2 P(N <= 3)" in res.tail_certificate
-    with pytest.raises(ValueError):
-        sup_G_minus_g(lambda_max=30.0)
-    assert sup_G_minus_g(lambda_max=50.0).scan_range == (0.0, 50.0)
+    # the scan covers [0, 40], as far as the tail certificate needs
+    assert res.scan_range == (0.0, G_LAMBDA_MAX) == (0.0, 40.0)
+    assert res.tail_certificate.startswith("for lambda > 40:")
 
 
 def test_witness_error_closed_form_matches_operator():
@@ -276,9 +277,9 @@ def test_noncentral_converse_binding_at_large_n():
 
 
 def test_noncentral_converse_validates_index():
-    # i = first_valid_i(7.2) = 13 must not exceed m
-    with pytest.raises(ValueError):
-        noncentral_converse_check(lambda y: np.asarray(y) ** 3, 2000, m=12)
+    # i = first_valid_i(7.2) = 13 must not exceed m: the validator's fixed
+    # (a, m) satisfies that
+    assert first_valid_i(CONVERSE_A) == 13 <= CONVERSE_M
 
 
 def test_iterate_converse_holds():

@@ -77,6 +77,31 @@ def test_constants_rejects_non_finite_lambda_max(capsys, lam):
     assert "lambda_max must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--grid", "100"], ["--lambda-max", "100000"]])
+def test_constants_too_coarse_scan_is_a_usage_error(capsys, argv):
+    # accepted input whose grid is too coarse for its range: refinement moves
+    # the sup by more than 1e-3, reported as a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "scan too coarse" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--grid", str(cli.MAX_GRID + 1)],
+                                  ["--lambda-max", str(cli.MAX_LAMBDA_MAX + 1)]])
+def test_constants_rejects_grid_and_range_above_caps(capsys, monkeypatch, argv):
+    def no_scan(**kwargs):
+        raise AssertionError("scan ran")
+
+    monkeypatch.setattr(cli.central, "sup_C", no_scan)
+    monkeypatch.setattr(cli.central, "sup_C_tilde", no_scan)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", *argv])
+    assert exc.value.code == 2
+    assert "--grid <=" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_constants_rejects_negative_and_non_finite_tol(capsys, tol):
     with pytest.raises(SystemExit) as exc:

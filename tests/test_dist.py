@@ -1,4 +1,5 @@
-"""Discrete laws, total variation, and inverse-moment closed forms."""
+"""The binomial law and its band kernel, total variation, and inverse-moment
+closed forms."""
 
 import math
 import os
@@ -19,10 +20,10 @@ from oracles import (dense_binomial_row, frac_binom_pmf, mp_inv_moment_shift,
 from bcv.bernstein import bernstein_apply_many, bernstein_derivative
 from bcv.bounds import iterate_converse_check
 from bcv.central import H_n_exact
-from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, BinomialLaw, PoissonLaw,
-                      _band_windows, _blocks, _log_binom, binomial_band,
-                      inv_moment_shift_V, stirling_mode_bound_check,
-                      tv_binom_poisson_bound, tv_distance)
+from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, BinomialLaw, _band_windows,
+                      _blocks, _log_binom, inv_moment_shift_V,
+                      stirling_mode_bound_check, tv_binom_poisson,
+                      tv_binom_poisson_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -32,9 +33,9 @@ from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, BinomialLaw, PoissonLaw,
 def test_binomial_pmf_matches_exact_rational_values():
     for n in (1, 5, 12):
         for p in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)):
-            law = BinomialLaw(n, float(p))
+            row = BinomialLaw(n, float(p)).pmf_vector()
             for k in range(n + 1):
-                assert law.pmf(k) == pytest.approx(
+                assert row[k] == pytest.approx(
                     float(frac_binom_pmf(n, k, p)), rel=1e-13)
 
 
@@ -46,32 +47,8 @@ def test_binomial_pmf_vector_sums_to_one():
 
 
 def test_binomial_degenerate_probabilities():
-    assert BinomialLaw(5, 0.0).pmf(0) == 1.0
-    assert BinomialLaw(5, 0.0).pmf(1) == 0.0
-    assert BinomialLaw(5, 1.0).pmf(5) == 1.0
-    assert BinomialLaw(5, 1.0).pmf(4) == 0.0
-
-
-def test_binomial_pmf_outside_support_is_zero():
-    law = BinomialLaw(4, 0.3)
-    assert law.pmf(-1) == 0.0
-    assert law.pmf(5) == 0.0
-    assert law.pmf(2.5) == 0.0
-
-
-@pytest.mark.parametrize("n", [1, 7, 59, 200, 1000, 10_000])
-def test_binomial_pmf_reads_the_pmf_vector_bitwise(n):
-    for x in (0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0, 3.0 / (n + 3)):
-        law = BinomialLaw(n, x)
-        row = law.pmf_vector()
-        k = np.arange(-2, n + 3)
-        got = law.pmf(k)
-        assert got.shape == k.shape
-        assert np.array_equal(got[2:n + 3], row), (n, x)
-        assert np.all(got[:2] == 0.0) and np.all(got[n + 3:] == 0.0)
-        assert np.array_equal(law.pmf(k + 0.5), np.zeros(len(k)))
-        for kk in (0, n // 2, n):
-            assert law.pmf(kk) == row[kk]
+    assert BinomialLaw(5, 0.0).pmf_vector().tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert BinomialLaw(5, 1.0).pmf_vector().tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
 
 def test_binomial_cdf_endpoints_and_monotonicity():
@@ -111,18 +88,18 @@ def _row_points(n):
 
 
 def _scattered_rows(n, xs):
-    """The rows of one binomial_band over all of xs, each scattered into a
-    zero row of n+1 entries."""
-    band = binomial_band(n, xs)
+    """The rows of the blocks of _blocks over xs, each scattered into a zero
+    row of n+1 entries."""
     out = np.zeros((len(xs), n + 1))
-    out[:, band.cols] = band.rows
+    for sl, band in _blocks(n, xs):
+        out[sl, band.cols] = band.rows
     return out
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 1000, 10_000, 100_000])
 def test_binomial_rows_equal_dense_reference_bitwise(n):
-    # the band's rows and pmf_vector's one-point band, both against the
-    # full row of n+1 entries
+    # the rows of _blocks and pmf_vector's one-point block, both against
+    # the full row of n+1 entries
     xs = _row_points(n)
     rows = _scattered_rows(n, xs)
     for x, row in zip(xs, rows):
@@ -146,10 +123,9 @@ _EDGE_POINTS = st.sampled_from([0.0, 1e-12, 0.5, 1.0 - 1e-9, 1.0])
 @given(st.sampled_from([1, 2, 10, 500, 1000, 10_000, 100_000]),
        st.lists(st.one_of(st.floats(0.0, 1.0), _EDGE_POINTS), min_size=1, max_size=8))
 def test_band_window_is_per_point_and_holds_the_band(n, xs):
-    band = binomial_band(n, xs)
+    rows = _scattered_rows(n, xs)
     _, lo, hi = _band_windows(n, xs)
     for i, x in enumerate(xs):
-        alone = binomial_band(n, [x])
         _, lo1, hi1 = _band_windows(n, [x])
         assert (lo[i], hi[i]) == (lo1[0], hi1[0]), (n, x)
         assert 0 <= lo[i] <= hi[i] <= n
@@ -157,12 +133,9 @@ def test_band_window_is_per_point_and_holds_the_band(n, xs):
         t = _BAND_T / 3.0 + math.sqrt(_BAND_T ** 2 / 9.0 + 2.0 * _BAND_T * n * x * (1.0 - x))
         assert lo[i] == 0 or lo[i] <= n * x - t, (n, x)
         assert hi[i] == n or hi[i] >= n * x + t, (n, x)
-        # and the row is exactly zero outside its window, the one-point row in it
-        k = np.arange(band.offset, band.offset + band.rows.shape[1])
-        inside = (k >= lo[i]) & (k <= hi[i])
-        assert np.all(band.rows[i][~inside] == 0.0), (n, x)
-        assert np.array_equal(band.rows[i][inside],
-                              alone.rows[0][lo[i] - alone.offset:hi[i] + 1 - alone.offset])
+        # and the row is the dense row, the same as the point's row alone
+        assert np.array_equal(rows[i], dense_binomial_row(n, x)), (n, x)
+        assert np.array_equal(rows[i], _scattered_rows(n, [x])[0]), (n, x)
 
 
 @pytest.mark.parametrize("n", [10, 10_000, 1_000_000])
@@ -181,8 +154,12 @@ def test_blocks_cover_the_points_in_order_within_the_block_size(n):
         width = hi[sl.start] - lo[sl.start] + 1
         assert sl.stop - sl.start == 1 or (sl.stop - sl.start) * width <= _BLOCK_ENTRIES
         assert (band.offset, band.rows.shape[1]) == (lo[sl.start], width)
-        # the rows built on the block's window are those of binomial_band
-        assert np.array_equal(band.rows, binomial_band(n, xs[sl]).rows)
+        # each row is the point's one-point row, and the dense row in the window
+        for x, row in zip(xs[sl], band.rows):
+            (_, alone), = _blocks(n, [x])
+            assert np.array_equal(row, alone.rows[0]), (n, x)
+            if n <= 10_000:
+                assert np.array_equal(row, dense_binomial_row(n, x)[band.cols]), (n, x)
 
 
 def test_binomial_rows_match_exact_rationals_for_small_n():
@@ -209,13 +186,9 @@ def test_binomial_row_at_a_million_is_narrow_and_normalized():
 def test_binomial_rows_validation_and_read_only_cache():
     for n, xs in ((0, [0.5]), (5, [0.2, 1.5]), (5, [float("nan")])):
         with pytest.raises(ValueError):
-            binomial_band(n, xs)
-        with pytest.raises(ValueError):
             list(_blocks(n, xs))
         with pytest.raises(ValueError):
             BinomialLaw(n, xs[-1])
-    empty = binomial_band(5, [])
-    assert empty.rows.shape == (0, 0)
     assert list(_blocks(5, [])) == []
     assert bernstein_apply_many(np.cos, 5, []).shape == (0,)
     assert not _log_binom(7).flags.writeable
@@ -257,40 +230,6 @@ def test_block_loops_do_not_page_fault_every_block():
 
 
 # ---------------------------------------------------------------------------
-# Poisson law
-
-
-def test_poisson_pmf_matches_scipy():
-    for lam in (0.1, 1.0, 4.5, 60.0):
-        law = PoissonLaw(lam)
-        k = np.arange(0, 30)
-        assert np.allclose(law.pmf(k), stats.poisson.pmf(k, lam), atol=1e-14)
-
-
-def test_poisson_truncation_tail_is_negligible():
-    for lam in (0.5, 10.0, 100.0):
-        cut = PoissonLaw(lam).truncation()
-        assert float(stats.poisson.sf(cut, lam)) < 1e-15
-
-
-def test_poisson_pmf_vector_sums_to_one():
-    for lam in (0.0, 2.0, 55.0):
-        law = PoissonLaw(lam)
-        assert abs(law.pmf(law.support()).sum() - 1.0) < 1e-12
-
-
-def test_poisson_zero_mean_is_point_mass():
-    law = PoissonLaw(0.0)
-    assert law.pmf(0) == 1.0
-    assert law.pmf(1) == 0.0
-
-
-def test_poisson_validation():
-    with pytest.raises(ValueError):
-        PoissonLaw(-0.1)
-
-
-# ---------------------------------------------------------------------------
 # continuous auxiliaries
 
 
@@ -308,20 +247,32 @@ def test_triangular_density_normalizes_and_peaks_at_one():
 
 
 def test_tv_distance_agrees_with_direct_half_l1():
-    p, q = BinomialLaw(20, 0.05), PoissonLaw(1.0)
-    k = np.arange(0, 200)
-    direct = 0.5 * float(np.sum(np.abs(stats.binom.pmf(k, 20, 0.05)
-                                       - stats.poisson.pmf(k, 1.0))))
-    assert tv_distance(p, q) == pytest.approx(direct, abs=1e-12)
+    # scipy's pmfs over k = 0..999 hold all but 1e-15 of both laws; at
+    # lam = n nearly half the Poisson mass lies beyond k = n
+    k = np.arange(1000)
+    for n, lam in ((20, 1.0), (10, 0.1), (50, 5.0), (1000, 2.0), (30, 29.0),
+                   (100, 99.5), (100, 100.0), (10, 10.0)):
+        direct = 0.5 * float(np.sum(np.abs(stats.binom.pmf(k, n, lam / n)
+                                           - stats.poisson.pmf(k, lam))))
+        assert tv_binom_poisson(n, lam) == pytest.approx(direct, abs=1e-12), (n, lam)
 
 
-@given(st.integers(2, 30), st.floats(0.01, 0.99), st.floats(0.1, 10.0))
-def test_tv_distance_symmetric_bounded_zero_on_self(n, x, lam):
-    p, q = BinomialLaw(n, x), PoissonLaw(lam)
-    d = tv_distance(p, q)
-    assert d == pytest.approx(tv_distance(q, p), abs=1e-14)
-    assert -1e-12 <= d <= 1.0 + 1e-12
-    assert tv_distance(p, p) == 0.0
+def test_poisson_truncation_tail_is_negligible():
+    # the cutoff of tv_binom_poisson's sum, ceil(lam) + ceil(40 sqrt(lam+1)) + 40
+    for lam in (0.5, 10.0, 100.0):
+        cut = math.ceil(lam) + math.ceil(40.0 * math.sqrt(lam + 1.0)) + 40
+        assert float(stats.poisson.sf(cut, lam)) < 1e-15
+
+
+@given(st.integers(1, 60), st.floats(1e-3, 1.0))
+def test_tv_binom_poisson_lies_in_the_unit_interval(n, frac):
+    assert 0.0 <= tv_binom_poisson(n, frac * n) <= 1.0
+
+
+def test_tv_binom_poisson_validation():
+    for n, lam in ((10, 0.0), (10, -0.1), (10, 10.5), (10, math.nan), (0, 0.5)):
+        with pytest.raises(ValueError):
+            tv_binom_poisson(n, lam)
 
 
 def test_tv_bound_formula_value():
@@ -343,8 +294,7 @@ def test_tv_bound_dominates_exact_distance_on_grid():
         for lam in (0.5, 1.0, 2.0, 5.0):
             if lam > n / 2:
                 continue
-            d = tv_distance(BinomialLaw(n, lam / n), PoissonLaw(lam))
-            assert d <= tv_binom_poisson_bound(n, lam), (n, lam)
+            assert tv_binom_poisson(n, lam) <= tv_binom_poisson_bound(n, lam), (n, lam)
 
 
 # ---------------------------------------------------------------------------
