@@ -50,7 +50,7 @@ class PiecewiseLinearFn:
 def phi(x):
     """The weight sqrt(x(1-x)), in [0, 1/2] and symmetric about 1/2."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
         raise ValueError("x must lie in [0,1]")
     out = np.sqrt(x * (1.0 - x))
     return out if out.ndim else float(out)

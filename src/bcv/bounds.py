@@ -176,7 +176,7 @@ def G_of_lambda(lam):
     """Poisson profile G(lam) = E g(N_lam) = P0 - 0.8 P1 - P2 + 0.04 P3
     + 1 - P(N <= 3); lam may be a scalar or an array."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0.0):
+    if not np.all(lam >= 0.0):  # NaN fails too
         raise ValueError("lam must be >= 0")
     e = np.exp(-lam)
     p0, p1 = e, lam * e

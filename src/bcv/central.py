@@ -81,7 +81,7 @@ def nu(lam):
     a scalar (a float is returned) or an array; P(N <= m) is the regularized
     Poisson cdf pdtr."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0):
+    if not np.all(lam > 0.0):  # NaN fails too
         raise ValueError("lam must be positive")
     m = np.ceil(lam)
     pm = np.exp(m * np.log(lam) - lam - gammaln(m + 1.0))
@@ -94,7 +94,7 @@ def nu(lam):
 def r_of_lambda(lam):
     """r(lam) = (log 4 - 2 log(27/16)) lam^{3/2} e^{-lam}; peaks at lam = 3/2."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0.0):
+    if not np.all(lam >= 0.0):  # NaN fails too
         raise ValueError("lam must be >= 0")
     out = (LOG4 - 2.0 * LOG2716) * lam ** 1.5 * np.exp(-lam)
     return out if out.ndim else float(out)
@@ -104,7 +104,7 @@ def C_of_lambda(lam):
     """C(lam) = 2 log(27/16) nu(lam) + r(lam), extended by C(0) = 0; lam may
     be a scalar or an array."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0.0):
+    if not np.all(lam >= 0.0):  # NaN fails too
         raise ValueError("lam must be >= 0")
     pos = lam > 0.0
     c = 2.0 * LOG2716 * nu(np.where(pos, lam, 1.0)) + r_of_lambda(lam)

@@ -48,6 +48,12 @@ MAX_GRID = 10 ** 6
 MAX_LAMBDA_MAX = 10 ** 5
 
 
+# The piecewise-linear test functions |y - 1/2| and 2y - 1/4, with their
+# breakpoints, so the moduli take them on the exact vertex path.
+_VEE = bernstein.PiecewiseLinearFn((0.0, 0.5, 1.0), (0.5, 0.0, 0.5))
+_AFFINE = bernstein.PiecewiseLinearFn((0.0, 1.0), (-0.25, 1.75))
+
+
 class _Check:
     """One claim: a thunk plus either a reference window or a predicate."""
 
@@ -286,21 +292,19 @@ def _suite_bernstein():
 
 
 def _suite_moduli():
-    affine = lambda y: 2.0 * np.asarray(y) - 0.25
     square = lambda y: np.asarray(y) ** 2
-    vee = lambda y: np.abs(np.asarray(y) - 0.5)
     return [
         _Check("moduli.affine_vanishes",
-              lambda: max(moduli.omega1(affine, 0.3).value - 0.3 * 2.0,
-                          moduli.omega2(affine, 0.3).value,
-                          moduli.omega2_phi(affine, 0.3).value),
+              lambda: max(moduli.omega1(_AFFINE, 0.3).value - 0.3 * 2.0,
+                          moduli.omega2(_AFFINE, 0.3).value,
+                          moduli.omega2_phi(_AFFINE, 0.3).value),
               predicate=lambda v: abs(v) <= 1e-10, grid="delta=0.3"),
         _Check("moduli.quadratic_exact",
               lambda: abs(moduli.omega2_phi(square, 0.2).value - 0.02),
               predicate=lambda v: v <= 1e-10, grid="delta=0.2"),
         _Check("moduli.monotone_in_delta",
-              lambda: moduli.omega2_phi(vee, 0.2).value
-              - moduli.omega2_phi(vee, 0.1).value,
+              lambda: moduli.omega2_phi(_VEE, 0.2).value
+              - moduli.omega2_phi(_VEE, 0.1).value,
               predicate=lambda v: v >= -1e-12, grid="delta 0.1 vs 0.2"),
     ]
 
@@ -387,12 +391,11 @@ def _suite_noncentral(seed):
 def _suite_bounds():
     square = lambda y: np.asarray(y) ** 2
     cube = lambda y: np.asarray(y) ** 3
-    vee = lambda y: np.abs(np.asarray(y) - 0.5)
     sine = lambda y: np.sin(math.pi * np.asarray(y))
 
     def modulus_corpus():
         return float(sum(bool(bounds.modulus_upper_check(f, n))
-                         for f in (square, cube, vee, sine) for n in (10, 50)))
+                         for f in (square, cube, _VEE, sine) for n in (10, 50)))
 
     def validators():
         count = 0

@@ -187,7 +187,7 @@ def tv_binom_poisson_bound(n, lam):
     """
     if n < 10:
         raise ValueError(f"the bound requires n >= 10, got n={n}")
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise ValueError("lam must be >= 0")
     return (lam / n) * (math.sqrt(2.0) / 4.0 + (4.0 / 11.0) * (3.0 * lam + 4.0) * lam ** 2 / n)
 
@@ -214,7 +214,7 @@ def inv_moment_shift_V(y):
     Equals (y+2)log(y+2) - 2(y+1)log(y+1) + y log y with 0 log 0 = 0.
     """
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
+    if not np.all(y >= 0):  # NaN fails too
         raise ValueError("y must be >= 0")
     out = xlogy(y + 2.0, y + 2.0) - 2.0 * xlogy(y + 1.0, y + 1.0) + xlogy(y, y)
     return out if out.ndim else float(out)

@@ -14,7 +14,9 @@ where a cell's level lines touch the ellipse; all are evaluated through f in
 one pass (bound "exact"), so the value is attained even for wrong breakpoints.
 
 Otherwise an (x, h) grid scan is refined around its best cells in one lockstep
-golden-section pass on search.golden_max (bound "lower").  The seeds are the
+golden-section pass on search.golden_max (bound "lower").  The scan is
+evaluated in row blocks of at most _SCAN_BLOCK_CELLS cells into one table of
+the grid's values, so no other array is full size.  The seeds are the
 _REFINE_TOP best cells by value, descending, ties going to the lower
 row-major flat index (smaller x, then smaller h); picking them costs one
 linear pass over the grid plus a stable sort of the cells at or above the
@@ -37,6 +39,8 @@ H_POINTS = 512
 _REFINE_TOP = 8
 # Interval width at which golden section stops.
 _REFINE_TOL = 1e-13
+# Most grid cells per call of diff in the scan (63 rows at H_POINTS = 512).
+_SCAN_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,9 @@ def _vertices(f, diff, hmax_fn, delta, arms, coef, weighted, what):
 def _scan(diff, hmax_fn, xs, h_points, what):
     """Max of diff over the grid {(x, t*hmax(x)) : t in [0,1]}; returns the
     best value, its (x, h), the _REFINE_TOP best cells as refinement seeds
-    and the grid size scanned.  The seeds run by value, descending, with
+    and the grid size scanned.  diff is called on blocks of whole x-rows of
+    at most _SCAN_BLOCK_CELLS cells (one row if a row is larger), so it must
+    be elementwise.  The seeds run by value, descending, with
     ties to the lower row-major flat index (smaller x, then smaller h); they
     cost one linear pass plus a stable sort of the cells at or above the
     _REFINE_TOP-th largest row maximum.  `what` names the modulus in the
@@ -116,8 +122,11 @@ def _scan(diff, hmax_fn, xs, h_points, what):
     xs = np.asarray(xs, dtype=float).reshape(-1, 1)
     hm = hmax_fn(xs)
     t = np.linspace(0.0, 1.0, h_points + 1).reshape(1, -1)
+    vals = np.empty((len(xs), t.shape[1]))
+    rows = max(1, _SCAN_BLOCK_CELLS // t.shape[1])
     with np.errstate(invalid="ignore"):  # inf - inf: raised below instead
-        vals = diff(xs, hm * t)
+        for lo in range(0, len(xs), rows):
+            vals[lo:lo + rows] = diff(xs[lo:lo + rows], hm[lo:lo + rows] * t)
     rowmax = vals.max(axis=1)
     if not np.all(np.isfinite(rowmax)):
         raise ValueError(f"{what}: f is not finite at every scan point")

@@ -287,6 +287,19 @@ def top_cells(flat, k):
     return np.lexsort((np.arange(flat.size), -flat))[:k]
 
 
+def dense_scan(diff, hmax_fn, xs, h_points):
+    """moduli._scan on one full-size call of diff over the whole grid, with
+    the seeds taken by a full sort: (value, x, h, seeds, grid size)."""
+    xs = np.asarray(xs, dtype=float).reshape(-1, 1)
+    hm = hmax_fn(xs)
+    t = np.linspace(0.0, 1.0, h_points + 1).reshape(1, -1)
+    with np.errstate(invalid="ignore"):
+        vals = diff(xs, hm * t)
+    i, j = np.unravel_index(top_cells(vals.ravel(), 8), vals.shape)
+    seeds = [(float(a), float(b)) for a, b in zip(xs[i, 0], hm[i, 0] * t[0, j])]
+    return float(vals[i[0], j[0]]), *seeds[0], seeds, vals.size
+
+
 # ---------------------------------------------------------------------------
 # scalar searches (one point per call of f): the per-seed refinement that the
 # package's lockstep one must reproduce bit for bit

@@ -60,6 +60,12 @@ def test_phi_range_symmetry_and_domain():
         phi(np.array([0.2, 1.3]))
 
 
+def test_phi_rejects_nan():
+    for x in (math.nan, np.array([0.2, math.nan])):
+        with pytest.raises(ValueError):
+            phi(x)
+
+
 @given(st.floats(0.0, 1.0))
 def test_phi_symmetric_and_bounded(x):
     # rounding 1 - x perturbs the argument by up to eps/2, so compare the

@@ -155,6 +155,12 @@ def test_G_profile_values():
         G_of_lambda(np.array([1.0, -0.5]))
 
 
+def test_G_profile_rejects_nan():
+    for lam in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            G_of_lambda(lam)
+
+
 @given(st.floats(0.0, 100.0))
 def test_G_profile_bounded_by_sup_of_g(lam):
     # G is an average of g-values, all of which lie in [-1, 1]

@@ -72,6 +72,16 @@ def test_nu_positive_domain():
         nu(np.array([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("fn", [nu, r_of_lambda, C_of_lambda],
+                         ids=["nu", "r_of_lambda", "C_of_lambda"])
+def test_nan_lambda_raises(fn):
+    # NaN fails every comparison, so a guard written as "any(lam < 0)" let
+    # it through: nu and r returned NaN, and C returned 0.0 as if lam = 0
+    for lam in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            fn(lam)
+
+
 def test_r_peaks_at_three_halves():
     lams = np.linspace(0.01, 20.0, 2000)
     vals = r_of_lambda(lams)

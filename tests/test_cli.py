@@ -1,16 +1,18 @@
 """End-to-end checks of the command-line front end."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import bcv
-from bcv import cli
+from bcv import bounds, cli, moduli
 
 SRC = os.path.dirname(os.path.dirname(bcv.__file__))
 
@@ -250,6 +252,47 @@ def test_verify_checks_run_on_the_calling_thread(capsys, monkeypatch):
     assert code == 0
     assert "25/25 checks passed" in out
     assert threads == [threading.get_ident()] * 25
+
+
+def test_verify_moduli_of_piecewise_linear_functions_are_exact(monkeypatch):
+    # _VEE and _AFFINE declare their breakpoints, so every modulus that the
+    # moduli and bounds suites take of them comes from the exact vertex path,
+    # with the value the grid path gives for the bare lambda it replaces
+    lambdas = {cli._VEE: ("vee", lambda y: np.abs(np.asarray(y) - 0.5)),
+               cli._AFFINE: ("affine", lambda y: 2.0 * np.asarray(y) - 0.25)}
+    assert cli._VEE.breakpoints == (0.0, 0.5, 1.0)
+    assert cli._AFFINE.breakpoints == (0.0, 1.0)
+    taken = []
+
+    def recording(fn):
+        def call(f, delta):
+            res = fn(f, delta)
+            if f in lambdas:
+                taken.append((fn, f, delta, res))
+            return res
+        return call
+
+    for name in ("omega1", "omega2", "omega2_phi"):
+        monkeypatch.setattr(moduli, name, recording(getattr(moduli, name)))
+    monkeypatch.setattr(bounds, "omega2_phi", moduli.omega2_phi)
+    for check in cli._suite_moduli() + cli._suite_bounds():
+        if check.claim_id.startswith("moduli.") or check.claim_id == "bounds.modulus_upper_corpus":
+            check.thunk()
+    monkeypatch.undo()
+    assert sorted((fn.__name__, lambdas[f][0], delta) for fn, f, delta, _ in taken) == sorted(
+        [("omega1", "affine", 0.3), ("omega2", "affine", 0.3), ("omega2_phi", "affine", 0.3),
+         ("omega2_phi", "vee", 0.1), ("omega2_phi", "vee", 0.2),
+         ("omega2_phi", "vee", 1.0 / math.sqrt(10)), ("omega2_phi", "vee", 1.0 / math.sqrt(50))])
+    for fn, f, delta, res in taken:
+        grid = fn(lambdas[f][1], delta)
+        assert (res.bound, grid.bound) == ("exact", "lower")
+        if (fn, f) == (moduli.omega2_phi, cli._AFFINE):
+            # the exact second difference of an affine function is 0.0; the
+            # grid keeps a 2^-53 rounding residue, below omega1's own
+            # 0.6 + 2^-53 - 0.6 in the check's max, whose value is unchanged
+            assert (res.value, grid.value) == (0.0, 2.0 ** -53)
+        else:
+            assert res.value == grid.value, (fn.__name__, delta)
 
 
 def test_verify_rejects_negative_seed(capsys):

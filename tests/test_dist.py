@@ -289,6 +289,14 @@ def test_tv_bound_requires_n_at_least_ten():
         tv_binom_poisson_bound(100, -1.0)
 
 
+@pytest.mark.parametrize("fn", [lambda y: inv_moment_shift_V(y),
+                                lambda lam: tv_binom_poisson_bound(100, lam)],
+                         ids=["inv_moment_shift_V", "tv_binom_poisson_bound"])
+def test_nan_argument_raises(fn):
+    with pytest.raises(ValueError):
+        fn(math.nan)
+
+
 def test_tv_bound_dominates_exact_distance_on_grid():
     for n in (10, 20, 50, 100):
         for lam in (0.5, 1.0, 2.0, 5.0):

@@ -1,6 +1,7 @@
 """Moduli of continuity: closed-form cases, admissibility, search quality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from bcv import moduli
 from bcv.bernstein import PiecewiseLinearFn
 from bcv.bounds import build_fn_lower
 from bcv.moduli import ModulusResult, _scan, omega1, omega2, omega2_phi
-from oracles import scalar_refine, top_cells
+from oracles import dense_scan, scalar_refine, top_cells
 
 
 SQUARE = lambda y: np.asarray(y) ** 2
@@ -171,8 +172,8 @@ def test_scan_seeds_are_the_best_cells_in_descending_order():
         table = rng.permutation((x_points + 1) * (h_points + 1)).astype(float)
         table = table.reshape(x_points + 1, h_points + 1)
         t = np.linspace(0.0, 1.0, h_points + 1)
-        # diff ignores its arguments: the grid values are the table itself
-        value, ax, ah, seeds, npts = _scan(lambda x, h: table,
+        # the grid values are the table itself, read by row
+        value, ax, ah, seeds, npts = _scan(_table_rows(table, xs),
                                            lambda x: np.full_like(x, 0.5), xs, h_points, "t")
         flat = table.ravel()
         expect = np.argsort(flat)[::-1][:8]
@@ -196,12 +197,18 @@ def test_scan_seeds_are_the_best_cells_in_descending_order():
         _assert_seeds_are_top_cells(rng.integers(0, 3, shape).astype(float))
 
 
+def _table_rows(table, xs):
+    """A diff for _scan whose values are the rows of table at the sorted
+    grid xs, for whichever block of x-rows _scan asks for."""
+    return lambda x, h: table[np.searchsorted(xs, x[:, 0])]
+
+
 def _scan_seed_cells(table):
     """The (row, column) cells that _scan picks as seeds on a table of grid
     values, after checking the value and grid size it reports."""
     rows, cols = table.shape
     xs, t = np.linspace(0.0, 1.0, rows), np.linspace(0.0, 1.0, cols)
-    value, ax, ah, seeds, npts = _scan(lambda x, h: table,
+    value, ax, ah, seeds, npts = _scan(_table_rows(table, xs),
                                        lambda x: np.full_like(x, 0.5), xs, cols - 1, "t")
     assert (value, ax, ah, npts) == (table.max(), *seeds[0], table.size)
     # the x values and steps differ by row and column, so a seed names its cell
@@ -214,6 +221,49 @@ def _assert_seeds_are_top_cells(table):
     i, j = np.unravel_index(top_cells(table.ravel(), 8), table.shape)
     assert cells == list(zip(i.tolist(), j.tolist())), table
     return cells
+
+
+def _scan_inputs(monkeypatch, fn, f, delta):
+    """The (diff, hmax, xs, what) that fn(f, delta) hands to its grid scan."""
+    seen = []
+    with monkeypatch.context() as mp:
+        mp.setattr(moduli, "_search", lambda *args: seen.append(args))
+        fn(f, delta)
+    return seen[0]
+
+
+@pytest.mark.parametrize("fn", [omega1, omega2, omega2_phi],
+                         ids=["omega1", "omega2", "omega2_phi"])
+def test_blocked_scan_matches_the_dense_scan_bitwise(fn, monkeypatch):
+    # the scan's value, argmax, seeds and size equal those of one full-size
+    # diff call.  Neither 2049 nor 2051 rows (omega2_phi adds two corners)
+    # fill whole blocks; a block of 300 cells holds 4 rows of 61, so 103 rows
+    # end on a short block, and a row of 513 cells is a block by itself
+    rows = moduli._SCAN_BLOCK_CELLS // (moduli.H_POINTS + 1)
+    assert (moduli.X_POINTS + 1) % rows and (moduli.X_POINTS + 3) % rows
+    for f in (SQUARE, CUBE, SINE):
+        for delta in (0.1, 1.0 / math.sqrt(50.0)):
+            diff, hmax, xs, what = _scan_inputs(monkeypatch, fn, f, delta)
+            assert _scan(diff, hmax, xs, moduli.H_POINTS, what) == \
+                dense_scan(diff, hmax, xs, moduli.H_POINTS)
+            with monkeypatch.context() as mp:
+                mp.setattr(moduli, "_SCAN_BLOCK_CELLS", 300)
+                for h_points in (60, moduli.H_POINTS):
+                    assert _scan(diff, hmax, xs[:103], h_points, what) == \
+                        dense_scan(diff, hmax, xs[:103], h_points)
+
+
+def test_scan_temporaries_stay_within_the_block():
+    # the 2051 x 513 table of omega2_phi is 8.4 MB; a full-size evaluation
+    # held about five more such arrays at once (a 50 MB peak)
+    omega2_phi(SINE, 0.3)
+    tracemalloc.start()
+    try:
+        omega2_phi(SINE, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.data())
@@ -313,7 +363,9 @@ def test_lane_refinement_matches_scalar_on_piecewise_linear(vals):
 
 def test_omega2_phi_call_budget():
     # the refinement evaluates all seeds per golden-section step, so the
-    # user function sees a few hundred vector calls, not one per point
+    # user function sees a few hundred vector calls, not one per point: on
+    # SINE 726, of which 99 are the scan's (3 per block of x-rows, 33 blocks)
+    # and 627 the refinement's
     fn_n = build_fn_lower(10000)
     for f, delta in ((SINE, 0.3), (fn_n, 0.01)):
         calls = 0
