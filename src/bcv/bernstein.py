@@ -37,9 +37,9 @@ class PiecewiseLinearFn:
             raise ValueError("need at least two breakpoints")
         if len(bp) != len(self.values):
             raise ValueError("breakpoints and values must have equal length")
-        if np.any(np.diff(bp) <= 0):
+        if not np.all(np.diff(bp) > 0):  # NaN fails too
             raise ValueError("breakpoints must be strictly increasing")
-        if bp[0] < 0.0 or bp[-1] > 1.0:
+        if not (bp[0] >= 0.0 and bp[-1] <= 1.0):
             raise ValueError("breakpoints must lie in [0,1]")
 
     def __call__(self, y):
@@ -62,8 +62,8 @@ def bernstein_apply_many(f, n, xs):
     vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
-    for sl, band in _blocks(n, xs):
-        out[sl] = np.sum(band.rows * vals[band.cols], axis=1)
+    for sl, cols, rows in _blocks(n, xs):
+        out[sl] = np.sum(rows * vals[cols], axis=1)
     return out
 
 
@@ -170,18 +170,18 @@ def bernstein_derivative(f, n, m, x):
     # per-point factors as Python floats, rounded as in the one-point formula
     pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
     kraw, kraw_env = np.empty(len(xs)), np.empty(len(xs))
-    for sl, band in _blocks(n, xs):
+    for sl, cols, rows in _blocks(n, xs):
         xb = xs[sl].tolist()
         # the terms (p * fk) * K_m, multiplied into the K_m rows in place
-        terms = _krawtchouk_rows(basis[:, band.cols], xb)
-        terms *= band.rows * fk[band.cols]
+        terms = _krawtchouk_rows(basis[:, cols], xb)
+        terms *= rows * fk[cols]
         kraw[sl] = pref[sl] * np.sum(terms, axis=1)
         kraw_env[sl] = pref[sl] * np.sum(np.abs(terms), axis=1)
     if m < n:
         fdiff, fdiff_env = np.empty(len(xs)), np.empty(len(xs))
-        for sl, pj in _blocks(n - m, xs):
-            fdiff[sl] = fall * np.sum(pj.rows * diff[pj.cols], axis=1)
-            fdiff_env[sl] = fall * np.sum(pj.rows * np.abs(diff[pj.cols]), axis=1)
+        for sl, cols, rows in _blocks(n - m, xs):
+            fdiff[sl] = fall * np.sum(rows * diff[cols], axis=1)
+            fdiff_env[sl] = fall * np.sum(rows * np.abs(diff[cols]), axis=1)
     else:  # S_0 = 0
         fdiff = np.full(len(xs), fall * diff[0])
         fdiff_env = np.abs(fdiff)

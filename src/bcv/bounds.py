@@ -45,7 +45,6 @@ class UpperBoundReport:
     expr_H1: float
     expr_H2: float
     max: float
-    passes_74_8: bool
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,7 @@ def upper_bound_report(a, m):
     i = first_valid_i(a)
     e1 = upper_expr_H1(a)
     e2 = upper_expr_H2(a, m)
-    mx = max(e1, e2)
-    return UpperBoundReport(a, m, i, e1, e2, mx, mx < 74.8)
+    return UpperBoundReport(a, m, i, e1, e2, max(e1, e2))
 
 
 def smooth_class_constant():

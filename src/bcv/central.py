@@ -7,7 +7,8 @@ The key object is
 
 with S_n(x) binomial(n, x) and V = U_1 + U_2 independent uniform.  Everything
 here feeds the claim sup_x H_n(x) <= 1 for large n: the inverse-moment
-quantity I_n, its Poisson-limit profile nu, the envelope C(lambda), the
+quantity I_n, its Poisson-limit profile nu, the envelope C(lambda) with its
+scanned sup and its flat variant C~(lambda) with its closed-form sup, the
 pointwise upper bound on H_n, and the auxiliary kernel K(s) and inverse-beta
 moment bound used downstream.
 """
@@ -117,14 +118,6 @@ def C_tilde(lam):
     return 2.0 * C_FLAT * LOG2716 + r_of_lambda(lam)
 
 
-def _check_scan(lambda_max, points):
-    """Validate a sup search's scan range (0, lambda_max] and its grid size."""
-    if not (math.isfinite(lambda_max) and lambda_max > 0):
-        raise ValueError("lambda_max must be positive and finite")
-    if points < 100:
-        raise ValueError("scan needs at least 100 points")
-
-
 def _scan_lambdas(lambda_max, points):
     lams = np.linspace(0.0, lambda_max, points + 1)[1:]
     ints = np.arange(1.0, math.floor(lambda_max) + 1.0)
@@ -154,7 +147,10 @@ def sup_C(*, lambda_max=60.0, points=100_000):
     Refinement stays on one piece (m-1, m] of the ceiling in nu.  Raises
     ValueError when the grid is too coarse for its range: refinement then
     moves the sup by more than 1e-3."""
-    _check_scan(lambda_max, points)
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ValueError("lambda_max must be positive and finite")
+    if points < 100:
+        raise ValueError("scan needs at least 100 points")
     if lambda_max < 60.0:
         raise ValueError("scan must cover (0, 60]")
     arg, value, grid_value = sup_search(
@@ -166,17 +162,13 @@ def sup_C(*, lambda_max=60.0, points=100_000):
     return SupSearchResult(value, arg, (0.0, lambda_max), _tail_certificate())
 
 
-def sup_C_tilde(*, lambda_max=60.0, points=100_000):
-    """sup over lambda of the flat-profile variant, scanned as in sup_C; the
-    lambda-dependence is all in r, whose unique maximum sits at
-    lambda = 3/2."""
-    _check_scan(lambda_max, points)
-    if lambda_max < 60.0:
-        raise ValueError("scan must cover (0, 60]")
-    arg, value, _ = sup_search(C_tilde, _scan_lambdas(lambda_max, points))
-    cert = ("r is unimodal with peak at lambda = 3/2 and r(60) < 1e-20, "
-            "so the scanned maximum is global")
-    return SupSearchResult(value, arg, (0.0, lambda_max), cert)
+def sup_C_tilde():
+    """sup over lambda > 0 of the flat-profile variant, in closed form: the
+    lambda-dependence is all in r, and r'(lambda) has the sign of 3/2 - lambda,
+    so the sup is C~(3/2), attained there."""
+    cert = ("r'(lambda) = (log 4 - 2 log(27/16)) lambda^(1/2) e^(-lambda) (3/2 - lambda) "
+            "is > 0 below 3/2 and < 0 above, so C~(3/2) is the global maximum")
+    return SupSearchResult(C_tilde(1.5), 1.5, (0.0, math.inf), cert)
 
 
 @functools.lru_cache(maxsize=8)
@@ -205,9 +197,9 @@ def H_n_exact(n, x):
     k = np.arange(n + 1)
     w = _H_weight(n)
     sums = np.empty(len(xs))
-    for sl, band in _blocks(n, xs):
-        dev = np.abs(k[band.cols] - (n * xs[sl]).reshape(-1, 1))
-        sums[sl] = np.sum(band.rows * dev * w[band.cols], axis=1)
+    for sl, cols, rows in _blocks(n, xs):
+        dev = np.abs(k[cols] - (n * xs[sl]).reshape(-1, 1))
+        sums[sl] = np.sum(rows * dev * w[cols], axis=1)
     out = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n) * sums
     return out.reshape(xa.shape) if xa.ndim else float(out[0])
 
@@ -227,7 +219,7 @@ def sup_H_n(n):
 
 def D_coeff(lambda0):
     """D(lambda0) = 3 sqrt(lambda0) (lambda0+1) (sqrt(2)/4 + (2/11)(3 lambda0 + 4) lambda0)."""
-    if lambda0 <= 0.0:
+    if not lambda0 > 0.0:  # NaN fails too
         raise ValueError("lambda0 must be positive")
     return (3.0 * math.sqrt(lambda0) * (lambda0 + 1.0)
             * (math.sqrt(2.0) / 4.0 + (2.0 / 11.0) * (3.0 * lambda0 + 4.0) * lambda0))
@@ -275,7 +267,7 @@ def K_func(s):
     so K(s) = sqrt(3) + (9/8) s^(-1/2) + O(1/s) as s -> infinity.
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0):
+    if not np.all(s > 0.0):  # NaN fails too
         raise ValueError("s must be positive")
     a = 3.0 + 1.0 / s
     b = 15.0 + 25.0 / s + 1.0 / s ** 2

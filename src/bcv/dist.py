@@ -86,40 +86,29 @@ def _band_windows(n, xs):
 
 
 def _blocks(n, xs):
-    """Yield blocks (sl, band) of the points xs: consecutive slices sl, each
-    a run of points that share one window from _band_windows, and band, the
-    BinomialBand of xs[sl] over that window.
+    """Yield blocks (sl, cols, rows) of the points xs: consecutive slices sl,
+    each a run of points that share one window from _band_windows; cols, that
+    window's slice of a vector indexed by k = 0..n; and rows, the pmf rows of
+    xs[sl] over the window, so np.sum(..., axis=1) reduces each row over
+    exactly its window.
 
     A run holding more than _BLOCK_ENTRIES entries is cut into chunks of
-    max(1, _BLOCK_ENTRIES // width) points, so a block's band holds at most
+    max(1, _BLOCK_ENTRIES // width) points, so a block's rows hold at most
     _BLOCK_ENTRIES entries, or one point's window."""
     _keep_freed_memory()
     xs, lo, hi = _band_windows(n, xs)
     cut = np.flatnonzero((np.diff(lo) != 0) | (np.diff(hi) != 0)) + 1
     starts = [0, *cut.tolist()] if len(lo) else []
     for s, e in zip(starts, [*starts[1:], len(lo)]):
-        step = max(1, _BLOCK_ENTRIES // int(hi[s] - lo[s] + 1))
+        cols = slice(int(lo[s]), int(hi[s]) + 1)
+        step = max(1, _BLOCK_ENTRIES // (cols.stop - cols.start))
         for a in range(s, e, step):
             sl = slice(a, min(a + step, e))
-            yield sl, _window_rows(n, xs[sl], int(lo[s]), int(hi[s]) + 1)
-
-
-@dataclass(frozen=True)
-class BinomialBand:
-    """Binomial(n, x) pmf rows over the window k = offset..offset+width-1
-    that a block of _blocks shares, so np.sum(..., axis=1) reduces each row
-    over exactly its window."""
-    offset: int
-    rows: np.ndarray
-
-    @property
-    def cols(self):
-        """The band's slice of a vector indexed by k = 0..n."""
-        return slice(self.offset, self.offset + self.rows.shape[1])
+            yield sl, cols, _window_rows(n, xs[sl], cols.start, cols.stop)
 
 
 def _window_rows(n, xs, offset, end):
-    """The band of the validated float array xs over k = offset..end-1,
+    """The pmf rows of the validated float array xs over k = offset..end-1,
     which must hold every point's window.
 
     Every entry is bit-identical to the dense exp(log C(n, k) + k log x
@@ -140,7 +129,7 @@ def _window_rows(n, xs, offset, end):
         out[inner] = rows
         edge = np.flatnonzero((xs == 0.0) | (xs == 1.0))
         out[edge, (n * xs[edge]).astype(int) - offset] = 1.0
-    return BinomialBand(offset, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -158,9 +147,9 @@ class BinomialLaw:
     def pmf_vector(self):
         """All n+1 probabilities, the one-point block of _blocks scattered
         into a zero row; sums to 1 up to rounding."""
-        (_, band), = _blocks(self.n, [self.x])
+        (_, cols, rows), = _blocks(self.n, [self.x])
         out = np.zeros(self.n + 1)
-        out[band.cols] = band.rows[0]
+        out[cols] = rows[0]
         return out
 
 
@@ -195,15 +184,15 @@ def tv_binom_poisson_bound(n, lam):
 def stirling_mode_bound_check(n, m):
     """Check P(S_n(m/n) = m) <= (1/sqrt(2 pi)) sqrt(n/(m(n-m))) at an int m
     (a bool is returned) or at each entry of an int array m (a bool array),
-    reading the pmf rows of all m in the bands of _blocks."""
+    reading the pmf rows of all m from the blocks of _blocks."""
     ma = np.asarray(m)
     ms = ma.ravel()
     if np.any((ms < 1) | (ms > n - 1)):
         raise ValueError(f"m must lie in [1, n-1], got m={m}, n={n}")
     xs = ms / n
     pmf = np.empty(len(ms))
-    for sl, band in _blocks(n, xs):
-        pmf[sl] = band.rows[np.arange(len(band.rows)), ms[sl] - band.offset]
+    for sl, cols, rows in _blocks(n, xs):
+        pmf[sl] = rows[np.arange(len(rows)), ms[sl] - cols.start]
     out = pmf <= np.sqrt(n / (ms * (n - ms))) / math.sqrt(2.0 * math.pi)
     return out.reshape(ma.shape) if ma.ndim else bool(out[0])
 

@@ -53,14 +53,14 @@ def first_valid_i(a):
 
 def b_n(a, n):
     """Edge-region scale 2a/(1 + sqrt(1 - 4a/n)); decreases to a as n grows."""
-    if n <= 4.0 * a:
+    if not n > 4.0 * a:  # NaN fails too
         raise ValueError(f"need n > 4a = {4.0 * a:g}")
     return 2.0 * a / (1.0 + math.sqrt(1.0 - 4.0 * a / n))
 
 
 def epsilon_n(n):
     """Discretization slack (4/n) log(27/16) + e^{-n/2}."""
-    if n < 1:
+    if not n >= 1:  # NaN fails too
         raise ValueError("n must be >= 1")
     return 4.0 * LOG2716 / n + math.exp(-n / 2.0)
 
@@ -131,7 +131,7 @@ def finite_n_J_bound(n, m, a):
 
 def edge_region_max(a, n):
     """Right endpoint of the edge region {x <= 1/2 : n phi^2(x) < a}."""
-    if n <= 4.0 * a:
+    if not n > 4.0 * a:  # NaN fails too
         raise ValueError(f"need n > 4a = {4.0 * a:g}")
     return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * a / n))
 

@@ -45,6 +45,7 @@ def test_piecewise_linear_interpolates_and_extends_constantly():
     ((0.2, 0.5), (1.0,)),                   # length mismatch
     ((-0.1, 0.5), (1.0, 2.0)),              # outside [0,1]
     ((0.5, 1.2), (1.0, 2.0)),
+    ((0.0, math.nan, 1.0), (1.0, 2.0, 3.0)),  # NaN breakpoint
 ])
 def test_piecewise_linear_validation(bp, vals):
     with pytest.raises(ValueError):

@@ -82,7 +82,6 @@ def test_upper_bound_report_assembly():
     assert rep.i == 13
     assert rep.max == max(rep.expr_H1, rep.expr_H2)
     assert 70.0 < rep.max < 74.8
-    assert rep.passes_74_8
 
 
 def test_smooth_class_constant_value():
@@ -269,11 +268,17 @@ def test_central_converse_rejects_tiny_n():
         central_converse_check(lambda y: np.asarray(y) ** 3, 4)
 
 
-def test_noncentral_converse_not_binding_at_small_n():
-    res = noncentral_converse_check(lambda y: np.asarray(y) ** 3, 200)
+@pytest.mark.parametrize("n,note", [
+    # the J-bound hypothesis fails
+    pytest.param(200, "not binding: hypothesis fails: b_n", id="200"),
+    # the hypothesis holds, but the multiplier 1 - J_n(m+1, a) is negative
+    pytest.param(500, "vacuous: 1 - J bound = -0.0038 <= 0", id="500"),
+])
+def test_noncentral_converse_not_binding_at_small_n(n, note):
+    res = noncentral_converse_check(lambda y: np.asarray(y) ** 3, n)
     assert not res.binding
     assert res.holds  # vacuously
-    assert "not binding" in res.note and "b_n" in res.note
+    assert res.note.startswith(note)
 
 
 def test_noncentral_converse_binding_at_large_n():

@@ -133,9 +133,22 @@ def test_sup_C_deterministic():
 
 def test_sup_C_tilde_value_and_location():
     res = sup_C_tilde()
-    assert res.sup_value == pytest.approx(0.9764857919, abs=1e-6)
+    assert res.sup_value == 0.9764857919412275
     assert res.sup_value < 0.99
-    assert res.arg == pytest.approx(1.5, abs=1e-3)
+    assert res.arg == 1.5
+
+
+def test_sup_C_tilde_is_closed_form(monkeypatch):
+    # r'(lambda) has the sign of 3/2 - lambda, so the sup is C~(3/2) itself
+    # and no scan runs
+    def no_search(*args, **kwargs):
+        raise AssertionError("sup_search ran")
+
+    monkeypatch.setattr("bcv.central.sup_search", no_search)
+    res = sup_C_tilde()
+    assert res.sup_value == C_tilde(1.5)
+    assert res.arg == 1.5
+    assert res.scan_range == (0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +221,12 @@ def test_D_coeff_value_and_domain():
     expect = (3.0 * math.sqrt(lam) * (lam + 1.0)
               * (math.sqrt(2.0) / 4.0 + (2.0 / 11.0) * (3.0 * lam + 4.0) * lam))
     assert D_coeff(lam) == pytest.approx(expect, rel=1e-14)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            D_coeff(bad)
+    # a NaN threshold is rejected, not reported as a violated bound
     with pytest.raises(ValueError):
-        D_coeff(0.0)
+        I_n_branch_check(1000, 0.005, lambda0=math.nan)
 
 
 def test_branch_check_small_lambda_surrogate():
@@ -252,6 +269,9 @@ def test_K_decreasing_and_domain():
         K_func(0.0)
     with pytest.raises(ValueError):
         K_func(np.array([1.0, -2.0]))
+    for bad in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            K_func(bad)
 
 
 def test_phi_ratio_trivial_at_z_equal_x():

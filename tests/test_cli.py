@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import bcv
-from bcv import bounds, cli, moduli
+from bcv import bounds, central, cli, moduli
 
 SRC = os.path.dirname(os.path.dirname(bcv.__file__))
 
@@ -61,6 +62,17 @@ def test_constants_json_schema(capsys):
         assert entry["pass"] is True
     ids = [e["claim_id"] for e in payload["entries"]]
     assert "sup_C" in ids and "smooth_class_constant" in ids
+
+
+def test_constants_flat_envelope_sup_is_closed_form_on_any_grid(capsys):
+    # --grid reaches the scan of sup C only; sup C~ is C~(3/2) with no grid
+    code, out, _ = run_cli(capsys, "constants", "--grid", "12345", "--format", "json")
+    assert code == 0
+    entries = {e["claim_id"]: e for e in json.loads(out)["entries"]}
+    entry = entries["sup_C_tilde_below_0.99"]
+    assert entry["computed"] == central.C_tilde(1.5)
+    assert entry["grid"] == ""
+    assert entries["sup_C"]["grid"] == "points=12345,lambda_max=60"
 
 
 def test_constants_rejects_coarse_grid(capsys):
@@ -293,6 +305,16 @@ def test_verify_moduli_of_piecewise_linear_functions_are_exact(monkeypatch):
             assert (res.value, grid.value) == (0.0, 2.0 ** -53)
         else:
             assert res.value == grid.value, (fn.__name__, delta)
+
+
+def test_verify_alpha_check_reads_the_library_iterates(monkeypatch):
+    # the check reads noncentral's own recursion, not a copy of it
+    (alpha,) = [c for c in cli._suite_noncentral(1)
+                if c.claim_id == "noncentral.alpha_decreasing"]
+    assert alpha.run()["computed"] == -4.858014087434116e-05
+    monkeypatch.setattr(cli.noncentral, "_alpha_iterates", itertools.count)
+    entry = alpha.run()
+    assert entry["computed"] == 1.0 and not entry["pass"]
 
 
 def test_verify_rejects_negative_seed(capsys):

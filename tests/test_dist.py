@@ -91,8 +91,8 @@ def _scattered_rows(n, xs):
     """The rows of the blocks of _blocks over xs, each scattered into a zero
     row of n+1 entries."""
     out = np.zeros((len(xs), n + 1))
-    for sl, band in _blocks(n, xs):
-        out[sl, band.cols] = band.rows
+    for sl, cols, rows in _blocks(n, xs):
+        out[sl, cols] = rows
     return out
 
 
@@ -145,21 +145,22 @@ def test_blocks_cover_the_points_in_order_within_the_block_size(n):
     xs = np.concatenate([np.linspace(0.2, 0.3, 500), np.linspace(0.0, 1.0, 300),
                          np.full(300, 0.5)])
     blocks = list(_blocks(n, xs))
-    stops = [sl.stop for sl, _ in blocks]
-    assert [sl.start for sl, _ in blocks] == [0] + stops[:-1] and stops[-1] == len(xs)
+    stops = [sl.stop for sl, _, _ in blocks]
+    assert [sl.start for sl, _, _ in blocks] == [0] + stops[:-1] and stops[-1] == len(xs)
     _, lo, hi = _band_windows(n, xs)
-    for sl, band in blocks:
-        # one window per block, so its band is that window
+    for sl, cols, rows in blocks:
+        # one window per block, and the block's columns are that window
         assert len(set(lo[sl])) == len(set(hi[sl])) == 1
         width = hi[sl.start] - lo[sl.start] + 1
         assert sl.stop - sl.start == 1 or (sl.stop - sl.start) * width <= _BLOCK_ENTRIES
-        assert (band.offset, band.rows.shape[1]) == (lo[sl.start], width)
+        assert (cols.start, cols.stop) == (lo[sl.start], hi[sl.start] + 1)
+        assert rows.shape == (sl.stop - sl.start, width)
         # each row is the point's one-point row, and the dense row in the window
-        for x, row in zip(xs[sl], band.rows):
-            (_, alone), = _blocks(n, [x])
-            assert np.array_equal(row, alone.rows[0]), (n, x)
+        for x, row in zip(xs[sl], rows):
+            (_, _, alone), = _blocks(n, [x])
+            assert np.array_equal(row, alone[0]), (n, x)
             if n <= 10_000:
-                assert np.array_equal(row, dense_binomial_row(n, x)[band.cols]), (n, x)
+                assert np.array_equal(row, dense_binomial_row(n, x)[cols]), (n, x)
 
 
 def test_binomial_rows_match_exact_rationals_for_small_n():

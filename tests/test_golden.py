@@ -7,8 +7,9 @@ printed number fails here and has to regenerate the fixture and say why:
 
     PYTHONPATH=src python tests/test_golden.py
 
-rewrites every fixture from the current code and prints each claim_id whose
-computed value moved, old -> new (or the name of a non-JSON fixture whose
+rewrites every fixture from the current code and prints, for each JSON
+fixture, every field of _FIELDS that moved, per claim_id, old -> new, and
+each claim_id added or removed (for a non-JSON fixture, its name if its
 bytes moved).
 """
 
@@ -35,6 +36,8 @@ CASES = {
     "sweep": ["sweep", "--a-range", "5.0,10.0", "--step", "0.1"],
 }
 _SUFFIX = {"json": ".json", "csv": ".csv", "text": ".txt"}
+# The fields of a report entry that regenerate compares; runtime_ms is zeroed.
+_FIELDS = ("computed", "pass", "reference", "tolerance", "grid", "seed")
 
 
 def _fixture(name):
@@ -72,12 +75,17 @@ def regenerate():
             continue
         old = {}
         if path.exists():
-            entries = json.loads(path.read_text())["entries"]
-            old = {e["claim_id"]: e["computed"] for e in entries}
-        for e in json.loads(text)["entries"]:
-            was = old.get(e["claim_id"])
-            if was != e["computed"]:
-                print(f"{name}: {e['claim_id']}: {was!r} -> {e['computed']!r}")
+            old = {e["claim_id"]: e for e in json.loads(path.read_text())["entries"]}
+        new = {e["claim_id"]: e for e in json.loads(text)["entries"]}
+        for cid in sorted(old.keys() - new.keys()):
+            print(f"{name}: {cid}: removed")
+        for cid, e in new.items():
+            if cid not in old:
+                print(f"{name}: {cid}: added")
+                continue
+            for field in _FIELDS:
+                if old[cid][field] != e[field]:
+                    print(f"{name}: {cid}: {field}: {old[cid][field]!r} -> {e[field]!r}")
         path.write_text(text)
 
 

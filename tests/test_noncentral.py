@@ -96,16 +96,20 @@ def test_b_n_limit_identity_and_domain():
         assert b * (1.0 - b / n) == pytest.approx(a, abs=1e-10)
     assert b_n(7.2, 1e12) == pytest.approx(7.2, abs=1e-9)
     assert b_n(7.2, 100.0) > b_n(7.2, 1000.0) > 7.2
+    for a, n in ((7.2, 28.0), (7.2, math.nan), (math.nan, 100.0)):
+        with pytest.raises(ValueError):
+            b_n(a, n)
     with pytest.raises(ValueError):
-        b_n(7.2, 28.0)
+        finite_n_J_bound(1000, 1, math.nan)
 
 
 def test_epsilon_n_value_and_monotonicity():
     assert epsilon_n(100) == pytest.approx(4.0 * LOG2716 / 100 + math.exp(-50.0),
                                            rel=1e-14)
     assert epsilon_n(10) > epsilon_n(100) > epsilon_n(10_000)
-    with pytest.raises(ValueError):
-        epsilon_n(0)
+    for bad in (0, math.nan):
+        with pytest.raises(ValueError):
+            epsilon_n(bad)
 
 
 def test_edge_region_endpoint_solves_phi_equation():
@@ -113,8 +117,9 @@ def test_edge_region_endpoint_solves_phi_equation():
         xa = edge_region_max(a, n)
         assert n * xa * (1.0 - xa) == pytest.approx(a, abs=1e-9)
         assert 0.0 < xa < 0.5
-    with pytest.raises(ValueError):
-        edge_region_max(7.2, 20.0)
+    for a, n in ((7.2, 20.0), (7.2, math.nan), (math.nan, 100.0)):
+        with pytest.raises(ValueError):
+            edge_region_max(a, n)
 
 
 # ---------------------------------------------------------------------------
