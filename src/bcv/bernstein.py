@@ -152,10 +152,18 @@ def bernstein_derivative(f, n, m, x):
     two sums: a formula bug moves the result by orders of magnitude more
     than that.
     """
+    xa = np.asarray(x, dtype=float)
+    kraw, _ = _derivative_and_apply(f, n, m, xa.ravel())
+    return kraw.reshape(xa.shape) if xa.ndim else float(kraw[0])
+
+
+def _derivative_and_apply(f, n, m, xs):
+    """((B_n f)^(m), B_n f) at the points of the 1-D array xs, checked as in
+    bernstein_derivative.  One pass over the rows serves both: the
+    Krawtchouk terms are built on the products rows * f(k/n) whose row sums
+    are B_n f, bit for bit as bernstein_apply_many sums them."""
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m={m}, n={n}")
-    xa = np.asarray(x, dtype=float)
-    xs = xa.ravel()
     if not np.all((xs > 0.0) & (xs < 1.0)):
         raise ValueError("x must lie in (0,1)")
     k = np.arange(n + 1)
@@ -169,12 +177,14 @@ def bernstein_derivative(f, n, m, x):
     fall = float(math.perm(n, m))
     # per-point factors as Python floats, rounded as in the one-point formula
     pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
-    kraw, kraw_env = np.empty(len(xs)), np.empty(len(xs))
+    kraw, kraw_env, apply = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs))
     for sl, cols, rows in _blocks(n, xs):
         xb = xs[sl].tolist()
         # the terms (p * fk) * K_m, multiplied into the K_m rows in place
         terms = _krawtchouk_rows(basis[:, cols], xb)
-        terms *= rows * fk[cols]
+        pf = rows * fk[cols]
+        apply[sl] = np.sum(pf, axis=1)
+        terms *= pf
         kraw[sl] = pref[sl] * np.sum(terms, axis=1)
         kraw_env[sl] = pref[sl] * np.sum(np.abs(terms), axis=1)
     if m < n:
@@ -193,7 +203,7 @@ def bernstein_derivative(f, n, m, x):
         raise ConsistencyError(
             f"derivative representations disagree: {float(kraw[i])!r} vs "
             f"{float(fdiff[i])!r} (n={n}, m={m}, x={float(xs[i])})")
-    return kraw.reshape(xa.shape) if xa.ndim else float(kraw[0])
+    return kraw, apply
 
 
 def irwin_hall_density(m, t):

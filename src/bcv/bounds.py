@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import (PiecewiseLinearFn, bernstein_apply_many,
-                        bernstein_derivative)
+from .bernstein import (PiecewiseLinearFn, _derivative_and_apply,
+                        bernstein_apply_many, bernstein_derivative)
 from .central import K_func, SupSearchResult, sup_H_n
 from .dist import LOG4, _log_comb
 from .moduli import X_POINTS, omega2_phi
@@ -260,6 +260,19 @@ def _d2_norm(f, n, xs):
     return float(np.max(x * (1.0 - x) * np.abs(bernstein_derivative(f, n, 2, x))))
 
 
+def _norms(f, n, xs):
+    """(_error_norm(f, n, xs), _d2_norm(f, n, xs)), bit for bit, from one
+    pass over the rows of the points inside (0, 1); the points 0 and 1 take
+    bernstein_apply_many."""
+    inner = (xs > 0.0) & (xs < 1.0)
+    bn = np.empty(len(xs))
+    d2, bn[inner] = _derivative_and_apply(f, n, 2, xs[inner])
+    bn[~inner] = bernstein_apply_many(f, n, xs[~inner])
+    x = xs[inner]
+    return (float(np.max(np.abs(bn - f(xs)))),
+            float(np.max(x * (1.0 - x) * np.abs(d2))))
+
+
 def modulus_upper_sides(f, n):
     """(LHS, RHS) of omega2_phi(f; 1/sqrt(n)) <= 4 ||B_n f - f||
     + (log 4 / n) ||phi^2 (B_n f)''||, norms over grids on [0,1] and (0,1).
@@ -271,14 +284,19 @@ def modulus_upper_sides(f, n):
     reported RHS is a lower estimate of the true RHS and the check built on
     it is not certified."""
     lhs = omega2_phi(f, 1.0 / math.sqrt(n)).value
+    err, wd2 = _norms(f, n, _modulus_norm_grid(f, n))
+    return lhs, 4.0 * err + LOG4 / n * wd2
+
+
+def _modulus_norm_grid(f, n):
+    """The sorted norm grid of modulus_upper_sides on [0, 1]."""
     lam = np.linspace(0.0, 40.0, 2001) / n
     xs = np.concatenate([np.linspace(0.0, 1.0, X_POINTS // 2 + 1),
                          lam, 1.0 - lam])
     bp = getattr(f, "breakpoints", None)
     if bp is not None:
         xs = np.concatenate([xs, np.asarray(bp, dtype=float)])
-    xs = np.unique(np.clip(xs, 0.0, 1.0))
-    return lhs, 4.0 * _error_norm(f, n, xs) + LOG4 / n * _d2_norm(f, n, xs)
+    return np.unique(np.clip(xs, 0.0, 1.0))
 
 
 def modulus_upper_check(f, n):
@@ -297,7 +315,7 @@ def central_converse_check(f, n):
         raise ValueError("need n >= 5")
     h = sup_H_n(n - 2).sup_value
     mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(CONVERSE_A) / 3.0
-    err, wd2 = _error_norm(f, n, _NORM_XS), _d2_norm(f, n, _NORM_XS)
+    err, wd2 = _norms(f, n, _NORM_XS)
     if mult <= 0.0:
         return ValidatorResult(True, False, mult * wd2 / (2.0 * n),
                                (SQRT2 + 1.0) / SQRT2 * err,
@@ -319,7 +337,7 @@ def noncentral_converse_check(f, n):
     fails at this n or the multiplier is nonpositive."""
     a, m = CONVERSE_A, CONVERSE_M
     i = first_valid_i(a)
-    err, wd2 = _error_norm(f, n, _NORM_XS), _d2_norm(f, n, _NORM_XS)
+    err, wd2 = _norms(f, n, _NORM_XS)
     try:
         js = {k: finite_n_J_bound(n, k, a) for k in range(i, m + 2)}
     except ValueError as e:

@@ -199,7 +199,9 @@ def H_n_exact(n, x):
     sums = np.empty(len(xs))
     for sl, cols, rows in _blocks(n, xs):
         dev = np.abs(k[cols] - (n * xs[sl]).reshape(-1, 1))
-        sums[sl] = np.sum(rows * dev * w[cols], axis=1)
+        dev *= rows
+        dev *= w[cols]
+        sums[sl] = np.sum(dev, axis=1)
     out = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n) * sums
     return out.reshape(xa.shape) if xa.ndim else float(out[0])
 

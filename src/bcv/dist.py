@@ -12,7 +12,9 @@ holds its band, snapped outward to multiples of 64 and clamped to [0, n], so
 the window depends on (n, x) alone.  _blocks cuts the points into runs that
 share one window, of at most _BLOCK_ENTRIES band entries each, and builds
 each block's rows by taking exp over that window, so every expectation is
-one np.sum(axis=1) over a block's rows.  A point's summation tree is
+one np.sum(axis=1) over a block's rows.  exp is skipped at entries whose
+log-mass lies below _EXP_ZERO = -746, where it would round to +0.0 by a
+slow path; subnormal entries stay on np.exp.  A point's summation tree is
 therefore the same alone and inside any batch.  BinomialLaw.pmf_vector is a
 one-point block scattered into a row of n + 1 entries.
 """
@@ -34,6 +36,9 @@ _BLOCK_ENTRIES = 1 << 18
 # Log-mass beyond which exp underflows to exactly 0.0 with room to spare:
 # exp(-745.2) already rounds to zero.
 _BAND_LOG_MASS = 760.0
+# exp(x) for x < -745.1332 is below 2^-1075 and rounds to +0.0, so rows skip
+# exp below this log-mass: numpy's exp takes a slow path for such arguments.
+_EXP_ZERO = -746.0
 # Window edges are multiples of this, so nearby points share a window.
 _BAND_LATTICE = 64
 
@@ -113,17 +118,23 @@ def _window_rows(n, xs, offset, end):
 
     Every entry is bit-identical to the dense exp(log C(n, k) + k log x
     + (n - k) log1p(-x)): by Bernstein's inequality every entry outside a
-    row's band has mass below exp(-760), which exp rounds to exactly 0.0."""
+    row's band has mass below exp(-760), which exp rounds to exactly 0.0.
+    Inside the window, entries with log-mass below _EXP_ZERO are left at the
+    +0.0 exp would give, without calling it; subnormal results, log-mass in
+    [-745.13, -708.4], are taken by np.exp, as math.exp can round them
+    differently."""
     inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
     k = np.arange(offset, end, dtype=float)
     # math.log/log1p per x: np.log can differ from them by an ulp
-    lx = np.array([math.log(v) for v in xs[inner]]).reshape(-1, 1)
-    l1x = np.array([math.log1p(-v) for v in xs[inner]]).reshape(-1, 1)
+    xi = xs[inner].tolist()
+    lx = np.array([math.log(v) for v in xi]).reshape(-1, 1)
+    l1x = np.array([math.log1p(-v) for v in xi]).reshape(-1, 1)
     # exp(log C + k log x + (n - k) log1p(-x)), added in that order
-    out = k * lx
-    out += _log_binom(n)[offset:end]
-    out += (n - k) * l1x
-    np.exp(out, out=out)
+    logs = k * lx
+    logs += _log_binom(n)[offset:end]
+    logs += (n - k) * l1x
+    out = np.zeros_like(logs)
+    np.exp(logs, out=out, where=logs >= _EXP_ZERO)
     if len(inner) < len(xs):
         rows, out = out, np.zeros((len(xs), end - offset))
         out[inner] = rows

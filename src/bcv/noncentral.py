@@ -53,9 +53,16 @@ def first_valid_i(a):
 
 def b_n(a, n):
     """Edge-region scale 2a/(1 + sqrt(1 - 4a/n)); decreases to a as n grows."""
-    if not n > 4.0 * a:  # NaN fails too
-        raise ValueError(f"need n > 4a = {4.0 * a:g}")
+    _check_edge_args(a, n)
     return 2.0 * a / (1.0 + math.sqrt(1.0 - 4.0 * a / n))
+
+
+def _check_edge_args(a, n):
+    """The edge region needs a > 0 finite and n > 4a (NaN fails both)."""
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError("a must be positive and finite")
+    if not n > 4.0 * a:
+        raise ValueError(f"need n > 4a = {4.0 * a:g}")
 
 
 def epsilon_n(n):
@@ -131,8 +138,7 @@ def finite_n_J_bound(n, m, a):
 
 def edge_region_max(a, n):
     """Right endpoint of the edge region {x <= 1/2 : n phi^2(x) < a}."""
-    if not n > 4.0 * a:  # NaN fails too
-        raise ValueError(f"need n > 4a = {4.0 * a:g}")
+    _check_edge_args(a, n)
     return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * a / n))
 
 
@@ -193,8 +199,6 @@ def simulate_J(n, m, a, trials, rng, grid_points=64):
         raise ValueError("m must be >= 1")
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError("a must be positive and finite")
     xa = edge_region_max(a, n)
     xs = np.linspace(0.0, xa, grid_points + 2)[1:-1]
     streams = rng.spawn(len(xs))

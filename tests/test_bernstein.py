@@ -326,6 +326,24 @@ def test_derivative_validation():
         bernstein_derivative(f, 5, 6, 0.5)
     with pytest.raises(ValueError):
         bernstein_derivative(f, 5, 1, 0.0)
+    with pytest.raises(ValueError):
+        bernstein_derivative(f, 5, 1, np.array([[0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("n", [100, 10_000])
+def test_derivative_pass_returns_the_operator_values_bitwise(n):
+    # the shared row pass returns B_n f as bernstein_apply_many sums it, and
+    # bernstein_derivative keeps its scalar and array returns
+    f = build_fn_lower(n)
+    xs = _batch_points(n)
+    d2, bn = bernstein_module._derivative_and_apply(f, n, 2, xs)
+    assert np.array_equal(bn, bernstein_apply_many(f, n, xs))
+    assert np.array_equal(d2, bernstein_derivative(f, n, 2, xs))
+    grid = xs[:12].reshape(3, 4)
+    many = bernstein_derivative(f, n, 2, grid)
+    assert many.shape == (3, 4) and np.array_equal(many.ravel(), d2[:12])
+    one = bernstein_derivative(f, n, 2, xs[3])
+    assert type(one) is float and one == d2[3]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import dense_iteration_matrix
+from bcv import cli
 from bcv.bernstein import bernstein_apply_many
 from bcv.bounds import (CONVERSE_A, CONVERSE_M, G_LAMBDA_MAX, SQRT2, _NORM_XS,
                         G_of_lambda, LowerBoundReport, UpperBoundReport,
                         ValidatorResult, _fn_lower_error, _d2_norm,
-                        _error_norm, build_fn_lower,
+                        _error_norm, _modulus_norm_grid, _norms,
+                        build_fn_lower,
                         central_converse_check, fn_lower_error_sup,
                         g_of_lambda, iterate_converse_check, lower_bound_ratio,
                         modulus_upper_check, modulus_upper_sides,
@@ -249,6 +251,29 @@ def test_modulus_upper_affine_is_zero_on_both_sides():
 
 def test_modulus_upper_holds_on_witness():
     assert modulus_upper_check(build_fn_lower(1000), 1000)
+
+
+# the functions bcv verify's bounds.modulus_upper_corpus check passes to
+# modulus_upper_check, and the witness
+_NORM_FNS = {
+    "square": lambda n: lambda y: np.asarray(y) ** 2,
+    "cube": lambda n: lambda y: np.asarray(y) ** 3,
+    "vee": lambda n: cli._VEE,
+    "sine": lambda n: lambda y: np.sin(math.pi * np.asarray(y)),
+    "witness": build_fn_lower,
+}
+
+
+@pytest.mark.parametrize("n", [100, 10_000])
+@pytest.mark.parametrize("name", list(_NORM_FNS))
+def test_shared_norm_pass_equals_the_two_norms_bitwise(name, n):
+    f = _NORM_FNS[name](n)
+    grid = _modulus_norm_grid(f, n)
+    # the modulus grid holds both endpoints and f's breakpoints
+    assert grid[0] == 0.0 and grid[-1] == 1.0
+    assert set(getattr(f, "breakpoints", ())) <= set(grid.tolist())
+    for xs in (grid, _NORM_XS):
+        assert _norms(f, n, xs) == (_error_norm(f, n, xs), _d2_norm(f, n, xs)), xs[:3]
 
 
 # ---------------------------------------------------------------------------

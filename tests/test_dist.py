@@ -20,8 +20,8 @@ from oracles import (dense_binomial_row, frac_binom_pmf, mp_inv_moment_shift,
 from bcv.bernstein import bernstein_apply_many, bernstein_derivative
 from bcv.bounds import iterate_converse_check
 from bcv.central import H_n_exact
-from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, BinomialLaw, _band_windows,
-                      _blocks, _log_binom, inv_moment_shift_V,
+from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, _EXP_ZERO, BinomialLaw,
+                      _band_windows, _blocks, _log_binom, inv_moment_shift_V,
                       stirling_mode_bound_check, tv_binom_poisson,
                       tv_binom_poisson_bound)
 
@@ -106,6 +106,37 @@ def test_binomial_rows_equal_dense_reference_bitwise(n):
         ref = dense_binomial_row(n, x)
         assert np.array_equal(row, ref), (n, x)
         assert np.array_equal(BinomialLaw(n, x).pmf_vector(), ref), (n, x)
+
+
+def _window_log_mass(n, x):
+    """The log-mass of each entry of the window of x in (0, 1), formed as
+    _window_rows forms it."""
+    _, lo, hi = _band_windows(n, [x])
+    k = np.arange(lo[0], hi[0] + 1, dtype=float)
+    return k * math.log(x) + _log_binom(n)[lo[0]:hi[0] + 1] + (n - k) * math.log1p(-x)
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_rows_skip_exp_where_it_is_zero_and_keep_subnormals_bitwise(n):
+    xs = _row_points(n)
+    logs = np.concatenate([_window_log_mass(n, x) for x in xs if 0.0 < x < 1.0])
+    # the windows hold entries whose exp is skipped and subnormal entries
+    assert np.count_nonzero(logs < _EXP_ZERO) > 0
+    assert np.count_nonzero((logs >= -745.13) & (logs <= -708.4)) > 0
+    # byte for byte, so a -0.0 or a flushed subnormal fails
+    rows = _scattered_rows(n, xs)
+    for x, row in zip(xs, rows):
+        assert row.tobytes() == dense_binomial_row(n, x).tobytes(), (n, x)
+    assert np.any((rows > 0.0) & (rows < np.finfo(float).tiny))
+
+
+def test_exp_below_the_zero_cut_is_positive_zero():
+    # _window_rows leaves entries with log-mass below _EXP_ZERO at +0.0
+    # rather than taking exp, which must give the same bits there
+    assert _EXP_ZERO < -745.1332
+    args = np.concatenate([np.linspace(-745.1333, -800.0, 1_000_001),
+                           np.linspace(-800.0, -1e6, 100_001), [-1e300]])
+    assert not np.any(np.exp(args).view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [10, 1000, 10_000, 100_000])

@@ -103,6 +103,18 @@ def test_b_n_limit_identity_and_domain():
         finite_n_J_bound(1000, 1, math.nan)
 
 
+@pytest.mark.parametrize("a", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("fn", [lambda a: b_n(a, 100.0),
+                                lambda a: edge_region_max(a, 100.0),
+                                lambda a: finite_n_J_bound(1000, 1, a)],
+                         ids=["b_n", "edge_region_max", "finite_n_J_bound"])
+def test_edge_region_needs_positive_finite_a(fn, a):
+    # as J_limit and simulate_J; unguarded, finite_n_J_bound(1000, 1, -1.0)
+    # returns a negative bound, -2.71
+    with pytest.raises(ValueError, match="a must be positive"):
+        fn(a)
+
+
 def test_epsilon_n_value_and_monotonicity():
     assert epsilon_n(100) == pytest.approx(4.0 * LOG2716 / 100 + math.exp(-50.0),
                                            rel=1e-14)
