@@ -35,6 +35,11 @@ CONVERSE_M = 20
 # certificate needs G_LAMBDA_MAX >= 40.
 G_LAMBDA_MAX = 40.0
 G_POINTS = 100_000
+# fn_lower_error_sup scans lambda = nx on FN_LAMBDA_POINTS + 1 points of
+# [0, FN_LAMBDA_MAX], X_POINTS // 2 + 1 uniform points of [0, 1] and the
+# breakpoints of f_n.
+FN_LAMBDA_MAX = 40.0
+FN_LAMBDA_POINTS = 16_000
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,8 @@ class LowerBoundReport:
     sup_err: float
     ratio: float
     sup_G_minus_g: float
+    # vertex candidates of the exact omega2_phi path
+    omega2phi_candidates: int
 
 
 @dataclass(frozen=True)
@@ -225,11 +232,11 @@ def fn_lower_error_sup(n):
     x = lambda/n, a uniform grid, the breakpoints, then golden refinement."""
     fn = build_fn_lower(n)
     xs = np.unique(np.concatenate([
-        np.linspace(0.0, 40.0, 16001) / n,
+        np.linspace(0.0, FN_LAMBDA_MAX, FN_LAMBDA_POINTS + 1) / n,
         np.linspace(0.0, 1.0, X_POINTS // 2 + 1),
         np.asarray(fn.breakpoints)]))
     arg, value, _ = sup_search(lambda t: _fn_lower_error(n, t), xs, tol=1e-13)
-    far = float(np.max(_fn_lower_error(n, np.linspace(40.0 / n, 1.0, 1001))))
+    far = float(np.max(_fn_lower_error(n, np.linspace(FN_LAMBDA_MAX / n, 1.0, 1001))))
     cert = f"max of |B_n f_n - f_n| over [40/n, 1] on a 1001-point grid: {far:.3e}"
     return SupSearchResult(value, arg, (0.0, 1.0), cert)
 
@@ -241,10 +248,10 @@ def lower_bound_ratio(n):
     if n < 1000:
         raise ValueError("need n >= 1000 for the asymptotic regime")
     fn = build_fn_lower(n)
-    om = omega2_phi(fn, 1.0 / math.sqrt(n)).value
+    om = omega2_phi(fn, 1.0 / math.sqrt(n))
     err = fn_lower_error_sup(n).sup_value
     gap = sup_G_minus_g().sup_value
-    return LowerBoundReport(n, om, err, om / err, gap)
+    return LowerBoundReport(n, om.value, err, om.value / err, gap, om.grid_points)
 
 
 def _error_norm(f, n, xs):

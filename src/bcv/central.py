@@ -21,11 +21,21 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, pdtr, xlogy
 
-from .dist import LOG4, LOG2716, BinomialLaw, _blocks, inv_moment_shift_V
+from .dist import (_BAND_LOG_MASS, LOG4, LOG2716, BinomialLaw, _band_windows,
+                   _blocks, inv_moment_shift_V)
 from .search import sup_search
 
-# Grid points of the x-scan in sup_H_n.
+# The x-grid of sup_H_n: H_SCAN_POINTS uniform points of (0, 1/2], and a
+# layer x = lambda/n at H_LAMBDA_POINTS values of lambda in (0, H_LAMBDA_MAX],
+# where the sup sits for large n (near lambda = 3.45).
 H_SCAN_POINTS = 4096
+H_LAMBDA_POINTS = 2000
+H_LAMBDA_MAX = 40.0
+# The narrow windows of the scan in sup_H_n sit at log-mass this plus log n
+# (43.2 at n = 10^4): the tail bound _H_tail is then 4 max(w) e^-34, about
+# 1e-14, below the rounding margin of the scan's enclosures near the max for
+# n >= 100.
+_SCAN_LOG_MASS = 34.0
 # The flat profile level c of C~ = 2 c log(27/16) + r and of the large-lambda
 # branch I_n(x) <= c (1-x).
 C_FLAT = 0.8
@@ -180,6 +190,20 @@ def _H_weight(n):
     return out
 
 
+def _H_sums(n, xs, log_mass=_BAND_LOG_MASS):
+    """sum_k |k - nx| P(S_n(x) = k) w_k over each point's window at log_mass,
+    w = _H_weight(n); at the default, H_n(x) / (phi(x) sqrt(n))."""
+    k = np.arange(n + 1)
+    w = _H_weight(n)
+    sums = np.empty(len(xs))
+    for sl, cols, rows in _blocks(n, xs, log_mass):
+        dev = np.abs(k[cols] - (n * xs[sl]).reshape(-1, 1))
+        dev *= rows
+        dev *= w[cols]
+        sums[sl] = np.sum(dev, axis=1)
+    return sums
+
+
 def H_n_exact(n, x):
     """H_n(x) by exact summation over the binomial support.
 
@@ -194,27 +218,72 @@ def H_n_exact(n, x):
     xs = xa.ravel()
     if not np.all((xs > 0.0) & (xs <= 0.5)):
         raise ValueError("x must lie in (0, 1/2]")
-    k = np.arange(n + 1)
-    w = _H_weight(n)
-    sums = np.empty(len(xs))
-    for sl, cols, rows in _blocks(n, xs):
-        dev = np.abs(k[cols] - (n * xs[sl]).reshape(-1, 1))
-        dev *= rows
-        dev *= w[cols]
-        sums[sl] = np.sum(dev, axis=1)
-    out = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n) * sums
+    out = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n) * _H_sums(n, xs)
     return out.reshape(xa.shape) if xa.ndim else float(out[0])
 
 
-def sup_H_n(n):
-    """sup of H_n over (0, 1/2] on an H_SCAN_POINTS grid with golden
-    refinement.
+def _H_tail(n, log_mass):
+    """Bound on the part of an _H_sums term sum that lies outside a point's
+    window at log_mass: each term is at most n max(w) P(S = k), the mass
+    outside is at most 2 exp(-log_mass) by Bernstein's inequality, and a
+    factor 2 covers the rounding of the computed pmf entries."""
+    return n * float(np.max(_H_weight(n))) * 2.0 * 2.0 * math.exp(-log_mass)
 
-    The grid maximum and its golden refinement are attained values, so the
-    result is a lower estimate of the sup: the claim sup H_n <= 1 is checked
-    on a lower estimate and is not certified by this search."""
-    xs = np.linspace(0.0, 0.5, H_SCAN_POINTS + 1)[1:]
-    arg, value, _ = sup_search(lambda t: H_n_exact(n, t), xs)
+
+def _H_n_scan(n, xs):
+    """H_n_exact(n, xs) wherever it can hold the grid max, and an upper bound
+    on it strictly below that max everywhere else.
+
+    A first pass sums each point over its narrow window at log-mass
+    _SCAN_LOG_MASS + log n instead of the full one.  At each point this
+    encloses the float H_n_exact returns: the narrow sum S and the full sum
+    differ by at most the tail _H_tail and the rounding of either sum, each
+    of at most n + 1 nonnegative terms added in some order and so within
+    about n 2^-53 relative of its exact value.  With gamma = 4(n+1) 2^-53,
+    which also covers the rounding of the bounds themselves,
+    S (1 - gamma) <= full <= (S + tail)(1 + gamma), and the final product by
+    phi(x) sqrt(n) rounds monotonically.  Where the narrow window is the
+    full window, S is the full sum bit for bit.  Only points whose upper
+    bound reaches the largest lower bound can hold the max; H_n_exact is
+    called there, and the others keep their upper bound."""
+    log_mass = _SCAN_LOG_MASS + math.log(n)
+    _, lo, hi = _band_windows(n, xs)
+    _, nlo, nhi = _band_windows(n, xs, log_mass)
+    full = (nlo == lo) & (nhi == hi)
+    scale = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n)
+    sums = _H_sums(n, xs, log_mass)
+    gamma = 4.0 * (n + 1) * 2.0 ** -53
+    low = scale * np.where(full, sums, sums * (1.0 - gamma))
+    out = scale * np.where(full, sums, (sums + _H_tail(n, log_mass)) * (1.0 + gamma))
+    need = ~full & (out >= np.max(low))
+    if np.any(need):
+        out[need] = H_n_exact(n, xs[need])
+    return out
+
+
+def _H_grid(n):
+    """The sorted grid of sup_H_n: the uniform points and the lambda/n layer
+    that lie in (0, 1/2]."""
+    lam = np.linspace(0.0, H_LAMBDA_MAX, H_LAMBDA_POINTS + 1)[1:] / n
+    xs = np.unique(np.concatenate([np.linspace(0.0, 0.5, H_SCAN_POINTS + 1)[1:], lam]))
+    return xs[xs <= 0.5]
+
+
+def sup_H_n(n):
+    """sup of H_n over (0, 1/2] on the grid _H_grid(n) with golden
+    refinement.  The lambda = nx layer resolves the peak near lambda = 3.45,
+    which sits below the first uniform point 1/(2 H_SCAN_POINTS) once
+    n > 2.8 10^4.
+
+    The grid pass takes _H_n_scan, whose values equal H_n_exact at every
+    point that can hold the grid max, so the grid winner and its value are
+    those of the exact scan; golden refinement calls H_n_exact.  The grid
+    maximum and its golden refinement are attained values, so the result is
+    a lower estimate of the sup: the claim sup H_n <= 1 is checked on a
+    lower estimate and is not certified by this search; the enclosures of
+    _H_n_scan hold per grid point only, and say nothing between them."""
+    arg, value, _ = sup_search(lambda t: H_n_exact(n, t), _H_grid(n),
+                               scan=lambda t: _H_n_scan(n, t))
     cert = "H_n(x) -> 0 as x -> 0+ (exact sum is continuous with H_n(0+) = 0)"
     return SupSearchResult(value, arg, (0.0, 0.5), cert)
 

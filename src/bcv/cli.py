@@ -28,7 +28,7 @@ from . import bernstein, bounds, central, dist, moduli, noncentral
 SCHEMA = 1
 DEFAULT_SEED = 20240817
 # Largest --n accepted: lower takes about 1 s and 120 MB at n = 10^8 (it
-# holds no (n+1)-entry array); hn takes about 2 s at n = 10^6, and stops
+# holds no (n+1)-entry array); hn takes about 1.3 s at n = 10^6, and stops
 # there because log C(n, k) from gammaln carries about 3e-8 relative error
 # per entry at 10^7.
 MAX_N_LOWER = 10 ** 8
@@ -54,6 +54,11 @@ MAX_LAMBDA_MAX = 10 ** 5
 # breakpoints, so the moduli take them on the exact vertex path.
 _VEE = bernstein.PiecewiseLinearFn((0.0, 0.5, 1.0), (0.5, 0.0, 0.5))
 _AFFINE = bernstein.PiecewiseLinearFn((0.0, 1.0), (-0.25, 1.75))
+
+
+# The grid of sup_H_n, as the hn and central.sup_H_100 entries report it.
+_HN_GRID = (f"x_points={central.H_SCAN_POINTS},lambda_points={central.H_LAMBDA_POINTS},"
+            f"lambda_max={central.H_LAMBDA_MAX:g}")
 
 
 class _Check:
@@ -194,16 +199,19 @@ def _cmd_lower(args):
     if not 1000 <= args.n <= MAX_N_LOWER:
         raise _Usage(f"need 1000 <= --n <= {MAX_N_LOWER}")
     rep = bounds.lower_bound_ratio(args.n)
-    desc = f"n={rep.n},x_points={moduli.X_POINTS},h_points={moduli.H_POINTS}"
+    om_desc = f"n={rep.n},bound=exact,candidates={rep.omega2phi_candidates}"
+    err_desc = (f"n={rep.n},lambda_points={bounds.FN_LAMBDA_POINTS},"
+                f"lambda_max={bounds.FN_LAMBDA_MAX:g},x_points={moduli.X_POINTS // 2}")
     checks = [
         _Check("omega2phi_fn", lambda: rep.omega2phi,
-              predicate=lambda v: 3.98 <= v <= 4.0, grid=desc),
+              predicate=lambda v: 3.98 <= v <= 4.0, grid=om_desc),
         _Check("fn_error_sup", lambda: rep.sup_err,
-              predicate=lambda v: v <= 0.80, grid=desc),
+              predicate=lambda v: v <= 0.80, grid=err_desc),
         _Check("lower_ratio", lambda: rep.ratio,
-              predicate=lambda v: v >= 4.9, grid=desc),
+              predicate=lambda v: v >= 4.9, grid=f"n={rep.n},omega2phi_fn/fn_error_sup"),
         _Check("sup_G_minus_g", lambda: rep.sup_G_minus_g,
-              predicate=lambda v: v <= 0.80, grid=desc),
+              predicate=lambda v: v <= 0.80,
+              grid=f"lambda_points={bounds.G_POINTS},lambda_max={bounds.G_LAMBDA_MAX:g}"),
     ]
     return _emit("lower", checks, args)
 
@@ -215,7 +223,7 @@ def _cmd_hn(args):
     checks = [
         _Check(f"sup_H_{args.n}", lambda: res.sup_value,
               predicate=lambda v: v <= 1.0,
-              grid=f"x_points={central.H_SCAN_POINTS},arg={res.arg:.6g}"),
+              grid=f"{_HN_GRID},arg={res.arg:.6g}"),
     ]
     return _emit("hn", checks, args)
 
@@ -348,7 +356,7 @@ def _suite_central():
               predicate=lambda v: v >= 0.0, grid="n in {10,100}"),
         _Check("central.sup_H_100", lambda: central.sup_H_n(100).sup_value,
               predicate=lambda v: v <= 1.0,
-              grid=f"x_points={central.H_SCAN_POINTS}"),
+              grid=_HN_GRID),
         _Check("central.phi_ratio_bound", ratio_margin,
               predicate=lambda v: v >= -1e-9, grid="m in {2,3}, 3x3 (x,z)"),
         _Check("central.I_branch_surrogate", branch_spots,

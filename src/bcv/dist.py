@@ -3,7 +3,8 @@
 The binomial law and the band kernel that every expectation over
 Binomial(n, x) runs on, the exact binomial-Poisson total variation distance
 beside its bound, the Stirling bound on the binomial mode, and the closed
-form E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y for V = U1 + U2.
+form E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y for V = U1 + U2,
+taken by its series in 1/(y+1) where the closed form cancels.
 
 The band kernel: by Bernstein's inequality all but exp(-760) of a
 Binomial(n, x) row lies in a band |k - nx| <= t around nx, and every entry
@@ -26,6 +27,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, xlogy
 
 LOG4 = math.log(4.0)
@@ -41,6 +43,11 @@ _BAND_LOG_MASS = 760.0
 _EXP_ZERO = -746.0
 # Window edges are multiples of this, so nearby points share a window.
 _BAND_LATTICE = 64
+# inv_moment_shift_V takes its series from this y on, where the closed form
+# has lost about 1e-15 relative; with c = y + 1 >= 3 the terms of the
+# series fall by c^-2 <= 1/9 each, so 17 of them reach below 1e-17.
+_INV_SERIES_FROM = 2.0
+_INV_SERIES = np.array([2.0 / ((2 * j + 1) * (2 * j + 2)) for j in range(17)])
 
 
 def _log_comb(n, k):
@@ -70,38 +77,38 @@ def _keep_freed_memory():
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def _band_windows(n, xs):
+def _band_windows(n, xs, log_mass=_BAND_LOG_MASS):
     """Validated points and each one's window [lo, hi] of k.
 
     The window holds the Bernstein band |k - nx| <= t, with
-    t = T/3 + sqrt(T^2/9 + 2 T nx(1-x)) and T = _BAND_LOG_MASS, snapped
-    outward to multiples of _BAND_LATTICE and clamped to [0, n].  It depends
-    on (n, x) alone, never on the other points of a call."""
+    t = T/3 + sqrt(T^2/9 + 2 T nx(1-x)) and T = log_mass, snapped outward to
+    multiples of _BAND_LATTICE and clamped to [0, n]; outside it lies mass at
+    most 2 exp(-T).  It depends on (n, x, T) alone, never on the other
+    points of a call, and grows with T."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     xs = np.asarray(xs, dtype=float).ravel()
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("success probabilities must lie in [0,1]")
     nx = n * xs
-    t = _BAND_LOG_MASS / 3.0 + np.sqrt(_BAND_LOG_MASS ** 2 / 9.0
-                                       + 2.0 * _BAND_LOG_MASS * nx * (1.0 - xs))
+    t = log_mass / 3.0 + np.sqrt(log_mass ** 2 / 9.0 + 2.0 * log_mass * nx * (1.0 - xs))
     lo = np.floor((nx - t) / _BAND_LATTICE) * _BAND_LATTICE
     hi = np.ceil((nx + t + 1.0) / _BAND_LATTICE) * _BAND_LATTICE - 1.0
     return xs, np.maximum(lo, 0.0).astype(int), np.minimum(hi, n).astype(int)
 
 
-def _blocks(n, xs):
+def _blocks(n, xs, log_mass=_BAND_LOG_MASS):
     """Yield blocks (sl, cols, rows) of the points xs: consecutive slices sl,
-    each a run of points that share one window from _band_windows; cols, that
-    window's slice of a vector indexed by k = 0..n; and rows, the pmf rows of
-    xs[sl] over the window, so np.sum(..., axis=1) reduces each row over
-    exactly its window.
+    each a run of points that share one window from _band_windows at
+    log_mass; cols, that window's slice of a vector indexed by k = 0..n; and
+    rows, the pmf rows of xs[sl] over the window, so np.sum(..., axis=1)
+    reduces each row over exactly its window.
 
     A run holding more than _BLOCK_ENTRIES entries is cut into chunks of
     max(1, _BLOCK_ENTRIES // width) points, so a block's rows hold at most
     _BLOCK_ENTRIES entries, or one point's window."""
     _keep_freed_memory()
-    xs, lo, hi = _band_windows(n, xs)
+    xs, lo, hi = _band_windows(n, xs, log_mass)
     cut = np.flatnonzero((np.diff(lo) != 0) | (np.diff(hi) != 0)) + 1
     starts = [0, *cut.tolist()] if len(lo) else []
     for s, e in zip(starts, [*starts[1:], len(lo)]):
@@ -211,11 +218,17 @@ def stirling_mode_bound_check(n, m):
 def inv_moment_shift_V(y):
     """E 1/(y+V) for V = U1+U2, via the second difference of y log y.
 
-    Equals (y+2)log(y+2) - 2(y+1)log(y+1) + y log y with 0 log 0 = 0.
+    Equals (y+2)log(y+2) - 2(y+1)log(y+1) + y log y with 0 log 0 = 0.  That
+    form cancels terms of size y log y down to about 1/y, losing 1e-9 relative
+    at y = 10^3 and 2e-3 at 10^6; from y = _INV_SERIES_FROM on, its Taylor
+    series about c = y + 1, sum_j 2 c^(-2j-1)/((2j+1)(2j+2)), is taken
+    instead.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(y >= 0):  # NaN fails too
         raise ValueError("y must be >= 0")
-    out = xlogy(y + 2.0, y + 2.0) - 2.0 * xlogy(y + 1.0, y + 1.0) + xlogy(y, y)
+    c = y + 1.0
+    out = np.where(y >= _INV_SERIES_FROM, polyval(1.0 / (c * c), _INV_SERIES) / c,
+                   xlogy(y + 2.0, y + 2.0) - 2.0 * xlogy(c, c) + xlogy(y, y))
     return out if out.ndim else float(out)
 

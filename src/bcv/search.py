@@ -41,7 +41,7 @@ def golden_max(f, lo, hi, tol=1e-13, args=()):
     return (float(x[0]), float(v[0])) if scalar else (x, v)
 
 
-def sup_search(f, xs, tol=1e-12, breaks=None):
+def sup_search(f, xs, tol=1e-12, breaks=None, scan=None):
     """Grid scan plus golden refinement of the winning cell.
 
     f is vectorised; f(xs) is scanned over the sorted grid xs and only the
@@ -50,11 +50,16 @@ def sup_search(f, xs, tol=1e-12, breaks=None):
     holds the winner, nudged 1e-12 off b, so refinement never crosses a jump
     of f.  The refined point is kept only if it beats the grid.
 
+    A cheaper scan may stand in for f on the grid pass only: scan(xs) must
+    equal f(xs) wherever f(xs) is maximal and lie strictly below that max
+    elsewhere, so the winner and its value are those of f(xs).  Refinement
+    always calls f.
+
     Returns (arg, value, grid_value) as Python floats.  Both values are
     attained, so each is a lower estimate of the sup, never a certified one.
     """
     xs = np.asarray(xs, dtype=float)
-    vals = f(xs)
+    vals = f(xs) if scan is None else scan(xs)
     i = int(np.argmax(vals))
     arg, value = float(xs[i]), float(vals[i])
     grid_value = value

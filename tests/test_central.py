@@ -8,12 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import mc_H_n, mp_nu, mp_phi_ratio_lhs, quad_integral
+from bcv import central
 from bcv.central import (C_of_lambda, C_tilde, D_coeff,
-                         _H_weight, H_n_exact, H_n_upper,
+                         _H_grid, _H_n_scan, _H_weight, H_n_exact, H_n_upper,
                          I_n_branch_check, I_n_brute, I_n_closed, K_func,
                          SupSearchResult, nu, phi_ratio_moment_sides,
                          r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
-from bcv.dist import LOG4, LOG2716
+from bcv.dist import LOG4, LOG2716, _band_windows
+from bcv.search import sup_search
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +202,74 @@ def test_batched_H_n_equals_scalar_calls_bitwise(n):
 def test_sup_H_n_at_n_1e5_stays_below_one():
     res = sup_H_n(100_000)
     assert 0.8 < res.sup_value <= 1.0
+
+
+@pytest.mark.parametrize("n", [30_000, 100_000])
+def test_sup_H_n_reaches_the_peak_below_the_uniform_grid(n):
+    # the peak sits near lambda = nx = 3.45, below the first uniform grid
+    # point 1/8192 once n > 2.8e4; the lambda/n layer of the grid reaches it
+    assert 3.45 / n < 0.5 / central.H_SCAN_POINTS
+    res = sup_H_n(n)
+    assert res.sup_value >= H_n_exact(n, 3.45 / n)
+    assert res.arg == pytest.approx(3.45 / n, rel=0.01)
+
+
+def _scan_and_exact_points(monkeypatch, n, xs):
+    """_H_n_scan(n, xs), and the mask of points where it took the exact sum:
+    its narrow window is the full one, or it called H_n_exact there."""
+    called = np.zeros(len(xs), dtype=bool)
+    exact = central.H_n_exact
+
+    def spy(n_, x):
+        called[np.isin(xs, x)] = True
+        return exact(n_, x)
+
+    monkeypatch.setattr(central, "H_n_exact", spy)
+    out = _H_n_scan(n, xs)
+    monkeypatch.setattr(central, "H_n_exact", exact)
+    _, lo, hi = _band_windows(n, xs)
+    _, nlo, nhi = _band_windows(n, xs, central._SCAN_LOG_MASS + math.log(n))
+    return out, called | ((lo == nlo) & (hi == nhi))
+
+
+def _assert_scan_encloses(monkeypatch, n, xs):
+    scan, exact_pts = _scan_and_exact_points(monkeypatch, n, xs)
+    want = H_n_exact(n, xs)
+    assert np.array_equal(scan[exact_pts], want[exact_pts])
+    assert np.all(scan[~exact_pts] >= want[~exact_pts])
+    assert np.all(scan[~exact_pts] < np.max(want))
+    return exact_pts
+
+
+_SCAN_NS = [3, 4, 10, 48, 100, 198, 1000, 10_000, 100_000]
+
+
+@pytest.mark.parametrize("n", _SCAN_NS)
+def test_H_n_scan_is_exact_where_it_can_win_and_an_upper_bound_elsewhere(monkeypatch, n):
+    exact_pts = _assert_scan_encloses(monkeypatch, n, _H_grid(n))
+    if n >= 1000:
+        # the narrow pass prunes all but the winner's neighbourhood
+        assert np.sum(exact_pts) <= 8
+
+
+@pytest.mark.parametrize("n", _SCAN_NS)
+def test_sup_H_n_equals_the_exact_scan_bitwise(n):
+    arg, value, _ = sup_search(lambda t: H_n_exact(n, t), _H_grid(n))
+    res = sup_H_n(n)
+    assert (res.sup_value, res.arg) == (value, arg)
+
+
+def test_scan_enclosure_fails_without_its_tail_term(monkeypatch):
+    # at the narrow log-mass T = 5 the band leaves out far more mass than
+    # the rounding margin: kept, the tail term makes every point a candidate
+    # and the scan exact; dropped, the upper bounds fall below H_n_exact
+    n = 10_000
+    xs = _H_grid(n)
+    monkeypatch.setattr(central, "_SCAN_LOG_MASS", 5.0 - math.log(n))
+    _assert_scan_encloses(monkeypatch, n, xs)
+    monkeypatch.setattr(central, "_H_tail", lambda n, log_mass: 0.0)
+    with pytest.raises(AssertionError):
+        _assert_scan_encloses(monkeypatch, n, xs)
 
 
 def test_H_upper_dominates_exact_on_spots():

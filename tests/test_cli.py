@@ -180,6 +180,20 @@ def test_lower_passes(capsys):
         assert f"[PASS] {claim}:" in out
 
 
+def test_lower_entries_name_their_own_grids(capsys):
+    code, out, _ = run_cli(capsys, "lower", "--n", "1000", "--format", "json")
+    assert code == 0
+    grids = {e["claim_id"]: e["grid"] for e in json.loads(out)["entries"]}
+    om = moduli.omega2_phi(bounds.build_fn_lower(1000), 1.0 / math.sqrt(1000))
+    assert om.bound == "exact"
+    assert grids == {
+        "omega2phi_fn": f"n=1000,bound=exact,candidates={om.grid_points}",
+        "fn_error_sup": "n=1000,lambda_points=16000,lambda_max=40,x_points=1024",
+        "lower_ratio": "n=1000,omega2phi_fn/fn_error_sup",
+        "sup_G_minus_g": "lambda_points=100000,lambda_max=40",
+    }
+
+
 def test_lower_rejects_small_n(capsys):
     assert run_cli_usage_error(capsys, "lower", "--n", "500") == 2
 
@@ -188,6 +202,7 @@ def test_hn_claim_id_carries_n(capsys):
     code, out, _ = run_cli(capsys, "hn", "--n", "200")
     assert code == 0
     assert "[PASS] sup_H_200:" in out
+    assert "[x_points=4096,lambda_points=2000,lambda_max=40,arg=" in out
     assert "1/1 checks passed" in out
 
 

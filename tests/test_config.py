@@ -11,7 +11,7 @@ from bcv.central import sup_C
 
 
 def test_grid_config_defaults():
-    # bcv lower reports this grid as x_points=2048,h_points=512
+    # the grid path of the moduli scans x_points=2048, h_points=512
     assert moduli.X_POINTS == 2048
     assert moduli.H_POINTS == 512
 

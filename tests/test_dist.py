@@ -383,11 +383,20 @@ def test_inv_moment_accepts_arrays_and_rejects_negative():
         inv_moment_shift_V(-0.5)
 
 
+def test_inv_moment_relative_error_up_to_a_million():
+    # the closed form cancels y log y down to ~1/y (1.6e-3 relative at 10^6);
+    # the series in 1/(y+1) takes over where that loses digits
+    ys = np.concatenate([np.linspace(0.0, 4.0, 33), np.geomspace(4.0, 1e6, 40),
+                         np.arange(1.0, 60.0)])
+    for y in ys:
+        ref = mp_inv_moment_shift(float(y), dps=50)
+        assert abs(inv_moment_shift_V(y) / ref - 1.0) <= 1e-14, y
+    assert np.array_equal(inv_moment_shift_V(ys), [inv_moment_shift_V(float(y)) for y in ys])
+
+
 @given(st.floats(0.0, 1e4))
 def test_inv_moment_positive_and_decreasing(y):
     a = inv_moment_shift_V(y)
     b = inv_moment_shift_V(y + 1.0)
     assert a > 0.0
-    # the xlogy closed form cancels ~y log y down to ~1/y, so demand
-    # monotonicity only above the cancellation noise floor
-    assert b <= a + 1e-10
+    assert b < a

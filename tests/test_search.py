@@ -99,6 +99,38 @@ def test_sup_search_refines_only_on_the_winners_piece():
     assert abs(x_free - 0.58) < 1e-6 and v_free > 1.0
 
 
+def _peaked(t):
+    return np.sin(3.0 * t) + 0.1 * np.cos(17.0 * t)
+
+
+def test_sup_search_calls_scan_once_on_the_grid_and_golden_only_f():
+    xs = np.linspace(0.0, 1.0, 33)
+    f_calls, scan_calls = [], []
+
+    def f(t):
+        f_calls.append(np.array(t, copy=True))
+        return _peaked(t)
+
+    def scan(t):
+        scan_calls.append(np.array(t, copy=True))
+        return _peaked(t)
+
+    sup_search(f, xs, 1e-13, scan=scan)
+    assert len(scan_calls) == 1 and np.array_equal(scan_calls[0], xs)
+    assert f_calls and not any(np.array_equal(c, xs) for c in f_calls)
+
+
+def test_sup_search_with_a_scan_lowered_off_the_argmax_is_unchanged():
+    xs = np.linspace(0.0, 1.0, 33)
+    rng = np.random.default_rng(5)
+
+    def lowered(t):
+        v = _peaked(t)
+        return np.where(v == np.max(v), v, v - rng.uniform(1e-12, 1.0, len(v)))
+
+    assert sup_search(_peaked, xs, 1e-13, scan=lowered) == sup_search(_peaked, xs, 1e-13)
+
+
 @pytest.mark.parametrize("search", [
     sup_C, sup_C_tilde, lambda: sup_H_n(100), sup_G_minus_g,
     lambda: fn_lower_error_sup(1000),
