@@ -257,6 +257,7 @@ def central_moment(n, x, k):
 
 def central_moment_closed(n, x, k):
     """Closed forms for the even central moments k in {2, 4, 6}."""
+    BinomialLaw(n, x)  # central_moment's checks: n a positive integer, x in [0, 1]
     p2 = x * (1.0 - x)
     if k == 2:
         return p2 / n

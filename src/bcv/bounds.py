@@ -181,8 +181,8 @@ def G_of_lambda(lam):
     """Poisson profile G(lam) = E g(N_lam) = P0 - 0.8 P1 - P2 + 0.04 P3
     + 1 - P(N <= 3); lam may be a scalar or an array."""
     lam = np.asarray(lam, dtype=float)
-    if not np.all(lam >= 0.0):  # NaN fails too
-        raise ValueError("lam must be >= 0")
+    if not np.all((lam >= 0.0) & np.isfinite(lam)):
+        raise ValueError("lam must be finite and >= 0")
     e = np.exp(-lam)
     p0, p1 = e, lam * e
     p2, p3 = lam ** 2 * e / 2.0, lam ** 3 * e / 6.0
@@ -290,6 +290,8 @@ def modulus_upper_sides(f, n):
     Both norms are grid maxima, which under-estimate the norms, so the
     reported RHS is a lower estimate of the true RHS and the check built on
     it is not certified."""
+    if not n >= 2:
+        raise ValueError(f"need n >= 2 for (B_n f)'', got n={n}")
     lhs = omega2_phi(f, 1.0 / math.sqrt(n)).value
     err, wd2 = _norms(f, n, _modulus_norm_grid(f, n))
     return lhs, 4.0 * err + LOG4 / n * wd2

@@ -92,8 +92,8 @@ def nu(lam):
     a scalar (a float is returned) or an array; P(N <= m) is the regularized
     Poisson cdf pdtr."""
     lam = np.asarray(lam, dtype=float)
-    if not np.all(lam > 0.0):  # NaN fails too
-        raise ValueError("lam must be positive")
+    if not np.all((lam > 0.0) & np.isfinite(lam)):
+        raise ValueError("lam must be positive and finite")
     m = np.ceil(lam)
     pm = np.exp(m * np.log(lam) - lam - gammaln(m + 1.0))
     p0 = np.exp(-lam)
@@ -105,8 +105,8 @@ def nu(lam):
 def r_of_lambda(lam):
     """r(lam) = (log 4 - 2 log(27/16)) lam^{3/2} e^{-lam}; peaks at lam = 3/2."""
     lam = np.asarray(lam, dtype=float)
-    if not np.all(lam >= 0.0):  # NaN fails too
-        raise ValueError("lam must be >= 0")
+    if not np.all((lam >= 0.0) & np.isfinite(lam)):
+        raise ValueError("lam must be finite and >= 0")
     out = (LOG4 - 2.0 * LOG2716) * lam ** 1.5 * np.exp(-lam)
     return out if out.ndim else float(out)
 
@@ -115,8 +115,8 @@ def C_of_lambda(lam):
     """C(lam) = 2 log(27/16) nu(lam) + r(lam), extended by C(0) = 0; lam may
     be a scalar or an array."""
     lam = np.asarray(lam, dtype=float)
-    if not np.all(lam >= 0.0):  # NaN fails too
-        raise ValueError("lam must be >= 0")
+    if not np.all((lam >= 0.0) & np.isfinite(lam)):
+        raise ValueError("lam must be finite and >= 0")
     pos = lam > 0.0
     c = 2.0 * LOG2716 * nu(np.where(pos, lam, 1.0)) + r_of_lambda(lam)
     out = np.where(pos, c, 0.0)

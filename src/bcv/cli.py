@@ -9,8 +9,11 @@ Subcommands map the headline claims to runnable checks:
   verify      per-module check suites
   sweep       CSV table of the upper-bound expressions over an a-grid
 
-Reports are emitted as JSON, CSV, or text; exit code 0 means every entry
-passed, 1 means at least one failed, 2 means usage error.  Identical flags
+Each report entry is judged by one relation (<, <=, >=, == or in, a closed
+interval) of its computed value to one bound; an entry with a tolerance is the
+window |computed - reference| <= tolerance.  Reports are emitted as JSON, CSV,
+or text; exit code 0 means every entry passed, 1 means at least one failed, 2
+means usage error.  Identical flags
 and seed give byte-identical JSON up to the runtime_ms fields.
 """
 
@@ -18,6 +21,7 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import sys
 import time
 
@@ -61,16 +65,24 @@ _HN_GRID = (f"x_points={central.H_SCAN_POINTS},lambda_points={central.H_LAMBDA_P
             f"lambda_max={central.H_LAMBDA_MAX:g}")
 
 
-class _Check:
-    """One claim: a thunk plus either a reference window or a predicate."""
+# The relations a claim's computed value is judged by against its bound; "in"
+# is the closed interval (lo, hi).
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq,
+              "in": lambda x, interval: interval[0] <= x <= interval[1]}
 
-    def __init__(self, claim_id, thunk, reference=None, tolerance=None,
-                 predicate=None, seed=None, grid=""):
+
+class _Check:
+    """One claim: a thunk whose value must stand in one relation to one bound.
+    A claim with a tolerance is the reference window |value - bound| <=
+    tolerance, and reports its bound as the reference."""
+
+    def __init__(self, claim_id, thunk, relation, bound, tolerance=None,
+                 seed=None, grid=""):
         self.claim_id = claim_id
         self.thunk = thunk
-        self.reference = reference
+        self.relation = relation
+        self.bound = bound
         self.tolerance = tolerance
-        self.predicate = predicate
         self.seed = seed
         self.grid = grid
 
@@ -79,12 +91,13 @@ class _Check:
         t0 = time.perf_counter()
         value = float(self.thunk())
         ms = int(round((time.perf_counter() - t0) * 1000.0))
-        if self.reference is not None:
-            ok = abs(value - self.reference) <= self.tolerance
-        else:
-            ok = bool(self.predicate(value))
+        if self.tolerance is None:
+            ok = _RELATIONS[self.relation](value, self.bound)
+        else:  # a reference window
+            ok = abs(value - self.bound) <= self.tolerance
         return {"claim_id": self.claim_id, "computed": value,
-                "reference": self.reference, "tolerance": self.tolerance,
+                "reference": None if self.tolerance is None else self.bound,
+                "tolerance": self.tolerance,
                 "pass": ok, "runtime_ms": ms, "seed": self.seed, "grid": self.grid}
 
 
@@ -162,16 +175,13 @@ def _cmd_constants(args):
           f"0.9792 differs by {gap:.2e}; the asserted claim is < 0.99",
           file=sys.stderr)
     checks = [
-        _Check("sup_C", lambda: sup_c.sup_value,
-              reference=0.9827, tolerance=args.tol, grid=desc),
-        _Check("sup_C_below_0.99", lambda: sup_c.sup_value,
-              predicate=lambda v: v < 0.99, grid=desc),
-        _Check("sup_C_tilde_below_0.99", lambda: sup_ct.sup_value,
-              predicate=lambda v: v < 0.99),
-        _Check("smooth_class_constant", bounds.smooth_class_constant,
-              reference=15.0477, tolerance=1e-3),
-        _Check("K_7.2", lambda: central.K_func(7.2),
-              reference=2.8276, tolerance=5e-4),
+        _Check("sup_C", lambda: sup_c.sup_value, "==", 0.9827, tolerance=args.tol,
+               grid=desc),
+        _Check("sup_C_below_0.99", lambda: sup_c.sup_value, "<", 0.99, grid=desc),
+        _Check("sup_C_tilde_below_0.99", lambda: sup_ct.sup_value, "<", 0.99),
+        _Check("smooth_class_constant", bounds.smooth_class_constant, "==", 15.0477,
+               tolerance=1e-3),
+        _Check("K_7.2", lambda: central.K_func(7.2), "==", 2.8276, tolerance=5e-4),
     ]
     return _emit("constants", checks, args)
 
@@ -185,12 +195,9 @@ def _cmd_upper(args):
         raise _Usage(str(e))
     desc = f"a={rep.a:g},m={rep.m},i={rep.i}"
     checks = [
-        _Check("first_valid_i", lambda: float(rep.i),
-              predicate=lambda v: v <= rep.m, grid=desc),
-        _Check("upper_expr_H1_below_74.8", lambda: rep.expr_H1,
-              predicate=lambda v: v < 74.8, grid=desc),
-        _Check("upper_expr_H2_below_74.8", lambda: rep.expr_H2,
-              predicate=lambda v: v < 74.8, grid=desc),
+        _Check("first_valid_i", lambda: float(rep.i), "<=", rep.m, grid=desc),
+        _Check("upper_expr_H1_below_74.8", lambda: rep.expr_H1, "<", 74.8, grid=desc),
+        _Check("upper_expr_H2_below_74.8", lambda: rep.expr_H2, "<", 74.8, grid=desc),
     ]
     return _emit("upper", checks, args)
 
@@ -203,14 +210,11 @@ def _cmd_lower(args):
     err_desc = (f"n={rep.n},lambda_points={bounds.FN_LAMBDA_POINTS},"
                 f"lambda_max={bounds.FN_LAMBDA_MAX:g},x_points={moduli.X_POINTS // 2}")
     checks = [
-        _Check("omega2phi_fn", lambda: rep.omega2phi,
-              predicate=lambda v: 3.98 <= v <= 4.0, grid=om_desc),
-        _Check("fn_error_sup", lambda: rep.sup_err,
-              predicate=lambda v: v <= 0.80, grid=err_desc),
+        _Check("omega2phi_fn", lambda: rep.omega2phi, "in", (3.98, 4.0), grid=om_desc),
+        _Check("fn_error_sup", lambda: rep.sup_err, "<=", 0.80, grid=err_desc),
         _Check("lower_ratio", lambda: rep.ratio,
-              predicate=lambda v: v >= 4.9, grid=f"n={rep.n},omega2phi_fn/fn_error_sup"),
-        _Check("sup_G_minus_g", lambda: rep.sup_G_minus_g,
-              predicate=lambda v: v <= 0.80,
+              ">=", 4.9, grid=f"n={rep.n},omega2phi_fn/fn_error_sup"),
+        _Check("sup_G_minus_g", lambda: rep.sup_G_minus_g, "<=", 0.80,
               grid=f"lambda_points={bounds.G_POINTS},lambda_max={bounds.G_LAMBDA_MAX:g}"),
     ]
     return _emit("lower", checks, args)
@@ -221,8 +225,7 @@ def _cmd_hn(args):
         raise _Usage(f"need 3 <= --n <= {MAX_N_HN}")
     res = central.sup_H_n(args.n)
     checks = [
-        _Check(f"sup_H_{args.n}", lambda: res.sup_value,
-              predicate=lambda v: v <= 1.0,
+        _Check(f"sup_H_{args.n}", lambda: res.sup_value, "<=", 1.0,
               grid=f"{_HN_GRID},arg={res.arg:.6g}"),
     ]
     return _emit("hn", checks, args)
@@ -242,14 +245,14 @@ def _suite_dist():
                          for n in range(2, 51)))
 
     return [
-        _Check("dist.tv_bound_dominates", tv_gap, predicate=lambda v: v <= 0.0,
+        _Check("dist.tv_bound_dominates", tv_gap, "<=", 0.0,
               grid="n in {10,20,50}, lambda in {0.5,1,2}"),
         _Check("dist.stirling_mode_bound", stirling_all,
-              predicate=lambda v: v == 1225.0, grid="n <= 50, all modes"),
+              "==", 1225.0, grid="n <= 50, all modes"),
         _Check("dist.inv_moment_at_0", lambda: dist.inv_moment_shift_V(0.0),
-              reference=math.log(4.0), tolerance=1e-12),
+              "==", math.log(4.0), tolerance=1e-12),
         _Check("dist.inv_moment_at_1", lambda: dist.inv_moment_shift_V(1.0),
-              reference=math.log(27.0 / 16.0), tolerance=1e-12),
+              "==", math.log(27.0 / 16.0), tolerance=1e-12),
     ]
 
 
@@ -291,31 +294,32 @@ def _suite_bernstein():
 
     return [
         _Check("bernstein.krawtchouk_orthogonality", ortho_gap,
-              predicate=lambda v: v <= 1e-10, grid="n=12, x=0.3"),
-        _Check("bernstein.derivative_spots", deriv_spots,
-              predicate=lambda v: v == 4.0, grid="4 (n,m,x) spots"),
+              "<=", 1e-10, grid="n=12, x=0.3"),
+        _Check("bernstein.derivative_spots", deriv_spots, "==", 4.0, grid="4 (n,m,x) spots"),
         _Check("bernstein.kantorovich_agreement", kantorovich_gap,
-              predicate=lambda v: v <= 1e-8, grid="n=10, x=0.3, m in {1,2,3}"),
+              "<=", 1e-8, grid="n=10, x=0.3, m in {1,2,3}"),
         _Check("bernstein.moment_closed_forms", moment_gap,
-              predicate=lambda v: v <= 1e-12, grid="n in {10,40}, x=0.3"),
+              "<=", 1e-12, grid="n in {10,40}, x=0.3"),
     ]
 
 
 def _suite_moduli():
     square = lambda y: np.asarray(y) ** 2
     return [
+        # max(omega1 - 0.6, omega2, omega2_phi) >= 0 as omega2 >= 0, so "<="
+        # judges it as |value| <= 1e-10 would
         _Check("moduli.affine_vanishes",
               lambda: max(moduli.omega1(_AFFINE, 0.3).value - 0.3 * 2.0,
                           moduli.omega2(_AFFINE, 0.3).value,
                           moduli.omega2_phi(_AFFINE, 0.3).value),
-              predicate=lambda v: abs(v) <= 1e-10, grid="delta=0.3"),
+              "<=", 1e-10, grid="delta=0.3"),
         _Check("moduli.quadratic_exact",
               lambda: abs(moduli.omega2_phi(square, 0.2).value - 0.02),
-              predicate=lambda v: v <= 1e-10, grid="delta=0.2"),
+              "<=", 1e-10, grid="delta=0.2"),
         _Check("moduli.monotone_in_delta",
               lambda: moduli.omega2_phi(_VEE, 0.2).value
               - moduli.omega2_phi(_VEE, 0.1).value,
-              predicate=lambda v: v >= -1e-12, grid="delta 0.1 vs 0.2"),
+              ">=", -1e-12, grid="delta 0.1 vs 0.2"),
     ]
 
 
@@ -351,16 +355,14 @@ def _suite_central():
 
     return [
         _Check("central.I_closed_vs_brute", closed_vs_brute,
-              predicate=lambda v: v <= 1e-11, grid="n in {1,3,50,200}"),
-        _Check("central.H_upper_dominates", upper_margin,
-              predicate=lambda v: v >= 0.0, grid="n in {10,100}"),
-        _Check("central.sup_H_100", lambda: central.sup_H_n(100).sup_value,
-              predicate=lambda v: v <= 1.0,
+              "<=", 1e-11, grid="n in {1,3,50,200}"),
+        _Check("central.H_upper_dominates", upper_margin, ">=", 0.0, grid="n in {10,100}"),
+        _Check("central.sup_H_100", lambda: central.sup_H_n(100).sup_value, "<=", 1.0,
               grid=_HN_GRID),
         _Check("central.phi_ratio_bound", ratio_margin,
-              predicate=lambda v: v >= -1e-9, grid="m in {2,3}, 3x3 (x,z)"),
+              ">=", -1e-9, grid="m in {2,3}, 3x3 (x,z)"),
         _Check("central.I_branch_surrogate", branch_spots,
-              predicate=lambda v: v == 4.0, grid="n=1000, lambda0=10"),
+              "==", 4.0, grid="n=1000, lambda0=10"),
     ]
 
 
@@ -377,18 +379,16 @@ def _suite_noncentral(seed):
 
     return [
         _Check("noncentral.alpha_decreasing", alpha_drop,
-              predicate=lambda v: v < 0.0, grid="200 iterates at theta=1"),
+              "<", 0.0, grid="200 iterates at theta=1"),
         _Check("noncentral.L1_closed_form",
               lambda: abs(noncentral.L_k(1, 7.2) - (-math.expm1(-7.2)) / 7.2),
-              predicate=lambda v: v <= 1e-10),
-        _Check("noncentral.J21_below_1", lambda: noncentral.J_limit(21, 7.2),
-              predicate=lambda v: v < 1.0),
+              "<=", 1e-10),
+        _Check("noncentral.J21_below_1", lambda: noncentral.J_limit(21, 7.2), "<", 1.0),
         _Check("noncentral.finite_bound_to_limit",
               lambda: abs(noncentral.finite_n_J_bound(10 ** 6, 13, 7.2)
                           / noncentral.J_limit(13, 7.2) - 1.0),
-              predicate=lambda v: v <= 1e-3, grid="n=1e6, m=13, a=7.2"),
-        _Check("noncentral.mc_within_bound", mc_margin,
-              predicate=lambda v: v >= 0.0, seed=seed,
+              "<=", 1e-3, grid="n=1e6, m=13, a=7.2"),
+        _Check("noncentral.mc_within_bound", mc_margin, ">=", 0.0, seed=seed,
               grid="n=1000, m=1, a=0.9, trials=20000"),
     ]
 
@@ -413,15 +413,13 @@ def _suite_bounds():
         return float(count)
 
     return [
-        _Check("bounds.upper_below_74.8",
-              lambda: bounds.upper_bound_report(7.2, 20).max,
-              predicate=lambda v: v < 74.8, grid="a=7.2, m=20"),
+        _Check("bounds.upper_below_74.8", lambda: bounds.upper_bound_report(7.2, 20).max,
+              "<", 74.8, grid="a=7.2, m=20"),
         _Check("bounds.smooth_constant", bounds.smooth_class_constant,
-              reference=15.0477, tolerance=1e-3),
+              "==", 15.0477, tolerance=1e-3),
         _Check("bounds.modulus_upper_corpus", modulus_corpus,
-              predicate=lambda v: v == 8.0, grid="4 functions, n in {10,50}"),
-        _Check("bounds.converse_validators", validators,
-              predicate=lambda v: v == 4.0, grid="n in {50,200}"),
+              "==", 8.0, grid="4 functions, n in {10,50}"),
+        _Check("bounds.converse_validators", validators, "==", 4.0, grid="n in {50,200}"),
     ]
 
 

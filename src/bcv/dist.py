@@ -192,7 +192,7 @@ def tv_binom_poisson_bound(n, lam):
 
         (lam/n) (sqrt(2)/4 + (4/11)(3 lam + 4) lam^2 / n).
     """
-    if n < 10:
+    if not n >= 10:  # NaN fails too
         raise ValueError(f"the bound requires n >= 10, got n={n}")
     if not lam >= 0:  # NaN fails too
         raise ValueError("lam must be >= 0")

@@ -108,8 +108,8 @@ def L_k(k, a):
 def J_limit(k, a):
     """Limit constant J(k, a) for an integer k >= 1 or an array of them; the
     second term decays exponentially in a."""
-    if not a > 0.0:
-        raise ValueError("a must be positive")
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError("a must be positive and finite")
     L, a1 = _L_and_alpha1(k, a)
     out = a * (2.0 * L * LOG2716 + (LOG4 - 2.0 * LOG2716) * a1 * a1 * np.exp(-a * a1))
     return out if out.ndim else float(out)

@@ -425,6 +425,18 @@ def test_central_moment_validation():
         central_moment_closed(5, 0.5, 3)
 
 
+@pytest.mark.parametrize("fn", [central_moment, central_moment_closed])
+@pytest.mark.parametrize("n, x, match", [(0, 0.3, "positive integer"),
+                                         (2.5, 0.3, "positive integer"),
+                                         (10, 2.0, r"\[0,1\]"), (10, -0.1, r"\[0,1\]"),
+                                         (10, math.nan, r"\[0,1\]")])
+def test_central_moments_share_input_checks(fn, n, x, match):
+    # unguarded, the closed form divided by zero at n = 0 and gave the
+    # negative "moment" -0.2 at (10, 2.0, 2)
+    with pytest.raises(ValueError, match=match):
+        fn(n, x, 2)
+
+
 def test_even_moment_upper_bounds():
     for n in (5, 10, 50, 100):
         for x in np.linspace(0.05, 0.95, 19):

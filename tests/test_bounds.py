@@ -253,6 +253,15 @@ def test_modulus_upper_holds_on_witness():
     assert modulus_upper_check(build_fn_lower(1000), 1000)
 
 
+@pytest.mark.parametrize("fn", [modulus_upper_sides, modulus_upper_check])
+@pytest.mark.parametrize("n", [1, 0, -3, math.nan])
+def test_modulus_upper_needs_n_at_least_two(fn, n):
+    # (B_n f)'' needs n >= 2; unguarded, n = 0 divided by zero, n = -3 hit a
+    # math domain error and n = 1 reported the derivative order instead
+    with pytest.raises(ValueError, match=f"got n={n}"):
+        fn(lambda y: np.asarray(y) ** 2, n)
+
+
 # the functions bcv verify's bounds.modulus_upper_corpus check passes to
 # modulus_upper_check, and the witness
 _NORM_FNS = {

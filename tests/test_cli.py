@@ -337,6 +337,105 @@ def test_verify_rejects_negative_seed(capsys):
 
 
 # ---------------------------------------------------------------------------
+# claims as data
+
+# Every claim's (claim_id, relation, bound, tolerance), in entry order.  The
+# golden reports print only a claim's value and verdict, so loosening a bound
+# (v < 74.8 to v < 80, say) moves no golden byte while the claim passes; this
+# table pins the judgements themselves.
+CLAIMS = {
+    ("constants",): [
+        ("sup_C", "==", 0.9827, 0.003),
+        ("sup_C_below_0.99", "<", 0.99, None),
+        ("sup_C_tilde_below_0.99", "<", 0.99, None),
+        ("smooth_class_constant", "==", 15.0477, 1e-3),
+        ("K_7.2", "==", 2.8276, 5e-4),
+    ],
+    ("upper",): [
+        ("first_valid_i", "<=", 20, None),
+        ("upper_expr_H1_below_74.8", "<", 74.8, None),
+        ("upper_expr_H2_below_74.8", "<", 74.8, None),
+    ],
+    ("lower", "--n", "1000"): [
+        ("omega2phi_fn", "in", (3.98, 4.0), None),
+        ("fn_error_sup", "<=", 0.80, None),
+        ("lower_ratio", ">=", 4.9, None),
+        ("sup_G_minus_g", "<=", 0.80, None),
+    ],
+    ("hn", "--n", "3"): [
+        ("sup_H_3", "<=", 1.0, None),
+    ],
+    ("verify",): [
+        ("dist.tv_bound_dominates", "<=", 0.0, None),
+        ("dist.stirling_mode_bound", "==", 1225.0, None),
+        ("dist.inv_moment_at_0", "==", math.log(4.0), 1e-12),
+        ("dist.inv_moment_at_1", "==", math.log(27.0 / 16.0), 1e-12),
+        ("bernstein.krawtchouk_orthogonality", "<=", 1e-10, None),
+        ("bernstein.derivative_spots", "==", 4.0, None),
+        ("bernstein.kantorovich_agreement", "<=", 1e-8, None),
+        ("bernstein.moment_closed_forms", "<=", 1e-12, None),
+        ("moduli.affine_vanishes", "<=", 1e-10, None),
+        ("moduli.quadratic_exact", "<=", 1e-10, None),
+        ("moduli.monotone_in_delta", ">=", -1e-12, None),
+        ("central.I_closed_vs_brute", "<=", 1e-11, None),
+        ("central.H_upper_dominates", ">=", 0.0, None),
+        ("central.sup_H_100", "<=", 1.0, None),
+        ("central.phi_ratio_bound", ">=", -1e-9, None),
+        ("central.I_branch_surrogate", "==", 4.0, None),
+        ("noncentral.alpha_decreasing", "<", 0.0, None),
+        ("noncentral.L1_closed_form", "<=", 1e-10, None),
+        ("noncentral.J21_below_1", "<", 1.0, None),
+        ("noncentral.finite_bound_to_limit", "<=", 1e-3, None),
+        ("noncentral.mc_within_bound", ">=", 0.0, None),
+        ("bounds.upper_below_74.8", "<", 74.8, None),
+        ("bounds.smooth_constant", "==", 15.0477, 1e-3),
+        ("bounds.modulus_upper_corpus", "==", 8.0, None),
+        ("bounds.converse_validators", "==", 4.0, None),
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(CLAIMS), ids=lambda argv: argv[0])
+def test_every_claim_is_one_relation_to_one_bound(monkeypatch, argv):
+    emitted = []
+
+    def capture(command, checks, args):
+        emitted.extend(checks)
+        return 0
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    assert cli.main(list(argv)) == 0
+    claims = [(c.claim_id, c.relation, c.bound, c.tolerance) for c in emitted]
+    assert claims == CLAIMS[argv]
+    for claim_id, relation, bound, tolerance in claims:
+        assert relation in cli._RELATIONS
+        # a tolerance only widens "==" into a reference window
+        assert tolerance is None or relation == "=="
+        # an id that names its threshold, "..._below_<t>", is judged "< t"
+        if "_below_" in claim_id:
+            assert (relation, bound) == ("<", float(claim_id.rsplit("_below_", 1)[1]))
+
+
+@pytest.mark.parametrize("relation, bound, value, ok", [
+    ("<", 1.0, 1.0, False), ("<=", 1.0, 1.0, True),
+    (">=", 1.0, math.nextafter(1.0, 0.0), False),
+    ("==", 4.0, 4.0, True), ("==", 4.0, 4.0 + 1e-15, False),
+    ("in", (3.98, 4.0), 3.98, True), ("in", (3.98, 4.0), 4.0, True),
+    ("in", (3.98, 4.0), 4.0 + 1e-15, False),
+    ("<=", 1.0, math.nan, False), ("in", (3.98, 4.0), math.nan, False)])
+def test_relation_table_judges_at_the_bound(relation, bound, value, ok):
+    entry = cli._Check("c", lambda: value, relation, bound).run()
+    assert entry["pass"] is ok
+    assert (entry["reference"], entry["tolerance"]) == (None, None)
+
+
+def test_a_tolerance_makes_a_reference_window():
+    window = cli._Check("c", lambda: 1.25, "==", 1.0, tolerance=0.25).run()
+    assert (window["pass"], window["reference"], window["tolerance"]) == (True, 1.0, 0.25)
+    assert not cli._Check("c", lambda: 0.7, "==", 1.0, tolerance=0.25).run()["pass"]
+
+
+# ---------------------------------------------------------------------------
 # output plumbing
 
 

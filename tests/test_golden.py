@@ -31,6 +31,8 @@ CASES = {
     "lower_10000": ["lower", "--n", "10000", "--format", "json"],
     "hn_10000": ["hn", "--n", "10000", "--format", "json"],
     "verify_seed31": ["verify", "--seed", "31", "--format", "json"],
+    "verify_seed31_text": ["verify", "--seed", "31", "--format", "text"],
+    "verify_seed31_csv": ["verify", "--seed", "31", "--format", "csv"],
     "upper_csv": ["upper", "--format", "csv"],
     "constants_text": ["constants", "--format", "text"],
     "sweep": ["sweep", "--a-range", "5.0,10.0", "--step", "0.1"],
