@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import (PiecewiseLinearFn, _derivative_and_apply,
-                        bernstein_apply_many, bernstein_derivative)
+                        bernstein_apply_many)
 from .central import K_func, SupSearchResult, sup_H_n
 from .dist import LOG4, _log_comb
 from .moduli import X_POINTS, omega2_phi
@@ -115,7 +115,7 @@ def smooth_class_constant():
     return 4.0 + SQRT2 * (SQRT2 + 1.0) / (1.0 - 0.99 / math.sqrt(3.0)) * LOG4
 
 
-def sweep_upper(a_lo=5.0, a_hi=10.0, step=0.1, m=20):
+def sweep_upper(a_lo, a_hi, step, m):
     """Reports over an a-grid, plus a 0.01-step refinement pass around the
     coarse minimum of the max column.  Grid points where the K-driven
     expression is undefined (denominator <= 0, roughly a < 6.2) are skipped
@@ -173,6 +173,9 @@ def g_of_lambda(lam):
     2 - 8.88 e^-2 at lambda = 2 (checked on a 4e5-point lambda-grid over
     [0, 40]).  Which of the two the paper means is not settled by its
     abstract."""
+    lam = np.asarray(lam, dtype=float)
+    if not np.all((lam >= 0.0) & np.isfinite(lam)):
+        raise ValueError("lam must be finite and >= 0")
     out = np.interp(lam, np.arange(5.0), _G_NODES)
     return out if np.ndim(out) else float(out)
 
@@ -254,23 +257,12 @@ def lower_bound_ratio(n):
     return LowerBoundReport(n, om.value, err, om.value / err, gap, om.grid_points)
 
 
-def _error_norm(f, n, xs):
-    """max |B_n f - f| over xs, a grid maximum: a lower estimate of the norm,
-    so a check built on it is not certified."""
-    return float(np.max(np.abs(bernstein_apply_many(f, n, xs) - f(xs))))
-
-
-def _d2_norm(f, n, xs):
-    """max phi^2 |(B_n f)''| over the points of xs inside (0, 1), a grid
-    maximum: a lower estimate of the norm, as in _error_norm."""
-    x = xs[(xs > 0.0) & (xs < 1.0)]
-    return float(np.max(x * (1.0 - x) * np.abs(bernstein_derivative(f, n, 2, x))))
-
-
 def _norms(f, n, xs):
-    """(_error_norm(f, n, xs), _d2_norm(f, n, xs)), bit for bit, from one
-    pass over the rows of the points inside (0, 1); the points 0 and 1 take
-    bernstein_apply_many."""
+    """(max |B_n f - f| over xs, max phi^2 |(B_n f)''| over the points of xs
+    inside (0, 1)), from one pass over the rows of the points inside (0, 1);
+    the points 0 and 1 take bernstein_apply_many.  Both are grid maxima:
+    lower estimates of the norms, so a check built on them is not
+    certified."""
     inner = (xs > 0.0) & (xs < 1.0)
     bn = np.empty(len(xs))
     d2, bn[inner] = _derivative_and_apply(f, n, 2, xs[inner])
@@ -377,6 +369,6 @@ def iterate_converse_check(f, n):
     def h_fn(y):
         return h_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
 
-    lhs = _d2_norm(h_fn, n, _NORM_XS) / (2.0 * n)
-    rhs = _error_norm(f, n, _NORM_XS) / SQRT2
+    lhs = _norms(h_fn, n, _NORM_XS)[1] / (2.0 * n)
+    rhs = _norms(f, n, _NORM_XS)[0] / SQRT2
     return ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs, "g = B_n f")

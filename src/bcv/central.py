@@ -31,6 +31,11 @@ from .search import sup_search
 H_SCAN_POINTS = 4096
 H_LAMBDA_POINTS = 2000
 H_LAMBDA_MAX = 40.0
+# The lambda-grid of sup_C: C_SCAN_POINTS uniform points of (0, C_LAMBDA_MAX]
+# and each integer there with a point either side of it; _tail_certificate
+# covers lambda >= C_LAMBDA_MAX.
+C_SCAN_POINTS = 100_000
+C_LAMBDA_MAX = 60.0
 # The narrow windows of the scan in sup_H_n sit at log-mass this plus log n
 # (43.2 at n = 10^4): the tail bound _H_tail is then 4 max(w) e^-34, about
 # 1e-14, below the rounding margin of the scan's enclosures near the max for
@@ -128,14 +133,6 @@ def C_tilde(lam):
     return 2.0 * C_FLAT * LOG2716 + r_of_lambda(lam)
 
 
-def _scan_lambdas(lambda_max, points):
-    lams = np.linspace(0.0, lambda_max, points + 1)[1:]
-    ints = np.arange(1.0, math.floor(lambda_max) + 1.0)
-    # the ceiling jumps at integers; sample both sides and the integer itself
-    extra = np.concatenate([ints - 1e-9, ints, ints + 1e-9])
-    return np.unique(np.concatenate([lams, extra]))
-
-
 def _tail_certificate():
     lams = np.linspace(60.0, 200.0, 1001)
     nu_cap = math.sqrt(2.0 / math.pi) + 0.02
@@ -150,26 +147,24 @@ def _tail_certificate():
     return cert
 
 
-def sup_C(*, lambda_max=60.0, points=100_000):
-    """sup over lambda of C(lambda), scanned on points grid points of
-    (0, lambda_max] and at each integer and either side of it, with a
+def sup_C():
+    """sup over lambda of C(lambda), scanned on C_SCAN_POINTS grid points of
+    (0, C_LAMBDA_MAX] and at each integer and either side of it, with a
     certificate that the tail beyond 60 stays below the reported sup.
     Refinement stays on one piece (m-1, m] of the ceiling in nu.  Raises
-    ValueError when the grid is too coarse for its range: refinement then
-    moves the sup by more than 1e-3."""
-    if not (math.isfinite(lambda_max) and lambda_max > 0):
-        raise ValueError("lambda_max must be positive and finite")
-    if points < 100:
-        raise ValueError("scan needs at least 100 points")
-    if lambda_max < 60.0:
-        raise ValueError("scan must cover (0, 60]")
+    RuntimeError when the grid is too coarse: refinement then moves the sup
+    by more than 1e-3."""
+    ints = np.arange(1.0, math.floor(C_LAMBDA_MAX) + 1.0)
+    # the ceiling jumps at integers; sample both sides and the integer itself
+    lams = np.unique(np.concatenate([
+        np.linspace(0.0, C_LAMBDA_MAX, C_SCAN_POINTS + 1)[1:],
+        ints - 1e-9, ints, ints + 1e-9]))
     arg, value, grid_value = sup_search(
-        C_of_lambda, _scan_lambdas(lambda_max, points),
-        breaks=np.arange(math.ceil(lambda_max) + 1.0))
+        C_of_lambda, lams, breaks=np.arange(math.ceil(C_LAMBDA_MAX) + 1.0))
     if value - grid_value > 1e-3:
-        raise ValueError("scan too coarse: refinement moved the sup by "
-                         f"{value - grid_value:.2e}")
-    return SupSearchResult(value, arg, (0.0, lambda_max), _tail_certificate())
+        raise RuntimeError("scan too coarse: refinement moved the sup by "
+                           f"{value - grid_value:.2e}")
+    return SupSearchResult(value, arg, (0.0, C_LAMBDA_MAX), _tail_certificate())
 
 
 def sup_C_tilde():

@@ -45,13 +45,6 @@ MAX_M = 10 ** 4
 MAX_SWEEP_POINTS = 10 ** 5
 # Most a-grid points times m, as a point's cost grows with m: 10^5 at m = 20.
 MAX_SWEEP_WORK = 20 * MAX_SWEEP_POINTS
-# Largest --grid and --lambda-max accepted by constants; they set the scan of
-# sup C only (sup C~ is closed form).  Each integer up to lambda_max adds three
-# scan points to the grid's.  At --grid 10^6 constants takes about 1.1 s and
-# 126 MB peak RSS in a fresh interpreter on 2 vCPUs; at both caps, 0.9 s and
-# 141 MB.
-MAX_GRID = 10 ** 6
-MAX_LAMBDA_MAX = 10 ** 5
 
 
 # The piecewise-linear test functions |y - 1/2| and 2y - 1/4, with their
@@ -63,6 +56,8 @@ _AFFINE = bernstein.PiecewiseLinearFn((0.0, 1.0), (-0.25, 1.75))
 # The grid of sup_H_n, as the hn and central.sup_H_100 entries report it.
 _HN_GRID = (f"x_points={central.H_SCAN_POINTS},lambda_points={central.H_LAMBDA_POINTS},"
             f"lambda_max={central.H_LAMBDA_MAX:g}")
+# The grid of sup_C, as the two constants entries on it report it.
+_C_GRID = f"points={central.C_SCAN_POINTS},lambda_max={central.C_LAMBDA_MAX:g}"
 
 
 # The relations a claim's computed value is judged by against its bound; "in"
@@ -159,25 +154,16 @@ def _emit(command, checks, args):
 
 
 def _cmd_constants(args):
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise _Usage("need a finite --tol >= 0")
-    # an infinite or NaN --lambda-max gets sup_C's own message
-    if args.grid > MAX_GRID or MAX_LAMBDA_MAX < args.lambda_max < math.inf:
-        raise _Usage(f"need --grid <= {MAX_GRID} and --lambda-max <= {MAX_LAMBDA_MAX}")
-    try:
-        sup_c = central.sup_C(lambda_max=args.lambda_max, points=args.grid)
-    except ValueError as e:
-        raise _Usage(str(e))
+    sup_c = central.sup_C()
     sup_ct = central.sup_C_tilde()
-    desc = f"points={args.grid},lambda_max={args.lambda_max:g}"
     gap = abs(sup_ct.sup_value - 0.9792)
     print(f"note: sup of C~ computed as {sup_ct.sup_value:.6f}; quoted value "
           f"0.9792 differs by {gap:.2e}; the asserted claim is < 0.99",
           file=sys.stderr)
     checks = [
-        _Check("sup_C", lambda: sup_c.sup_value, "==", 0.9827, tolerance=args.tol,
-               grid=desc),
-        _Check("sup_C_below_0.99", lambda: sup_c.sup_value, "<", 0.99, grid=desc),
+        _Check("sup_C", lambda: sup_c.sup_value, "==", 0.9827, tolerance=0.003,
+               grid=_C_GRID),
+        _Check("sup_C_below_0.99", lambda: sup_c.sup_value, "<", 0.99, grid=_C_GRID),
         _Check("sup_C_tilde_below_0.99", lambda: sup_ct.sup_value, "<", 0.99),
         _Check("smooth_class_constant", bounds.smooth_class_constant, "==", 15.0477,
                tolerance=1e-3),
@@ -484,9 +470,6 @@ def build_parser():
 
     c = sub.add_parser("constants", parents=[common],
                        help="envelope constants and their sups")
-    c.add_argument("--grid", type=int, default=100_000)
-    c.add_argument("--lambda-max", type=float, default=60.0)
-    c.add_argument("--tol", type=float, default=0.003)
     c.set_defaults(fn=_cmd_constants)
 
     u = sub.add_parser("upper", parents=[common],

@@ -192,8 +192,8 @@ def tv_binom_poisson_bound(n, lam):
 
         (lam/n) (sqrt(2)/4 + (4/11)(3 lam + 4) lam^2 / n).
     """
-    if not n >= 10:  # NaN fails too
-        raise ValueError(f"the bound requires n >= 10, got n={n}")
+    if not isinstance(n, (int, np.integer)) or n < 10:
+        raise ValueError(f"the bound requires an integer n >= 10, got n={n!r}")
     if not lam >= 0:  # NaN fails too
         raise ValueError("lam must be >= 0")
     return (lam / n) * (math.sqrt(2.0) / 4.0 + (4.0 / 11.0) * (3.0 * lam + 4.0) * lam ** 2 / n)

@@ -232,6 +232,23 @@ def dense_bernstein_derivative(f, n, m, xs):
                      for x in map(float, xs)])
 
 
+def error_norm(f, n, xs):
+    """max |B_n f - f| over xs through bernstein_apply_many: the reference for
+    the first of bcv.bounds._norms."""
+    from bcv.bernstein import bernstein_apply_many
+
+    return float(np.max(np.abs(bernstein_apply_many(f, n, xs) - f(xs))))
+
+
+def d2_norm(f, n, xs):
+    """max phi^2 |(B_n f)''| over the points of xs inside (0, 1) through
+    bernstein_derivative: the reference for the second of bcv.bounds._norms."""
+    from bcv.bernstein import bernstein_derivative
+
+    x = xs[(xs > 0.0) & (xs < 1.0)]
+    return float(np.max(x * (1.0 - x) * np.abs(bernstein_derivative(f, n, 2, x))))
+
+
 def dense_H_n(n, xs):
     """H_n at each x of xs, phi(x) sqrt(n) E|S - nx| (E 1/(S+V) + E 1/(n-S+V)),
     summed over the full row."""

@@ -8,13 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import dense_iteration_matrix
+from oracles import d2_norm, dense_iteration_matrix, error_norm
 from bcv import cli
 from bcv.bernstein import bernstein_apply_many
 from bcv.bounds import (CONVERSE_A, CONVERSE_M, G_LAMBDA_MAX, SQRT2, _NORM_XS,
                         G_of_lambda, LowerBoundReport, UpperBoundReport,
-                        ValidatorResult, _fn_lower_error, _d2_norm,
-                        _error_norm, _modulus_norm_grid, _norms,
+                        ValidatorResult, _fn_lower_error, _modulus_norm_grid,
+                        _norms,
                         build_fn_lower,
                         central_converse_check, fn_lower_error_sup,
                         g_of_lambda, iterate_converse_check, lower_bound_ratio,
@@ -262,14 +262,24 @@ def test_modulus_upper_needs_n_at_least_two(fn, n):
         fn(lambda y: np.asarray(y) ** 2, n)
 
 
+def _iterate_h(n):
+    """h = B_n f - f for f = sin(pi y), read from its values on the grid j/n
+    as iterate_converse_check builds it."""
+    f = lambda y: np.sin(math.pi * np.asarray(y))
+    grid = np.arange(n + 1) / n
+    h_grid = bernstein_apply_many(f, n, grid) - f(grid)
+    return lambda y: h_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
+
+
 # the functions bcv verify's bounds.modulus_upper_corpus check passes to
-# modulus_upper_check, and the witness
+# modulus_upper_check, the witness, and an h of iterate_converse_check
 _NORM_FNS = {
     "square": lambda n: lambda y: np.asarray(y) ** 2,
     "cube": lambda n: lambda y: np.asarray(y) ** 3,
     "vee": lambda n: cli._VEE,
     "sine": lambda n: lambda y: np.sin(math.pi * np.asarray(y)),
     "witness": build_fn_lower,
+    "iterate_h": _iterate_h,
 }
 
 
@@ -282,7 +292,7 @@ def test_shared_norm_pass_equals_the_two_norms_bitwise(name, n):
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert set(getattr(f, "breakpoints", ())) <= set(grid.tolist())
     for xs in (grid, _NORM_XS):
-        assert _norms(f, n, xs) == (_error_norm(f, n, xs), _d2_norm(f, n, xs)), xs[:3]
+        assert _norms(f, n, xs) == (error_norm(f, n, xs), d2_norm(f, n, xs)), xs[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +350,8 @@ def _matrix_iterate_converse(f, n):
     f_grid = np.asarray(f(np.arange(n + 1) / n), dtype=float)
     h_grid = dense_iteration_matrix(n) @ f_grid - f_grid
     h_fn = lambda y: h_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
-    lhs = _d2_norm(h_fn, n, _NORM_XS) / (2.0 * n)
-    rhs = _error_norm(f, n, _NORM_XS) / SQRT2
+    lhs = d2_norm(h_fn, n, _NORM_XS) / (2.0 * n)
+    rhs = error_norm(f, n, _NORM_XS) / SQRT2
     return lhs <= rhs + 1e-12, True, lhs, rhs
 
 
@@ -358,5 +368,5 @@ def test_iterate_converse_matches_the_matrix_path(f, n):
     # smaller than B_n f: the ulps by which the two paths' B_n f differ move
     # it by up to 2.5e-13 of itself at n = 200, so it is compared at 1e-13
     # of the scale max phi^2 |(B_n f)''| / (2n)
-    scale = _d2_norm(f, n, _NORM_XS) / (2.0 * n)
+    scale = d2_norm(f, n, _NORM_XS) / (2.0 * n)
     assert abs(res.lhs - lhs) <= 1e-13 * scale

@@ -122,11 +122,6 @@ def test_sup_C_value_location_and_certificate():
     assert res.scan_range == (0.0, 60.0)
 
 
-def test_sup_C_requires_full_scan_range():
-    with pytest.raises(ValueError):
-        sup_C(lambda_max=30.0)
-
-
 def test_sup_C_deterministic():
     a = sup_C()
     b = sup_C()

@@ -1,14 +1,19 @@
-"""Validation behavior of the scan settings (the modulus scan grid constants
-and the lambda scan of sup_C) and of the guards on non-finite input."""
+"""The scan settings (the modulus scan grid constants and the fixed lambda
+scan of sup_C with its refinement-gain guard), the ledger of every defaulted
+parameter and command-line flag, and the guards on non-finite input."""
 
+import argparse
+import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
-from bcv import moduli
-from bcv.bounds import G_of_lambda
+import bcv
+from bcv import central, cli, moduli
+from bcv.bounds import G_of_lambda, g_of_lambda
 from bcv.central import C_of_lambda, nu, r_of_lambda, sup_C
 from bcv.dist import tv_binom_poisson_bound
 from bcv.noncentral import J_limit
@@ -20,15 +25,71 @@ def test_grid_config_defaults():
     assert moduli.H_POINTS == 512
 
 
-def test_sup_search_config_defaults_and_validation():
-    params = inspect.signature(sup_C).parameters
-    assert params["lambda_max"].default == 60.0
-    assert params["points"].default == 100_000
-    for bad in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
-            sup_C(lambda_max=bad)
-    with pytest.raises(ValueError, match="at least 100 points"):
-        sup_C(points=99)
+def test_sup_search_config_defaults_and_validation(monkeypatch):
+    # sup_C scans one fixed grid and takes no arguments
+    assert not inspect.signature(sup_C).parameters
+    assert central.C_SCAN_POINTS == 100_000
+    assert central.C_LAMBDA_MAX == 60.0
+    # the refinement-gain guard runs on every call: on a grid too coarse for
+    # (0, 60], refinement moves the sup by more than 1e-3
+    monkeypatch.setattr(central, "C_SCAN_POINTS", 100)
+    with pytest.raises(RuntimeError, match="scan too coarse"):
+        sup_C()
+
+
+def _defaulted_parameters():
+    """(qualified name, parameter, default) of every defaulted parameter of
+    every function, class and method defined in a bcv module."""
+    found = []
+    for info in pkgutil.iter_modules(bcv.__path__):
+        mod = importlib.import_module(f"bcv.{info.name}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                fns = [f for f in vars(obj).values() if inspect.isfunction(f)]
+            elif inspect.isfunction(obj):
+                fns = [obj]
+            else:
+                continue
+            for f in fns:
+                found.extend((f"{mod.__name__[4:]}.{f.__qualname__}", p.name, p.default)
+                             for p in inspect.signature(f).parameters.values()
+                             if p.default is not p.empty)
+    return sorted(found, key=lambda t: t[:2])
+
+
+def test_options_ledger():
+    # every knob of the package: adding a defaulted parameter or a flag means
+    # adding it here
+    assert _defaulted_parameters() == [
+        ("central._H_sums", "log_mass", bcv.dist._BAND_LOG_MASS),
+        ("cli._Check.__init__", "grid", ""),
+        ("cli._Check.__init__", "seed", None),
+        ("cli._Check.__init__", "tolerance", None),
+        ("cli.main", "argv", None),
+        ("dist._band_windows", "log_mass", bcv.dist._BAND_LOG_MASS),
+        ("dist._blocks", "log_mass", bcv.dist._BAND_LOG_MASS),
+        ("noncentral.simulate_J", "grid_points", 64),
+        ("search.golden_max", "args", ()),
+        ("search.golden_max", "tol", 1e-13),
+        ("search.sup_search", "breaks", None),
+        ("search.sup_search", "scan", None),
+        ("search.sup_search", "tol", 1e-12),
+    ]
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(s for a in sub._actions for s in a.option_strings)
+             for name, sub in subparsers.choices.items()}
+    common = ["--format", "--help", "--out", "-h"]
+    assert flags == {
+        "constants": common,
+        "upper": sorted(common + ["--a", "--m"]),
+        "lower": sorted(common + ["--n"]),
+        "hn": sorted(common + ["--n"]),
+        "verify": sorted(common + ["--seed", "--suite"]),
+        "sweep": ["--a-range", "--help", "--m", "--out", "--step", "-h"],
+    }
 
 
 @pytest.mark.parametrize("call", [lambda: J_limit(13, math.inf),
@@ -36,11 +97,20 @@ def test_sup_search_config_defaults_and_validation():
                                   lambda: r_of_lambda(math.inf),
                                   lambda: C_of_lambda(np.array([1.0, math.inf])),
                                   lambda: G_of_lambda(math.inf),
-                                  lambda: tv_binom_poisson_bound(math.nan, 1.0)],
+                                  lambda: g_of_lambda(math.nan),
+                                  lambda: g_of_lambda(np.array([1.0, math.inf])),
+                                  lambda: g_of_lambda(-0.5),
+                                  lambda: tv_binom_poisson_bound(math.nan, 1.0),
+                                  lambda: tv_binom_poisson_bound(math.inf, 1.0),
+                                  lambda: tv_binom_poisson_bound(10.5, 1.0)],
                          ids=["J_limit", "nu", "r_of_lambda", "C_of_lambda", "G_of_lambda",
-                              "tv_binom_poisson_bound"])
+                              "g_of_lambda", "g_of_lambda_inf", "g_of_lambda_negative",
+                              "tv_binom_poisson_bound", "tv_binom_poisson_bound_inf",
+                              "tv_binom_poisson_bound_non_integer"])
 def test_non_finite_input_is_rejected(call):
-    # unguarded, each returned NaN (the first five after a RuntimeWarning
-    # from inf * 0 or inf - inf) instead of raising
+    # unguarded, each returned NaN or a number (the first five NaN after a
+    # RuntimeWarning from inf * 0 or inf - inf; g_of_lambda(-0.5) the node
+    # value 1.0, tv_binom_poisson_bound 0.0 at n = inf and 0.0568 at n = 10.5)
+    # instead of raising
     with pytest.raises(ValueError):
         call()
