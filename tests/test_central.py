@@ -122,6 +122,14 @@ def test_sup_C_value_location_and_certificate():
     assert res.scan_range == (0.0, 60.0)
 
 
+def test_sup_C_requires_full_scan_range():
+    # the scan range is fixed and reaches the lambda >= 60 of the tail
+    # certificate; no shorter range can be asked for
+    assert central.C_LAMBDA_MAX >= 60.0
+    with pytest.raises(TypeError):
+        sup_C(lambda_max=30.0)
+
+
 def test_sup_C_deterministic():
     a = sup_C()
     b = sup_C()

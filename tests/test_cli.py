@@ -75,6 +75,55 @@ def test_constants_flat_envelope_sup_is_closed_form_on_any_grid(capsys, monkeypa
     assert entry["grid"] == ""
 
 
+def test_constants_rejects_coarse_grid(capsys):
+    assert run_cli_usage_error(capsys, "constants", "--grid", "10") == 2
+
+
+def test_constants_rejects_short_lambda_range(capsys):
+    assert run_cli_usage_error(capsys, "constants", "--lambda-max", "30") == 2
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_constants_rejects_non_finite_lambda_max(capsys, lam):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", "--lambda-max", lam])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lambda-max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--grid", "100"], ["--lambda-max", "100000"]])
+def test_constants_too_coarse_scan_is_a_usage_error(capsys, argv):
+    # input that once asked for a scan too coarse for its range is now an
+    # unknown option: a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--grid", "1000001"],
+                                  ["--lambda-max", "100001"]])
+def test_constants_rejects_grid_and_range_above_caps(capsys, monkeypatch, argv):
+    def no_scan(**kwargs):
+        raise AssertionError("scan ran")
+
+    monkeypatch.setattr(cli.central, "sup_C", no_scan)
+    monkeypatch.setattr(cli.central, "sup_C_tilde", no_scan)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_constants_rejects_negative_and_non_finite_tol(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", "--tol", tol])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["--grid", "100000"], ["--lambda-max", "60"],
                                   ["--tol", "0.003"]], ids=["grid", "lambda-max", "tol"])
 def test_constants_takes_no_scan_flags(capsys, argv):
