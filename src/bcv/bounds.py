@@ -19,7 +19,7 @@ import numpy as np
 from .bernstein import (PiecewiseLinearFn, _derivative_and_apply,
                         bernstein_apply_many)
 from .central import K_func, SupSearchResult, sup_H_n
-from .dist import LOG4, _log_comb
+from .dist import LOG4
 from .moduli import X_POINTS, omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
 from .search import sup_search
@@ -148,23 +148,34 @@ def sweep_upper(a_lo, a_hi, step, m):
     return reports
 
 
+# The witness f_n's values at its knots; the outer knots (2 -/+ sqrt(2))/n lie
+# in (0, 1/n) and (3/n, 4/n), so these are also f_n(k/n), k = 0..4.
+_WITNESS = (1.0, -0.8, -1.0, 0.04, 1.0)
+
+
 def build_fn_lower(n):
-    """The lower-bound witness: piecewise linear with breakpoints
-    (2-sqrt(2))/n < 1/n < 2/n < 3/n < (2+sqrt(2))/n, values
-    1, -0.8, -1, 0.04, 1, and constant 1 outside."""
+    """The lower-bound witness: piecewise linear through the values _WITNESS
+    at the breakpoints (2-sqrt(2))/n < 1/n < 2/n < 3/n < (2+sqrt(2))/n, and
+    constant 1 outside."""
     if n < 8:
         raise ValueError("need n >= 8")
     bp = ((2.0 - SQRT2) / n, 1.0 / n, 2.0 / n, 3.0 / n, (2.0 + SQRT2) / n)
-    return PiecewiseLinearFn(bp, (1.0, -0.8, -1.0, 0.04, 1.0))
+    return PiecewiseLinearFn(bp, _WITNESS)
 
 
-_G_NODES = np.array([1.0, -0.8, -1.0, 0.04, 1.0])
+def _witness_mean(p):
+    """E w(N) = 1 + sum_{k=1..3} (w_k - 1) p_k for w = _WITNESS and a law
+    N on the integers with P(N = k) = p[k-1]; w_0 = w_4 = 1, and w = 1 beyond."""
+    out = 1.0
+    for w, pk in zip(_WITNESS[1:4], p):
+        out = out + (w - 1.0) * pk
+    return out
 
 
 def g_of_lambda(lam):
     """The witness values on the integer grid, read in lambda = nx
     coordinates: piecewise linear between the nodes 0, 1, 2, 3, 4 with
-    values 1, -0.8, -1, 0.04, 1 and constantly 1 beyond.
+    values _WITNESS and constantly 1 beyond.
 
     This is not f_n(lambda/n) itself, whose outer breakpoints sit at
     2 -/+ sqrt(2) rather than 0 and 4; the two agree at every integer
@@ -176,20 +187,18 @@ def g_of_lambda(lam):
     lam = np.asarray(lam, dtype=float)
     if not np.all((lam >= 0.0) & np.isfinite(lam)):
         raise ValueError("lam must be finite and >= 0")
-    out = np.interp(lam, np.arange(5.0), _G_NODES)
+    out = np.interp(lam, np.arange(5.0), _WITNESS)
     return out if np.ndim(out) else float(out)
 
 
 def G_of_lambda(lam):
-    """Poisson profile G(lam) = E g(N_lam) = P0 - 0.8 P1 - P2 + 0.04 P3
-    + 1 - P(N <= 3); lam may be a scalar or an array."""
+    """Poisson profile G(lam) = E g(N_lam) = 1 + sum_{k=1..3} (w_k - 1) P_k
+    with P_k = e^-lam lam^k / k!; lam may be a scalar or an array."""
     lam = np.asarray(lam, dtype=float)
     if not np.all((lam >= 0.0) & np.isfinite(lam)):
         raise ValueError("lam must be finite and >= 0")
     e = np.exp(-lam)
-    p0, p1 = e, lam * e
-    p2, p3 = lam ** 2 * e / 2.0, lam ** 3 * e / 6.0
-    out = p0 - 0.8 * p1 - p2 + 0.04 * p3 + 1.0 - (p0 + p1 + p2 + p3)
+    out = _witness_mean((lam * e, lam ** 2 * e / 2.0, lam ** 3 * e / 6.0))
     return out if out.ndim else float(out)
 
 
@@ -199,35 +208,31 @@ def sup_G_minus_g():
     beyond G_LAMBDA_MAX can compete.  Refinement stays between neighbouring
     nodes of g, where |G - g| is smooth."""
     lam = G_LAMBDA_MAX
-    lams = np.unique(np.concatenate([
-        np.linspace(0.0, lam, G_POINTS + 1), np.arange(5.0)]))
+    nodes = np.arange(float(len(_WITNESS)))
+    lams = np.unique(np.concatenate([np.linspace(0.0, lam, G_POINTS + 1), nodes]))
     arg, value, _ = sup_search(lambda t: np.abs(G_of_lambda(t) - g_of_lambda(t)),
-                               lams, breaks=np.arange(5.0))
-    tail = 2.0 * math.exp(-lam) * (1.0 + lam + lam ** 2 / 2.0 + lam ** 3 / 6.0)
-    cert = (f"for lambda > {lam:g}: |G - g| = |G - 1| <= 2 P(N <= 3) "
+                               lams, breaks=nodes)
+    w1 = max(abs(w - 1.0) for w in _WITNESS)
+    tail = w1 * math.exp(-lam) * (1.0 + lam + lam ** 2 / 2.0 + lam ** 3 / 6.0)
+    cert = (f"for lambda > {lam:g}: |G - g| = |G - 1| <= {w1:g} P(N <= 3) "
             f"<= {tail:.3e} (decreasing in lambda)")
     return SupSearchResult(value, arg, (0.0, lam), cert)
 
 
 def _fn_lower_error(n, x):
-    """|B_n f_n - f_n| at points x, using the exact four-term form
-    B_n f_n = 1 - 1.8 p_1 - 2 p_2 - 0.96 p_3.
+    """|B_n f_n - f_n| at points x, B_n f_n taken as the four-term
+    _witness_mean of the binomial probabilities p_1, p_2, p_3.
 
-    The three binomial probabilities p_1, p_2, p_3 are formed here from
-    three log C(n, k) values, not read from the band kernel: lower accepts n
-    up to 10^8, where a table of n+1 log C(n, k) values does not fit."""
+    Those are formed here from the exact log C(n, k), k = 1..3, not read from
+    the band kernel: lower accepts n up to 10^8, where a table of n+1
+    log C(n, k) values does not fit."""
     x = np.asarray(x, dtype=float)
-    fn = build_fn_lower(n)
-    logc = _log_comb(n, np.arange(4.0))
+    inner = (x > 0.0) & (x < 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logx = np.log(x)
-        log1mx = np.log1p(-x)
-        b = np.ones_like(x)
-        for k, w in ((1, -1.8), (2, -2.0), (3, -0.96)):
-            pk = np.where((x > 0.0) & (x < 1.0),
-                          np.exp(logc[k] + k * logx + (n - k) * log1mx), 0.0)
-            b = b + w * pk
-    return np.abs(b - fn(x))
+        logx, log1mx = np.log(x), np.log1p(-x)
+        p = [np.where(inner, np.exp(math.log(math.comb(n, k)) + k * logx
+                                    + (n - k) * log1mx), 0.0) for k in (1, 2, 3)]
+    return np.abs(_witness_mean(p) - build_fn_lower(n)(x))
 
 
 def fn_lower_error_sup(n):

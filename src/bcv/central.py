@@ -21,8 +21,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, pdtr, xlogy
 
-from .dist import (_BAND_LOG_MASS, LOG4, LOG2716, BinomialLaw, _band_windows,
-                   _blocks, inv_moment_shift_V)
+from .dist import (_BAND_LOG_MASS, LOG4, LOG2716, BinomialLaw, _blocks,
+                   inv_moment_shift_V)
 from .search import sup_search
 
 # The x-grid of sup_H_n: H_SCAN_POINTS uniform points of (0, 1/2], and a
@@ -237,22 +237,16 @@ def _H_n_scan(n, xs):
     about n 2^-53 relative of its exact value.  With gamma = 4(n+1) 2^-53,
     which also covers the rounding of the bounds themselves,
     S (1 - gamma) <= full <= (S + tail)(1 + gamma), and the final product by
-    phi(x) sqrt(n) rounds monotonically.  Where the narrow window is the
-    full window, S is the full sum bit for bit.  Only points whose upper
-    bound reaches the largest lower bound can hold the max; H_n_exact is
-    called there, and the others keep their upper bound."""
+    phi(x) sqrt(n) rounds monotonically.  Only points whose upper bound
+    reaches the largest lower bound can hold the max; H_n_exact is called
+    there, and the others keep their upper bound."""
     log_mass = _SCAN_LOG_MASS + math.log(n)
-    _, lo, hi = _band_windows(n, xs)
-    _, nlo, nhi = _band_windows(n, xs, log_mass)
-    full = (nlo == lo) & (nhi == hi)
     scale = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n)
     sums = _H_sums(n, xs, log_mass)
     gamma = 4.0 * (n + 1) * 2.0 ** -53
-    low = scale * np.where(full, sums, sums * (1.0 - gamma))
-    out = scale * np.where(full, sums, (sums + _H_tail(n, log_mass)) * (1.0 + gamma))
-    need = ~full & (out >= np.max(low))
-    if np.any(need):
-        out[need] = H_n_exact(n, xs[need])
+    out = scale * ((sums + _H_tail(n, log_mass)) * (1.0 + gamma))
+    need = out >= np.max(scale * (sums * (1.0 - gamma)))
+    out[need] = H_n_exact(n, xs[need])
     return out
 
 

@@ -51,8 +51,8 @@ _INV_SERIES = np.array([2.0 / ((2 * j + 1) * (2 * j + 2)) for j in range(17)])
 
 
 def _log_comb(n, k):
-    """log C(n, k) for a float array k; every log C(n, k) in bcv is formed
-    here."""
+    """log C(n, k) for a float array k, from gammaln; it forms the band
+    kernel's tables _log_binom."""
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 

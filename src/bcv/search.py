@@ -7,7 +7,7 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITER = 200
 
 
-def golden_max(f, lo, hi, tol=1e-13, args=()):
+def golden_max(f, lo, hi, tol, args=()):
     """Return (argmax, max) of f on [lo, hi] by golden-section search.
 
     lo and hi may be arrays, one lane per search; a lane stops once its

@@ -91,6 +91,13 @@ def mp_nu(lam, dps=40):
         return float(mp.sqrt(lam) * (2 * pm - p0) + (2 * cm - 1 - p0) / mp.sqrt(lam))
 
 
+def mp_binom_pmf(n, k, x, dps=40):
+    """Binomial(n, x) pmf at k, computed with mpmath arithmetic."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        return float(mp.binomial(n, k) * x ** k * (1 - x) ** (n - k))
+
+
 def mp_inv_moment_shift(y, dps=40):
     """E 1/(y+V) via the closed second difference of t log t, high precision."""
     with mp.workdps(dps):

@@ -2,14 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import d2_norm, dense_iteration_matrix, error_norm
-from bcv import cli
+from oracles import d2_norm, dense_iteration_matrix, error_norm, mp_binom_pmf
+from bcv import bounds, cli
 from bcv.bernstein import bernstein_apply_many
 from bcv.bounds import (CONVERSE_A, CONVERSE_M, G_LAMBDA_MAX, SQRT2, _NORM_XS,
                         G_of_lambda, LowerBoundReport, UpperBoundReport,
@@ -170,7 +171,10 @@ def test_G_profile_bounded_by_sup_of_g(lam):
 
 def test_sup_G_minus_g_value_location_certificate():
     res = sup_G_minus_g()
-    assert res.sup_value == pytest.approx(0.798222684859, abs=1e-9)
+    # 2 - 8.88 e^-2, correctly rounded
+    with mpmath.workdps(40):
+        assert res.sup_value == float(2 - mpmath.mpf("8.88") * mpmath.e ** -2)
+    assert res.sup_value == 0.7982226848588793
     assert res.arg == pytest.approx(2.0, abs=1e-6)
     assert "2 P(N <= 3)" in res.tail_certificate
     # the scan covers [0, 40], as far as the tail certificate needs
@@ -193,14 +197,36 @@ def test_witness_error_reads_three_log_binomials_not_the_table():
     assert _log_binom.cache_info().currsize == 0
     for n in (10 ** 3, 10 ** 4):
         xs = np.concatenate([np.linspace(0.0, 40.0 / n, 3001), np.linspace(0.0, 1.0, 1001)])
-        logc = _log_binom(n)
         b = np.ones_like(xs)
         with np.errstate(divide="ignore"):
             for k, w in ((1, -1.8), (2, -2.0), (3, -0.96)):
-                pk = np.exp(logc[k] + k * np.log(xs) + (n - k) * np.log1p(-xs))
+                pk = np.exp(math.log(math.comb(n, k)) + k * np.log(xs) + (n - k) * np.log1p(-xs))
                 b = b + w * np.where((xs > 0.0) & (xs < 1.0), pk, 0.0)
         expect = np.abs(b - build_fn_lower(n)(xs))
         assert np.array_equal(_fn_lower_error(n, xs), expect), n
+
+
+@pytest.mark.parametrize("n", [10 ** 6, 10 ** 7, 10 ** 8])
+def test_witness_error_binomial_probabilities_match_mpmath(monkeypatch, n):
+    # p_1, p_2, p_3 from exact log C(n, k): gammaln's log C(n, k) is off by
+    # up to 2.2e-7 at n = 10^8
+    seen = []
+    mean = bounds._witness_mean
+    monkeypatch.setattr(bounds, "_witness_mean", lambda p: seen.append(p) or mean(p))
+    xs = np.linspace(0.0, 40.0, 41)[1:] / n
+    _fn_lower_error(n, xs)
+    for k, pk in zip((1, 2, 3), seen[0]):
+        want = [mp_binom_pmf(n, k, x) for x in xs]
+        np.testing.assert_allclose(pk, want, rtol=1e-14, atol=0.0)
+
+
+def test_witness_error_approaches_G_gap_at_rate_one_over_n():
+    # n (||B_n f_n - f_n|| - sup |G - g|) settles near -0.71457 from n = 10^4
+    # on; a log C(n, k) error of 2e-7 moves it by 24 at n = 10^8
+    gap = sup_G_minus_g().sup_value
+    for n in (10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7, 10 ** 8):
+        rate = n * (fn_lower_error_sup(n).sup_value - gap)
+        assert -0.7147 <= rate <= -0.7145, (n, rate)
 
 
 def test_witness_error_sup_value_and_certificate():

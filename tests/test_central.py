@@ -14,7 +14,7 @@ from bcv.central import (C_of_lambda, C_tilde, D_coeff,
                          I_n_branch_check, I_n_brute, I_n_closed, K_func,
                          SupSearchResult, nu, phi_ratio_moment_sides,
                          r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
-from bcv.dist import LOG4, LOG2716, _band_windows
+from bcv.dist import LOG4, LOG2716
 from bcv.search import sup_search
 
 
@@ -218,8 +218,7 @@ def test_sup_H_n_reaches_the_peak_below_the_uniform_grid(n):
 
 
 def _scan_and_exact_points(monkeypatch, n, xs):
-    """_H_n_scan(n, xs), and the mask of points where it took the exact sum:
-    its narrow window is the full one, or it called H_n_exact there."""
+    """_H_n_scan(n, xs), and the mask of points where it called H_n_exact."""
     called = np.zeros(len(xs), dtype=bool)
     exact = central.H_n_exact
 
@@ -230,9 +229,7 @@ def _scan_and_exact_points(monkeypatch, n, xs):
     monkeypatch.setattr(central, "H_n_exact", spy)
     out = _H_n_scan(n, xs)
     monkeypatch.setattr(central, "H_n_exact", exact)
-    _, lo, hi = _band_windows(n, xs)
-    _, nlo, nhi = _band_windows(n, xs, central._SCAN_LOG_MASS + math.log(n))
-    return out, called | ((lo == nlo) & (hi == nhi))
+    return out, called
 
 
 def _assert_scan_encloses(monkeypatch, n, xs):

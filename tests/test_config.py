@@ -72,7 +72,6 @@ def test_options_ledger():
         ("dist._blocks", "log_mass", bcv.dist._BAND_LOG_MASS),
         ("noncentral.simulate_J", "grid_points", 64),
         ("search.golden_max", "args", ()),
-        ("search.golden_max", "tol", 1e-13),
         ("search.sup_search", "breaks", None),
         ("search.sup_search", "scan", None),
         ("search.sup_search", "tol", 1e-12),

@@ -14,18 +14,18 @@ from oracles import scalar_golden_max
 
 
 def test_parabola_maximum_is_located():
-    x, v = golden_max(lambda t: -(t - 0.3721) ** 2, 0.0, 1.0)
+    x, v = golden_max(lambda t: -(t - 0.3721) ** 2, 0.0, 1.0, 1e-13)
     assert abs(x - 0.3721) < 1e-10
     assert abs(v) < 1e-18
 
 
 def test_reversed_bracket_is_accepted():
-    x, _ = golden_max(lambda t: -(t - 0.25) ** 2, 1.0, 0.0)
+    x, _ = golden_max(lambda t: -(t - 0.25) ** 2, 1.0, 0.0, 1e-13)
     assert abs(x - 0.25) < 1e-10
 
 
 def test_sine_peak():
-    x, v = golden_max(np.sin, 0.0, math.pi)
+    x, v = golden_max(np.sin, 0.0, math.pi, 1e-13)
     # near a smooth peak the argument is only determined to ~sqrt(eps):
     # within that plateau all f values round to the same double
     assert abs(x - math.pi / 2.0) < 1e-6
@@ -35,7 +35,7 @@ def test_sine_peak():
 @given(st.floats(0.05, 0.95))
 def test_golden_never_below_bracket_midpoint_value(c):
     f = lambda t: -abs(t - c)
-    _, v = golden_max(f, 0.0, 1.0)
+    _, v = golden_max(f, 0.0, 1.0, 1e-13)
     assert v >= f(0.5) - 1e-12
 
 
