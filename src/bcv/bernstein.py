@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import BinomialLaw, _blocks
+from .dist import _BAND_LOG_MASS, BinomialLaw, _blocks, _check_n
 from .quadrature import gauss_legendre
 
 # Relative tolerance of the two-form check in bernstein_derivative.
@@ -109,8 +109,11 @@ def krawtchouk(n, m, x, y):
 
         K_m(x;y) = sum_j C(n-y, m-j) C(y, j) (-x)^(m-j) (1-x)^j,
 
-    with generalized binomial coefficients, so y may be any real.
+    with generalized binomial coefficients, so y may be any real; x must lie
+    in [0, 1], as in phi.
     """
+    if not 0.0 <= x <= 1.0:  # NaN fails too
+        raise ValueError("x must lie in [0,1]")
     if not 0 <= m <= n:
         raise ValueError(f"m must lie in [0, n], got m={m}, n={n}")
     y = np.asarray(y, dtype=float)
@@ -153,15 +156,35 @@ def bernstein_derivative(f, n, m, x):
     than that.
     """
     xa = np.asarray(x, dtype=float)
-    kraw, _ = _derivative_and_apply(f, n, m, xa.ravel())
+    kraw = _derivative_and_apply(f, n, m, xa.ravel(), _BAND_LOG_MASS)[0]
     return kraw.reshape(xa.shape) if xa.ndim else float(kraw[0])
 
 
-def _derivative_and_apply(f, n, m, xs):
-    """((B_n f)^(m), B_n f) at the points of the 1-D array xs, checked as in
-    bernstein_derivative.  One pass over the rows serves both: the
-    Krawtchouk terms are built on the products rows * f(k/n) whose row sums
-    are B_n f, bit for bit as bernstein_apply_many sums them."""
+def _derivative_and_apply(f, n, m, xs, log_mass):
+    """((B_n f)^(m), B_n f) at the points of the 1-D array xs, each point
+    summed over its window at log_mass and checked as in
+    bernstein_derivative, plus bounds on how far each value lies from the
+    one its full window at _BAND_LOG_MASS gives.  One pass over the rows
+    serves both: the Krawtchouk terms are built on the products
+    rows * f(k/n) whose row sums are B_n f, bit for bit as
+    bernstein_apply_many sums them.  A point's values depend on (f, n, m, x,
+    log_mass) alone, never on the other points of a call.
+
+    The bounds, with T = log_mass, F = max |f(k/n)| and
+    gamma = 4(n+1) 2^-53: a window's entries are those of the full row, and
+    the mass it leaves out is at most 2 e^-T (Bernstein's inequality),
+    doubled for the rounding of the entries.  Each of the two sums, windowed
+    and full, rounds by at most (n+1) 2^-53 of its sum of absolute terms,
+    so the pair stays within gamma of it with room for the final products.
+    For B_n f the left-out terms add to at most F 4 e^-T and
+    sum |p f| <= F, so |full - value| <= F (4 e^-T + gamma).  For the
+    Krawtchouk form |K_m(x; k)| <= C(n, m) at integer k in [0, n]
+    (Vandermonde), so |full - value| <= pref C(n, m) F 4 e^-T
+    + gamma kraw_env, with pref = m!/phi^(2m) and kraw_env = pref
+    sum |p f K_m|.  Both bounds are 0 where the window is all of [0, n]:
+    the full window is the same there, and so is every value, bit for bit.
+    The two-form check runs on the sums over the windows at log_mass."""
+    _check_n(n)
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m={m}, n={n}")
     if not np.all((xs > 0.0) & (xs < 1.0)):
@@ -178,7 +201,8 @@ def _derivative_and_apply(f, n, m, xs):
     # per-point factors as Python floats, rounded as in the one-point formula
     pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
     kraw, kraw_env, apply = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs))
-    for sl, cols, rows in _blocks(n, xs):
+    whole = np.empty(len(xs), dtype=bool)
+    for sl, cols, rows in _blocks(n, xs, log_mass):
         xb = xs[sl].tolist()
         # the terms (p * fk) * K_m, multiplied into the K_m rows in place
         terms = _krawtchouk_rows(basis[:, cols], xb)
@@ -187,9 +211,10 @@ def _derivative_and_apply(f, n, m, xs):
         terms *= pf
         kraw[sl] = pref[sl] * np.sum(terms, axis=1)
         kraw_env[sl] = pref[sl] * np.sum(np.abs(terms), axis=1)
+        whole[sl] = cols.stop - cols.start == n + 1
     if m < n:
         fdiff, fdiff_env = np.empty(len(xs)), np.empty(len(xs))
-        for sl, cols, rows in _blocks(n - m, xs):
+        for sl, cols, rows in _blocks(n - m, xs, log_mass):
             fdiff[sl] = fall * np.sum(rows * diff[cols], axis=1)
             fdiff_env[sl] = fall * np.sum(rows * np.abs(diff[cols]), axis=1)
     else:  # S_0 = 0
@@ -203,7 +228,13 @@ def _derivative_and_apply(f, n, m, xs):
         raise ConsistencyError(
             f"derivative representations disagree: {float(kraw[i])!r} vs "
             f"{float(fdiff[i])!r} (n={n}, m={m}, x={float(xs[i])})")
-    return kraw, apply
+    fmax = float(np.max(np.abs(fk)))
+    gamma = 4.0 * (n + 1) * 2.0 ** -53
+    tail = 4.0 * math.exp(-log_mass)
+    apply_err = np.where(whole, 0.0, fmax * (tail + gamma))
+    kraw_tail = fmax * 4.0 * math.exp(math.log(math.comb(n, m)) - log_mass)
+    kraw_err = np.where(whole, 0.0, pref * kraw_tail + gamma * kraw_env)
+    return kraw, apply, kraw_err, apply_err
 
 
 def irwin_hall_density(m, t):

@@ -19,7 +19,7 @@ import numpy as np
 from .bernstein import (PiecewiseLinearFn, _derivative_and_apply,
                         bernstein_apply_many)
 from .central import K_func, SupSearchResult, sup_H_n
-from .dist import LOG4
+from .dist import _BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, _check_n
 from .moduli import X_POINTS, omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
 from .search import sup_search
@@ -253,6 +253,7 @@ def lower_bound_ratio(n):
     """Lower-bound report at one n: the weighted modulus at delta = 1/sqrt(n),
     the Bernstein approximation error of f_n, their ratio, and the Poisson
     profile gap."""
+    _check_n(n)
     if n < 1000:
         raise ValueError("need n >= 1000 for the asymptotic regime")
     fn = build_fn_lower(n)
@@ -262,19 +263,53 @@ def lower_bound_ratio(n):
     return LowerBoundReport(n, om.value, err, om.value / err, gap, om.grid_points)
 
 
+def _need_n(n, least):
+    """Raise ValueError, naming n, unless n is an integer >= least: the
+    validators' checks, made before any of their work."""
+    if not (isinstance(n, (int, np.integer)) and n >= least):
+        raise ValueError(f"need an integer n >= {least}, got n={n}")
+
+
 def _norms(f, n, xs):
     """(max |B_n f - f| over xs, max phi^2 |(B_n f)''| over the points of xs
-    inside (0, 1)), from one pass over the rows of the points inside (0, 1);
-    the points 0 and 1 take bernstein_apply_many.  Both are grid maxima:
-    lower estimates of the norms, so a check built on them is not
-    certified."""
+    inside (0, 1)), bit for bit as summing every point over its full window
+    gives them; the points 0 and 1 take bernstein_apply_many.  Both are grid
+    maxima: lower estimates of the norms, so a check built on them is not
+    certified.
+
+    A first pass sums every inner point over its narrow window, at log-mass
+    T = _SCAN_LOG_MASS + log n + log C(n, 2), where the Krawtchouk tail bound
+    of _derivative_and_apply is 4 e^-34 pref max|f| / n.  With those bounds
+    and gamma = 4(n+1) 2^-53 for the rounding of the two products by phi^2
+    and the bounds themselves, each point's full-window values lie in
+    [(v - d)(1 - gamma), (v + d)(1 + gamma)], v the narrow value and d its
+    bound.  Only points whose upper end reaches the largest lower end of
+    either norm can hold a max; those are summed again over their full
+    windows, unless their window already is all of [0, n] (d = 0), and the
+    maxima are taken over them.  The two-form check of
+    _derivative_and_apply runs on the narrow sums at every point and on the
+    full sums at the points summed again."""
     inner = (xs > 0.0) & (xs < 1.0)
-    bn = np.empty(len(xs))
-    d2, bn[inner] = _derivative_and_apply(f, n, 2, xs[inner])
-    bn[~inner] = bernstein_apply_many(f, n, xs[~inner])
-    x = xs[inner]
-    return (float(np.max(np.abs(bn - f(xs)))),
-            float(np.max(x * (1.0 - x) * np.abs(d2))))
+    fxs = f(xs)
+    x, fx = xs[inner], fxs[inner]
+    edge = np.max(np.abs(bernstein_apply_many(f, n, xs[~inner]) - fxs[~inner]), initial=0.0)
+    log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
+    d2, bn, d2_err, bn_err = _derivative_and_apply(f, n, 2, x, log_mass)
+    gamma = 4.0 * (n + 1) * 2.0 ** -53
+    w = x * (1.0 - x)
+    err, wd2 = np.abs(bn - fx), w * np.abs(d2)
+    err_lo = np.max((err - bn_err) * (1.0 - gamma), initial=edge)
+    wd2_lo = np.max(w * (np.abs(d2) - d2_err) * (1.0 - gamma))
+    # negated, so that a NaN keeps its point, and the maxima stay NaN
+    need = ~(((err + bn_err) * (1.0 + gamma) < err_lo)
+             & (w * (np.abs(d2) + d2_err) * (1.0 + gamma) < wd2_lo))
+    rerun = need & (bn_err != 0.0)
+    if np.any(rerun):
+        d2_full, bn_full, _, _ = _derivative_and_apply(f, n, 2, x[rerun], _BAND_LOG_MASS)
+        err[rerun], wd2[rerun] = np.abs(bn_full - fx[rerun]), w[rerun] * np.abs(d2_full)
+    keep = need | (bn_err == 0.0)
+    return (float(np.max(err[keep], initial=edge)),
+            float(np.max(wd2[keep])))
 
 
 def modulus_upper_sides(f, n):
@@ -287,8 +322,7 @@ def modulus_upper_sides(f, n):
     Both norms are grid maxima, which under-estimate the norms, so the
     reported RHS is a lower estimate of the true RHS and the check built on
     it is not certified."""
-    if not n >= 2:
-        raise ValueError(f"need n >= 2 for (B_n f)'', got n={n}")
+    _need_n(n, 2)
     lhs = omega2_phi(f, 1.0 / math.sqrt(n)).value
     err, wd2 = _norms(f, n, _modulus_norm_grid(f, n))
     return lhs, 4.0 * err + LOG4 / n * wd2
@@ -317,8 +351,7 @@ def central_converse_check(f, n):
             <= ((sqrt(2)+1)/sqrt(2)) ||B_n f - f||,
 
     norms over (0, 1/2]; H_{n-2} is the sup of H over x."""
-    if n < 5:
-        raise ValueError("need n >= 5")
+    _need_n(n, 5)
     h = sup_H_n(n - 2).sup_value
     mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(CONVERSE_A) / 3.0
     err, wd2 = _norms(f, n, _NORM_XS)
@@ -341,6 +374,7 @@ def noncentral_converse_check(f, n):
 
     i = first_valid_i(a).  Reports not-binding when the J-bound hypothesis
     fails at this n or the multiplier is nonpositive."""
+    _need_n(n, 2)
     a, m = CONVERSE_A, CONVERSE_M
     i = first_valid_i(a)
     err, wd2 = _norms(f, n, _NORM_XS)
@@ -368,6 +402,7 @@ def iterate_converse_check(f, n):
     up to n times their difference.  The derivative only reads h on the grid
     j/n, so h is represented exactly by its grid values B_n f(j/n) - f(j/n).
     """
+    _need_n(n, 2)
     grid = np.arange(n + 1) / n
     h_grid = bernstein_apply_many(f, n, grid) - f(grid)
 

@@ -21,8 +21,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, pdtr, xlogy
 
-from .dist import (_BAND_LOG_MASS, LOG4, LOG2716, BinomialLaw, _blocks,
-                   inv_moment_shift_V)
+from .dist import (_BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, LOG2716, BinomialLaw,
+                   _blocks, _check_n, inv_moment_shift_V)
 from .search import sup_search
 
 # The x-grid of sup_H_n: H_SCAN_POINTS uniform points of (0, 1/2], and a
@@ -36,11 +36,6 @@ H_LAMBDA_MAX = 40.0
 # covers lambda >= C_LAMBDA_MAX.
 C_SCAN_POINTS = 100_000
 C_LAMBDA_MAX = 60.0
-# The narrow windows of the scan in sup_H_n sit at log-mass this plus log n
-# (43.2 at n = 10^4): the tail bound _H_tail is then 4 max(w) e^-34, about
-# 1e-14, below the rounding margin of the scan's enclosures near the max for
-# n >= 100.
-_SCAN_LOG_MASS = 34.0
 # The flat profile level c of C~ = 2 c log(27/16) + r and of the large-lambda
 # branch I_n(x) <= c (1-x).
 C_FLAT = 0.8
@@ -292,6 +287,7 @@ def H_n_upper(n, x):
           + (log 4 - 2 log(27/16)) (nx)^{3/2} (1-x)^{n+1/2}
           + n^{3/2} / 2^{n+1/2}.
     """
+    _check_n(n)
     if not 0.0 < x <= 0.5:
         raise ValueError("x must lie in (0, 1/2]")
     mid = (LOG4 - 2.0 * LOG2716) * (n * x) ** 1.5 * math.exp((n + 0.5) * math.log1p(-x))

@@ -33,8 +33,9 @@ SCHEMA = 1
 DEFAULT_SEED = 20240817
 # Largest --n accepted: lower holds no (n+1)-entry array, and at n = 10^8 one
 # in-process call takes about 0.02 s, its process peaking near 62 MB RSS (on a
-# 2-core Xeon); hn takes about 1.3 s at n = 10^6, and stops there because
-# log C(n, k) from gammaln carries about 3e-8 relative error per entry at 10^7.
+# 2-core Xeon); hn takes about 0.5-0.7 s in-process at n = 10^6 (1.0-1.4 s
+# with interpreter start-up), and stops there because log C(n, k) from
+# gammaln carries about 3e-8 relative error per entry at 10^7.
 MAX_N_LOWER = 10 ** 8
 MAX_N_HN = 10 ** 6
 # Largest --m accepted by upper and sweep: upper_expr_H2 sums m J values,

@@ -38,6 +38,12 @@ _BLOCK_ENTRIES = 1 << 18
 # Log-mass beyond which exp underflows to exactly 0.0 with room to spare:
 # exp(-745.2) already rounds to zero.
 _BAND_LOG_MASS = 760.0
+# The narrow windows of the two-pass scans sit at log-mass this plus the log
+# of the bound on a term's factor besides the pmf: log n in central._H_n_scan
+# (43.2 at n = 10^4), log n + log C(n, 2) in bounds._norms (60.9 there).  The
+# tail either scan drops is then 4 e^-34, about 7e-15, of that bound divided
+# by n or less, below the rounding margins of their enclosures near the max.
+_SCAN_LOG_MASS = 34.0
 # exp(x) for x < -745.1332 is below 2^-1075 and rounds to +0.0, so rows skip
 # exp below this log-mass: numpy's exp takes a slow path for such arguments.
 _EXP_ZERO = -746.0
@@ -48,6 +54,12 @@ _BAND_LATTICE = 64
 # series fall by c^-2 <= 1/9 each, so 17 of them reach below 1e-17.
 _INV_SERIES_FROM = 2.0
 _INV_SERIES = np.array([2.0 / ((2 * j + 1) * (2 * j + 2)) for j in range(17)])
+
+
+def _check_n(n):
+    """Raise ValueError unless n is a positive integer."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
 
 
 def _log_comb(n, k):
@@ -85,8 +97,7 @@ def _band_windows(n, xs, log_mass=_BAND_LOG_MASS):
     multiples of _BAND_LATTICE and clamped to [0, n]; outside it lies mass at
     most 2 exp(-T).  It depends on (n, x, T) alone, never on the other
     points of a call, and grows with T."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     xs = np.asarray(xs, dtype=float).ravel()
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("success probabilities must lie in [0,1]")
@@ -157,8 +168,7 @@ class BinomialLaw:
     x: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _check_n(self.n)
         if not 0.0 <= self.x <= 1.0:
             raise ValueError(f"success probability must lie in [0,1], got {self.x}")
 

@@ -22,6 +22,7 @@ from bcv.bernstein import (ConsistencyError, PiecewiseLinearFn,
                            krawtchouk_orthogonality_check, phi)
 from bcv.bounds import build_fn_lower
 from bcv.central import H_n_exact, K_func
+from bcv.dist import _BAND_LOG_MASS
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +173,13 @@ def test_krawtchouk_validation():
         krawtchouk(5, 6, 0.3, 1.0)
     with pytest.raises(ValueError):
         krawtchouk(5, -1, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, 2.0, -0.1])
+def test_krawtchouk_rejects_x_outside_the_unit_interval(x):
+    # unguarded, x = NaN returned NaN and x = 2.0 returned 129.0
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        krawtchouk(10, 2, x, 3.0)
 
 
 def test_orthogonality_against_closed_moments():
@@ -330,13 +338,20 @@ def test_derivative_validation():
         bernstein_derivative(f, 5, 1, np.array([[0.5, 1.0]]))
 
 
+@pytest.mark.parametrize("n", [10.0, 2.5, 0, pytest.param(np.float64(10.0), id="float64")])
+def test_derivative_rejects_a_non_integer_n(n):
+    # unguarded, n = 10.0 failed with a TypeError from math.perm
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        bernstein_derivative(lambda y: np.asarray(y) ** 2, n, 1, 0.5)
+
+
 @pytest.mark.parametrize("n", [100, 10_000])
 def test_derivative_pass_returns_the_operator_values_bitwise(n):
     # the shared row pass returns B_n f as bernstein_apply_many sums it, and
     # bernstein_derivative keeps its scalar and array returns
     f = build_fn_lower(n)
     xs = _batch_points(n)
-    d2, bn = bernstein_module._derivative_and_apply(f, n, 2, xs)
+    d2, bn, _, _ = bernstein_module._derivative_and_apply(f, n, 2, xs, _BAND_LOG_MASS)
     assert np.array_equal(bn, bernstein_apply_many(f, n, xs))
     assert np.array_equal(d2, bernstein_derivative(f, n, 2, xs))
     grid = xs[:12].reshape(3, 4)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import d2_norm, dense_iteration_matrix, error_norm, mp_binom_pmf
-from bcv import bounds, cli
-from bcv.bernstein import bernstein_apply_many
+from bcv import bernstein, bounds, cli
+from bcv.bernstein import _derivative_and_apply, bernstein_apply_many
 from bcv.bounds import (CONVERSE_A, CONVERSE_M, G_LAMBDA_MAX, SQRT2, _NORM_XS,
                         G_of_lambda, LowerBoundReport, UpperBoundReport,
                         ValidatorResult, _fn_lower_error, _modulus_norm_grid,
@@ -23,7 +23,7 @@ from bcv.bounds import (CONVERSE_A, CONVERSE_M, G_LAMBDA_MAX, SQRT2, _NORM_XS,
                         noncentral_converse_check, smooth_class_constant,
                         sup_G_minus_g, sweep_upper, upper_bound_report,
                         upper_expr_H1, upper_expr_H2)
-from bcv.dist import LOG4, _log_binom
+from bcv.dist import _BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, _log_binom
 from bcv.noncentral import J_limit, first_valid_i
 
 
@@ -306,10 +306,13 @@ _NORM_FNS = {
     "sine": lambda n: lambda y: np.sin(math.pi * np.asarray(y)),
     "witness": build_fn_lower,
     "iterate_h": _iterate_h,
+    # B_n f = f and (B_n f)'' = 0 up to rounding, so every point's enclosure
+    # reaches the largest lower end and every point is a candidate
+    "affine": lambda n: lambda y: 2.0 * np.asarray(y) - 0.5,
 }
 
 
-@pytest.mark.parametrize("n", [100, 10_000])
+@pytest.mark.parametrize("n", [100, 1000, 10_000])
 @pytest.mark.parametrize("name", list(_NORM_FNS))
 def test_shared_norm_pass_equals_the_two_norms_bitwise(name, n):
     f = _NORM_FNS[name](n)
@@ -319,6 +322,72 @@ def test_shared_norm_pass_equals_the_two_norms_bitwise(name, n):
     assert set(getattr(f, "breakpoints", ())) <= set(grid.tolist())
     for xs in (grid, _NORM_XS):
         assert _norms(f, n, xs) == (error_norm(f, n, xs), d2_norm(f, n, xs)), xs[:3]
+
+
+@pytest.mark.parametrize("nan_at", [0.25, 0.2505])
+def test_norms_stay_nan_where_f_is_nan(nan_at):
+    # NaN at a grid point k/n (0.25), or only at a norm point (0.2505), whose
+    # narrow window is not all of [0, n]: the maxima are those of a full
+    # pass, NaN included, and nothing raises
+    n = 1000
+    f = lambda y: np.where(np.asarray(y) == nan_at, np.nan, np.asarray(y) ** 2)
+    xs = np.union1d(_NORM_XS, [nan_at])
+    got = _norms(f, n, xs)
+    assert np.isnan(got[0])
+    np.testing.assert_equal(got, (error_norm(f, n, xs), d2_norm(f, n, xs)))
+
+
+def _narrow_and_full(f, n, xs, log_mass):
+    """_derivative_and_apply's (values, bounds) at log_mass and its values at
+    the full windows, at the points xs."""
+    d2, bn, d2_err, bn_err = _derivative_and_apply(f, n, 2, xs, log_mass)
+    d2_full, bn_full, _, _ = _derivative_and_apply(f, n, 2, xs, _BAND_LOG_MASS)
+    return (d2, bn, d2_err, bn_err), (d2_full, bn_full)
+
+
+@given(n=st.integers(2, 10_000), name=st.sampled_from(sorted(_NORM_FNS)),
+       xs=st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=1, max_size=8))
+def test_full_window_values_lie_in_the_narrow_enclosure(n, name, xs):
+    f, xs = _NORM_FNS[name](n), np.array(xs)
+    log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
+    (d2, bn, d2_err, bn_err), (d2_full, bn_full) = _narrow_and_full(f, n, xs, log_mass)
+    assert np.all(np.abs(bn_full - bn) <= bn_err), (bn_full - bn, bn_err)
+    assert np.all(np.abs(d2_full - d2) <= d2_err), (d2_full - d2, d2_err)
+
+
+def test_narrow_enclosure_needs_its_tail_term(monkeypatch):
+    # at log-mass 3 the windows leave out far more than rounding: the
+    # enclosures still hold, and the distance to the full sums exceeds the
+    # rounding part gamma max|f| of the B_n f bound.  So much left out fails
+    # the two-form check, which is switched off here: it is not under test.
+    monkeypatch.setattr(bernstein, "_REL_TOL", math.inf)
+    n = 1000
+    f = build_fn_lower(n)
+    xs = np.linspace(0.01, 0.99, 99)
+    (d2, bn, d2_err, bn_err), (d2_full, bn_full) = _narrow_and_full(f, n, xs, 3.0)
+    assert np.all(np.abs(bn_full - bn) <= bn_err)
+    assert np.all(np.abs(d2_full - d2) <= d2_err)
+    assert np.max(np.abs(bn_full - bn)) > 4.0 * (n + 1) * 2.0 ** -53
+
+
+def test_witness_norms_sum_few_points_over_full_windows(monkeypatch):
+    # the narrow pass sums every inner point; full windows are summed again
+    # only where a max can sit
+    n = 10_000
+    f = build_fn_lower(n)
+    xs = _modulus_norm_grid(f, n)
+    seen = []
+
+    def spy(f, n, m, xs, log_mass):
+        seen.append((log_mass, len(xs)))
+        return _derivative_and_apply(f, n, m, xs, log_mass)
+
+    monkeypatch.setattr(bounds, "_derivative_and_apply", spy)
+    _norms(f, n, xs)
+    narrow, *full = seen
+    assert narrow == (_SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2)), len(xs) - 2)
+    assert all(log_mass == _BAND_LOG_MASS for log_mass, _ in full)
+    assert sum(points for _, points in full) <= 8
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +400,21 @@ def test_central_converse_binding_and_holds():
     assert res.binding and res.holds
     assert res.lhs <= res.rhs + 1e-12
     assert "multiplier" in res.note
+
+
+@pytest.mark.parametrize("n", [0, 1, 3.5, 5.5, math.nan])
+@pytest.mark.parametrize("check", [central_converse_check, noncentral_converse_check,
+                                   iterate_converse_check])
+def test_converse_validators_reject_a_bad_n_by_name(check, n):
+    # unguarded, iterate_converse_check(f, 1) named m=2, iterate(f, 0) warned
+    # of a division by zero, and central_converse_check(f, 5.5) named n - 2
+    with pytest.raises(ValueError, match=f"got n={n}"):
+        check(lambda y: np.asarray(y) ** 3, n)
+
+
+def test_lower_bound_ratio_rejects_a_non_integer_n():
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        lower_bound_ratio(1000.5)
 
 
 def test_central_converse_rejects_tiny_n():

@@ -285,6 +285,13 @@ def test_H_upper_domain():
         H_n_upper(10, 0.7)
 
 
+@pytest.mark.parametrize("n", [0, -4])
+def test_H_upper_rejects_a_bad_n(n):
+    # unguarded, n = 0 and n = -4 raised a bare math domain error
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        H_n_upper(n, 0.3)
+
+
 def test_D_coeff_value_and_domain():
     assert D_coeff(223600.0) == pytest.approx(8.650389e18, rel=1e-6)
     lam = 10.0
