@@ -114,8 +114,8 @@ def krawtchouk(n, m, x, y):
     """
     if not 0.0 <= x <= 1.0:  # NaN fails too
         raise ValueError("x must lie in [0,1]")
-    if not 0 <= m <= n:
-        raise ValueError(f"m must lie in [0, n], got m={m}, n={n}")
+    if not (isinstance(m, (int, np.integer)) and 0 <= m <= n):
+        raise ValueError(f"m must be an integer in [0, n], got m={m}, n={n}")
     y = np.asarray(y, dtype=float)
     out = _krawtchouk_rows(_krawtchouk_factors(n, m, y.ravel()), [x])[0]
     return out.reshape(y.shape) if y.ndim else float(out[0])
@@ -163,27 +163,13 @@ def bernstein_derivative(f, n, m, x):
 def _derivative_and_apply(f, n, m, xs, log_mass):
     """((B_n f)^(m), B_n f) at the points of the 1-D array xs, each point
     summed over its window at log_mass and checked as in
-    bernstein_derivative, plus bounds on how far each value lies from the
-    one its full window at _BAND_LOG_MASS gives.  One pass over the rows
-    serves both: the Krawtchouk terms are built on the products
-    rows * f(k/n) whose row sums are B_n f, bit for bit as
+    bernstein_derivative, plus the envelopes of the two sums, pref
+    sum |p f K_m| and sum |p f| (pref = m!/phi^(2m)), from which
+    dist._window_err bounds their distance to the full-window values.  One
+    pass over the rows serves both: the Krawtchouk terms are built on the
+    products rows * f(k/n) whose row sums are B_n f, bit for bit as
     bernstein_apply_many sums them.  A point's values depend on (f, n, m, x,
-    log_mass) alone, never on the other points of a call.
-
-    The bounds, with T = log_mass, F = max |f(k/n)| and
-    gamma = 4(n+1) 2^-53: a window's entries are those of the full row, and
-    the mass it leaves out is at most 2 e^-T (Bernstein's inequality),
-    doubled for the rounding of the entries.  Each of the two sums, windowed
-    and full, rounds by at most (n+1) 2^-53 of its sum of absolute terms,
-    so the pair stays within gamma of it with room for the final products.
-    For B_n f the left-out terms add to at most F 4 e^-T and
-    sum |p f| <= F, so |full - value| <= F (4 e^-T + gamma).  For the
-    Krawtchouk form |K_m(x; k)| <= C(n, m) at integer k in [0, n]
-    (Vandermonde), so |full - value| <= pref C(n, m) F 4 e^-T
-    + gamma kraw_env, with pref = m!/phi^(2m) and kraw_env = pref
-    sum |p f K_m|.  Both bounds are 0 where the window is all of [0, n]:
-    the full window is the same there, and so is every value, bit for bit.
-    The two-form check runs on the sums over the windows at log_mass."""
+    log_mass) alone, never on the other points of a call."""
     _check_n(n)
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m={m}, n={n}")
@@ -200,18 +186,17 @@ def _derivative_and_apply(f, n, m, xs, log_mass):
     fall = float(math.perm(n, m))
     # per-point factors as Python floats, rounded as in the one-point formula
     pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
-    kraw, kraw_env, apply = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs))
-    whole = np.empty(len(xs), dtype=bool)
+    kraw, kraw_env, apply, apply_env = (np.empty(len(xs)) for _ in range(4))
     for sl, cols, rows in _blocks(n, xs, log_mass):
         xb = xs[sl].tolist()
         # the terms (p * fk) * K_m, multiplied into the K_m rows in place
         terms = _krawtchouk_rows(basis[:, cols], xb)
         pf = rows * fk[cols]
         apply[sl] = np.sum(pf, axis=1)
+        apply_env[sl] = np.sum(np.abs(pf), axis=1)
         terms *= pf
         kraw[sl] = pref[sl] * np.sum(terms, axis=1)
         kraw_env[sl] = pref[sl] * np.sum(np.abs(terms), axis=1)
-        whole[sl] = cols.stop - cols.start == n + 1
     if m < n:
         fdiff, fdiff_env = np.empty(len(xs)), np.empty(len(xs))
         for sl, cols, rows in _blocks(n - m, xs, log_mass):
@@ -228,13 +213,7 @@ def _derivative_and_apply(f, n, m, xs, log_mass):
         raise ConsistencyError(
             f"derivative representations disagree: {float(kraw[i])!r} vs "
             f"{float(fdiff[i])!r} (n={n}, m={m}, x={float(xs[i])})")
-    fmax = float(np.max(np.abs(fk)))
-    gamma = 4.0 * (n + 1) * 2.0 ** -53
-    tail = 4.0 * math.exp(-log_mass)
-    apply_err = np.where(whole, 0.0, fmax * (tail + gamma))
-    kraw_tail = fmax * 4.0 * math.exp(math.log(math.comb(n, m)) - log_mass)
-    kraw_err = np.where(whole, 0.0, pref * kraw_tail + gamma * kraw_env)
-    return kraw, apply, kraw_err, apply_err
+    return kraw, apply, kraw_env, apply_env
 
 
 def irwin_hall_density(m, t):
@@ -279,7 +258,7 @@ def kantorovich_check(f, f_deriv, n, m, x):
 
 def central_moment(n, x, k):
     """Exact absolute central moment E |S_n(x)/n - x|^k (finite sum)."""
-    if k < 1:
+    if not k >= 1:  # NaN fails too
         raise ValueError("moment order k must be >= 1")
     j = np.arange(n + 1)
     p = BinomialLaw(n, x).pmf_vector()

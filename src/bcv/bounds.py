@@ -19,7 +19,8 @@ import numpy as np
 from .bernstein import (PiecewiseLinearFn, _derivative_and_apply,
                         bernstein_apply_many)
 from .central import K_func, SupSearchResult, sup_H_n
-from .dist import _BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, _check_n
+from .dist import (_BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, _check_n,
+                   _exact_near_max, _window_err)
 from .moduli import X_POINTS, omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
 from .search import sup_search
@@ -122,28 +123,28 @@ def sweep_upper(a_lo, a_hi, step, m):
     rather than reported."""
     if not (a_lo > 0.0 and a_hi > a_lo and step > 0.0):
         raise ValueError("need 0 < a_lo < a_hi and step > 0")
-    grid = list(np.arange(a_lo, a_hi + step / 2.0, step))
-    reports = []
-    for a in grid:
-        try:
-            reports.append(upper_bound_report(float(a), m))
-        except ValueError:
-            continue
+    if not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise ValueError(f"m must be an integer >= 1, got m={m!r}")
+
+    def reports_at(avals):
+        out = []
+        for a in avals:
+            try:
+                out.append(upper_bound_report(float(a), m))
+            except ValueError:  # an expression is undefined at this a
+                pass
+        return out
+
+    reports = reports_at(np.arange(a_lo, a_hi + step / 2.0, step))
     if not reports:
         raise ValueError("no a in the range admits the upper-bound expressions")
     if len(reports) > 2:
         k = min(range(len(reports)), key=lambda j: reports[j].max)
         lo = reports[max(k - 1, 0)].a
         hi = reports[min(k + 1, len(reports) - 1)].a
-        fine = np.arange(lo, hi + 0.005, 0.01)
         seen = {round(r.a, 6) for r in reports}
-        for a in fine:
-            if round(float(a), 6) in seen:
-                continue
-            try:
-                reports.append(upper_bound_report(float(a), m))
-            except ValueError:
-                continue
+        reports += reports_at(a for a in np.arange(lo, hi + 0.005, 0.01)
+                              if round(float(a), 6) not in seen)
         reports.sort(key=lambda r: r.a)
     return reports
 
@@ -270,6 +271,19 @@ def _need_n(n, least):
         raise ValueError(f"need an integer n >= {least}, got n={n}")
 
 
+def _d2_and_apply(f, n, x, log_mass):
+    """((B_n f)'', B_n f) at the points x of (0, 1), summed over their windows
+    at log_mass, and how far each can lie from its full-window value, from
+    dist._window_err: a term of B_n f is at most max|f|, and one of the
+    Krawtchouk sum at most pref C(n, 2) max|f|, pref = 2/phi^4, as
+    |K_2(x; k)| <= C(n, 2) at integer k in [0, n] (Vandermonde)."""
+    d2, bn, d2_env, bn_env = _derivative_and_apply(f, n, 2, x, log_mass)
+    fmax = float(np.max(np.abs(f(np.arange(n + 1) / n))))
+    d2_bound = 2.0 / (x * (1.0 - x)) ** 2 * math.comb(n, 2) * fmax
+    return (d2, bn, _window_err(n, x, log_mass, d2_bound, d2_env),
+            _window_err(n, x, log_mass, fmax, bn_env))
+
+
 def _norms(f, n, xs):
     """(max |B_n f - f| over xs, max phi^2 |(B_n f)''| over the points of xs
     inside (0, 1)), bit for bit as summing every point over its full window
@@ -278,38 +292,23 @@ def _norms(f, n, xs):
     certified.
 
     A first pass sums every inner point over its narrow window, at log-mass
-    T = _SCAN_LOG_MASS + log n + log C(n, 2), where the Krawtchouk tail bound
-    of _derivative_and_apply is 4 e^-34 pref max|f| / n.  With those bounds
-    and gamma = 4(n+1) 2^-53 for the rounding of the two products by phi^2
-    and the bounds themselves, each point's full-window values lie in
-    [(v - d)(1 - gamma), (v + d)(1 + gamma)], v the narrow value and d its
-    bound.  Only points whose upper end reaches the largest lower end of
-    either norm can hold a max; those are summed again over their full
-    windows, unless their window already is all of [0, n] (d = 0), and the
-    maxima are taken over them.  The two-form check of
-    _derivative_and_apply runs on the narrow sums at every point and on the
-    full sums at the points summed again."""
+    _SCAN_LOG_MASS + log n + log C(n, 2) (_d2_and_apply); dist._exact_near_max
+    sums full windows again only where either max can sit.  The two-form
+    check of (B_n f)'' runs on every sum taken."""
     inner = (xs > 0.0) & (xs < 1.0)
     fxs = f(xs)
     x, fx = xs[inner], fxs[inner]
     edge = np.max(np.abs(bernstein_apply_many(f, n, xs[~inner]) - fxs[~inner]), initial=0.0)
     log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
-    d2, bn, d2_err, bn_err = _derivative_and_apply(f, n, 2, x, log_mass)
-    gamma = 4.0 * (n + 1) * 2.0 ** -53
+    d2, bn, d2_err, bn_err = _d2_and_apply(f, n, x, log_mass)
     w = x * (1.0 - x)
-    err, wd2 = np.abs(bn - fx), w * np.abs(d2)
-    err_lo = np.max((err - bn_err) * (1.0 - gamma), initial=edge)
-    wd2_lo = np.max(w * (np.abs(d2) - d2_err) * (1.0 - gamma))
-    # negated, so that a NaN keeps its point, and the maxima stay NaN
-    need = ~(((err + bn_err) * (1.0 + gamma) < err_lo)
-             & (w * (np.abs(d2) + d2_err) * (1.0 + gamma) < wd2_lo))
-    rerun = need & (bn_err != 0.0)
-    if np.any(rerun):
-        d2_full, bn_full, _, _ = _derivative_and_apply(f, n, 2, x[rerun], _BAND_LOG_MASS)
-        err[rerun], wd2[rerun] = np.abs(bn_full - fx[rerun]), w[rerun] * np.abs(d2_full)
-    keep = need | (bn_err == 0.0)
-    return (float(np.max(err[keep], initial=edge)),
-            float(np.max(wd2[keep])))
+
+    def full(i):
+        d2_full, bn_full, _, _ = _derivative_and_apply(f, n, 2, x[i], _BAND_LOG_MASS)
+        return np.abs(bn_full - fx[i]), w[i] * np.abs(d2_full)
+
+    err, wd2 = _exact_near_max([np.abs(bn - fx), w * np.abs(d2)], [bn_err, w * d2_err], full)
+    return float(np.max(err, initial=edge)), float(np.max(wd2))
 
 
 def modulus_upper_sides(f, n):
@@ -355,14 +354,11 @@ def central_converse_check(f, n):
     h = sup_H_n(n - 2).sup_value
     mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(CONVERSE_A) / 3.0
     err, wd2 = _norms(f, n, _NORM_XS)
-    if mult <= 0.0:
-        return ValidatorResult(True, False, mult * wd2 / (2.0 * n),
-                               (SQRT2 + 1.0) / SQRT2 * err,
-                               f"vacuous: multiplier {mult:.4f} <= 0")
     lhs = mult * wd2 / (2.0 * n)
     rhs = (SQRT2 + 1.0) / SQRT2 * err
-    return ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs,
-                           f"multiplier {mult:.4f}")
+    if mult <= 0.0:
+        return ValidatorResult(True, False, lhs, rhs, f"vacuous: multiplier {mult:.4f} <= 0")
+    return ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs, f"multiplier {mult:.4f}")
 
 
 def noncentral_converse_check(f, n):
@@ -377,7 +373,6 @@ def noncentral_converse_check(f, n):
     _need_n(n, 2)
     a, m = CONVERSE_A, CONVERSE_M
     i = first_valid_i(a)
-    err, wd2 = _norms(f, n, _NORM_XS)
     try:
         js = {k: finite_n_J_bound(n, k, a) for k in range(i, m + 2)}
     except ValueError as e:
@@ -386,6 +381,7 @@ def noncentral_converse_check(f, n):
     if mult <= 0.0:
         return ValidatorResult(True, False, 0.0, 0.0,
                                f"vacuous: 1 - J bound = {mult:.4f} <= 0")
+    err, wd2 = _norms(f, n, _NORM_XS)
     lhs = wd2 * mult / n
     rhs = SQRT2 * (i + sum(js[k] for k in range(i, m + 1))) * err
     return ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs,

@@ -22,7 +22,8 @@ from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, pdtr, xlogy
 
 from .dist import (_BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, LOG2716, BinomialLaw,
-                   _blocks, _check_n, inv_moment_shift_V)
+                   _blocks, _check_n, _exact_near_max, _window_err,
+                   inv_moment_shift_V)
 from .search import sup_search
 
 # The x-grid of sup_H_n: H_SCAN_POINTS uniform points of (0, 1/2], and a
@@ -180,9 +181,9 @@ def _H_weight(n):
     return out
 
 
-def _H_sums(n, xs, log_mass=_BAND_LOG_MASS):
+def _H_sums(n, xs, log_mass):
     """sum_k |k - nx| P(S_n(x) = k) w_k over each point's window at log_mass,
-    w = _H_weight(n); at the default, H_n(x) / (phi(x) sqrt(n))."""
+    w = _H_weight(n); at _BAND_LOG_MASS, H_n(x) / (phi(x) sqrt(n))."""
     k = np.arange(n + 1)
     w = _H_weight(n)
     sums = np.empty(len(xs))
@@ -208,41 +209,21 @@ def H_n_exact(n, x):
     xs = xa.ravel()
     if not np.all((xs > 0.0) & (xs <= 0.5)):
         raise ValueError("x must lie in (0, 1/2]")
-    out = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n) * _H_sums(n, xs)
+    out = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n) * _H_sums(n, xs, _BAND_LOG_MASS)
     return out.reshape(xa.shape) if xa.ndim else float(out[0])
-
-
-def _H_tail(n, log_mass):
-    """Bound on the part of an _H_sums term sum that lies outside a point's
-    window at log_mass: each term is at most n max(w) P(S = k), the mass
-    outside is at most 2 exp(-log_mass) by Bernstein's inequality, and a
-    factor 2 covers the rounding of the computed pmf entries."""
-    return n * float(np.max(_H_weight(n))) * 2.0 * 2.0 * math.exp(-log_mass)
 
 
 def _H_n_scan(n, xs):
     """H_n_exact(n, xs) wherever it can hold the grid max, and an upper bound
-    on it strictly below that max everywhere else.
-
-    A first pass sums each point over its narrow window at log-mass
-    _SCAN_LOG_MASS + log n instead of the full one.  At each point this
-    encloses the float H_n_exact returns: the narrow sum S and the full sum
-    differ by at most the tail _H_tail and the rounding of either sum, each
-    of at most n + 1 nonnegative terms added in some order and so within
-    about n 2^-53 relative of its exact value.  With gamma = 4(n+1) 2^-53,
-    which also covers the rounding of the bounds themselves,
-    S (1 - gamma) <= full <= (S + tail)(1 + gamma), and the final product by
-    phi(x) sqrt(n) rounds monotonically.  Only points whose upper bound
-    reaches the largest lower bound can hold the max; H_n_exact is called
-    there, and the others keep their upper bound."""
+    on it strictly below that max everywhere else: each point is summed over
+    its narrow window at log-mass _SCAN_LOG_MASS + log n, a term of _H_sums
+    is at most n max(w), and dist._exact_near_max calls H_n_exact where the
+    max can sit."""
     log_mass = _SCAN_LOG_MASS + math.log(n)
     scale = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n)
     sums = _H_sums(n, xs, log_mass)
-    gamma = 4.0 * (n + 1) * 2.0 ** -53
-    out = scale * ((sums + _H_tail(n, log_mass)) * (1.0 + gamma))
-    need = out >= np.max(scale * (sums * (1.0 - gamma)))
-    out[need] = H_n_exact(n, xs[need])
-    return out
+    err = _window_err(n, xs, log_mass, n * float(np.max(_H_weight(n))), sums)
+    return _exact_near_max(scale * sums, scale * err, lambda i: H_n_exact(n, xs[i]))[0]
 
 
 def _H_grid(n):
@@ -259,13 +240,11 @@ def sup_H_n(n):
     which sits below the first uniform point 1/(2 H_SCAN_POINTS) once
     n > 2.8 10^4.
 
-    The grid pass takes _H_n_scan, whose values equal H_n_exact at every
-    point that can hold the grid max, so the grid winner and its value are
-    those of the exact scan; golden refinement calls H_n_exact.  The grid
-    maximum and its golden refinement are attained values, so the result is
-    a lower estimate of the sup: the claim sup H_n <= 1 is checked on a
-    lower estimate and is not certified by this search; the enclosures of
-    _H_n_scan hold per grid point only, and say nothing between them."""
+    The grid pass takes _H_n_scan, exact wherever the grid max can sit, so
+    the grid winner and its value are those of the exact scan; golden
+    refinement calls H_n_exact.  Both are attained values, so the result is
+    a lower estimate of the sup: the claim sup H_n <= 1 is checked on it, not
+    certified; the enclosures of _H_n_scan hold per grid point only."""
     arg, value, _ = sup_search(lambda t: H_n_exact(n, t), _H_grid(n),
                                scan=lambda t: _H_n_scan(n, t))
     cert = "H_n(x) -> 0 as x -> 0+ (exact sum is continuous with H_n(0+) = 0)"

@@ -18,6 +18,10 @@ log-mass lies below _EXP_ZERO = -746, where it would round to +0.0 by a
 slow path; subnormal entries stay on np.exp.  A point's summation tree is
 therefore the same alone and inside any batch.  BinomialLaw.pmf_vector is a
 one-point block scattered into a row of n + 1 entries.
+
+The two-pass scans (central._H_n_scan, bounds._norms) sum over narrow
+windows, bound the distance to the full-window sums by _window_err, and sum
+full windows again only where a max can sit, by _exact_near_max.
 """
 
 import ctypes
@@ -41,9 +45,11 @@ _BAND_LOG_MASS = 760.0
 # The narrow windows of the two-pass scans sit at log-mass this plus the log
 # of the bound on a term's factor besides the pmf: log n in central._H_n_scan
 # (43.2 at n = 10^4), log n + log C(n, 2) in bounds._norms (60.9 there).  The
-# tail either scan drops is then 4 e^-34, about 7e-15, of that bound divided
-# by n or less, below the rounding margins of their enclosures near the max.
+# tail _window_err charges is then 4 e^-34, about 7e-15, of that bound divided
+# by n or less, below its rounding term near the max.
 _SCAN_LOG_MASS = 34.0
+# The relative pad of _exact_near_max's enclosures, 8 units in the last place.
+_PAD = 2.0 ** -50
 # exp(x) for x < -745.1332 is below 2^-1075 and rounds to +0.0, so rows skip
 # exp below this log-mass: numpy's exp takes a slow path for such arguments.
 _EXP_ZERO = -746.0
@@ -158,6 +164,44 @@ def _window_rows(n, xs, offset, end):
         out[inner] = rows
         edge = np.flatnonzero((xs == 0.0) | (xs == 1.0))
         out[edge, (n * xs[edge]).astype(int) - offset] = 1.0
+    return out
+
+
+def _window_err(n, xs, log_mass, term_bound, env):
+    """How far sum_k p_k g_k over each point's window at log_mass T can lie
+    from the same sum over its full window, given term_bound >= |g_k| and
+    the envelope env = sum_k |p_k g_k|: term_bound 4 e^-T + gamma env.  The
+    window's entries are those of the full row, and it leaves out mass at
+    most 2 e^-T (Bernstein's inequality), doubled for the entries' rounding.
+    Either sum, of at most n + 1 terms, rounds by at most (n + 1) 2^-53 env;
+    gamma = 4(n + 1) 2^-53 covers both with room for the callers' products.
+    0 where the window is all of [0, n], as the full one is then."""
+    _, lo, hi = _band_windows(n, xs, log_mass)
+    err = term_bound * (4.0 * math.exp(-log_mass)) + 4.0 * (n + 1) * 2.0 ** -53 * env
+    return np.where((lo == 0) & (hi == n), 0.0, err)
+
+
+def _exact_near_max(values, errs, full):
+    """The sup_search(scan=) contract, row by row: values exact wherever a
+    row's max can sit, and strictly below that row's max elsewhere.
+
+    values and errs hold one row per quantity, one column per point; each
+    full value lies within errs of its value, up to a few roundings of the
+    caller's last products, and equals it where errs is 0.  The enclosure
+    values -/+ (errs + _PAD (|values| + errs)), exact where errs is 0, covers
+    those and its own.  A point is a candidate if in some row its upper end
+    reaches the largest lower end; a NaN keeps its point.  full(idx) gives
+    the rows at the candidates idx with a nonzero err; the other candidates
+    keep values, and every other point its upper ends."""
+    values, errs = np.atleast_2d(values, errs)
+    pad = np.where(errs == 0.0, 0.0, errs + _PAD * (np.abs(values) + errs))
+    out = values + pad
+    low = np.max(values - pad, axis=1, initial=-np.inf, keepdims=True)
+    need = np.any(~(out < low), axis=0)
+    out[:, need] = values[:, need]
+    rerun = np.flatnonzero(need & np.any(errs != 0.0, axis=0))
+    if len(rerun):
+        out[:, rerun] = full(rerun)
     return out
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import LOG4, LOG2716
+from .dist import LOG4, LOG2716, _check_n
 from .quadrature import gauss_legendre
 
 
@@ -99,8 +99,8 @@ def L_k(k, a):
     ~ theta there) and is analytic, so the fixed rule of bcv.quadrature
     integrates it to rounding; values lie in (0, 1].
     """
-    if not a >= 0.0:
-        raise ValueError("a must be >= 0")
+    if not (a >= 0.0 and math.isfinite(a)):
+        raise ValueError("a must be finite and >= 0")
     L, _ = _L_and_alpha1(k, a)
     return L if L.ndim else float(L)
 
@@ -125,6 +125,7 @@ def finite_n_J_bound(n, m, a):
     valid under the hypothesis b_n <= 1/alpha_{m-1}(1); converges to
     J_limit(m, a) as n grows.
     """
+    _check_n(n)
     b = b_n(a, n)
     L, a1 = _L_and_alpha1(m, b)
     if b > 1.0 / a1:

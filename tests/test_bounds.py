@@ -14,8 +14,8 @@ from bcv import bernstein, bounds, cli
 from bcv.bernstein import _derivative_and_apply, bernstein_apply_many
 from bcv.bounds import (CONVERSE_A, CONVERSE_M, G_LAMBDA_MAX, SQRT2, _NORM_XS,
                         G_of_lambda, LowerBoundReport, UpperBoundReport,
-                        ValidatorResult, _fn_lower_error, _modulus_norm_grid,
-                        _norms,
+                        ValidatorResult, _d2_and_apply, _fn_lower_error,
+                        _modulus_norm_grid, _norms,
                         build_fn_lower,
                         central_converse_check, fn_lower_error_sup,
                         g_of_lambda, iterate_converse_check, lower_bound_ratio,
@@ -116,6 +116,14 @@ def test_sweep_sorted_refined_and_consistent():
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep_upper(5.0, 4.0, 0.1, 20)
+
+
+@pytest.mark.parametrize("m", [20.0, 0, -3, 2.5])
+def test_sweep_names_a_bad_m(m):
+    # unguarded, each grid point's ValueError was swallowed and the sweep
+    # reported that no a in the range admits the expressions
+    with pytest.raises(ValueError, match=f"got m={m!r}"):
+        sweep_upper(7.0, 7.4, 0.1, m)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +346,10 @@ def test_norms_stay_nan_where_f_is_nan(nan_at):
 
 
 def _narrow_and_full(f, n, xs, log_mass):
-    """_derivative_and_apply's (values, bounds) at log_mass and its values at
+    """_d2_and_apply's (values, window errors) at log_mass and its values at
     the full windows, at the points xs."""
-    d2, bn, d2_err, bn_err = _derivative_and_apply(f, n, 2, xs, log_mass)
-    d2_full, bn_full, _, _ = _derivative_and_apply(f, n, 2, xs, _BAND_LOG_MASS)
+    d2, bn, d2_err, bn_err = _d2_and_apply(f, n, xs, log_mass)
+    d2_full, bn_full, _, _ = _d2_and_apply(f, n, xs, _BAND_LOG_MASS)
     return (d2, bn, d2_err, bn_err), (d2_full, bn_full)
 
 
@@ -433,6 +441,16 @@ def test_noncentral_converse_not_binding_at_small_n(n, note):
     assert not res.binding
     assert res.holds  # vacuously
     assert res.note.startswith(note)
+
+
+@pytest.mark.parametrize("n", [200, 500])
+def test_noncentral_converse_skips_the_norm_pass_when_not_binding(monkeypatch, n):
+    # the J bounds decide binding before any norm is taken
+    def never(*args):
+        raise AssertionError("_norms ran")
+
+    monkeypatch.setattr(bounds, "_norms", never)
+    assert not noncentral_converse_check(lambda y: np.asarray(y) ** 3, n).binding
 
 
 def test_noncentral_converse_binding_at_large_n():

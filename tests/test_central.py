@@ -14,7 +14,7 @@ from bcv.central import (C_of_lambda, C_tilde, D_coeff,
                          I_n_branch_check, I_n_brute, I_n_closed, K_func,
                          SupSearchResult, nu, phi_ratio_moment_sides,
                          r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
-from bcv.dist import LOG4, LOG2716
+from bcv.dist import LOG4, LOG2716, _band_windows, _window_err
 from bcv.search import sup_search
 
 
@@ -218,7 +218,9 @@ def test_sup_H_n_reaches_the_peak_below_the_uniform_grid(n):
 
 
 def _scan_and_exact_points(monkeypatch, n, xs):
-    """_H_n_scan(n, xs), and the mask of points where it called H_n_exact."""
+    """_H_n_scan(n, xs), and the mask of points whose value is exact: those
+    where it called H_n_exact, and those whose narrow window is all of
+    [0, n], where it never calls H_n_exact."""
     called = np.zeros(len(xs), dtype=bool)
     exact = central.H_n_exact
 
@@ -229,7 +231,10 @@ def _scan_and_exact_points(monkeypatch, n, xs):
     monkeypatch.setattr(central, "H_n_exact", spy)
     out = _H_n_scan(n, xs)
     monkeypatch.setattr(central, "H_n_exact", exact)
-    return out, called
+    _, lo, hi = _band_windows(n, xs, central._SCAN_LOG_MASS + math.log(n))
+    whole = (lo == 0) & (hi == n)
+    assert not np.any(called & whole)
+    return out, called | whole
 
 
 def _assert_scan_encloses(monkeypatch, n, xs):
@@ -267,7 +272,9 @@ def test_scan_enclosure_fails_without_its_tail_term(monkeypatch):
     xs = _H_grid(n)
     monkeypatch.setattr(central, "_SCAN_LOG_MASS", 5.0 - math.log(n))
     _assert_scan_encloses(monkeypatch, n, xs)
-    monkeypatch.setattr(central, "_H_tail", lambda n, log_mass: 0.0)
+    monkeypatch.setattr(central, "_window_err",
+                        lambda n, xs, log_mass, term_bound, env:
+                        _window_err(n, xs, log_mass, 0.0, env))
     with pytest.raises(AssertionError):
         _assert_scan_encloses(monkeypatch, n, xs)
 

@@ -14,9 +14,10 @@ import pytest
 import bcv
 from bcv import central, cli, moduli
 from bcv.bounds import G_of_lambda, g_of_lambda
+from bcv.bernstein import central_moment, krawtchouk
 from bcv.central import C_of_lambda, nu, r_of_lambda, sup_C
 from bcv.dist import tv_binom_poisson_bound
-from bcv.noncentral import J_limit
+from bcv.noncentral import J_limit, L_k, finite_n_J_bound
 
 
 def test_grid_config_defaults():
@@ -63,7 +64,6 @@ def test_options_ledger():
     # every knob of the package: adding a defaulted parameter or a flag means
     # adding it here
     assert _defaulted_parameters() == [
-        ("central._H_sums", "log_mass", bcv.dist._BAND_LOG_MASS),
         ("cli._Check.__init__", "grid", ""),
         ("cli._Check.__init__", "seed", None),
         ("cli._Check.__init__", "tolerance", None),
@@ -101,15 +101,23 @@ def test_options_ledger():
                                   lambda: g_of_lambda(-0.5),
                                   lambda: tv_binom_poisson_bound(math.nan, 1.0),
                                   lambda: tv_binom_poisson_bound(math.inf, 1.0),
-                                  lambda: tv_binom_poisson_bound(10.5, 1.0)],
+                                  lambda: tv_binom_poisson_bound(10.5, 1.0),
+                                  lambda: central_moment(10, 0.3, math.nan),
+                                  lambda: L_k(1, math.inf),
+                                  lambda: finite_n_J_bound(10000.5, 13, 7.2),
+                                  lambda: finite_n_J_bound(10000, 13.5, 7.2),
+                                  lambda: krawtchouk(10, 2.5, 0.3, 1)],
                          ids=["J_limit", "nu", "r_of_lambda", "C_of_lambda", "G_of_lambda",
                               "g_of_lambda", "g_of_lambda_inf", "g_of_lambda_negative",
                               "tv_binom_poisson_bound", "tv_binom_poisson_bound_inf",
-                              "tv_binom_poisson_bound_non_integer"])
+                              "tv_binom_poisson_bound_non_integer",
+                              "central_moment_nan_k", "L_k_inf", "finite_n_J_bound_non_integer_n",
+                              "finite_n_J_bound_non_integer_m", "krawtchouk_non_integer_m"])
 def test_non_finite_input_is_rejected(call):
     # unguarded, each returned NaN or a number (the first five NaN after a
     # RuntimeWarning from inf * 0 or inf - inf; g_of_lambda(-0.5) the node
-    # value 1.0, tv_binom_poisson_bound 0.0 at n = inf and 0.0568 at n = 10.5)
-    # instead of raising
+    # value 1.0, tv_binom_poisson_bound 0.0 at n = inf and 0.0568 at n = 10.5,
+    # central_moment NaN, L_k(1, inf) 0.0, finite_n_J_bound(10000.5, ...)
+    # 0.697) instead of raising; krawtchouk at m = 2.5 raised a TypeError
     with pytest.raises(ValueError):
         call()

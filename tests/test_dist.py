@@ -21,7 +21,8 @@ from bcv.bernstein import bernstein_apply_many, bernstein_derivative
 from bcv.bounds import iterate_converse_check
 from bcv.central import H_n_exact
 from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, _EXP_ZERO, BinomialLaw,
-                      _band_windows, _blocks, _log_binom, inv_moment_shift_V,
+                      _band_windows, _blocks, _exact_near_max, _log_binom,
+                      inv_moment_shift_V,
                       stirling_mode_bound_check, tv_binom_poisson,
                       tv_binom_poisson_bound)
 
@@ -259,6 +260,60 @@ def test_block_loops_do_not_page_fault_every_block():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert int(out.stdout) < 10_000
+
+
+@given(data=st.data(), rows=st.integers(1, 3), points=st.integers(1, 12))
+def test_exact_near_max_is_exact_where_a_row_max_can_sit(data, rows, points):
+    # full values F and errors, with zeros and a few NaNs, and narrow values
+    # anywhere within the errors (equal to F where the error is 0)
+    grid = lambda s: np.array(data.draw(st.lists(
+        st.lists(s, min_size=points, max_size=points), min_size=rows, max_size=rows)))
+    spots = st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, points - 1)),
+                     max_size=2)
+    F = grid(st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0)))
+    u = grid(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+    errs = grid(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    for a in (F, errs):
+        for r, i in data.draw(spots):
+            a[r, i] = math.nan
+    values = np.where(errs == 0.0, F, F + u * errs)
+    asked = []
+
+    def full(idx):
+        asked.extend(idx.tolist())
+        return F[:, idx]
+
+    out = _exact_near_max(values, errs, full)
+    # a point whose errors are all 0 is never summed again
+    assert not np.any(np.all(errs[:, asked] == 0.0, axis=0))
+    nan = np.isnan(F).any(axis=1, keepdims=True)
+    top = np.max(F, axis=1, keepdims=True)
+    # where a row's max can sit, every row is exact; a NaN keeps its point
+    can_win = np.any(nan | (F == top), axis=0) | np.any(np.isnan(values + errs), axis=0)
+    np.testing.assert_array_equal(out[:, can_win], F[:, can_win])
+    # elsewhere each row is an upper bound strictly below that row's max
+    below = ~nan & ~can_win
+    assert np.all(out[below] < np.broadcast_to(top, F.shape)[below])
+    assert np.all(out[below] >= F[below])
+    np.testing.assert_array_equal(np.max(out, axis=1), np.max(F, axis=1))
+
+
+def test_exact_near_max_sums_again_where_the_enclosures_overlap():
+    # the max sits at point 0, its narrow value at the bottom of its
+    # enclosure; point 1, at the top of its own, reaches above it; point 2
+    # cannot win and keeps its upper end
+    F = np.array([[1.0, 0.9, -5.0]])
+    errs = np.full((1, 3), 0.5)
+    asked = []
+
+    def full(idx):
+        asked.extend(idx.tolist())
+        return F[:, idx]
+
+    out = _exact_near_max(F + np.array([[-0.5, 0.5, 0.0]]), errs, full)
+    assert asked == [0, 1]
+    assert out[0, 0] == 1.0 and out[0, 1] == 0.9
+    assert -4.5 <= out[0, 2] < 1.0
 
 
 # ---------------------------------------------------------------------------
