@@ -193,7 +193,7 @@ def _derivative_and_apply(f, n, m, xs, log_mass):
         terms = _krawtchouk_rows(basis[:, cols], xb)
         pf = rows * fk[cols]
         apply[sl] = np.sum(pf, axis=1)
-        apply_env[sl] = np.sum(np.abs(pf), axis=1)
+        apply_env[sl] = rows @ np.abs(fk[cols])
         terms *= pf
         kraw[sl] = pref[sl] * np.sum(terms, axis=1)
         kraw_env[sl] = pref[sl] * np.sum(np.abs(terms), axis=1)
