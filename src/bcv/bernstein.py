@@ -156,64 +156,79 @@ def bernstein_derivative(f, n, m, x):
     than that.
     """
     xa = np.asarray(x, dtype=float)
-    kraw = _derivative_and_apply(f, n, m, xa.ravel(), _BAND_LOG_MASS)[0]
+    (kraw, *_), = _derivative_and_apply([f], n, m, xa.ravel(), _BAND_LOG_MASS)
     return kraw.reshape(xa.shape) if xa.ndim else float(kraw[0])
 
 
-def _derivative_and_apply(f, n, m, xs, log_mass):
-    """((B_n f)^(m), B_n f) at the points of the 1-D array xs, each point
-    summed over its window at log_mass and checked as in
-    bernstein_derivative, plus the envelopes of the two sums, pref
-    sum |p f K_m| and sum |p f| (pref = m!/phi^(2m)), from which
-    dist._window_err bounds their distance to the full-window values.  One
-    pass over the rows serves both: the Krawtchouk terms are built on the
-    products rows * f(k/n) whose row sums are B_n f, bit for bit as
-    bernstein_apply_many sums them.  A point's values depend on (f, n, m, x,
-    log_mass) alone, never on the other points of a call."""
+def _derivative_and_apply(fs, n, m, xs, log_mass):
+    """For each function f of the sequence fs, ((B_n f)^(m), B_n f) at the
+    points of the 1-D array xs, each point summed over its window at
+    log_mass and checked as in bernstein_derivative, plus the envelopes of
+    the two sums, pref sum |p f K_m| and sum |p f| (pref = m!/phi^(2m)), from
+    which dist._window_err bounds their distance to the full-window values:
+    one tuple (kraw, apply, kraw_env, apply_env) per function, in the order
+    of fs.
+
+    The work that does not depend on f, the pmf rows, the Krawtchouk rows
+    and the S_{n-m} rows of each block, is done once per block for all of
+    fs; each function then runs the arithmetic of a one-function call, so
+    its tuple is bit for bit what [f] alone gives.  The Krawtchouk terms are
+    built on the products rows * f(k/n) whose row sums are B_n f, bit for
+    bit as bernstein_apply_many sums them.  A point's values depend on (f,
+    n, m, x, log_mass) alone, never on the other points or functions of a
+    call."""
     _check_n(n)
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m={m}, n={n}")
     if not np.all((xs > 0.0) & (xs < 1.0)):
         raise ValueError("x must lie in (0,1)")
     k = np.arange(n + 1)
-    fk = np.asarray(f(k / n), dtype=float)
+    fks = [np.asarray(f(k / n), dtype=float) for f in fs]
     basis = _krawtchouk_basis(n, m)
     # Delta_{1/n}^m f(j/n) for all j at once, reusing the grid values of f
     j = np.arange(n - m + 1)
-    diff = np.zeros(n - m + 1)
-    for l in range(m + 1):
-        diff = diff + math.comb(m, l) * (-1) ** (m - l) * fk[j + l]
+    diffs = []
+    for fk in fks:
+        diff = np.zeros(n - m + 1)
+        for l in range(m + 1):
+            diff = diff + math.comb(m, l) * (-1) ** (m - l) * fk[j + l]
+        diffs.append(diff)
     fall = float(math.perm(n, m))
     # per-point factors as Python floats, rounded as in the one-point formula
     pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
-    kraw, kraw_env, apply, apply_env = (np.empty(len(xs)) for _ in range(4))
+    # per function: kraw, apply, kraw_env, apply_env, fdiff, fdiff_env
+    outs = [[np.empty(len(xs)) for _ in range(6)] for _ in fs]
     for sl, cols, rows in _blocks(n, xs, log_mass):
-        xb = xs[sl].tolist()
-        # the terms (p * fk) * K_m, multiplied into the K_m rows in place
-        terms = _krawtchouk_rows(basis[:, cols], xb)
-        pf = rows * fk[cols]
-        apply[sl] = np.sum(pf, axis=1)
-        apply_env[sl] = rows @ np.abs(fk[cols])
-        terms *= pf
-        kraw[sl] = pref[sl] * np.sum(terms, axis=1)
-        kraw_env[sl] = pref[sl] * np.sum(np.abs(terms), axis=1)
+        krows = _krawtchouk_rows(basis[:, cols], xs[sl].tolist())
+        # one buffer holds each function's products p * fk, then its terms
+        # (p * fk) * K_m in place, so a batch holds no more rows than one f
+        pf = np.empty_like(rows)
+        for fk, (kraw, apply, kraw_env, apply_env, _, _) in zip(fks, outs):
+            np.multiply(rows, fk[cols], out=pf)
+            apply[sl] = np.sum(pf, axis=1)
+            apply_env[sl] = rows @ np.abs(fk[cols])
+            pf *= krows
+            kraw[sl] = pref[sl] * np.sum(pf, axis=1)
+            kraw_env[sl] = pref[sl] * np.sum(np.abs(pf), axis=1)
     if m < n:
-        fdiff, fdiff_env = np.empty(len(xs)), np.empty(len(xs))
         for sl, cols, rows in _blocks(n - m, xs, log_mass):
-            fdiff[sl] = fall * np.sum(rows * diff[cols], axis=1)
-            fdiff_env[sl] = fall * np.sum(rows * np.abs(diff[cols]), axis=1)
+            for diff, (*_, fdiff, fdiff_env) in zip(diffs, outs):
+                fdiff[sl] = fall * np.sum(rows * diff[cols], axis=1)
+                fdiff_env[sl] = fall * np.sum(rows * np.abs(diff[cols]), axis=1)
     else:  # S_0 = 0
-        fdiff = np.full(len(xs), fall * diff[0])
-        fdiff_env = np.abs(fdiff)
-    scale = np.maximum(1.0, np.maximum(np.abs(kraw), np.abs(fdiff)))
-    floor = 1e-10 * (kraw_env + fdiff_env)
-    bad = np.flatnonzero(np.abs(kraw - fdiff) > _REL_TOL * scale + floor)
-    if len(bad):
-        i = int(bad[0])
-        raise ConsistencyError(
-            f"derivative representations disagree: {float(kraw[i])!r} vs "
-            f"{float(fdiff[i])!r} (n={n}, m={m}, x={float(xs[i])})")
-    return kraw, apply, kraw_env, apply_env
+        for diff, (*_, fdiff, fdiff_env) in zip(diffs, outs):
+            fdiff[:] = fall * diff[0]
+            np.abs(fdiff, out=fdiff_env)
+    for kraw, _, kraw_env, _, fdiff, fdiff_env in outs:
+        scale = np.maximum(1.0, np.maximum(np.abs(kraw), np.abs(fdiff)))
+        floor = 1e-10 * (kraw_env + fdiff_env)
+        bad = np.flatnonzero(np.abs(kraw - fdiff) > _REL_TOL * scale + floor)
+        if len(bad):
+            i = int(bad[0])
+            raise ConsistencyError(
+                f"derivative representations disagree: {float(kraw[i])!r} vs "
+                f"{float(fdiff[i])!r} (n={n}, m={m}, x={float(xs[i])})")
+    return [tuple(out[:4]) for out in outs]
 
 
 def irwin_hall_density(m, t):

@@ -271,49 +271,77 @@ def _need_n(n, least):
         raise ValueError(f"need an integer n >= {least}, got n={n}")
 
 
-def _d2_and_apply(f, n, x, log_mass):
-    """((B_n f)'', B_n f) at the points x of (0, 1), summed over their windows
-    at log_mass, and how far each can lie from its full-window value, from
-    dist._window_err: a term of B_n f is at most max|f|, and one of the
-    Krawtchouk sum at most pref C(n, 2) max|f|, pref = 2/phi^4, as
-    |K_2(x; k)| <= C(n, 2) at integer k in [0, n] (Vandermonde)."""
-    d2, bn, d2_env, bn_env = _derivative_and_apply(f, n, 2, x, log_mass)
-    fmax = float(np.max(np.abs(f(np.arange(n + 1) / n))))
-    d2_bound = 2.0 / (x * (1.0 - x)) ** 2 * math.comb(n, 2) * fmax
-    return (d2, bn, _window_err(n, x, log_mass, d2_bound, d2_env),
-            _window_err(n, x, log_mass, fmax, bn_env))
+def _d2_and_apply(fs, n, x, log_mass):
+    """For each f of fs, ((B_n f)'', B_n f) at the points x of (0, 1), summed
+    over their windows at log_mass in one _derivative_and_apply pass, and
+    how far each can lie from its full-window value, from dist._window_err:
+    a term of B_n f is at most max|f|, and one of the Krawtchouk sum at most
+    pref C(n, 2) max|f|, pref = 2/phi^4, as |K_2(x; k)| <= C(n, 2) at
+    integer k in [0, n] (Vandermonde).  One tuple (d2, bn, d2_err, bn_err)
+    per function."""
+    out = []
+    for f, (d2, bn, d2_env, bn_env) in zip(fs, _derivative_and_apply(fs, n, 2, x, log_mass)):
+        fmax = float(np.max(np.abs(f(np.arange(n + 1) / n))))
+        d2_bound = 2.0 / (x * (1.0 - x)) ** 2 * math.comb(n, 2) * fmax
+        out.append((d2, bn, _window_err(n, x, log_mass, d2_bound, d2_env),
+                    _window_err(n, x, log_mass, fmax, bn_env)))
+    return out
 
 
-def _norms(f, n, xs):
-    """(max |B_n f - f| over xs, max phi^2 |(B_n f)''| over the points of xs
-    inside (0, 1)), bit for bit as summing every point over its full window
+def _norms(fs, n, xs):
+    """For each f of the sequence fs, (max |B_n f - f| over xs,
+    max phi^2 |(B_n f)''| over the points of xs inside (0, 1)), bit for bit
+    as summing every point over its full window gives them, and as fs = [f]
     gives them; the points 0 and 1 take bernstein_apply_many.  Both are grid
     maxima: lower estimates of the norms, so a check built on them is not
     certified.
 
     A first pass sums every inner point over its narrow window, at log-mass
-    _SCAN_LOG_MASS + log n + log C(n, 2) (_d2_and_apply); dist._exact_near_max
-    sums full windows again only where either max can sit.  The two-form
-    check of (B_n f)'' runs on every sum taken."""
+    _SCAN_LOG_MASS + log n + log C(n, 2), for all of fs at once
+    (_d2_and_apply); dist._exact_near_max then sums full windows again, one
+    function at a time, only where either of its maxima can sit.  The
+    two-form check of (B_n f)'' runs on every sum taken."""
     inner = (xs > 0.0) & (xs < 1.0)
-    fxs = f(xs)
-    x, fx = xs[inner], fxs[inner]
-    edge = np.max(np.abs(bernstein_apply_many(f, n, xs[~inner]) - fxs[~inner]), initial=0.0)
-    log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
-    d2, bn, d2_err, bn_err = _d2_and_apply(f, n, x, log_mass)
+    x = xs[inner]
     w = x * (1.0 - x)
+    log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
+    out = []
+    for f, (d2, bn, d2_err, bn_err) in zip(fs, _d2_and_apply(fs, n, x, log_mass)):
+        fxs = f(xs)
+        fx = fxs[inner]
+        edge = np.max(np.abs(bernstein_apply_many(f, n, xs[~inner]) - fxs[~inner]), initial=0.0)
 
-    def full(i):
-        d2_full, bn_full, _, _ = _derivative_and_apply(f, n, 2, x[i], _BAND_LOG_MASS)
-        return np.abs(bn_full - fx[i]), w[i] * np.abs(d2_full)
+        def full(i):
+            (d2_full, bn_full, _, _), = _derivative_and_apply([f], n, 2, x[i], _BAND_LOG_MASS)
+            return np.abs(bn_full - fx[i]), w[i] * np.abs(d2_full)
 
-    err, wd2 = _exact_near_max([np.abs(bn - fx), w * np.abs(d2)], [bn_err, w * d2_err], full)
-    return float(np.max(err, initial=edge)), float(np.max(wd2))
+        err, wd2 = _exact_near_max([np.abs(bn - fx), w * np.abs(d2)], [bn_err, w * d2_err], full)
+        out.append((float(np.max(err, initial=edge)), float(np.max(wd2))))
+    return out
+
+
+def _modulus_sides(fs, n):
+    """modulus_upper_sides for a list of functions: one (LHS, RHS) each.
+    Functions with the same norm grid share one _norms pass."""
+    _need_n(n, 2)
+    lhs = [omega2_phi(f, 1.0 / math.sqrt(n)).value for f in fs]
+    grids = [_modulus_norm_grid(f, n) for f in fs]
+    groups = {}
+    for i, xs in enumerate(grids):
+        groups.setdefault(xs.tobytes(), []).append(i)
+    rhs = [0.0] * len(fs)
+    for idx in groups.values():
+        for i, (err, wd2) in zip(idx, _norms([fs[i] for i in idx], n, grids[idx[0]])):
+            rhs[i] = 4.0 * err + LOG4 / n * wd2
+    return list(zip(lhs, rhs))
 
 
 def modulus_upper_sides(f, n):
     """(LHS, RHS) of omega2_phi(f; 1/sqrt(n)) <= 4 ||B_n f - f||
     + (log 4 / n) ||phi^2 (B_n f)''||, norms over grids on [0,1] and (0,1).
+    f may be one function, or a sequence of functions, which gives a list
+    of (LHS, RHS), one per function: functions whose norm grids are the same
+    share one pass of the norms (_norms).
 
     The norm grids combine a uniform grid with lambda = n x boundary layers
     (and any breakpoints of f): B_n resolves structure at scale 1/n near the
@@ -321,10 +349,7 @@ def modulus_upper_sides(f, n):
     Both norms are grid maxima, which under-estimate the norms, so the
     reported RHS is a lower estimate of the true RHS and the check built on
     it is not certified."""
-    _need_n(n, 2)
-    lhs = omega2_phi(f, 1.0 / math.sqrt(n)).value
-    err, wd2 = _norms(f, n, _modulus_norm_grid(f, n))
-    return lhs, 4.0 * err + LOG4 / n * wd2
+    return _modulus_sides([f], n)[0] if callable(f) else _modulus_sides(list(f), n)
 
 
 def _modulus_norm_grid(f, n):
@@ -339,8 +364,12 @@ def _modulus_norm_grid(f, n):
 
 
 def modulus_upper_check(f, n):
-    lhs, rhs = modulus_upper_sides(f, n)
-    return lhs <= rhs + 1e-12
+    """Whether LHS <= RHS + 1e-12 in modulus_upper_sides: a bool for one
+    function, a list of them for a sequence of functions."""
+    sides = modulus_upper_sides(f, n)
+    if callable(f):
+        return sides[0] <= sides[1] + 1e-12
+    return [lhs <= rhs + 1e-12 for lhs, rhs in sides]
 
 
 def central_converse_check(f, n):
@@ -353,7 +382,7 @@ def central_converse_check(f, n):
     _need_n(n, 5)
     h = sup_H_n(n - 2).sup_value
     mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(CONVERSE_A) / 3.0
-    err, wd2 = _norms(f, n, _NORM_XS)
+    (err, wd2), = _norms([f], n, _NORM_XS)
     lhs = mult * wd2 / (2.0 * n)
     rhs = (SQRT2 + 1.0) / SQRT2 * err
     if mult <= 0.0:
@@ -381,7 +410,7 @@ def noncentral_converse_check(f, n):
     if mult <= 0.0:
         return ValidatorResult(True, False, 0.0, 0.0,
                                f"vacuous: 1 - J bound = {mult:.4f} <= 0")
-    err, wd2 = _norms(f, n, _NORM_XS)
+    (err, wd2), = _norms([f], n, _NORM_XS)
     lhs = wd2 * mult / n
     rhs = SQRT2 * (i + sum(js[k] for k in range(i, m + 1))) * err
     return ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs,
@@ -405,6 +434,7 @@ def iterate_converse_check(f, n):
     def h_fn(y):
         return h_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
 
-    lhs = _norms(h_fn, n, _NORM_XS)[1] / (2.0 * n)
-    rhs = _norms(f, n, _NORM_XS)[0] / SQRT2
+    (_, wd2), (err, _) = _norms([h_fn, f], n, _NORM_XS)
+    lhs = wd2 / (2.0 * n)
+    rhs = err / SQRT2
     return ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs, "g = B_n f")

@@ -244,7 +244,18 @@ def sup_H_n(n):
     the grid winner and its value are those of the exact scan; golden
     refinement calls H_n_exact.  Both are attained values, so the result is
     a lower estimate of the sup: the claim sup H_n <= 1 is checked on it, not
-    certified; the enclosures of _H_n_scan hold per grid point only."""
+    certified; the enclosures of _H_n_scan hold per grid point only.
+
+    The result is kept per n (_sup_H_n), so callers that need the same n,
+    such as the central converse checks at one n, share one search."""
+    return _sup_H_n(n)
+
+
+# typed: 48.0 equals a cached np.int64(48) as a key, but must still raise as a
+# non-integer n does
+@functools.lru_cache(maxsize=8, typed=True)
+def _sup_H_n(n):
+    """sup_H_n's search."""
     arg, value, _ = sup_search(lambda t: H_n_exact(n, t), _H_grid(n),
                                scan=lambda t: _H_n_scan(n, t))
     cert = "H_n(x) -> 0 as x -> 0+ (exact sum is continuous with H_n(0+) = 0)"

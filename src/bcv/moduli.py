@@ -18,9 +18,10 @@ golden-section pass on search.golden_max (bound "lower").  The scan is
 evaluated in row blocks of at most _SCAN_BLOCK_CELLS cells into one table of
 the grid's values, so no other array is full size.  The seeds are the
 _REFINE_TOP best cells by value, descending, ties going to the lower
-row-major flat index (smaller x, then smaller h); picking them costs one
-linear pass over the grid plus a stable sort of the cells at or above the
-_REFINE_TOP-th largest row maximum.  Both paths raise ValueError, naming the
+row-major flat index (smaller x, then smaller h).  Picking them costs a row
+maximum per block, taken while the block is in cache, and a comparison and
+stable sort in only the rows whose maximum reaches the _REFINE_TOP-th
+largest row maximum.  Both paths raise ValueError, naming the
 modulus and delta, when f is not finite at a grid cell, at the point a
 refinement lane settles on after each golden-section search, or at a vertex
 candidate; the steps inside a search are not checked.
@@ -116,28 +117,34 @@ def _scan(diff, hmax_fn, xs, h_points, what):
     at most _SCAN_BLOCK_CELLS cells (one row if a row is larger), so it must
     be elementwise.  The seeds run by value, descending, with
     ties to the lower row-major flat index (smaller x, then smaller h); they
-    cost one linear pass plus a stable sort of the cells at or above the
-    _REFINE_TOP-th largest row maximum.  `what` names the modulus in the
+    cost a row max per block while it is in cache, plus a comparison and a
+    stable sort in only the rows whose max reaches the _REFINE_TOP-th
+    largest row max.  `what` names the modulus in the
     ValueError raised when a grid value is not finite."""
     xs = np.asarray(xs, dtype=float).reshape(-1, 1)
     hm = hmax_fn(xs)
     t = np.linspace(0.0, 1.0, h_points + 1).reshape(1, -1)
     vals = np.empty((len(xs), t.shape[1]))
+    rowmax = np.empty(len(xs))
     rows = max(1, _SCAN_BLOCK_CELLS // t.shape[1])
     with np.errstate(invalid="ignore"):  # inf - inf: raised below instead
         for lo in range(0, len(xs), rows):
-            vals[lo:lo + rows] = diff(xs[lo:lo + rows], hm[lo:lo + rows] * t)
-    rowmax = vals.max(axis=1)
+            block = vals[lo:lo + rows]
+            block[:] = diff(xs[lo:lo + rows], hm[lo:lo + rows] * t)
+            np.max(block, axis=1, out=rowmax[lo:lo + rows])
     if not np.all(np.isfinite(rowmax)):
         raise ValueError(f"{what}: f is not finite at every scan point")
     flat = vals.ravel()
     # the _REFINE_TOP-th largest row max is reached by that many distinct
-    # cells, so no seed lies below it; with fewer rows every cell may be one
+    # cells, so no seed lies below it, nor in a row whose max is below it;
+    # with fewer rows every cell may be one
     if len(rowmax) < _REFINE_TOP:
         cand = np.arange(flat.size)
     else:
         thr = np.partition(rowmax, -_REFINE_TOP)[-_REFINE_TOP]
-        cand = np.flatnonzero(flat >= thr)
+        top = np.flatnonzero(rowmax >= thr)
+        r, c = np.nonzero(vals[top] >= thr)
+        cand = top[r] * vals.shape[1] + c  # ascending, as flatnonzero over flat
     order = cand[np.argsort(-flat[cand], kind="stable")[:_REFINE_TOP]]
     i, j = np.unravel_index(order, vals.shape)
     seeds = [(float(a), float(b)) for a, b in zip(xs[i, 0], hm[i, 0] * t[0, j])]

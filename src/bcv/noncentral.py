@@ -127,6 +127,8 @@ def finite_n_J_bound(n, m, a):
     """
     _check_n(n)
     b = b_n(a, n)
+    if not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise ValueError(f"m must be an integer >= 1, got m={m!r}")
     L, a1 = _L_and_alpha1(m, b)
     if b > 1.0 / a1:
         raise ValueError(
@@ -164,9 +166,9 @@ def _cpu_count():
 def _simulate_point(n, m, trials, x, g):
     """Mean of phi^2(x)/phi^2(W) over trials paths of W started at x, all
     drawn from the stream g, and its standard error."""
-    theta = np.full(trials, x)
+    theta = x  # every path starts at x: the first draw takes a scalar p
     for _ in range(m):
-        s = g.binomial(n - 2, theta)
+        s = g.binomial(n - 2, theta, size=trials)
         v = g.random(trials) + g.random(trials)
         theta = (s + v) / n
     if not (np.all(theta > 0.0) and np.all(theta < 1.0)):

@@ -351,7 +351,7 @@ def test_derivative_pass_returns_the_operator_values_bitwise(n):
     # bernstein_derivative keeps its scalar and array returns
     f = build_fn_lower(n)
     xs = _batch_points(n)
-    d2, bn, _, _ = bernstein_module._derivative_and_apply(f, n, 2, xs, _BAND_LOG_MASS)
+    (d2, bn, _, _), = bernstein_module._derivative_and_apply([f], n, 2, xs, _BAND_LOG_MASS)
     assert np.array_equal(bn, bernstein_apply_many(f, n, xs))
     assert np.array_equal(d2, bernstein_derivative(f, n, 2, xs))
     grid = xs[:12].reshape(3, 4)

@@ -329,7 +329,7 @@ def test_shared_norm_pass_equals_the_two_norms_bitwise(name, n):
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert set(getattr(f, "breakpoints", ())) <= set(grid.tolist())
     for xs in (grid, _NORM_XS):
-        assert _norms(f, n, xs) == (error_norm(f, n, xs), d2_norm(f, n, xs)), xs[:3]
+        assert _norms([f], n, xs) == [(error_norm(f, n, xs), d2_norm(f, n, xs))], xs[:3]
 
 
 @pytest.mark.parametrize("nan_at", [0.25, 0.2505])
@@ -340,16 +340,83 @@ def test_norms_stay_nan_where_f_is_nan(nan_at):
     n = 1000
     f = lambda y: np.where(np.asarray(y) == nan_at, np.nan, np.asarray(y) ** 2)
     xs = np.union1d(_NORM_XS, [nan_at])
-    got = _norms(f, n, xs)
+    got, = _norms([f], n, xs)
     assert np.isnan(got[0])
     np.testing.assert_equal(got, (error_norm(f, n, xs), d2_norm(f, n, xs)))
+
+
+# bcv verify's modulus corpus and the witness, which share norm passes
+_BATCH_FNS = ("square", "cube", "vee", "sine", "witness")
+
+
+def _batch_grid(fns, n):
+    """The union of the modulus norm grids of fns: 0, 1 and every breakpoint."""
+    return np.unique(np.concatenate([_modulus_norm_grid(f, n) for f in fns]))
+
+
+@pytest.mark.parametrize("n", [10, 50, 10_000])
+def test_batched_norm_pass_equals_one_function_calls_bitwise(n):
+    fns = [_NORM_FNS[name](n) for name in _BATCH_FNS]
+    for xs in (_batch_grid(fns, n), _NORM_XS):
+        assert _norms(fns, n, xs) == [_norms([f], n, xs)[0] for f in fns], (n, xs[:3])
+    x = _batch_grid(fns, n)[1:-1:7]  # every window width, at a seventh of the cost
+    log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
+    for m, mass in ((1, _BAND_LOG_MASS), (2, log_mass), (2, _BAND_LOG_MASS), (3, _BAND_LOG_MASS)):
+        many = _derivative_and_apply(fns, n, m, x, mass)
+        for f, got in zip(fns, many):
+            (want,) = _derivative_and_apply([f], n, m, x, mass)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, m, mass)
+
+
+def test_nan_function_leaves_the_other_norms_of_its_batch_alone():
+    n = 1000
+    square, cube = _NORM_FNS["square"](n), _NORM_FNS["cube"](n)
+    bad = lambda y: np.where(np.asarray(y) == 0.2505, np.nan, np.asarray(y) ** 2)
+    xs = np.union1d(_NORM_XS, [0.2505])
+    got = _norms([square, bad, cube], n, xs)
+    assert np.isnan(got[1][0])
+    np.testing.assert_equal(got[1], (error_norm(bad, n, xs), d2_norm(bad, n, xs)))
+    assert [got[0], got[2]] == [_norms([square], n, xs)[0], _norms([cube], n, xs)[0]]
+
+
+def _count_norm_passes(monkeypatch):
+    """Patch bounds._norms to record the number of functions of each pass."""
+    passes = []
+
+    def spy(fs, n, xs):
+        passes.append(len(fs))
+        return _norms(fs, n, xs)
+
+    monkeypatch.setattr(bounds, "_norms", spy)
+    return passes
+
+
+@pytest.mark.parametrize("n", [10, 50])
+def test_modulus_sides_of_a_sequence_equal_the_one_function_calls(monkeypatch, n):
+    fns = [_NORM_FNS[name](n) for name in _BATCH_FNS]
+    each = [modulus_upper_sides(f, n) for f in fns]
+    passes = _count_norm_passes(monkeypatch)
+    assert modulus_upper_sides(fns, n) == each
+    # the corpus shares one grid, as _VEE's breakpoints lie on it; the
+    # witness's breakpoints give it a grid of its own
+    assert passes == [4, 1]
+    assert modulus_upper_check(tuple(fns), n) == [lhs <= rhs + 1e-12 for lhs, rhs in each]
+    assert modulus_upper_sides([], n) == [] and modulus_upper_check([], n) == []
+
+
+def test_iterate_converse_takes_both_norms_from_one_pass(monkeypatch):
+    f = _NORM_FNS["cube"](50)
+    want = iterate_converse_check(f, 50)
+    passes = _count_norm_passes(monkeypatch)
+    assert iterate_converse_check(f, 50) == want
+    assert passes == [2]
 
 
 def _narrow_and_full(f, n, xs, log_mass):
     """_d2_and_apply's (values, window errors) at log_mass and its values at
     the full windows, at the points xs."""
-    d2, bn, d2_err, bn_err = _d2_and_apply(f, n, xs, log_mass)
-    d2_full, bn_full, _, _ = _d2_and_apply(f, n, xs, _BAND_LOG_MASS)
+    (d2, bn, d2_err, bn_err), = _d2_and_apply([f], n, xs, log_mass)
+    (d2_full, bn_full, _, _), = _d2_and_apply([f], n, xs, _BAND_LOG_MASS)
     return (d2, bn, d2_err, bn_err), (d2_full, bn_full)
 
 
@@ -386,12 +453,12 @@ def test_witness_norms_sum_few_points_over_full_windows(monkeypatch):
     xs = _modulus_norm_grid(f, n)
     seen = []
 
-    def spy(f, n, m, xs, log_mass):
+    def spy(fs, n, m, xs, log_mass):
         seen.append((log_mass, len(xs)))
-        return _derivative_and_apply(f, n, m, xs, log_mass)
+        return _derivative_and_apply(fs, n, m, xs, log_mass)
 
     monkeypatch.setattr(bounds, "_derivative_and_apply", spy)
-    _norms(f, n, xs)
+    _norms([f], n, xs)
     narrow, *full = seen
     assert narrow == (_SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2)), len(xs) - 2)
     assert all(log_mass == _BAND_LOG_MASS for log_mass, _ in full)

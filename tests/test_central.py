@@ -1,5 +1,6 @@
 """Central-region quantities: inverse moments, envelopes, sup searches."""
 
+import inspect
 import math
 
 import numpy as np
@@ -189,6 +190,29 @@ def test_sup_H_n_values_and_bound():
     res500 = sup_H_n(500)
     assert res500.sup_value <= 1.0
     assert res500.arg < 0.05  # maximizer sits near the left edge
+
+
+def test_sup_H_n_searches_once_per_n(monkeypatch):
+    # bcv verify's two central converse checks at n = 50 both need sup H_48;
+    # the public name stays a plain function, so a wrapper of it still sees
+    # every call
+    assert inspect.isfunction(sup_H_n)
+    central._sup_H_n.cache_clear()
+    calls = []
+    search = central.sup_search
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(central, "sup_search", spy)
+    first = sup_H_n(48)
+    assert sup_H_n(48) is first
+    assert len(calls) == 1
+    assert sup_H_n(np.int64(48)) == first
+    # 48.0 is equal to 48 as a key, but is no integer n
+    with pytest.raises(ValueError, match="n must be a positive integer, got 48.0"):
+        sup_H_n(48.0)
 
 
 @pytest.mark.parametrize("n", [10, 50, 10_000, 100_000])

@@ -165,7 +165,7 @@ def test_result_reports_grid_metadata(monkeypatch):
     assert omega2(SQUARE, 0.0).bound == "exact"
 
 
-def test_scan_seeds_are_the_best_cells_in_descending_order():
+def test_scan_seeds_are_the_best_cells_in_descending_order(monkeypatch):
     rng = np.random.default_rng(5)
     for x_points, h_points in ((16, 8), (100, 37), (2048, 512)):
         xs = np.linspace(0.0, 1.0, x_points + 1)
@@ -195,6 +195,22 @@ def test_scan_seeds_are_the_best_cells_in_descending_order():
     # fewer than 8 rows, and fewer than 8 cells
     for shape in ((3, 10), (1, 12), (5, 2), (2, 3)):
         _assert_seeds_are_top_cells(rng.integers(0, 3, shape).astype(float))
+    # ties across rows: every row's max is 2 at column 3, three rows hold a
+    # second 2, and one cell above; the seeds read the tied rows in order
+    table = np.zeros((12, 6))
+    table[:, 3] = 2.0
+    table[[1, 4, 7], [0, 5, 2]] = 2.0
+    table[10, 1] = 5.0
+    assert _assert_seeds_are_top_cells(table) == \
+        [(10, 1), (0, 3), (1, 0), (1, 3), (2, 3), (3, 3), (4, 3), (4, 5)]
+    # row maxima taken block by block, one row per block, with fewer rows
+    # than seeds and with ties across rows
+    monkeypatch.setattr(moduli, "_SCAN_BLOCK_CELLS", 1)
+    assert moduli._REFINE_TOP == 8
+    for shape in ((5, 4), (7, 3), (8, 2), (30, 20)):
+        _assert_seeds_are_top_cells(rng.integers(0, 3, shape).astype(float))
+    assert _assert_seeds_are_top_cells(np.tile([1.0, 3.0, 3.0], (5, 1))) == \
+        [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
 
 
 def _table_rows(table, xs):

@@ -231,6 +231,14 @@ def test_finite_bound_hypothesis_failure_raises():
         finite_n_J_bound(1000, 0, 0.9)
 
 
+@pytest.mark.parametrize("m", [13.5, 13.0, 0, -1])
+def test_finite_bound_names_a_bad_m(m):
+    # a non-integer m was reported as "k must be an integer >= 1", the
+    # argument of an internal helper
+    with pytest.raises(ValueError, match=f"^m must be an integer >= 1, got m={m!r}$"):
+        finite_n_J_bound(10_000, m, 7.2)
+
+
 def test_finite_bound_valid_configuration():
     val = finite_n_J_bound(1000, 1, 0.9)
     assert val == pytest.approx(0.748949, abs=1e-5)
