@@ -6,7 +6,7 @@ Submodules:
               total variation distance and bound, inverse moments
   bernstein   the operator, its derivatives, Krawtchouk polynomials
   moduli      moduli of continuity, including the phi-weighted second modulus
-  search      the sup-search primitive: grid scan plus golden-section lanes
+  search      the sup-search primitive: grid scan plus golden-section refinement
   central     H_n, I_n, the envelope C and its sup, K(s)
   noncentral  alpha-iterates, J constants, finite-n bounds, Monte Carlo
   quadrature  the fixed composite Gauss-Legendre rule

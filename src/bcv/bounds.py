@@ -121,8 +121,8 @@ def sweep_upper(a_lo, a_hi, step, m):
     coarse minimum of the max column.  Grid points where the K-driven
     expression is undefined (denominator <= 0, roughly a < 6.2) are skipped
     rather than reported."""
-    if not (a_lo > 0.0 and a_hi > a_lo and step > 0.0):
-        raise ValueError("need 0 < a_lo < a_hi and step > 0")
+    if not (a_lo > 0.0 and a_hi > a_lo and 0.0 < step < math.inf):
+        raise ValueError("need 0 < a_lo < a_hi and a finite step > 0")
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"m must be an integer >= 1, got m={m!r}")
 

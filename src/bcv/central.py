@@ -315,11 +315,14 @@ def K_func(s):
     s = np.asarray(s, dtype=float)
     if not np.all(s > 0.0):  # NaN fails too
         raise ValueError("s must be positive")
-    a = 3.0 + 1.0 / s
-    b = 15.0 + 25.0 / s + 1.0 / s ** 2
-    rs = np.sqrt(s)
-    out = (np.sqrt(a) + 3.0 / (8.0 * rs) * a
-           + 3.0 / (16.0 * s) * np.sqrt(a * b) + 7.0 / (16.0 * s * rs) * b)
+    # below s ~ 1e-154 the terms overflow, or divide by an s^1.5 that has
+    # underflowed to 0, giving K = inf, its true limit as s -> 0
+    with np.errstate(divide="ignore", over="ignore"):
+        a = 3.0 + 1.0 / s
+        b = 15.0 + 25.0 / s + 1.0 / s ** 2
+        rs = np.sqrt(s)
+        out = (np.sqrt(a) + 3.0 / (8.0 * rs) * a
+               + 3.0 / (16.0 * s) * np.sqrt(a * b) + 7.0 / (16.0 * s * rs) * b)
     return out if out.ndim else float(out)
 
 

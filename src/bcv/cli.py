@@ -54,6 +54,18 @@ _VEE = bernstein.PiecewiseLinearFn((0.0, 0.5, 1.0), (0.5, 0.0, 0.5))
 _AFFINE = bernstein.PiecewiseLinearFn((0.0, 1.0), (-0.25, 1.75))
 
 
+def _curved(curvature, f):
+    f.curvature = curvature
+    return f
+
+
+# y^2, y^3 and sin(pi y), whose second derivatives have one sign on [0, 1],
+# declared so the second moduli take them on the boundary h = hmax(x).
+_SQUARE = _curved(1, lambda y: np.asarray(y) ** 2)
+_CUBE = _curved(1, lambda y: np.asarray(y) ** 3)
+_SINE = _curved(-1, lambda y: np.sin(math.pi * np.asarray(y)))
+
+
 # The grid of sup_H_n, as the hn and central.sup_H_100 entries report it.
 _HN_GRID = (f"x_points={central.H_SCAN_POINTS},lambda_points={central.H_LAMBDA_POINTS},"
             f"lambda_max={central.H_LAMBDA_MAX:g}")
@@ -244,8 +256,6 @@ def _suite_dist():
 
 
 def _suite_bernstein():
-    cube = lambda y: np.asarray(y) ** 3
-
     def ortho_gap():
         worst = 0.0
         for r, m in ((1, 1), (2, 2), (3, 3), (1, 2), (0, 3)):
@@ -256,7 +266,7 @@ def _suite_bernstein():
     def deriv_spots():
         count = 0
         for n, m, x in ((10, 1, 0.3), (15, 2, 0.5), (20, 3, 0.25), (30, 2, 0.9)):
-            bernstein.bernstein_derivative(cube, n, m, x)
+            bernstein.bernstein_derivative(_CUBE, n, m, x)
             count += 1
         return float(count)
 
@@ -266,7 +276,7 @@ def _suite_bernstein():
               3: lambda y: 6.0 * np.ones_like(np.asarray(y, dtype=float))}
         worst = 0.0
         for m in (1, 2, 3):
-            lhs, rhs = bernstein.kantorovich_check(cube, dm[m], 10, m, 0.3)
+            lhs, rhs = bernstein.kantorovich_check(_CUBE, dm[m], 10, m, 0.3)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
         return worst
 
@@ -291,7 +301,6 @@ def _suite_bernstein():
 
 
 def _suite_moduli():
-    square = lambda y: np.asarray(y) ** 2
     return [
         # max(omega1 - 0.6, omega2, omega2_phi) >= 0 as omega2 >= 0, so "<="
         # judges it as |value| <= 1e-10 would
@@ -301,7 +310,7 @@ def _suite_moduli():
                           moduli.omega2_phi(_AFFINE, 0.3).value),
               "<=", 1e-10, grid="delta=0.3"),
         _Check("moduli.quadratic_exact",
-              lambda: abs(moduli.omega2_phi(square, 0.2).value - 0.02),
+              lambda: abs(moduli.omega2_phi(_SQUARE, 0.2).value - 0.02),
               "<=", 1e-10, grid="delta=0.2"),
         _Check("moduli.monotone_in_delta",
               lambda: moduli.omega2_phi(_VEE, 0.2).value
@@ -381,20 +390,16 @@ def _suite_noncentral(seed):
 
 
 def _suite_bounds():
-    square = lambda y: np.asarray(y) ** 2
-    cube = lambda y: np.asarray(y) ** 3
-    sine = lambda y: np.sin(math.pi * np.asarray(y))
-
     def modulus_corpus():
         return float(sum(bool(ok) for n in (10, 50)
-                         for ok in bounds.modulus_upper_check([square, cube, _VEE, sine], n)))
+                         for ok in bounds.modulus_upper_check([_SQUARE, _CUBE, _VEE, _SINE], n)))
 
     def validators():
         count = 0
-        for res in (bounds.central_converse_check(cube, 50),
-                    bounds.central_converse_check(sine, 50),
-                    bounds.iterate_converse_check(cube, 50),
-                    bounds.noncentral_converse_check(cube, 200)):
+        for res in (bounds.central_converse_check(_CUBE, 50),
+                    bounds.central_converse_check(_SINE, 50),
+                    bounds.iterate_converse_check(_CUBE, 50),
+                    bounds.noncentral_converse_check(_CUBE, 200)):
             if res.holds or not res.binding:
                 count += 1
         return float(count)

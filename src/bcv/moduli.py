@@ -1,4 +1,5 @@
-"""Moduli of continuity: exact for piecewise-linear f, by grid search otherwise.
+"""Moduli of continuity: exact for piecewise-linear f, a 1-D search for f
+with one-signed f''.
 
 omega1 and omega2 are the usual first and second moduli and omega2_phi the
 weighted second modulus, whose step is h phi(x), phi(x) = sqrt(x(1-x)).  Each
@@ -13,35 +14,27 @@ So |diff| peaks at a crossing of two lines or of a line and the ellipse, or
 where a cell's level lines touch the ellipse; all are evaluated through f in
 one pass (bound "exact"), so the value is attained even for wrong breakpoints.
 
-Otherwise an (x, h) grid scan is refined around its best cells in one lockstep
-golden-section pass on search.golden_max (bound "lower").  The scan is
-evaluated in row blocks of at most _SCAN_BLOCK_CELLS cells into one table of
-the grid's values, so no other array is full size.  The seeds are the
-_REFINE_TOP best cells by value, descending, ties going to the lower
-row-major flat index (smaller x, then smaller h).  Picking them costs a row
-maximum per block, taken while the block is in cache, and a comparison and
-stable sort in only the rows whose maximum reaches the _REFINE_TOP-th
-largest row maximum.  Both paths raise ValueError, naming the
-modulus and delta, when f is not finite at a grid cell, at the point a
-refinement lane settles on after each golden-section search, or at a vertex
-candidate; the steps inside a search are not checked.
+Otherwise f must declare `curvature`, +1 or -1: f'' has that one sign on
+[0, 1].  As Delta^2_s f(x) = int_{-s}^{s} (s - |t|) f''(x + t) dt, |Delta^2|
+cannot decrease in s, so the second moduli take their sup on the boundary
+h = hmax(x): one search.sup_search over x (bound "lower"), whose grid holds
+the corners of the admissible region, where hmax has its kinks.  omega1
+takes only f with breakpoints.  Both paths raise ValueError, naming the
+modulus and delta, when f has no contract or is not finite at a point of the
+search or at a vertex candidate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .search import golden_max
+from .search import sup_search
 
-# The (x, h) scan: X_POINTS + 1 values of x, H_POINTS + 1 steps h each.
+# The x grid of the search for f with one-signed f'': X_POINTS + 1 uniform
+# points, to which the corners of the admissible region are added.
 X_POINTS = 2048
-H_POINTS = 512
-# Best grid cells refined by golden section.
-_REFINE_TOP = 8
 # Interval width at which golden section stops.
 _REFINE_TOL = 1e-13
-# Most grid cells per call of diff in the scan (63 rows at H_POINTS = 512).
-_SCAN_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,7 @@ class ModulusResult:
     arg_x: float
     arg_h: float
     grid_points: int
-    bound: str  # "exact", or "lower" for the grid search
+    bound: str  # "exact", or "lower" for the search on h = hmax(x)
 
 
 def _second(f, x, s):
@@ -110,87 +103,30 @@ def _vertices(f, diff, hmax_fn, delta, arms, coef, weighted, what):
     return ModulusResult(float(vals[k]), float(x[k]), float(h[k]), len(x), "exact")
 
 
-def _scan(diff, hmax_fn, xs, h_points, what):
-    """Max of diff over the grid {(x, t*hmax(x)) : t in [0,1]}; returns the
-    best value, its (x, h), the _REFINE_TOP best cells as refinement seeds
-    and the grid size scanned.  diff is called on blocks of whole x-rows of
-    at most _SCAN_BLOCK_CELLS cells (one row if a row is larger), so it must
-    be elementwise.  The seeds run by value, descending, with
-    ties to the lower row-major flat index (smaller x, then smaller h); they
-    cost a row max per block while it is in cache, plus a comparison and a
-    stable sort in only the rows whose max reaches the _REFINE_TOP-th
-    largest row max.  `what` names the modulus in the
-    ValueError raised when a grid value is not finite."""
-    xs = np.asarray(xs, dtype=float).reshape(-1, 1)
-    hm = hmax_fn(xs)
-    t = np.linspace(0.0, 1.0, h_points + 1).reshape(1, -1)
-    vals = np.empty((len(xs), t.shape[1]))
-    rowmax = np.empty(len(xs))
-    rows = max(1, _SCAN_BLOCK_CELLS // t.shape[1])
-    with np.errstate(invalid="ignore"):  # inf - inf: raised below instead
-        for lo in range(0, len(xs), rows):
-            block = vals[lo:lo + rows]
-            block[:] = diff(xs[lo:lo + rows], hm[lo:lo + rows] * t)
-            np.max(block, axis=1, out=rowmax[lo:lo + rows])
-    if not np.all(np.isfinite(rowmax)):
-        raise ValueError(f"{what}: f is not finite at every scan point")
-    flat = vals.ravel()
-    # the _REFINE_TOP-th largest row max is reached by that many distinct
-    # cells, so no seed lies below it, nor in a row whose max is below it;
-    # with fewer rows every cell may be one
-    if len(rowmax) < _REFINE_TOP:
-        cand = np.arange(flat.size)
-    else:
-        thr = np.partition(rowmax, -_REFINE_TOP)[-_REFINE_TOP]
-        top = np.flatnonzero(rowmax >= thr)
-        r, c = np.nonzero(vals[top] >= thr)
-        cand = top[r] * vals.shape[1] + c  # ascending, as flatnonzero over flat
-    order = cand[np.argsort(-flat[cand], kind="stable")[:_REFINE_TOP]]
-    i, j = np.unravel_index(order, vals.shape)
-    seeds = [(float(a), float(b)) for a, b in zip(xs[i, 0], hm[i, 0] * t[0, j])]
-    return float(vals[i[0], j[0]]), *seeds[0], seeds, vals.size
+def _boundary(f, diff, hmax_fn, corners, what):
+    """Sup of diff(x, hmax(x)) over x for f with f'' of one sign: sup_search
+    on X_POINTS + 1 uniform points and the corners of the admissible region,
+    which are also its breaks.  `what` names the modulus in the ValueError
+    raised when f has no contract, declares a curvature other than +1 or -1,
+    or is not finite at a point of the search."""
+    c = getattr(f, "curvature", None)
+    if c is None:
+        raise ValueError(f"{what}: f declares neither breakpoints (piecewise linear) "
+                         "nor curvature (+1 or -1: f'' of one sign)")
+    if c not in (1, -1):
+        raise ValueError(f"{what}: curvature must be +1 or -1, got {c!r}")
 
+    def g(x):
+        with np.errstate(invalid="ignore"):  # inf - inf: raised below instead
+            vals = diff(x, hmax_fn(x))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{what}: f is not finite at every search point")
+        return vals
 
-def _refine(diff, hmax_fn, x, h, dx, what):
-    """Two rounds of coordinate golden-section ascent from all seeds (x, h)
-    at once, one lane each; the x move keeps h at a fixed fraction of hmax so
-    admissibility is preserved.  Returns the rows (value, x, h) of each lane's
-    best point, updated only on a strict gain.  `what` names the modulus in
-    the ValueError raised when a point a lane settles on has no finite value."""
-    best = np.array([diff(x, h), x, h])
-
-    def keep(lanes, *cand):
-        if not np.all(np.isfinite(cand[0])):
-            raise ValueError(f"{what}: f is not finite at every refined point")
-        up = cand[0] > best[0, lanes]
-        best[:, lanes[up]] = np.array(cand)[:, up]
-
-    for _ in range(2):
-        hm = hmax_fn(x)
-        on = np.flatnonzero(hm > 0.0)  # lanes with hmax = 0 skip the h move
-        frac = np.zeros_like(h)
-        if on.size:
-            dh = np.maximum(hm[on] / 64.0, 4.0 * _REFINE_TOL)
-            hh, v = golden_max(lambda t, xx: diff(xx, t), np.maximum(0.0, h[on] - dh),
-                               np.minimum(hm[on], h[on] + dh), _REFINE_TOL, args=(x[on],))
-            keep(on, v, x[on], hh)
-            frac[on] = hh / hm[on]
-        x, v = golden_max(lambda xx, fr: diff(xx, fr * hmax_fn(xx)), np.maximum(0.0, x - dx),
-                          np.minimum(1.0, x + dx), _REFINE_TOL, args=(frac,))
-        h = frac * hmax_fn(x)
-        keep(np.arange(len(x)), v, x, h)
-    return best
-
-
-def _search(diff, hmax_fn, xs, what):
-    value, ax, ah, seeds, npts = _scan(diff, hmax_fn, xs, H_POINTS, what)
-    sx, sh = np.transpose(seeds)
-    with np.errstate(invalid="ignore"):  # inf - inf: raised by _refine instead
-        best = _refine(diff, hmax_fn, sx, sh, 1.0 / X_POINTS, what)
-    for v, rx, rh in zip(*best):
-        if v > value:
-            value, ax, ah = float(v), float(rx), float(rh)
-    return ModulusResult(value, ax, ah, npts, "lower")
+    corners = np.unique(corners)
+    xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, X_POINTS + 1), corners]))
+    x, value, _ = sup_search(g, xs, _REFINE_TOL, breaks=corners)
+    return ModulusResult(value, x, float(hmax_fn(x)), len(xs), "lower")
 
 
 def omega1(f, delta):
@@ -202,9 +138,9 @@ def omega1(f, delta):
     hmax = lambda x: np.minimum(delta, 1.0 - x)
     diff = lambda x, h: np.abs(f(np.clip(x + h, 0.0, 1.0)) - f(x))
     what = f"omega1 at delta={delta}"
-    if getattr(f, "breakpoints", None) is not None:
-        return _vertices(f, diff, hmax, delta, (1.0, 0.0), (1.0, -1.0), False, what)
-    return _search(diff, hmax, np.linspace(0.0, 1.0, X_POINTS + 1), what)
+    if getattr(f, "breakpoints", None) is None:
+        raise ValueError(f"{what}: f declares no breakpoints (piecewise linear)")
+    return _vertices(f, diff, hmax, delta, (1.0, 0.0), (1.0, -1.0), False, what)
 
 
 def omega2(f, delta):
@@ -218,7 +154,7 @@ def omega2(f, delta):
     what = f"omega2 at delta={delta}"
     if getattr(f, "breakpoints", None) is not None:
         return _vertices(f, diff, hmax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), False, what)
-    return _search(diff, hmax, np.linspace(0.0, 1.0, X_POINTS + 1), what)
+    return _boundary(f, diff, hmax, [delta, 1.0 - delta], what)
 
 
 def _hmax_phi(x, delta):
@@ -243,9 +179,7 @@ def omega2_phi(f, delta):
     what = f"omega2_phi at delta={delta}"
     if getattr(f, "breakpoints", None) is not None:
         return _vertices(f, diff, hmax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), True, what)
-    # corners of the admissible region, where the boundary-touching cap
-    # sqrt(x/(1-x)) (or its mirror) crosses delta: suprema attained on the
-    # boundary sit exactly there and uniform grids only approach them
+    # the corners of the admissible region, where the boundary-touching cap
+    # sqrt(x/(1-x)) (or its mirror) crosses delta
     corner = delta ** 2 / (1.0 + delta ** 2)
-    xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, X_POINTS + 1), [corner, 1.0 - corner]]))
-    return _search(diff, hmax, xs, what)
+    return _boundary(f, diff, hmax, [corner, 1.0 - corner], what)

@@ -7,38 +7,35 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITER = 200
 
 
-def golden_max(f, lo, hi, tol, args=()):
-    """Return (argmax, max) of f on [lo, hi] by golden-section search.
-
-    lo and hi may be arrays, one lane per search; a lane stops once its
-    bracket is at most tol wide, or after _MAX_ITER steps.  Each step calls f
-    once, on the points of the lanes still searching and those lanes' entries
-    of each array in args.  Scalar lo and hi give two floats, arrays two arrays.
+def golden_max(f, lo, hi, tol):
+    """Return (argmax, max) of f on [lo, hi] by golden-section search, as
+    Python floats; stops once the bracket is at most tol wide, or after
+    _MAX_ITER steps.  f is vectorised: it is called once on the two first
+    points, then on one point per step, each as a 1-D array.
 
     Assumes f is unimodal on the bracket; on a multimodal bracket it still
     converges to a local maximum, so callers feed it brackets around coarse
     grid winners only.
     """
-    scalar = np.ndim(lo) == np.ndim(hi) == 0
-    a, b = np.atleast_1d(np.minimum(lo, hi, dtype=float), np.maximum(lo, hi, dtype=float))
+    at = lambda t: float(f(np.array([t]))[0])
+    a, b = float(min(lo, hi)), float(max(lo, hi))
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = np.split(np.asarray(f(np.concatenate([c, d]), *(np.tile(v, 2) for v in args))), 2)
-    s, live = np.array([a, b, c, d, fc, fd], dtype=float), np.arange(len(a))
+    fc, fd = np.asarray(f(np.array([c, d])), dtype=float)
     for _ in range(_MAX_ITER):
-        live = live[s[1, live] - s[0, live] > tol]
-        if not live.size:
+        if b - a <= tol:
             break
-        a, b, c, d, fc, fd = s[:, live]
         # fc >= fd: the max lies in [a, d], so d becomes b and c becomes d;
         # otherwise it lies in [c, b], so c becomes a and d becomes c
-        left = fc >= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        t = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        ft = f(t, *(v[live] for v in args))
-        s[:, live] = np.where(left, [a, b, t, c, ft, fc], [a, b, d, t, fd, ft])
-    x = 0.5 * (s[0] + s[1])
-    v = np.asarray(f(x, *args), dtype=float)
-    return (float(x[0]), float(v[0])) if scalar else (x, v)
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = at(d)
+    x = float(0.5 * (a + b))
+    return x, at(x)
 
 
 def sup_search(f, xs, tol=1e-12, breaks=None, scan=None):

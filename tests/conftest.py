@@ -25,9 +25,14 @@ def corpus():
     """The smooth-plus-kink function corpus used across inequality tests."""
     import math
 
-    return {
+    fns = {
         "square": lambda y: np.asarray(y) ** 2,
         "cube": lambda y: np.asarray(y) ** 3,
         "vee": lambda y: np.abs(np.asarray(y) - 0.5),
         "sine": lambda y: np.sin(math.pi * np.asarray(y)),
     }
+    # the contracts of bcv.moduli: f'' of one sign, or linear between knots
+    for name, curvature in (("square", 1), ("cube", 1), ("sine", -1)):
+        fns[name].curvature = curvature
+    fns["vee"].breakpoints = (0.5,)
+    return fns

@@ -301,32 +301,29 @@ def plain_alpha(k, theta):
 
 
 # ---------------------------------------------------------------------------
-# the refinement seeds of a grid scan
+# moduli by brute force
 
 
-def top_cells(flat, k):
-    """Flat indices of the k best cells of flat, by value descending, ties
-    to the lower index: a full sort, against moduli._scan's linear-time
-    selection."""
-    return np.lexsort((np.arange(flat.size), -flat))[:k]
-
-
-def dense_scan(diff, hmax_fn, xs, h_points):
-    """moduli._scan on one full-size call of diff over the whole grid, with
-    the seeds taken by a full sort: (value, x, h, seeds, grid size)."""
-    xs = np.asarray(xs, dtype=float).reshape(-1, 1)
-    hm = hmax_fn(xs)
-    t = np.linspace(0.0, 1.0, h_points + 1).reshape(1, -1)
-    with np.errstate(invalid="ignore"):
-        vals = diff(xs, hm * t)
-    i, j = np.unravel_index(top_cells(vals.ravel(), 8), vals.shape)
-    seeds = [(float(a), float(b)) for a, b in zip(xs[i, 0], hm[i, 0] * t[0, j])]
-    return float(vals[i[0], j[0]]), *seeds[0], seeds, vals.size
+def brute_force_modulus(kind, f, delta):
+    """Max of |difference| of the modulus named kind ("omega1", "omega2" or
+    "omega2_phi") over a dense grid of admissible (x, s): 1001 values of x,
+    201 steps each."""
+    x = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
+    smax = np.minimum(delta, 1.0 - x)
+    if kind != "omega1":
+        smax = np.minimum(smax, x)
+    if kind == "omega2_phi":
+        smax = np.minimum(smax, delta * np.sqrt(x * (1.0 - x)))
+    s = smax * np.linspace(0.0, 1.0, 201)
+    up = f(np.minimum(x + s, 1.0))
+    if kind == "omega1":
+        return float(np.max(np.abs(up - f(x))))
+    return float(np.max(np.abs(up - 2.0 * f(x) + f(np.maximum(x - s, 0.0)))))
 
 
 # ---------------------------------------------------------------------------
-# scalar searches (one point per call of f): the per-seed refinement that the
-# package's lockstep one must reproduce bit for bit
+# a scalar golden-section search (one point per call of f), which
+# search.golden_max must reproduce bit for bit
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -354,26 +351,3 @@ def scalar_golden_max(f, lo, hi, tol=1e-13, max_iter=200):
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
-
-
-def scalar_refine(diff, hmax_fn, x, h, dx, tol=1e-13):
-    """Two rounds of coordinate golden-section ascent from one seed (x, h):
-    an h-search on [h - dh, h + dh] within [0, hmax(x)], then an x-search on
-    [x - dx, x + dx] with h kept at its fraction of hmax.  Returns the best
-    (value, x, h), updated only on a strict gain."""
-    best = (float(diff(x, h)), x, h)
-    for _ in range(2):
-        hm = float(hmax_fn(x))
-        if hm > 0.0:
-            dh = max(hm / 64.0, 4.0 * tol)
-            h, v = scalar_golden_max(lambda hh: float(diff(x, hh)),
-                                     max(0.0, h - dh), min(hm, h + dh), tol)
-            if v > best[0]:
-                best = (v, x, h)
-        frac = h / hm if hm > 0.0 else 0.0
-        x, v = scalar_golden_max(lambda xx: float(diff(xx, frac * float(hmax_fn(xx)))),
-                                 max(0.0, x - dx), min(1.0, x + dx), tol)
-        h = frac * float(hmax_fn(x))
-        if v > best[0]:
-            best = (v, x, h)
-    return best

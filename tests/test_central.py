@@ -382,6 +382,12 @@ def test_K_decreasing_and_domain():
             K_func(bad)
 
 
+def test_K_is_inf_where_its_terms_overflow():
+    # K(s) -> inf as s -> 0; the suite turns any RuntimeWarning into an error
+    assert K_func(1e-300) == math.inf
+    assert K_func(np.array([1e-200, 1.0])).tolist() == [math.inf, K_func(1.0)]
+
+
 def test_phi_ratio_trivial_at_z_equal_x():
     for m in (2, 3):
         lhs, rhs = phi_ratio_moment_sides(m, 0.37, 0.37)

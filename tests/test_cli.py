@@ -9,11 +9,11 @@ import subprocess
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 import bcv
 from bcv import bounds, central, cli, moduli
+from oracles import brute_force_modulus
 
 SRC = os.path.dirname(os.path.dirname(bcv.__file__))
 
@@ -292,9 +292,8 @@ def test_verify_checks_run_on_the_calling_thread(capsys, monkeypatch):
 def test_verify_moduli_of_piecewise_linear_functions_are_exact(monkeypatch):
     # _VEE and _AFFINE declare their breakpoints, so every modulus that the
     # moduli and bounds suites take of them comes from the exact vertex path,
-    # with the value the grid path gives for the bare lambda it replaces
-    lambdas = {cli._VEE: ("vee", lambda y: np.abs(np.asarray(y) - 0.5)),
-               cli._AFFINE: ("affine", lambda y: 2.0 * np.asarray(y) - 0.25)}
+    # and is at least the brute-force maximum over a dense (x, s) grid
+    names = {cli._VEE: "vee", cli._AFFINE: "affine"}
     assert cli._VEE.breakpoints == (0.0, 0.5, 1.0)
     assert cli._AFFINE.breakpoints == (0.0, 1.0)
     taken = []
@@ -302,7 +301,7 @@ def test_verify_moduli_of_piecewise_linear_functions_are_exact(monkeypatch):
     def recording(fn):
         def call(f, delta):
             res = fn(f, delta)
-            if f in lambdas:
+            if f in names:
                 taken.append((fn, f, delta, res))
             return res
         return call
@@ -314,20 +313,14 @@ def test_verify_moduli_of_piecewise_linear_functions_are_exact(monkeypatch):
         if check.claim_id.startswith("moduli.") or check.claim_id == "bounds.modulus_upper_corpus":
             check.thunk()
     monkeypatch.undo()
-    assert sorted((fn.__name__, lambdas[f][0], delta) for fn, f, delta, _ in taken) == sorted(
+    assert sorted((fn.__name__, names[f], delta) for fn, f, delta, _ in taken) == sorted(
         [("omega1", "affine", 0.3), ("omega2", "affine", 0.3), ("omega2_phi", "affine", 0.3),
          ("omega2_phi", "vee", 0.1), ("omega2_phi", "vee", 0.2),
          ("omega2_phi", "vee", 1.0 / math.sqrt(10)), ("omega2_phi", "vee", 1.0 / math.sqrt(50))])
     for fn, f, delta, res in taken:
-        grid = fn(lambdas[f][1], delta)
-        assert (res.bound, grid.bound) == ("exact", "lower")
-        if (fn, f) == (moduli.omega2_phi, cli._AFFINE):
-            # the exact second difference of an affine function is 0.0; the
-            # grid keeps a 2^-53 rounding residue, below omega1's own
-            # 0.6 + 2^-53 - 0.6 in the check's max, whose value is unchanged
-            assert (res.value, grid.value) == (0.0, 2.0 ** -53)
-        else:
-            assert res.value == grid.value, (fn.__name__, delta)
+        assert res.bound == "exact"
+        assert res.value >= brute_force_modulus(fn.__name__, f, delta) - 1e-12, \
+            (fn.__name__, delta)
 
 
 def test_verify_alpha_check_reads_the_library_iterates(monkeypatch):
@@ -502,6 +495,16 @@ def test_sweep_rejects_malformed_range(capsys):
 
 def test_sweep_rejects_nonpositive_step(capsys):
     assert run_cli_usage_error(capsys, "sweep", "--step", "0") == 2
+
+
+def test_sweep_rejects_an_infinite_step(capsys):
+    # numpy's arange raised "arange: cannot compute length" instead
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--step", "inf"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "need 0 < a_lo < a_hi and a finite step > 0" in err
+    assert "arange" not in err
 
 
 @pytest.mark.parametrize("argv", [("--step", "1e-9"), ("--a-range", "5,1e12")])

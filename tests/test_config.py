@@ -1,4 +1,4 @@
-"""The scan settings (the modulus scan grid constants and the fixed lambda
+"""The scan settings (the modulus search grid constant and the fixed lambda
 scan of sup_C with its refinement-gain guard), the ledger of every defaulted
 parameter and command-line flag, and the guards on non-finite input."""
 
@@ -21,9 +21,10 @@ from bcv.noncentral import J_limit, L_k, finite_n_J_bound
 
 
 def test_grid_config_defaults():
-    # the grid path of the moduli scans x_points=2048, h_points=512
+    # the boundary path of the second moduli searches x_points=2048 and the
+    # corners, with no grid of steps h
     assert moduli.X_POINTS == 2048
-    assert moduli.H_POINTS == 512
+    assert not hasattr(moduli, "H_POINTS")
 
 
 def test_sup_search_config_defaults_and_validation(monkeypatch):
@@ -71,7 +72,6 @@ def test_options_ledger():
         ("dist._band_windows", "log_mass", bcv.dist._BAND_LOG_MASS),
         ("dist._blocks", "log_mass", bcv.dist._BAND_LOG_MASS),
         ("noncentral.simulate_J", "grid_points", 64),
-        ("search.golden_max", "args", ()),
         ("search.sup_search", "breaks", None),
         ("search.sup_search", "scan", None),
         ("search.sup_search", "tol", 1e-12),

@@ -1,7 +1,6 @@
 """Moduli of continuity: closed-form cases, admissibility, search quality."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +10,21 @@ from hypothesis import strategies as st
 from bcv import moduli
 from bcv.bernstein import PiecewiseLinearFn
 from bcv.bounds import build_fn_lower
-from bcv.moduli import ModulusResult, _scan, omega1, omega2, omega2_phi
-from oracles import dense_scan, scalar_refine, top_cells
+from bcv.moduli import ModulusResult, omega1, omega2, omega2_phi
+from oracles import brute_force_modulus
 
 
-SQUARE = lambda y: np.asarray(y) ** 2
-CUBE = lambda y: np.asarray(y) ** 3
-VEE = lambda y: np.abs(np.asarray(y) - 0.5)
-SINE = lambda y: np.sin(math.pi * np.asarray(y))
+def _curved(curvature, f):
+    """f, declaring that f'' has the sign of curvature on [0, 1]."""
+    f.curvature = curvature
+    return f
+
+
+SQUARE = _curved(1, lambda y: np.asarray(y) ** 2)
+CUBE = _curved(1, lambda y: np.asarray(y) ** 3)
+SINE = _curved(-1, lambda y: np.sin(math.pi * np.asarray(y)))
+SQRT = _curved(-1, lambda y: np.sqrt(np.abs(np.asarray(y, dtype=float))))
+VEE = PiecewiseLinearFn((0.0, 0.5, 1.0), (0.5, 0.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -33,16 +39,20 @@ def test_all_moduli_vanish_at_delta_zero():
 
 
 def test_affine_functions_have_zero_second_moduli():
-    affine = lambda y: 2.0 * np.asarray(y) - 0.25
+    # f'' = 0 has either sign; omega1 takes the same line with its breakpoints
+    affine = _curved(1, lambda y: 2.0 * np.asarray(y) - 0.25)
     assert omega2(affine, 0.3).value <= 1e-10
     assert omega2_phi(affine, 0.3).value <= 1e-10
     # first modulus of an affine function is slope * delta
-    assert omega1(affine, 0.3).value == pytest.approx(0.6, abs=1e-10)
+    line = PiecewiseLinearFn((0.0, 1.0), (-0.25, 1.75))
+    assert omega1(line, 0.3).value == pytest.approx(0.6, abs=1e-10)
 
 
 def test_omega1_square_attained_at_right_edge():
-    # |f(x+h)-f(x)| for y^2 is maximal at x = 1-delta, h = delta
-    res = omega1(SQUARE, 0.1)
+    # |f(x+h)-f(x)| for y^2, interpolated at the knots k/20, is maximal at
+    # x = 1-delta, h = delta, as for y^2 itself
+    knots = np.linspace(0.0, 1.0, 21)
+    res = omega1(PiecewiseLinearFn(tuple(knots), tuple(knots ** 2)), 0.1)
     assert res.value == pytest.approx(0.19, abs=1e-10)
     assert res.arg_x == pytest.approx(0.9, abs=1e-6)
 
@@ -68,11 +78,9 @@ def test_omega2_phi_square_closed_form():
 
 
 def test_omega2_phi_vee_via_breakpoint_function():
-    pwl = PiecewiseLinearFn((0.0, 0.5, 1.0), (0.5, 0.0, 0.5))
-    lam = omega2_phi(VEE, 0.3)
-    brk = omega2_phi(pwl, 0.3)
-    # same function, one with declared breakpoints; searches must agree
-    assert brk.value == pytest.approx(lam.value, abs=1e-10)
+    brk = omega2_phi(VEE, 0.3)
+    assert brk.bound == "exact"
+    assert brk.value >= brute_force_modulus("omega2_phi", VEE, 0.3) - 1e-12
     # the kink contributes |2 h phi(1/2)| at x = 1/2
     assert brk.value == pytest.approx(0.3, abs=1e-10)
 
@@ -100,7 +108,8 @@ def test_delta_domain_validation():
 def test_monotone_in_delta_on_corpus(corpus):
     deltas = (0.05, 0.1, 0.2, 0.4)
     for f in corpus.values():
-        for fn in (omega1, omega2_phi):
+        # omega1 takes only piecewise-linear f
+        for fn in (omega1, omega2_phi) if hasattr(f, "breakpoints") else (omega2_phi,):
             vals = [fn(f, d).value for d in deltas]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         vals2 = [omega2(f, d).value for d in deltas if d <= 0.5]
@@ -135,16 +144,15 @@ def test_refinement_is_stable_under_grid_doubling(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(moduli, "X_POINTS", 2 * moduli.X_POINTS)
             fine = omega2_phi(f, 0.3).value
-        assert abs(base - fine) < 1e-3
+        assert abs(base - fine) < 1e-12
 
 
 def test_boundary_touching_steps_are_admissible():
     # for x <= delta^2/(1+delta^2) the arm x - h phi(x) can reach 0 exactly;
     # on f = sqrt the second difference is largest on that boundary family,
     # where it equals (2-sqrt(2)) sqrt(x) with x up to delta^2/(1+delta^2)
-    f = lambda y: np.sqrt(np.abs(np.asarray(y, dtype=float)))
     delta = 0.5
-    res = omega2_phi(f, delta)
+    res = omega2_phi(SQRT, delta)
     x, h = res.arg_x, res.arg_h
     assert x - h * math.sqrt(x * (1.0 - x)) >= -1e-12
     corner = (2.0 - math.sqrt(2.0)) * delta / math.sqrt(1.0 + delta ** 2)
@@ -153,157 +161,34 @@ def test_boundary_touching_steps_are_admissible():
 
 def test_result_reports_grid_metadata(monkeypatch):
     monkeypatch.setattr(moduli, "X_POINTS", 64)
-    monkeypatch.setattr(moduli, "H_POINTS", 16)
     res = omega2(SQUARE, 0.2)
     assert res.bound == "lower"
-    assert res.grid_points == (64 + 1) * (16 + 1)
+    # 65 uniform points and the corners 0.2 and 0.8, which lie off them
+    xs = np.union1d(np.linspace(0.0, 1.0, 65), [0.2, 0.8])
+    assert res.grid_points == len(xs) == 67
     # refinement only ever improves on the grid winner
-    grid_best = max(abs(SQUARE(x + h) - 2.0 * SQUARE(x) + SQUARE(x - h))
-                    for x in np.linspace(0.0, 1.0, 64 + 1)
-                    for h in min(0.2, x, 1.0 - x) * np.linspace(0.0, 1.0, 16 + 1))
+    h = np.minimum(0.2, np.minimum(xs, 1.0 - xs))
+    grid_best = np.max(np.abs(SQUARE(xs + h) - 2.0 * SQUARE(xs) + SQUARE(xs - h)))
     assert res.value >= grid_best
     assert omega2(SQUARE, 0.0).bound == "exact"
-
-
-def test_scan_seeds_are_the_best_cells_in_descending_order(monkeypatch):
-    rng = np.random.default_rng(5)
-    for x_points, h_points in ((16, 8), (100, 37), (2048, 512)):
-        xs = np.linspace(0.0, 1.0, x_points + 1)
-        table = rng.permutation((x_points + 1) * (h_points + 1)).astype(float)
-        table = table.reshape(x_points + 1, h_points + 1)
-        t = np.linspace(0.0, 1.0, h_points + 1)
-        # the grid values are the table itself, read by row
-        value, ax, ah, seeds, npts = _scan(_table_rows(table, xs),
-                                           lambda x: np.full_like(x, 0.5), xs, h_points, "t")
-        flat = table.ravel()
-        expect = np.argsort(flat)[::-1][:8]
-        i, j = np.unravel_index(expect, table.shape)
-        assert seeds == [(float(xs[a]), float(0.5 * t[b])) for a, b in zip(i, j)]
-        assert (value, ax, ah) == (flat[expect[0]], *seeds[0])
-        assert npts == flat.size
-    # tied cells go to the lower flat index: smaller x, then smaller h
-    assert _scan_seed_cells(np.full((9, 12), 3.0)) == [(0, j) for j in range(8)]
-    for distinct in (2, 3, 4, 5):
-        _assert_seeds_are_top_cells(rng.integers(0, distinct, (40, 17)).astype(float))
-    # five cells above, and many tied at, 8th place, scattered over the rows
-    table = np.zeros((30, 20))
-    table[rng.integers(0, 30, 200), rng.integers(0, 20, 200)] = 1.0
-    table[[3, 29, 0, 17, 3], [5, 0, 19, 17, 6]] = [6.0, 5.0, 4.0, 3.0, 2.0]
-    cells = _assert_seeds_are_top_cells(table)
-    assert cells[:5] == [(3, 5), (29, 0), (0, 19), (17, 17), (3, 6)]
-    assert all(table[c] == 1.0 for c in cells[5:])
-    # fewer than 8 rows, and fewer than 8 cells
-    for shape in ((3, 10), (1, 12), (5, 2), (2, 3)):
-        _assert_seeds_are_top_cells(rng.integers(0, 3, shape).astype(float))
-    # ties across rows: every row's max is 2 at column 3, three rows hold a
-    # second 2, and one cell above; the seeds read the tied rows in order
-    table = np.zeros((12, 6))
-    table[:, 3] = 2.0
-    table[[1, 4, 7], [0, 5, 2]] = 2.0
-    table[10, 1] = 5.0
-    assert _assert_seeds_are_top_cells(table) == \
-        [(10, 1), (0, 3), (1, 0), (1, 3), (2, 3), (3, 3), (4, 3), (4, 5)]
-    # row maxima taken block by block, one row per block, with fewer rows
-    # than seeds and with ties across rows
-    monkeypatch.setattr(moduli, "_SCAN_BLOCK_CELLS", 1)
-    assert moduli._REFINE_TOP == 8
-    for shape in ((5, 4), (7, 3), (8, 2), (30, 20)):
-        _assert_seeds_are_top_cells(rng.integers(0, 3, shape).astype(float))
-    assert _assert_seeds_are_top_cells(np.tile([1.0, 3.0, 3.0], (5, 1))) == \
-        [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
-
-
-def _table_rows(table, xs):
-    """A diff for _scan whose values are the rows of table at the sorted
-    grid xs, for whichever block of x-rows _scan asks for."""
-    return lambda x, h: table[np.searchsorted(xs, x[:, 0])]
-
-
-def _scan_seed_cells(table):
-    """The (row, column) cells that _scan picks as seeds on a table of grid
-    values, after checking the value and grid size it reports."""
-    rows, cols = table.shape
-    xs, t = np.linspace(0.0, 1.0, rows), np.linspace(0.0, 1.0, cols)
-    value, ax, ah, seeds, npts = _scan(_table_rows(table, xs),
-                                       lambda x: np.full_like(x, 0.5), xs, cols - 1, "t")
-    assert (value, ax, ah, npts) == (table.max(), *seeds[0], table.size)
-    # the x values and steps differ by row and column, so a seed names its cell
-    return [(int(np.flatnonzero(xs == a)[0]), int(np.flatnonzero(0.5 * t == b)[0]))
-            for a, b in seeds]
-
-
-def _assert_seeds_are_top_cells(table):
-    cells = _scan_seed_cells(table)
-    i, j = np.unravel_index(top_cells(table.ravel(), 8), table.shape)
-    assert cells == list(zip(i.tolist(), j.tolist())), table
-    return cells
-
-
-def _scan_inputs(monkeypatch, fn, f, delta):
-    """The (diff, hmax, xs, what) that fn(f, delta) hands to its grid scan."""
-    seen = []
-    with monkeypatch.context() as mp:
-        mp.setattr(moduli, "_search", lambda *args: seen.append(args))
-        fn(f, delta)
-    return seen[0]
-
-
-@pytest.mark.parametrize("fn", [omega1, omega2, omega2_phi],
-                         ids=["omega1", "omega2", "omega2_phi"])
-def test_blocked_scan_matches_the_dense_scan_bitwise(fn, monkeypatch):
-    # the scan's value, argmax, seeds and size equal those of one full-size
-    # diff call.  Neither 2049 nor 2051 rows (omega2_phi adds two corners)
-    # fill whole blocks; a block of 300 cells holds 4 rows of 61, so 103 rows
-    # end on a short block, and a row of 513 cells is a block by itself
-    rows = moduli._SCAN_BLOCK_CELLS // (moduli.H_POINTS + 1)
-    assert (moduli.X_POINTS + 1) % rows and (moduli.X_POINTS + 3) % rows
-    for f in (SQUARE, CUBE, SINE):
-        for delta in (0.1, 1.0 / math.sqrt(50.0)):
-            diff, hmax, xs, what = _scan_inputs(monkeypatch, fn, f, delta)
-            assert _scan(diff, hmax, xs, moduli.H_POINTS, what) == \
-                dense_scan(diff, hmax, xs, moduli.H_POINTS)
-            with monkeypatch.context() as mp:
-                mp.setattr(moduli, "_SCAN_BLOCK_CELLS", 300)
-                for h_points in (60, moduli.H_POINTS):
-                    assert _scan(diff, hmax, xs[:103], h_points, what) == \
-                        dense_scan(diff, hmax, xs[:103], h_points)
-
-
-def test_scan_temporaries_stay_within_the_block():
-    # the 2051 x 513 table of omega2_phi is 8.4 MB; a full-size evaluation
-    # held about five more such arrays at once (a 50 MB peak)
-    omega2_phi(SINE, 0.3)
-    tracemalloc.start()
-    try:
-        omega2_phi(SINE, 0.3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
-
-
-@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.data())
-def test_scan_seeds_follow_the_tie_rule_on_integer_tables(rows, cols, top, data):
-    vals = data.draw(st.lists(st.integers(0, top), min_size=rows * cols,
-                              max_size=rows * cols))
-    _assert_seeds_are_top_cells(np.array(vals, dtype=float).reshape(rows, cols))
 
 
 @pytest.mark.parametrize("fn", [omega1, omega2, omega2_phi],
                          ids=["omega1", "omega2", "omega2_phi"])
 def test_non_finite_f_raises_naming_the_modulus_and_delta(fn):
-    nan_above = lambda y: np.where(np.asarray(y) > 0.7, np.nan, np.asarray(y) ** 2)
-    all_inf = lambda y: np.full(np.shape(y), np.inf)
-    grid = [nan_above, all_inf]
-    # finite on the (x, h) grid, whose arrays are 2-D, but not at the 1-D
-    # lanes of the refinement
-    off_grid = [lambda y, bad=bad: np.asarray(y) ** 2 if np.ndim(y) == 2
-                else np.full(np.shape(y), bad) for bad in (np.nan, np.inf)]
+    nan_above = _curved(1, lambda y: np.where(np.asarray(y) > 0.7, np.nan, np.asarray(y) ** 2))
+    all_inf = _curved(1, lambda y: np.full(np.shape(y), np.inf))
+    # finite on the search's grid, but not at the one or two points of each
+    # golden-section step
+    off_grid = [_curved(1, lambda y, bad=bad: np.asarray(y) ** 2 if np.size(y) > 2
+                        else np.full(np.shape(y), bad)) for bad in (np.nan, np.inf)]
     # with breakpoints the exact path evaluates the candidates instead
     exact = [PiecewiseLinearFn((0.0, 0.7, 1.0), (0.0, 0.49, np.nan)),
              PiecewiseLinearFn((0.0, 1.0), (np.inf, np.inf))]
-    for f, where in ([(f, "scan") for f in grid] + [(f, "refined") for f in off_grid]
-                     + [(f, "candidate") for f in exact]):
+    cases = [(f, "candidate") for f in exact]
+    if fn is not omega1:  # omega1 takes only piecewise-linear f
+        cases += [(f, "search") for f in [nan_above, all_inf] + off_grid]
+    for f, where in cases:
         with pytest.raises(ValueError, match=rf"^{fn.__name__} at delta=0\.3: f is not "
                                              rf"finite at every {where} point$"):
             fn(f, 0.3)
@@ -318,70 +203,9 @@ def test_random_piecewise_linear_obeys_sup_norm_bound(vals):
     assert 0.0 <= res.value <= 4.0 * max(abs(v) for v in vals) + 1e-10
 
 
-# ---------------------------------------------------------------------------
-# lockstep refinement against the scalar reference
-
-
-def _assert_lanes_match_scalar_refine(fn, f, delta, grid=None):
-    """Run fn(f, delta), on the (x_points, h_points) grid if given, and check
-    every lane of its one _refine call against the per-seed scalar
-    refinement, bit for bit."""
-    calls = []
-    lane_refine = moduli._refine
-
-    def record(diff, hmax_fn, x, h, dx, what):
-        seeds = (x.copy(), h.copy())
-        out = lane_refine(diff, hmax_fn, x, h, dx, what)
-        calls.append((diff, hmax_fn, *seeds, dx, out))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moduli, "_refine", record)
-        if grid is not None:
-            mp.setattr(moduli, "X_POINTS", grid[0])
-            mp.setattr(moduli, "H_POINTS", grid[1])
-        fn(f, delta)
-    assert len(calls) == 1
-    diff, hmax_fn, x, h, dx, (v, rx, rh) = calls[0]
-    assert len(v) == len(rx) == len(rh) == len(x)
-    for i in range(len(x)):
-        want = scalar_refine(diff, hmax_fn, float(x[i]), float(h[i]), dx)
-        assert (float(v[i]), float(rx[i]), float(rh[i])) == want, (fn.__name__, delta, i)
-
-
-@pytest.mark.parametrize("fn, deltas", [
-    (omega1, (0.05, 1.0)),
-    (omega2, (0.05, 0.5)),
-    (omega2_phi, (0.01, 0.3, 1.0)),
-], ids=["omega1", "omega2", "omega2_phi"])
-def test_lane_refinement_matches_scalar_on_corpus(corpus, fn, deltas):
-    for f in corpus.values():
-        for delta in deltas:
-            _assert_lanes_match_scalar_refine(fn, f, delta)
-
-
-# the wrapper hides the breakpoints, so the grid path runs on a
-# piecewise-linear function; constant functions tie every cell, and ties go
-# to the lower flat index, so all 8 seeds are the first cells of the row
-# x = 0: for omega2 and omega2_phi hmax(0) = 0, so they reach the refinement
-# with h = 0 and skip their h-search, while omega1's run it; each example
-# runs 24 scalar reference refinements, so the example count is kept small
-@example([0.25, 0.25, 0.25])
-@example([-1.0, -1.0, -1.0, -1.0])
-@settings(max_examples=8)
-@given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=6))
-def test_lane_refinement_matches_scalar_on_piecewise_linear(vals):
-    f = PiecewiseLinearFn(tuple(np.linspace(0.0, 1.0, len(vals))), tuple(vals))
-    wrapped = lambda y: f(y)
-    for fn, delta in ((omega1, 0.4), (omega2, 0.4), (omega2_phi, 0.4)):
-        _assert_lanes_match_scalar_refine(fn, wrapped, delta, (256, 64))
-
-
 def test_omega2_phi_call_budget():
-    # the refinement evaluates all seeds per golden-section step, so the
-    # user function sees a few hundred vector calls, not one per point: on
-    # SINE 726, of which 99 are the scan's (3 per block of x-rows, 33 blocks)
-    # and 627 the refinement's
+    # one call of diff on the grid, then the golden-section calls, each
+    # calling f three times: on SINE 153 calls, of which 3 are the grid's
     fn_n = build_fn_lower(10000)
     for f, delta in ((SINE, 0.3), (fn_n, 0.01)):
         calls = 0
@@ -392,8 +216,9 @@ def test_omega2_phi_call_budget():
             return f(y)
 
         counted.breakpoints = getattr(f, "breakpoints", None)
+        counted.curvature = getattr(f, "curvature", None)
         omega2_phi(counted, delta)
-        assert 0 < calls <= 1000
+        assert 0 < calls <= 200
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +246,6 @@ def _assert_attained(fn, f, delta, res):
     assert res.value == value
 
 
-def _brute_force(fn, f, delta):
-    """Max of |difference| over a dense grid of admissible (x, s)."""
-    x = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
-    smax = np.minimum(delta, 1.0 - x)
-    if fn is not omega1:
-        smax = np.minimum(smax, x)
-    if fn is omega2_phi:
-        smax = np.minimum(smax, delta * np.sqrt(x * (1.0 - x)))
-    s = smax * np.linspace(0.0, 1.0, 201)
-    up = f(np.minimum(x + s, 1.0))
-    if fn is omega1:
-        return float(np.max(np.abs(up - f(x))))
-    return float(np.max(np.abs(up - 2.0 * f(x) + f(np.maximum(x - s, 0.0)))))
-
-
 @st.composite
 def piecewise_linear(draw):
     """(breakpoints, values) with 3-6 kinks at non-uniform positions in (0, 1)."""
@@ -456,18 +266,14 @@ def piecewise_linear(draw):
 @settings(max_examples=10)
 @given(piecewise_linear())
 def test_exact_moduli_dominate_brute_force_and_grid(knots):
+    # the brute force is a dense (x, s) grid
     f = PiecewiseLinearFn(*knots)
-    hidden = lambda y: f(y)  # no breakpoints: the grid path
     for fn, deltas in MODULI_DELTAS:
         for delta in deltas:
             res = fn(f, delta)
             assert res.bound == "exact"
             _assert_attained(fn, f, delta, res)
-            assert res.value >= _brute_force(fn, f, delta) - 1e-12
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(moduli, "X_POINTS", 256)
-                mp.setattr(moduli, "H_POINTS", 64)
-                assert res.value >= fn(hidden, delta).value - 1e-12
+            assert res.value >= brute_force_modulus(fn.__name__, f, delta) - 1e-12
 
 
 def test_exact_path_finds_vertices_the_augmented_grids_missed():
@@ -493,7 +299,7 @@ def test_witness_modulus_is_exact_and_at_least_the_grid_value():
         # (the 9 arcs with zero gradient and the 2 degenerate roots dropped)
         assert res.grid_points == 238
         _assert_attained(omega2_phi, fn, n ** -0.5, res)
-        assert res.value >= omega2_phi(lambda y: fn(y), n ** -0.5).value - 1e-12
+        assert res.value >= brute_force_modulus("omega2_phi", fn, n ** -0.5) - 1e-12
 
 
 def test_wrong_breakpoints_still_give_an_attained_value():
@@ -504,3 +310,71 @@ def test_wrong_breakpoints_still_give_an_attained_value():
     for fn, deltas in MODULI_DELTAS:
         for delta in deltas:
             _assert_attained(fn, f, delta, fn(f, delta))
+
+
+# ---------------------------------------------------------------------------
+# the boundary path for f with one-signed f''
+
+SMOOTH_DELTAS = ((omega2, (0.05, 0.2, 1.0 / math.sqrt(50.0), 0.5)),
+                 (omega2_phi, (0.01, 1.0 / math.sqrt(50.0), 0.3, 1.0 / math.sqrt(10.0), 1.0)))
+
+
+def _hmax(fn, x, delta):
+    """The largest admissible h at x, from the modulus definition."""
+    if fn is omega2:
+        return min(delta, x, 1.0 - x)
+    if x in (0.0, 1.0):
+        return 0.0
+    return min(delta, math.sqrt(x / (1.0 - x)), math.sqrt((1.0 - x) / x))
+
+
+def _assert_on_the_boundary(fn, f, delta, res):
+    assert res.bound == "lower"
+    _assert_attained(fn, f, delta, res)
+    assert res.arg_h == pytest.approx(_hmax(fn, res.arg_x, delta), rel=1e-15, abs=1e-300)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.2, 1.0 / math.sqrt(50.0), 0.5, 1.0 / math.sqrt(10.0)])
+def test_boundary_path_closed_forms(delta):
+    # Delta^2 of y^2 is 2 s^2 and of y^3 is 6 x s^2: omega2_phi is 2 delta^2
+    # phi^2 at x = 1/2 and 6 delta^2 x^2 (1 - x) at x = 2/3, omega2 of y^3 is
+    # 6 x delta^2 at x = 1 - delta
+    assert omega2_phi(SQUARE, delta).value == pytest.approx(delta ** 2 / 2.0, rel=1e-14)
+    assert omega2_phi(CUBE, delta).value == pytest.approx(8.0 * delta ** 2 / 9.0, rel=1e-14)
+    assert omega2(SQUARE, delta).value == pytest.approx(2.0 * delta ** 2, rel=1e-14)
+    assert omega2(CUBE, delta).value == pytest.approx(6.0 * (1.0 - delta) * delta ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("f", [SQUARE, CUBE, SINE, SQRT], ids=["square", "cube", "sine", "sqrt"])
+def test_boundary_path_dominates_brute_force_and_is_attained(f):
+    for fn, deltas in SMOOTH_DELTAS:
+        for delta in deltas:
+            res = fn(f, delta)
+            _assert_on_the_boundary(fn, f, delta, res)
+            assert res.value >= brute_force_modulus(fn.__name__, f, delta) - 1e-12
+
+
+def test_wrong_curvature_still_gives_an_attained_value():
+    # f'' changes sign: the sup need not sit on h = hmax(x), but the value
+    # is one of f's differences there
+    for f in (_curved(1, lambda y: np.sin(2.0 * math.pi * np.asarray(y, dtype=float))),
+              _curved(-1, lambda y: (np.asarray(y) - 0.5) ** 3)):
+        for fn, deltas in SMOOTH_DELTAS:
+            for delta in deltas:
+                _assert_on_the_boundary(fn, f, delta, fn(f, delta))
+
+
+@pytest.mark.parametrize("fn", [omega2, omega2_phi], ids=["omega2", "omega2_phi"])
+def test_second_moduli_need_a_contract(fn):
+    for bad in (0, 2, math.nan):
+        with pytest.raises(ValueError, match=rf"^{fn.__name__} at delta=0\.3: curvature "
+                                             rf"must be \+1 or -1, got {bad!r}$"):
+            fn(_curved(bad, lambda y: np.asarray(y) ** 2), 0.3)
+    with pytest.raises(ValueError, match=r"declares neither breakpoints .* nor curvature"):
+        fn(lambda y: np.asarray(y) ** 2, 0.3)
+
+
+def test_omega1_needs_breakpoints():
+    for f in (lambda y: np.asarray(y) ** 2, SQUARE):
+        with pytest.raises(ValueError, match=r"^omega1 at delta=0\.3: f declares no breakpoints"):
+            omega1(f, 0.3)
