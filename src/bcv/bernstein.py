@@ -59,6 +59,7 @@ def phi(x):
 def bernstein_apply_many(f, n, xs):
     """B_n f(x) = sum_k f(k/n) C(n,k) x^k (1-x)^(n-k) on an array of points,
     sharing one grid evaluation of f; each point's sum runs over its window."""
+    _check_n(n)
     vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))

@@ -88,6 +88,8 @@ def upper_expr_H1(a):
 def upper_expr_H2(a, m):
     """4 + sqrt(2)(i + sum_{k=i}^m J(k,a)) / (1 - J(m+1,a)) * log 4, with
     i = first_valid_i(a)."""
+    if not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise ValueError(f"m must be an integer >= 1, got m={m!r}")
     i = first_valid_i(a)
     if i > m:
         raise ValueError(f"need m >= first_valid_i(a) = {i}")
@@ -158,8 +160,8 @@ def build_fn_lower(n):
     """The lower-bound witness: piecewise linear through the values _WITNESS
     at the breakpoints (2-sqrt(2))/n < 1/n < 2/n < 3/n < (2+sqrt(2))/n, and
     constant 1 outside."""
-    if n < 8:
-        raise ValueError("need n >= 8")
+    if not (isinstance(n, (int, np.integer)) and n >= 8):
+        raise ValueError(f"n must be an integer >= 8, got {n!r}")
     bp = ((2.0 - SQRT2) / n, 1.0 / n, 2.0 / n, 3.0 / n, (2.0 + SQRT2) / n)
     return PiecewiseLinearFn(bp, _WITNESS)
 

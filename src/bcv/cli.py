@@ -60,7 +60,7 @@ def _curved(curvature, f):
 
 
 # y^2, y^3 and sin(pi y), whose second derivatives have one sign on [0, 1],
-# declared so the second moduli take them on the boundary h = hmax(x).
+# declared so the second moduli take them on the step cap s = smax(x).
 _SQUARE = _curved(1, lambda y: np.asarray(y) ** 2)
 _CUBE = _curved(1, lambda y: np.asarray(y) ** 3)
 _SINE = _curved(-1, lambda y: np.sin(math.pi * np.asarray(y)))

@@ -2,9 +2,9 @@
 with one-signed f''.
 
 omega1 and omega2 are the usual first and second moduli and omega2_phi the
-weighted second modulus, whose step is h phi(x), phi(x) = sqrt(x(1-x)).  Each
-is the sup of |sum_j c_j f(x + a_j s)| over the admissible (x, s), with s = h,
-or s = h phi(x) for omega2_phi.
+weighted one, with step s = h phi(x), phi(x) = sqrt(x(1-x)).  Each is the sup
+of |sum_j c_j f(x + a_j s)| over the steps 0 <= s <= smax(x): min(delta, 1 - x),
+min(delta, x, 1 - x) and min(delta phi(x), x, 1 - x); h is formed at the winner.
 
 If f has `breakpoints`, it is taken to be linear between consecutive points
 of {0, 1} U breakpoints (the knots).  The difference is then linear on each
@@ -17,14 +17,15 @@ one pass (bound "exact"), so the value is attained even for wrong breakpoints.
 Otherwise f must declare `curvature`, +1 or -1: f'' has that one sign on
 [0, 1].  As Delta^2_s f(x) = int_{-s}^{s} (s - |t|) f''(x + t) dt, |Delta^2|
 cannot decrease in s, so the second moduli take their sup on the boundary
-h = hmax(x): one search.sup_search over x (bound "lower"), whose grid holds
-the corners of the admissible region, where hmax has its kinks.  omega1
+s = smax(x): one search.sup_search over x (bound "lower"), whose grid holds
+the corners of the admissible region, where smax has its kinks.  omega1
 takes only f with breakpoints.  Both paths raise ValueError, naming the
 modulus and delta, when f has no contract or is not finite at a point of the
 search or at a vertex candidate.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,19 +44,27 @@ class ModulusResult:
     arg_x: float
     arg_h: float
     grid_points: int
-    bound: str  # "exact", or "lower" for the search on h = hmax(x)
+    bound: str  # "exact", or "lower" for the search on s = smax(x)
 
 
-def _second(f, x, s):
-    return np.abs(f(np.clip(x + s, 0.0, 1.0)) - 2.0 * f(x) + f(np.clip(x - s, 0.0, 1.0)))
+def _second(f):
+    return lambda x, s: np.abs(f(np.clip(x + s, 0.0, 1.0)) - 2.0 * f(x)
+                               + f(np.clip(x - s, 0.0, 1.0)))
 
 
-def _vertices(f, diff, hmax_fn, delta, arms, coef, weighted, what):
-    """Exact sup of diff(x, h) = |sum_j coef_j f(x + arms_j s)| for f linear
-    between its knots.  The step is s = h, capped by the line s = delta, or,
-    weighted, s = h phi(x), capped by the ellipse s^2 = delta^2 x(1-x).
-    `what` names the modulus in the ValueError raised when a candidate's
-    value is not finite."""
+def _finite(diff, x, s, what, where):
+    with np.errstate(invalid="ignore"):  # inf - inf: raised below instead
+        vals = diff(x, s)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{what}: f is not finite at every {where} point")
+    return vals
+
+
+def _vertices(f, diff, smax, delta, arms, coef, weighted, what):
+    """Exact sup of diff(x, s) = |sum_j coef_j f(x + arms_j s)| over
+    0 <= s <= smax(x), capped by the line s = delta or, weighted, the ellipse
+    s^2 = delta^2 x(1-x), for f linear between its knots.  `what` names the
+    modulus in the ValueError raised when a candidate's value is not finite."""
     knots = np.unique(np.clip(np.concatenate([[0.0, 1.0], f.breakpoints]), 0.0, 1.0))
     a, b = np.repeat(arms, len(knots)), np.tile(knots, len(arms))
     # lines p x + q s = r: x + a s = b for each arm and knot, s = 0, s = delta;
@@ -91,42 +100,28 @@ def _vertices(f, diff, hmax_fn, delta, arms, coef, weighted, what):
             ss += [d2 * gs / (2.0 * n), -d2 * gs / (2.0 * n)]
         x, s = np.concatenate(xs), np.concatenate(ss)
         ok = np.isfinite(x + s)
-        x, s = np.clip(x[ok], 0.0, 1.0), s[ok]
-        if weighted:
-            s = np.where(x * (1.0 - x) > 0.0, s / np.sqrt(x * (1.0 - x)), 0.0)
-    h = np.clip(s, 0.0, hmax_fn(x))
-    with np.errstate(invalid="ignore"):  # inf - inf: raised below instead
-        vals = diff(x, h)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{what}: f is not finite at every candidate point")
+    x = np.clip(x[ok], 0.0, 1.0)
+    s = np.clip(s[ok], 0.0, smax(x))
+    vals = _finite(diff, x, s, what, "candidate")
     k = int(np.argmax(vals))
-    return ModulusResult(float(vals[k]), float(x[k]), float(h[k]), len(x), "exact")
+    return ModulusResult(float(vals[k]), float(x[k]), float(s[k]), len(x), "exact")
 
 
-def _boundary(f, diff, hmax_fn, corners, what):
-    """Sup of diff(x, hmax(x)) over x for f with f'' of one sign: sup_search
-    on X_POINTS + 1 uniform points and the corners of the admissible region,
-    which are also its breaks.  `what` names the modulus in the ValueError
-    raised when f has no contract, declares a curvature other than +1 or -1,
-    or is not finite at a point of the search."""
+def _boundary(f, diff, smax, corners, what):
+    """Sup of diff(x, smax(x)) over x for f with f'' of one sign: sup_search
+    on X_POINTS + 1 uniform points and the corners, which are also its breaks.
+    `what` names the modulus in the ValueError raised when f has no contract,
+    declares a curvature other than +1 or -1, or is not finite at a point."""
     c = getattr(f, "curvature", None)
     if c is None:
         raise ValueError(f"{what}: f declares neither breakpoints (piecewise linear) "
                          "nor curvature (+1 or -1: f'' of one sign)")
     if c not in (1, -1):
         raise ValueError(f"{what}: curvature must be +1 or -1, got {c!r}")
-
-    def g(x):
-        with np.errstate(invalid="ignore"):  # inf - inf: raised below instead
-            vals = diff(x, hmax_fn(x))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"{what}: f is not finite at every search point")
-        return vals
-
-    corners = np.unique(corners)
+    g = lambda x: _finite(diff, x, smax(x), what, "search")
     xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, X_POINTS + 1), corners]))
     x, value, _ = sup_search(g, xs, _REFINE_TOL, breaks=corners)
-    return ModulusResult(value, x, float(hmax_fn(x)), len(xs), "lower")
+    return ModulusResult(value, x, float(smax(x)), len(xs), "lower")
 
 
 def omega1(f, delta):
@@ -135,12 +130,12 @@ def omega1(f, delta):
         raise ValueError("delta must lie in [0,1]")
     if delta == 0.0:
         return ModulusResult(0.0, 0.0, 0.0, 0, "exact")
-    hmax = lambda x: np.minimum(delta, 1.0 - x)
-    diff = lambda x, h: np.abs(f(np.clip(x + h, 0.0, 1.0)) - f(x))
+    smax = lambda x: np.minimum(delta, 1.0 - x)
+    diff = lambda x, s: np.abs(f(np.clip(x + s, 0.0, 1.0)) - f(x))
     what = f"omega1 at delta={delta}"
     if getattr(f, "breakpoints", None) is None:
         raise ValueError(f"{what}: f declares no breakpoints (piecewise linear)")
-    return _vertices(f, diff, hmax, delta, (1.0, 0.0), (1.0, -1.0), False, what)
+    return _vertices(f, diff, smax, delta, (1.0, 0.0), (1.0, -1.0), False, what)
 
 
 def omega2(f, delta):
@@ -149,37 +144,38 @@ def omega2(f, delta):
         raise ValueError("delta must lie in [0,1/2]")
     if delta == 0.0:
         return ModulusResult(0.0, 0.5, 0.0, 0, "exact")
-    hmax = lambda x: np.minimum(delta, np.minimum(x, 1.0 - x))
-    diff = lambda x, h: _second(f, x, h)
+    smax = lambda x: np.minimum(delta, np.minimum(x, 1.0 - x))
+    diff = _second(f)
     what = f"omega2 at delta={delta}"
     if getattr(f, "breakpoints", None) is not None:
-        return _vertices(f, diff, hmax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), False, what)
-    return _boundary(f, diff, hmax, [delta, 1.0 - delta], what)
-
-
-def _hmax_phi(x, delta):
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        left = np.sqrt(x / (1.0 - x))    # h with x - h phi(x) = 0
-        right = np.sqrt((1.0 - x) / x)   # h with x + h phi(x) = 1
-    out = np.minimum(delta, np.minimum(np.where(x < 1.0, left, np.inf),
-                                       np.where(x > 0.0, right, np.inf)))
-    return np.where((x <= 0.0) | (x >= 1.0), 0.0, out)
+        return _vertices(f, diff, smax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), False, what)
+    return _boundary(f, diff, smax, [delta, 1.0 - delta], what)
 
 
 def omega2_phi(f, delta):
-    """Weighted second modulus with step h*phi(x); boundary-touching steps
-    (x - h phi(x) = 0 exactly, and symmetrically) are admissible."""
+    """Weighted second modulus with step s = h phi(x), arms on 0 or 1 admissible.
+    The reported h is s / phi(x) <= delta, rounded up until h phi(x) reaches s,
+    so such an arm stays there; the value is the difference at that step."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0,1]")
     if delta == 0.0:
         return ModulusResult(0.0, 0.5, 0.0, 0, "exact")
-    hmax = lambda x: _hmax_phi(x, delta)
-    diff = lambda x, h: _second(f, x, h * np.sqrt(x * (1.0 - x)))
+    smax = lambda x: np.minimum(delta * np.sqrt(x * (1.0 - x)), np.minimum(x, 1.0 - x))
+    diff = _second(f)
     what = f"omega2_phi at delta={delta}"
     if getattr(f, "breakpoints", None) is not None:
-        return _vertices(f, diff, hmax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), True, what)
-    # the corners of the admissible region, where the boundary-touching cap
-    # sqrt(x/(1-x)) (or its mirror) crosses delta
-    corner = delta ** 2 / (1.0 + delta ** 2)
-    return _boundary(f, diff, hmax, [corner, 1.0 - corner], what)
+        res = _vertices(f, diff, smax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), True, what)
+    else:
+        # the corners c and 1 - c: c on the 2^-53 grid, so 1 - c is exact, and
+        # low enough that delta phi(c) >= c, so the cap puts an arm on 0 or 1
+        c = round(delta ** 2 / (1.0 + delta ** 2) * 2.0 ** 53) * 2.0 ** -53
+        while delta * math.sqrt(c * (1.0 - c)) < c:
+            c -= 2.0 ** -53
+        res = _boundary(f, diff, smax, [c, 1.0 - c], what)
+    x, s = res.arg_x, res.arg_h
+    p = math.sqrt(x * (1.0 - x))
+    h = min(s / p, delta) if p > 0.0 else 0.0
+    while h < delta and h * p < s:
+        h = math.nextafter(h, delta)
+    value = _finite(diff, np.array([x]), np.array([h * p]), what, "reported")
+    return replace(res, value=float(value[0]), arg_h=h)

@@ -127,6 +127,13 @@ def test_apply_many_matches_pointwise_apply():
     assert np.array_equal(many, each)
 
 
+def test_apply_many_rejects_n_zero_before_dividing_by_it():
+    # the grid k/n was formed before n was checked: a RuntimeWarning from the
+    # division by zero, not the ValueError
+    with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
+        bernstein_apply_many(lambda y: np.asarray(y) ** 2, 0, [0.5])
+
+
 def test_iterate_k1_equals_apply():
     # one product with the grid matrix is B_n f at the grid points
     f = lambda y: np.cos(np.asarray(y))

@@ -86,6 +86,15 @@ def test_upper_expr_H2_validates_index():
         upper_expr_H2(7.2, 12)
 
 
+@pytest.mark.parametrize("m", [20.5, math.nan, 0])
+def test_upper_expressions_name_a_bad_m(m):
+    # m = 20.5 failed inside J_limit ("k must be an integer >= 1"), m = nan in
+    # numpy's arange, and m = 0 as m < first_valid_i(a)
+    for fn in (upper_expr_H2, upper_bound_report):
+        with pytest.raises(ValueError, match=f"^m must be an integer >= 1, got m={m!r}$"):
+            fn(7.2, m)
+
+
 def test_upper_bound_report_assembly():
     rep = upper_bound_report(7.2, 20)
     assert isinstance(rep, UpperBoundReport)
@@ -152,6 +161,14 @@ def test_witness_structure():
     assert fn(0.02) == -1.0
     with pytest.raises(ValueError):
         build_fn_lower(7)
+
+
+@pytest.mark.parametrize("n", [10.5, 1e4, math.nan, 7])
+def test_witness_names_a_bad_n(n):
+    # n = 10.5 built a witness, on which fn_lower_error_sup then failed with a
+    # TypeError from math.comb
+    with pytest.raises(ValueError, match=f"^n must be an integer >= 8, got {n!r}$"):
+        build_fn_lower(n)
 
 
 def test_g_profile_nodes_and_extension():

@@ -159,6 +159,25 @@ def test_boundary_touching_steps_are_admissible():
     assert res.value >= corner - 1e-9
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.2, 0.5, 0.5097088626685123])
+def test_omega2_phi_of_sqrt_lands_exactly_on_its_corners(delta):
+    # |Delta^2 sqrt| is (2 - sqrt(2)) sqrt(x) on the steps s = x, which put the
+    # arm x - s on 0, so the sup is at the corner c = delta^2/(1+delta^2),
+    # where delta phi(x) meets x; at delta = 0.2 that arm once rounded to
+    # 6.9e-18 there and the value missed by 2.6e-10, and golden section alone,
+    # stopping 1e-13 short of the corner, misses by 7e-14.  sqrt(1 - y) mirrors it.
+    # At the last delta, h = s / phi(c) rounds so that h phi(c) falls short
+    # of c: the reported h must still give the arm 0, and so the value.
+    value = (2.0 - math.sqrt(2.0)) * delta / math.sqrt(1.0 + delta ** 2)
+    corner = delta ** 2 / (1.0 + delta ** 2)
+    mirror = _curved(-1, lambda y: np.sqrt(np.abs(1.0 - np.asarray(y, dtype=float))))
+    for f, x in ((SQRT, corner), (mirror, 1.0 - corner)):
+        res = omega2_phi(f, delta)
+        assert res.value == pytest.approx(value, rel=0.0, abs=1e-15)
+        assert res.arg_x == pytest.approx(x, rel=0.0, abs=1e-15)
+        _assert_on_the_boundary(omega2_phi, f, delta, res)
+
+
 def test_result_reports_grid_metadata(monkeypatch):
     monkeypatch.setattr(moduli, "X_POINTS", 64)
     res = omega2(SQUARE, 0.2)
@@ -259,10 +278,17 @@ def piecewise_linear(draw):
 # at delta = 0.3 the omega2_phi maximizer of the second is where the line
 # x - s = 0.29 crosses the ellipse (without those crossings: 1.56613 of
 # 1.61632), and that of the third is a tangency point inside an arc of the
-# ellipse (x = 0.35485, h = delta; the vertices alone reach 0.69353 of 0.69417)
+# ellipse (x = 0.35485, h = delta; the vertices alone reach 0.69353 of 0.69417);
+# at delta = 0.01 the omega2_phi winner of the fourth has s / phi(x) rounding
+# to 0.010000000000000002, which the reported h must not exceed, and at
+# delta = 1 that of the fifth has no h with h phi(x) rounding to its s, so its
+# value must be taken at the reported h
 @example(((0.05, 0.36, 0.75, 0.76), (0.9, -0.6, 0.0, 0.8)))
 @example(((0.29, 0.36, 0.56, 0.77), (-0.7, 0.8, 1.0, -0.2)))
 @example(((0.17, 0.34, 0.47, 0.81), (-0.18, -0.85, -0.77, 0.73)))
+@example(((0.4298042376011551, 0.7521574158020214, 0.7607535005540446, 0.9907659245827877),
+          (0.0, 0.0, 0.0, 1.0)))
+@example(((0.22741433021806853, 0.5763239875389408, 0.9501557632398754), (0.0, -0.5, -1.0)))
 @settings(max_examples=10)
 @given(piecewise_linear())
 def test_exact_moduli_dominate_brute_force_and_grid(knots):
