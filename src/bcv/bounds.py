@@ -322,22 +322,6 @@ def _norms(fs, n, xs):
     return out
 
 
-def _modulus_sides(fs, n):
-    """modulus_upper_sides for a list of functions: one (LHS, RHS) each.
-    Functions with the same norm grid share one _norms pass."""
-    _need_n(n, 2)
-    lhs = [omega2_phi(f, 1.0 / math.sqrt(n)).value for f in fs]
-    grids = [_modulus_norm_grid(f, n) for f in fs]
-    groups = {}
-    for i, xs in enumerate(grids):
-        groups.setdefault(xs.tobytes(), []).append(i)
-    rhs = [0.0] * len(fs)
-    for idx in groups.values():
-        for i, (err, wd2) in zip(idx, _norms([fs[i] for i in idx], n, grids[idx[0]])):
-            rhs[i] = 4.0 * err + LOG4 / n * wd2
-    return list(zip(lhs, rhs))
-
-
 def modulus_upper_sides(f, n):
     """(LHS, RHS) of omega2_phi(f; 1/sqrt(n)) <= 4 ||B_n f - f||
     + (log 4 / n) ||phi^2 (B_n f)''||, norms over grids on [0,1] and (0,1).
@@ -351,7 +335,19 @@ def modulus_upper_sides(f, n):
     Both norms are grid maxima, which under-estimate the norms, so the
     reported RHS is a lower estimate of the true RHS and the check built on
     it is not certified."""
-    return _modulus_sides([f], n)[0] if callable(f) else _modulus_sides(list(f), n)
+    _need_n(n, 2)
+    fs = [f] if callable(f) else list(f)
+    lhs = [omega2_phi(g, 1.0 / math.sqrt(n)).value for g in fs]
+    grids = [_modulus_norm_grid(g, n) for g in fs]
+    groups = {}
+    for i, xs in enumerate(grids):
+        groups.setdefault(xs.tobytes(), []).append(i)
+    rhs = [0.0] * len(fs)
+    for idx in groups.values():
+        for i, (err, wd2) in zip(idx, _norms([fs[i] for i in idx], n, grids[idx[0]])):
+            rhs[i] = 4.0 * err + LOG4 / n * wd2
+    sides = list(zip(lhs, rhs))
+    return sides[0] if callable(f) else sides
 
 
 def _modulus_norm_grid(f, n):
@@ -368,10 +364,9 @@ def _modulus_norm_grid(f, n):
 def modulus_upper_check(f, n):
     """Whether LHS <= RHS + 1e-12 in modulus_upper_sides: a bool for one
     function, a list of them for a sequence of functions."""
-    sides = modulus_upper_sides(f, n)
-    if callable(f):
-        return sides[0] <= sides[1] + 1e-12
-    return [lhs <= rhs + 1e-12 for lhs, rhs in sides]
+    sides = modulus_upper_sides([f] if callable(f) else f, n)
+    ok = [lhs <= rhs + 1e-12 for lhs, rhs in sides]
+    return ok[0] if callable(f) else ok
 
 
 def central_converse_check(f, n):
@@ -380,16 +375,25 @@ def central_converse_check(f, n):
         (1 - sqrt((n+1)/n) H_{n-2} K(a) / 3) ||phi^2 (B_n f)''|| / (2n)
             <= ((sqrt(2)+1)/sqrt(2)) ||B_n f - f||,
 
-    norms over (0, 1/2]; H_{n-2} is the sup of H over x."""
+    norms over (0, 1/2]; H_{n-2} is the sup of H over x.  f may be one
+    function, or a sequence of functions, which gives a list of results,
+    one per function: they share one sup_H_n search and one pass of the
+    norms (_norms)."""
     _need_n(n, 5)
+    fs = [f] if callable(f) else list(f)
     h = sup_H_n(n - 2).sup_value
     mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(CONVERSE_A) / 3.0
-    (err, wd2), = _norms([f], n, _NORM_XS)
-    lhs = mult * wd2 / (2.0 * n)
-    rhs = (SQRT2 + 1.0) / SQRT2 * err
-    if mult <= 0.0:
-        return ValidatorResult(True, False, lhs, rhs, f"vacuous: multiplier {mult:.4f} <= 0")
-    return ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs, f"multiplier {mult:.4f}")
+    out = []
+    for err, wd2 in _norms(fs, n, _NORM_XS):
+        lhs = mult * wd2 / (2.0 * n)
+        rhs = (SQRT2 + 1.0) / SQRT2 * err
+        if mult <= 0.0:
+            out.append(ValidatorResult(True, False, lhs, rhs,
+                                       f"vacuous: multiplier {mult:.4f} <= 0"))
+        else:
+            out.append(ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs,
+                                       f"multiplier {mult:.4f}"))
+    return out[0] if callable(f) else out
 
 
 def noncentral_converse_check(f, n):

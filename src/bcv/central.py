@@ -246,16 +246,8 @@ def sup_H_n(n):
     a lower estimate of the sup: the claim sup H_n <= 1 is checked on it, not
     certified; the enclosures of _H_n_scan hold per grid point only.
 
-    The result is kept per n (_sup_H_n), so callers that need the same n,
-    such as the central converse checks at one n, share one search."""
-    return _sup_H_n(n)
-
-
-# typed: 48.0 equals a cached np.int64(48) as a key, but must still raise as a
-# non-integer n does
-@functools.lru_cache(maxsize=8, typed=True)
-def _sup_H_n(n):
-    """sup_H_n's search."""
+    Each call runs the search; callers that need one n for several
+    functions, such as bounds.central_converse_check, call it once."""
     arg, value, _ = sup_search(lambda t: H_n_exact(n, t), _H_grid(n),
                                scan=lambda t: _H_n_scan(n, t))
     cert = "H_n(x) -> 0 as x -> 0+ (exact sum is continuous with H_n(0+) = 0)"
@@ -293,14 +285,16 @@ def I_n_branch_check(n, x, lambda0):
 
     lambda0 is a plain float so small surrogate thresholds can be
     exercised; the caller owns the hypotheses that make each branch valid.
+    lambda0 must be positive, as D_coeff requires.
     """
+    d = D_coeff(lambda0)
     if n < 2.0 * lambda0:
         raise ValueError(f"branch bound needs n >= 2*lambda0 = {2.0 * lambda0:g}")
     lam = n * x
     v = I_n_closed(n, x)
     if lam >= lambda0:
         return v <= C_FLAT * (1.0 - x)
-    return v <= (1.0 - x) * (nu(lam) + D_coeff(lambda0) / n)
+    return v <= (1.0 - x) * (nu(lam) + d / n)
 
 
 def K_func(s):

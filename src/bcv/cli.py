@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 import time
 
@@ -138,6 +139,18 @@ def _render_text(entries):
     npass = sum(e["pass"] for e in entries)
     lines.append(f"{npass}/{len(entries)} checks passed")
     return "\n".join(lines) + "\n"
+
+
+def _check_out(out):
+    """Raise _Usage, naming out and the OS error, unless out can be opened
+    for writing; a file the probe creates is removed again."""
+    existed = os.path.lexists(out)
+    try:
+        open(out, "a").close()
+    except OSError as e:
+        raise _Usage(f"cannot write --out {out}: {e.strerror}")
+    if not existed:
+        os.remove(out)
 
 
 def _write(text, out):
@@ -395,14 +408,10 @@ def _suite_bounds():
                          for ok in bounds.modulus_upper_check([_SQUARE, _CUBE, _VEE, _SINE], n)))
 
     def validators():
-        count = 0
-        for res in (bounds.central_converse_check(_CUBE, 50),
-                    bounds.central_converse_check(_SINE, 50),
-                    bounds.iterate_converse_check(_CUBE, 50),
-                    bounds.noncentral_converse_check(_CUBE, 200)):
-            if res.holds or not res.binding:
-                count += 1
-        return float(count)
+        results = [*bounds.central_converse_check([_CUBE, _SINE], 50),
+                   bounds.iterate_converse_check(_CUBE, 50),
+                   bounds.noncentral_converse_check(_CUBE, 200)]
+        return float(sum(res.holds or not res.binding for res in results))
 
     return [
         _Check("bounds.upper_below_74.8", lambda: bounds.upper_bound_report(7.2, 20).max,
@@ -512,6 +521,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)  # before any check or sweep row runs
         return args.fn(args)
     except _Usage as e:
         parser.error(str(e))  # exits 2

@@ -281,8 +281,12 @@ def inv_moment_shift_V(y):
     y = np.asarray(y, dtype=float)
     if not np.all(y >= 0):  # NaN fails too
         raise ValueError("y must be >= 0")
-    c = y + 1.0
-    out = np.where(y >= _INV_SERIES_FROM, polyval(1.0 / (c * c), _INV_SERIES) / c,
-                   xlogy(y + 2.0, y + 2.0) - 2.0 * xlogy(c, c) + xlogy(y, y))
+    out = np.empty(y.shape)
+    near = y < _INV_SERIES_FROM
+    t = y[near]
+    out[near] = xlogy(t + 2.0, t + 2.0) - 2.0 * xlogy(t + 1.0, t + 1.0) + xlogy(t, t)
+    c = y[~near] + 1.0
+    with np.errstate(over="ignore"):  # past 1e154, 1/(c c) = 1/inf = 0 is right
+        out[~near] = polyval(1.0 / (c * c), _INV_SERIES) / c
     return out if out.ndim else float(out)
 

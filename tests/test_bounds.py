@@ -510,6 +510,15 @@ def test_central_converse_binding_and_holds():
     assert "multiplier" in res.note
 
 
+def test_central_converse_of_a_sequence_equals_the_one_function_calls(monkeypatch):
+    fns = [lambda y: np.asarray(y) ** 3, lambda y: np.sin(math.pi * np.asarray(y))]
+    each = [central_converse_check(f, 50) for f in fns]
+    passes = _count_norm_passes(monkeypatch)
+    assert central_converse_check(tuple(fns), 50) == each
+    assert passes == [2]
+    assert central_converse_check([], 50) == []
+
+
 @pytest.mark.parametrize("n", [0, 1, 3.5, 5.5, math.nan])
 @pytest.mark.parametrize("check", [central_converse_check, noncentral_converse_check,
                                    iterate_converse_check])

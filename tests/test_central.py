@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import mc_H_n, mp_nu, mp_phi_ratio_lhs, quad_integral
 from bcv import central
+from bcv.bounds import central_converse_check
 from bcv.central import (C_of_lambda, C_tilde, D_coeff,
                          _H_grid, _H_n_scan, _H_weight, H_n_exact, H_n_upper,
                          I_n_branch_check, I_n_brute, I_n_closed, K_func,
@@ -193,11 +194,11 @@ def test_sup_H_n_values_and_bound():
 
 
 def test_sup_H_n_searches_once_per_n(monkeypatch):
-    # bcv verify's two central converse checks at n = 50 both need sup H_48;
-    # the public name stays a plain function, so a wrapper of it still sees
-    # every call
+    # sup_H_n keeps no results: every call searches, and a wrapper of the
+    # plain function sees every call.  The central converse check takes its
+    # functions together, so bcv verify's two functions at n = 50 share one
+    # search of sup H_48
     assert inspect.isfunction(sup_H_n)
-    central._sup_H_n.cache_clear()
     calls = []
     search = central.sup_search
 
@@ -207,12 +208,18 @@ def test_sup_H_n_searches_once_per_n(monkeypatch):
 
     monkeypatch.setattr(central, "sup_search", spy)
     first = sup_H_n(48)
-    assert sup_H_n(48) is first
     assert len(calls) == 1
     assert sup_H_n(np.int64(48)) == first
-    # 48.0 is equal to 48 as a key, but is no integer n
+    assert len(calls) == 2
     with pytest.raises(ValueError, match="n must be a positive integer, got 48.0"):
         sup_H_n(48.0)
+    cube = lambda y: np.asarray(y) ** 3
+    sine = lambda y: np.sin(math.pi * np.asarray(y))
+    calls.clear()
+    both = central_converse_check([cube, sine], 50)
+    assert len(calls) == 1
+    assert both == [central_converse_check(cube, 50), central_converse_check(sine, 50)]
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n", [10, 50, 10_000, 100_000])
@@ -351,6 +358,15 @@ def test_branch_check_large_lambda_at_real_threshold():
     for x in (0.497, 0.5):
         assert n * x >= 223600.0
         assert I_n_branch_check(n, x, lambda0=223600.0)
+
+
+@pytest.mark.parametrize("lambda0", [-1.0, 0.0])
+def test_branch_check_rejects_a_nonpositive_threshold(monkeypatch, lambda0):
+    # unguarded, every point took the n x >= lambda0 branch and the check
+    # returned a verdict at a threshold that means nothing
+    monkeypatch.setattr(central, "I_n_closed", None)  # no work before the check
+    with pytest.raises(ValueError, match="lambda0 must be positive"):
+        I_n_branch_check(1000, 0.005, lambda0)
 
 
 def test_branch_check_domain():

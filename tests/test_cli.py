@@ -450,6 +450,64 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert payload["command"] == "verify"
 
 
+@pytest.mark.parametrize("argv, work", [
+    (["upper"], "upper_bound_report"),
+    (["sweep", "--a-range", "6.0,7.0"], "sweep_upper"),
+])
+@pytest.mark.parametrize("where, error", [
+    ("missing/report.out", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_out_is_a_usage_error_before_any_work(capsys, monkeypatch, tmp_path,
+                                                         argv, work, where, error):
+    # unguarded, every check or sweep row ran and _write then died with a
+    # traceback and exit 1, the code of a failed check
+    def never(*args):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(bounds, work, never)
+    out = str(tmp_path / where)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", out])
+    assert exc.value.code == 2
+    assert f"cannot write --out {out}: {error}" in capsys.readouterr().err
+
+
+def test_out_probe_leaves_no_file_on_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    assert run_cli_usage_error(capsys, "upper", "--a", "-1", "--out", str(target)) == 2
+    assert not target.exists()
+
+
+def test_runs_in_one_process_keep_no_hidden_state(capsys, monkeypatch):
+    # each round searches as a fresh process does: no result of one run is
+    # kept for the next.  verify's central converse check takes both of its
+    # functions in one call, which searches sup H_48 once
+    searches, converse = [], []
+    search, check = central.sup_search, bounds.central_converse_check
+
+    def spy_search(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    def spy_check(f, n):
+        converse.append((f, n))
+        return check(f, n)
+
+    monkeypatch.setattr(central, "sup_search", spy_search)
+    monkeypatch.setattr(bounds, "central_converse_check", spy_check)
+    rounds = []
+    for _ in range(2):
+        searches.clear()
+        converse.clear()
+        assert run_cli(capsys, "verify", "--seed", "31")[0] == 0
+        assert run_cli(capsys, "hn", "--n", "10000")[0] == 0
+        rounds.append((len(searches), list(converse)))
+    # sup H_100, sup H_48 and sup H_10000
+    assert [count for count, _ in rounds] == [3, 3]
+    assert all(calls == [([cli._CUBE, cli._SINE], 50)] for _, calls in rounds)
+
+
 def test_global_flags_must_follow_subcommand(capsys):
     assert run_cli_usage_error(capsys, "--format", "json", "constants") == 2
 

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -447,6 +448,19 @@ def test_inv_moment_relative_error_up_to_a_million():
         ref = mp_inv_moment_shift(float(y), dps=50)
         assert abs(inv_moment_shift_V(y) / ref - 1.0) <= 1e-14, y
     assert np.array_equal(inv_moment_shift_V(ys), [inv_moment_shift_V(float(y)) for y in ys])
+
+
+def test_inv_moment_is_finite_at_huge_and_infinite_y():
+    # the closed form is taken only below _INV_SERIES_FROM: at y = inf it
+    # formed inf - inf, and at 1e300 the series' c * c overflowed, each a
+    # RuntimeWarning; E 1/(y + V) falls as 1/y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = inv_moment_shift_V(np.array([0.5, 1e300, math.inf]))
+        assert inv_moment_shift_V(math.inf) == 0.0
+    assert out[0] == inv_moment_shift_V(0.5)
+    assert out[1] == pytest.approx(1e-300, rel=1e-15)
+    assert out[2] == 0.0
 
 
 @given(st.floats(0.0, 1e4))
