@@ -163,21 +163,23 @@ def bernstein_derivative(f, n, m, x):
 
 def _derivative_and_apply(fs, n, m, xs, log_mass):
     """For each function f of the sequence fs, ((B_n f)^(m), B_n f) at the
-    points of the 1-D array xs, each point summed over its window at
-    log_mass and checked as in bernstein_derivative, plus the envelopes of
-    the two sums, pref sum |p f K_m| and sum |p f| (pref = m!/phi^(2m)), from
-    which dist._window_err bounds their distance to the full-window values:
-    one tuple (kraw, apply, kraw_env, apply_env) per function, in the order
-    of fs.
+    points of the 1-D array xs, each point summed over its block's window
+    from dist._blocks at log_mass and checked as in bernstein_derivative,
+    plus the envelopes of the two sums, pref sum |p f K_m| and sum |p f|
+    (pref = m!/phi^(2m)), from which dist._window_err bounds their distance
+    to the full-window values: one tuple (kraw, apply, kraw_env, apply_env)
+    per function, in the order of fs.
 
     The work that does not depend on f, the pmf rows, the Krawtchouk rows
     and the S_{n-m} rows of each block, is done once per block for all of
     fs; each function then runs the arithmetic of a one-function call, so
     its tuple is bit for bit what [f] alone gives.  The Krawtchouk terms are
     built on the products rows * f(k/n) whose row sums are B_n f, bit for
-    bit as bernstein_apply_many sums them.  A point's values depend on (f,
-    n, m, x, log_mass) alone, never on the other points or functions of a
-    call."""
+    bit as bernstein_apply_many sums them.  At the full log-mass
+    _BAND_LOG_MASS a point's values depend on (f, n, m, x) alone, never on
+    the other points or functions of a call; below it, the points of a block
+    of dist._blocks are summed over the union of their windows, so a value
+    depends also on the points beside it, within dist._window_err."""
     _check_n(n)
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m={m}, n={n}")

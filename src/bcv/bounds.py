@@ -275,12 +275,12 @@ def _need_n(n, least):
 
 def _d2_and_apply(fs, n, x, log_mass):
     """For each f of fs, ((B_n f)'', B_n f) at the points x of (0, 1), summed
-    over their windows at log_mass in one _derivative_and_apply pass, and
-    how far each can lie from its full-window value, from dist._window_err:
-    a term of B_n f is at most max|f|, and one of the Krawtchouk sum at most
-    pref C(n, 2) max|f|, pref = 2/phi^4, as |K_2(x; k)| <= C(n, 2) at
-    integer k in [0, n] (Vandermonde).  One tuple (d2, bn, d2_err, bn_err)
-    per function."""
+    over their blocks' windows at log_mass in one _derivative_and_apply
+    pass, and how far each can lie from its full-window value, from
+    dist._window_err: a term of B_n f is at most max|f|, and one of the
+    Krawtchouk sum at most pref C(n, 2) max|f|, pref = 2/phi^4, as
+    |K_2(x; k)| <= C(n, 2) at integer k in [0, n] (Vandermonde).  One
+    tuple (d2, bn, d2_err, bn_err) per function."""
     out = []
     for f, (d2, bn, d2_env, bn_env) in zip(fs, _derivative_and_apply(fs, n, 2, x, log_mass)):
         fmax = float(np.max(np.abs(f(np.arange(n + 1) / n))))
@@ -298,11 +298,11 @@ def _norms(fs, n, xs):
     maxima: lower estimates of the norms, so a check built on them is not
     certified.
 
-    A first pass sums every inner point over its narrow window, at log-mass
-    _SCAN_LOG_MASS + log n + log C(n, 2), for all of fs at once
-    (_d2_and_apply); dist._exact_near_max then sums full windows again, one
-    function at a time, only where either of its maxima can sit.  The
-    two-form check of (B_n f)'' runs on every sum taken."""
+    A first pass sums every inner point over a window that holds its narrow
+    window, at log-mass _SCAN_LOG_MASS + log n + log C(n, 2), for all of fs
+    at once (_d2_and_apply); dist._exact_near_max then sums full windows
+    again, one function at a time, only where either of its maxima can sit.
+    The two-form check of (B_n f)'' runs on every sum taken."""
     inner = (xs > 0.0) & (xs < 1.0)
     x = xs[inner]
     w = x * (1.0 - x)
@@ -381,6 +381,8 @@ def central_converse_check(f, n):
     norms (_norms)."""
     _need_n(n, 5)
     fs = [f] if callable(f) else list(f)
+    if not fs:
+        return []
     h = sup_H_n(n - 2).sup_value
     mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(CONVERSE_A) / 3.0
     out = []

@@ -182,8 +182,9 @@ def _H_weight(n):
 
 
 def _H_sums(n, xs, log_mass):
-    """sum_k |k - nx| P(S_n(x) = k) w_k over each point's window at log_mass,
-    w = _H_weight(n); at _BAND_LOG_MASS, H_n(x) / (phi(x) sqrt(n))."""
+    """sum_k |k - nx| P(S_n(x) = k) w_k over the window of each point's
+    block of dist._blocks at log_mass, w = _H_weight(n); at _BAND_LOG_MASS,
+    H_n(x) / (phi(x) sqrt(n))."""
     k = np.arange(n + 1)
     w = _H_weight(n)
     sums = np.empty(len(xs))
@@ -216,9 +217,9 @@ def H_n_exact(n, x):
 def _H_n_scan(n, xs):
     """H_n_exact(n, xs) wherever it can hold the grid max, and an upper bound
     on it strictly below that max everywhere else: each point is summed over
-    its narrow window at log-mass _SCAN_LOG_MASS + log n, a term of _H_sums
-    is at most n max(w), and dist._exact_near_max calls H_n_exact where the
-    max can sit."""
+    a window that holds its narrow window at log-mass _SCAN_LOG_MASS + log n,
+    a term of _H_sums is at most n max(w), and dist._exact_near_max calls
+    H_n_exact where the max can sit."""
     log_mass = _SCAN_LOG_MASS + math.log(n)
     scale = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n)
     sums = _H_sums(n, xs, log_mass)

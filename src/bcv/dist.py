@@ -10,18 +10,21 @@ The band kernel: by Bernstein's inequality all but exp(-760) of a
 Binomial(n, x) row lies in a band |k - nx| <= t around nx, and every entry
 outside it rounds to exactly 0.0.  Each point x gets a window [lo, hi] that
 holds its band, snapped outward to multiples of 64 and clamped to [0, n], so
-the window depends on (n, x) alone.  _blocks cuts the points into runs that
-share one window, of at most _BLOCK_ENTRIES band entries each, and builds
-each block's rows by taking exp over that window, so every expectation is
-one np.sum(axis=1) over a block's rows.  exp is skipped at entries whose
-log-mass lies below _EXP_ZERO = -746, where it would round to +0.0 by a
-slow path; subnormal entries stay on np.exp.  A point's summation tree is
-therefore the same alone and inside any batch.  BinomialLaw.pmf_vector is a
-one-point block scattered into a row of n + 1 entries.
+the window depends on (n, x) alone.  _blocks cuts the points into blocks of
+at most _BLOCK_ENTRIES band entries and builds each block's rows by taking
+exp over its window, so every expectation is one np.sum(axis=1) over a
+block's rows.  exp is skipped at entries whose log-mass lies below
+_EXP_ZERO = -746, where it would round to +0.0 by a slow path; subnormal
+entries stay on np.exp.  In a full-window pass a block is a run of points
+that share one window, so a point's summation tree is the same alone and
+inside any batch; a scan pass, at a smaller log-mass, sums each point over
+the union of its block's windows.  BinomialLaw.pmf_vector is a one-point
+block scattered into a row of n + 1 entries.
 
 The two-pass scans (central._H_n_scan, bounds._norms) sum over narrow
-windows, bound the distance to the full-window sums by _window_err, and sum
-full windows again only where a max can sit, by _exact_near_max.
+windows, or unions of them, bound the distance to the full-window sums by
+_window_err, and sum full windows again only where a max can sit, by
+_exact_near_max.
 """
 
 import ctypes
@@ -37,8 +40,9 @@ from scipy.special import gammaln, xlogy
 LOG4 = math.log(4.0)
 LOG2716 = math.log(27.0 / 16.0)
 
-# Band entries of one transient block of binomial rows (about 2 MB of float64).
-_BLOCK_ENTRIES = 1 << 18
+# Band entries of one transient block of binomial rows: 256 KiB of float64, so
+# a block and its few temporaries stay in a core's L2 cache.
+_BLOCK_ENTRIES = 1 << 15
 # Log-mass beyond which exp underflows to exactly 0.0 with room to spare:
 # exp(-745.2) already rounds to zero.
 _BAND_LOG_MASS = 760.0
@@ -86,8 +90,8 @@ def _log_binom(n):
 def _keep_freed_memory():
     """Under glibc, serve arrays below 32 MB from the heap and keep up to 64 MB
     of it when freed, so block loops reuse their memory: one
-    bernstein_derivative(f, 10**4, 2, x) over 5,000 points then takes 4.9e3
-    minor page faults, not 3.9e4 (glibc 2.36)."""
+    bernstein_derivative(f, 10**4, 2, x) over 2,000 points then takes 620
+    minor page faults, not 2.7e4 (glibc 2.36)."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -115,64 +119,95 @@ def _band_windows(n, xs, log_mass=_BAND_LOG_MASS):
 
 
 def _blocks(n, xs, log_mass=_BAND_LOG_MASS):
-    """Yield blocks (sl, cols, rows) of the points xs: consecutive slices sl,
-    each a run of points that share one window from _band_windows at
-    log_mass; cols, that window's slice of a vector indexed by k = 0..n; and
-    rows, the pmf rows of xs[sl] over the window, so np.sum(..., axis=1)
-    reduces each row over exactly its window.
+    """Yield blocks (sl, cols, rows) of the points xs: consecutive slices sl;
+    cols, the block's window, a slice of a vector indexed by k = 0..n; and
+    rows, the pmf rows of xs[sl] over that window, so np.sum(..., axis=1)
+    reduces each row over exactly the block's window.
 
-    A run holding more than _BLOCK_ENTRIES entries is cut into chunks of
-    max(1, _BLOCK_ENTRIES // width) points, so a block's rows hold at most
-    _BLOCK_ENTRIES entries, or one point's window."""
+    A block holds at most _BLOCK_ENTRIES entries, or one point.  At the full
+    log-mass _BAND_LOG_MASS a block is a run of points that share one window
+    from _band_windows, so a point's summation tree is the same alone and
+    inside any batch.  Below it, the pass is a scan whose sums feed
+    _window_err enclosures only: a block takes consecutive points while they
+    fit over the union of their windows, which holds each point's window."""
     _keep_freed_memory()
     xs, lo, hi = _band_windows(n, xs, log_mass)
-    cut = np.flatnonzero((np.diff(lo) != 0) | (np.diff(hi) != 0)) + 1
-    starts = [0, *cut.tolist()] if len(lo) else []
-    for s, e in zip(starts, [*starts[1:], len(lo)]):
-        cols = slice(int(lo[s]), int(hi[s]) + 1)
-        step = max(1, _BLOCK_ENTRIES // (cols.stop - cols.start))
-        for a in range(s, e, step):
-            sl = slice(a, min(a + step, e))
-            yield sl, cols, _window_rows(n, xs[sl], cols.start, cols.stop)
+    # math.log/log1p per x: np.log can differ from them by an ulp
+    inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
+    xi = xs[inner].tolist()
+    lx, l1x = np.zeros((2, len(xs), 1))
+    lx[inner, 0] = [math.log(v) for v in xi]
+    l1x[inner, 0] = [math.log1p(-v) for v in xi]
+    for a, e, l, h in _spans(lo, hi, log_mass < _BAND_LOG_MASS):
+        rows = _window_rows(n, xs[a:e], lx[a:e], l1x[a:e], l, h + 1)
+        yield slice(a, e), slice(l, h + 1), rows
 
 
-def _window_rows(n, xs, offset, end):
+def _spans(lo, hi, union):
+    """The blocks of _blocks as (a, e, l, h), points a..e-1 over the window
+    [l, h], from the points' windows [lo, hi]: each run of points that share
+    a window, cut into chunks of max(1, _BLOCK_ENTRIES // width) points; or
+    if union, greedy runs of points that fit over the union of their
+    windows."""
+    if not union:
+        cut = np.flatnonzero((np.diff(lo) != 0) | (np.diff(hi) != 0)) + 1
+        starts = [0, *cut.tolist()] if len(lo) else []
+        for s, e in zip(starts, [*starts[1:], len(lo)]):
+            l, h = int(lo[s]), int(hi[s])
+            step = max(1, _BLOCK_ENTRIES // (h - l + 1))
+            for a in range(s, e, step):
+                yield a, min(a + step, e), l, h
+        return
+    a = 0
+    while a < len(lo):
+        # no more points fit than over the first one's own window
+        e = min(len(lo), a + max(1, _BLOCK_ENTRIES // int(hi[a] - lo[a] + 1)))
+        l, h = np.minimum.accumulate(lo[a:e]), np.maximum.accumulate(hi[a:e])
+        # the union only widens, so the points that fit are a prefix
+        fits = np.arange(1, e - a + 1) * (h - l + 1) <= _BLOCK_ENTRIES
+        m = max(1, int(np.count_nonzero(fits)))
+        yield a, a + m, int(l[m - 1]), int(h[m - 1])
+        a += m
+
+
+def _window_rows(n, xs, lx, l1x, offset, end):
     """The pmf rows of the validated float array xs over k = offset..end-1,
-    which must hold every point's window.
+    which must hold every point's window, given the columns lx = log x and
+    l1x = log1p(-x) at the points inside (0, 1).
 
     Every entry is bit-identical to the dense exp(log C(n, k) + k log x
     + (n - k) log1p(-x)): by Bernstein's inequality every entry outside a
     row's band has mass below exp(-760), which exp rounds to exactly 0.0.
-    Inside the window, entries with log-mass below _EXP_ZERO are left at the
-    +0.0 exp would give, without calling it; subnormal results, log-mass in
-    [-745.13, -708.4], are taken by np.exp, as math.exp can round them
-    differently."""
-    inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
+    Entries with log-mass below _EXP_ZERO are set to -inf before exp, which
+    gives the same +0.0 without numpy's slow path; a row's log-mass is
+    concave in k, so that pass runs only where a window's end lies below
+    _EXP_ZERO.  Subnormal results, log-mass in [-745.13, -708.4], are taken
+    by np.exp, as math.exp can round them differently."""
+    inner = (xs > 0.0) & (xs < 1.0)
+    if not np.all(inner):
+        out = np.zeros((len(xs), end - offset))
+        out[inner] = _window_rows(n, xs[inner], lx[inner], l1x[inner], offset, end)
+        edge = ~inner
+        out[edge, (n * xs[edge]).astype(int) - offset] = 1.0
+        return out
     k = np.arange(offset, end, dtype=float)
-    # math.log/log1p per x: np.log can differ from them by an ulp
-    xi = xs[inner].tolist()
-    lx = np.array([math.log(v) for v in xi]).reshape(-1, 1)
-    l1x = np.array([math.log1p(-v) for v in xi]).reshape(-1, 1)
     # exp(log C + k log x + (n - k) log1p(-x)), added in that order
     logs = k * lx
     logs += _log_binom(n)[offset:end]
     logs += (n - k) * l1x
-    out = np.zeros_like(logs)
-    np.exp(logs, out=out, where=logs >= _EXP_ZERO)
-    if len(inner) < len(xs):
-        rows, out = out, np.zeros((len(xs), end - offset))
-        out[inner] = rows
-        edge = np.flatnonzero((xs == 0.0) | (xs == 1.0))
-        out[edge, (n * xs[edge]).astype(int) - offset] = 1.0
-    return out
+    if len(logs) and min(logs[:, 0].min(), logs[:, -1].min()) < _EXP_ZERO:
+        np.copyto(logs, -np.inf, where=logs < _EXP_ZERO)
+    np.exp(logs, out=logs)
+    return logs
 
 
 def _window_err(n, xs, log_mass, term_bound, env):
-    """How far sum_k p_k g_k over each point's window at log_mass T can lie
-    from the same sum over its full window, given term_bound >= |g_k| and
-    the envelope env = sum_k |p_k g_k|: term_bound 4 e^-T + gamma env.  The
-    window's entries are those of the full row, and it leaves out mass at
-    most 2 e^-T (Bernstein's inequality), doubled for the entries' rounding.
+    """How far sum_k p_k g_k over each point's window at log_mass T, or over
+    any window of k that holds it, can lie from the same sum over its full
+    window, given term_bound >= |g_k| and the envelope env = sum_k |p_k g_k|:
+    term_bound 4 e^-T + gamma env.  The window's entries are those of the
+    full row, and it leaves out mass at most 2 e^-T (Bernstein's
+    inequality), doubled for the entries' rounding.
     Either sum, of at most n + 1 terms, rounds by at most (n + 1) 2^-53 env;
     gamma = 4(n + 1) 2^-53 covers both with room for the callers' products.
     0 where the window is all of [0, n], as the full one is then."""
@@ -258,6 +293,8 @@ def stirling_mode_bound_check(n, m):
     (a bool is returned) or at each entry of an int array m (a bool array),
     reading the pmf rows of all m from the blocks of _blocks."""
     ma = np.asarray(m)
+    if not np.issubdtype(ma.dtype, np.integer):
+        raise ValueError(f"m must be an integer or an integer array, got m={m!r}")
     ms = ma.ravel()
     if np.any((ms < 1) | (ms > n - 1)):
         raise ValueError(f"m must lie in [1, n-1], got m={m}, n={n}")

@@ -463,6 +463,19 @@ def test_full_window_values_lie_in_the_narrow_enclosure(n, name, xs):
     assert np.all(np.abs(d2_full - d2) <= d2_err), (d2_full - d2, d2_err)
 
 
+@pytest.mark.parametrize("n", [100, 10_000, 100_000])
+def test_narrow_norm_pass_lies_within_its_window_err_on_the_modulus_grid(n):
+    # the narrow pass of _norms over a grid, whose union blocks sum each
+    # point over more than its narrow window; every third inner point of the
+    # modulus grid, at a third of the cost
+    f = build_fn_lower(n)
+    xs = _modulus_norm_grid(f, n)[1:-1:3]
+    log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
+    (d2, bn, d2_err, bn_err), (d2_full, bn_full) = _narrow_and_full(f, n, xs, log_mass)
+    assert np.all(np.abs(bn_full - bn) <= bn_err)
+    assert np.all(np.abs(d2_full - d2) <= d2_err)
+
+
 def test_narrow_enclosure_needs_its_tail_term(monkeypatch):
     # at log-mass 3 the windows leave out far more than rounding: the
     # enclosures still hold, and the distance to the full sums exceeds the
@@ -517,6 +530,17 @@ def test_central_converse_of_a_sequence_equals_the_one_function_calls(monkeypatc
     assert central_converse_check(tuple(fns), 50) == each
     assert passes == [2]
     assert central_converse_check([], 50) == []
+
+
+def test_central_converse_of_no_functions_runs_no_search(monkeypatch):
+    # it ran a whole sup_H_n(n - 2) search and then returned []
+    def never(n):
+        raise AssertionError("sup_H_n searched")
+
+    monkeypatch.setattr(bounds, "sup_H_n", never)
+    assert central_converse_check([], 50) == []
+    with pytest.raises(ValueError, match="got n=4"):
+        central_converse_check([], 4)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3.5, 5.5, math.nan])

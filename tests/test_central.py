@@ -16,7 +16,7 @@ from bcv.central import (C_of_lambda, C_tilde, D_coeff,
                          I_n_branch_check, I_n_brute, I_n_closed, K_func,
                          SupSearchResult, nu, phi_ratio_moment_sides,
                          r_of_lambda, sup_C, sup_C_tilde, sup_H_n)
-from bcv.dist import LOG4, LOG2716, _band_windows, _window_err
+from bcv.dist import _BAND_LOG_MASS, LOG4, LOG2716, _band_windows, _window_err
 from bcv.search import sup_search
 
 
@@ -293,6 +293,18 @@ def test_sup_H_n_equals_the_exact_scan_bitwise(n):
     arg, value, _ = sup_search(lambda t: H_n_exact(n, t), _H_grid(n))
     res = sup_H_n(n)
     assert (res.sup_value, res.arg) == (value, arg)
+
+
+@pytest.mark.parametrize("n", [100, 10_000, 100_000])
+def test_narrow_H_sums_lie_within_their_window_err_of_the_full_sums(n):
+    # the scan sums each point over the union window of its block, which
+    # holds the point's narrow window; the bound is that of _H_n_scan
+    xs = _H_grid(n)
+    log_mass = central._SCAN_LOG_MASS + math.log(n)
+    narrow = central._H_sums(n, xs, log_mass)
+    full = central._H_sums(n, xs, _BAND_LOG_MASS)
+    err = _window_err(n, xs, log_mass, n * float(np.max(_H_weight(n))), narrow)
+    assert np.all(np.abs(full - narrow) <= err)
 
 
 def test_scan_enclosure_fails_without_its_tail_term(monkeypatch):

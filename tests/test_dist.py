@@ -20,10 +20,10 @@ from oracles import (dense_binomial_row, frac_binom_pmf, mp_inv_moment_shift,
                      quad_integral, tent_density)
 from bcv.bernstein import bernstein_apply_many, bernstein_derivative
 from bcv.bounds import iterate_converse_check
-from bcv.central import H_n_exact
-from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, _EXP_ZERO, BinomialLaw,
-                      _band_windows, _blocks, _exact_near_max, _log_binom,
-                      inv_moment_shift_V,
+from bcv.central import H_n_exact, _H_grid
+from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, _EXP_ZERO, _SCAN_LOG_MASS,
+                      BinomialLaw, _band_windows, _blocks, _exact_near_max,
+                      _log_binom, inv_moment_shift_V,
                       stirling_mode_bound_check, tv_binom_poisson,
                       tv_binom_poisson_bound)
 
@@ -196,6 +196,34 @@ def test_blocks_cover_the_points_in_order_within_the_block_size(n):
                 assert np.array_equal(row, dense_binomial_row(n, x)[cols]), (n, x)
 
 
+@pytest.mark.parametrize("n", [10, 100, 10_000, 1_000_000])
+def test_scan_blocks_cover_the_points_in_order_over_the_union_of_their_windows(n):
+    # below the full log-mass a block takes consecutive points greedily over
+    # the union of their narrow windows: sup_H_n's grid, then the points of
+    # the shared-window test above
+    log_mass = _SCAN_LOG_MASS + math.log(n)
+    xs = np.concatenate([_H_grid(n), np.linspace(0.2, 0.3, 500),
+                         np.linspace(0.0, 1.0, 300), np.full(300, 0.5)])
+    blocks = list(_blocks(n, xs, log_mass))
+    stops = [sl.stop for sl, _, _ in blocks]
+    assert [sl.start for sl, _, _ in blocks] == [0] + stops[:-1] and stops[-1] == len(xs)
+    _, lo, hi = _band_windows(n, xs, log_mass)
+    for sl, cols, rows in blocks:
+        # the block's window is the union of its points' windows, so it
+        # holds each of them
+        assert (cols.start, cols.stop) == (lo[sl].min(), hi[sl].max() + 1)
+        assert rows.shape == (sl.stop - sl.start, cols.stop - cols.start)
+        assert sl.stop - sl.start == 1 or rows.size <= _BLOCK_ENTRIES
+        # the dense row over the block's window, at each block's last point
+        if n <= 10_000:
+            x = xs[sl.stop - 1]
+            assert np.array_equal(rows[-1], dense_binomial_row(n, x)[cols]), (n, x)
+    # greedy: the next point would not have fit
+    for (sl, cols, _), (nxt, _, _) in zip(blocks, blocks[1:]):
+        width = max(cols.stop - 1, hi[nxt.start]) - min(cols.start, lo[nxt.start]) + 1
+        assert (sl.stop - sl.start + 1) * width > _BLOCK_ENTRIES
+
+
 def test_binomial_rows_match_exact_rationals_for_small_n():
     ps = (Fraction(1, 3), Fraction(2, 5), Fraction(1, 7), Fraction(9, 10))
     for n in range(1, 13):
@@ -261,6 +289,30 @@ def test_block_loops_do_not_page_fault_every_block():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert int(out.stdout) < 10_000
+
+
+def test_scan_passes_hold_few_blocks_of_memory():
+    # in a fresh interpreter, the tracemalloc peaks of the scans of verify's
+    # sup_H_n(100) and of the witness's norm pass: with blocks of 2^18
+    # entries they were 7.3 and 7.4 MB; with 2^15, 1.5 and 2.8 MB, about 6
+    # and 11 blocks of 8 _BLOCK_ENTRIES bytes, so the bounds of 8 and 16
+    # blocks leave 1.4 times headroom
+    code = ("import tracemalloc\n"
+            "from bcv import bounds, central\n"
+            "f = bounds.build_fn_lower(10 ** 4)\n"
+            "tracemalloc.start()\n"
+            "central.sup_H_n(100)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+            "tracemalloc.reset_peak()\n"
+            "bounds.modulus_upper_check(f, 10 ** 4)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    src = os.path.dirname(os.path.dirname(bcv.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    sup_h, modulus = map(int, out.stdout.split())
+    block = 8 * _BLOCK_ENTRIES
+    assert sup_h < 8 * block
+    assert modulus < 16 * block
 
 
 @given(data=st.data(), rows=st.integers(1, 3), points=st.integers(1, 12))
@@ -411,6 +463,13 @@ def test_stirling_mode_bound_validation():
         stirling_mode_bound_check(5, 5)
     with pytest.raises(ValueError):
         stirling_mode_bound_check(5, np.array([1, 5]))
+
+
+@pytest.mark.parametrize("m", [2.5, 3.0, np.array([1.0, 2.0]), True])
+def test_stirling_mode_bound_rejects_a_non_integer_m_by_name(m):
+    # a float m raised numpy's IndexError on the float index arrays
+    with pytest.raises(ValueError, match=r"m must be an integer.*got m="):
+        stirling_mode_bound_check(10, m)
 
 
 def test_inv_moment_closed_form_values():

@@ -30,6 +30,7 @@ CASES = {
     "upper": ["upper", "--format", "json"],
     "lower_10000": ["lower", "--n", "10000", "--format", "json"],
     "hn_10000": ["hn", "--n", "10000", "--format", "json"],
+    "hn_1000000": ["hn", "--n", "1000000", "--format", "json"],
     "verify_seed31": ["verify", "--seed", "31", "--format", "json"],
     "verify_seed31_text": ["verify", "--seed", "31", "--format", "text"],
     "verify_seed31_csv": ["verify", "--seed", "31", "--format", "csv"],
