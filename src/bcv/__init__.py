@@ -2,8 +2,8 @@
 
 Submodules:
 
-  dist        the binomial law and its band kernel, the binomial-Poisson
-              total variation distance and bound, inverse moments
+  dist        the binomial and Poisson laws, the band kernel, their total
+              variation distance and its bound, inverse moments; alone imports scipy
   bernstein   the operator, its derivatives, Krawtchouk polynomials
   moduli      moduli of continuity, including the phi-weighted second modulus
   search      the sup-search primitive: grid scan plus golden-section refinement

@@ -11,6 +11,7 @@ omega2_phi(f_n; 1/sqrt(n)) -> 4 and ||B_n f_n - f_n|| <= 0.8, giving ratio
 >= 4.9 at n = 10^4, plus its Poisson-limit profile G.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .bernstein import (PiecewiseLinearFn, _derivative_and_apply,
                         bernstein_apply_many)
 from .central import K_func, SupSearchResult, sup_H_n
 from .dist import (_BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, _check_n,
-                   _exact_near_max, _window_err)
+                   _exact_near_max, _poisson_terms, _window_err)
 from .moduli import X_POINTS, omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
 from .search import sup_search
@@ -195,13 +196,12 @@ def g_of_lambda(lam):
 
 
 def G_of_lambda(lam):
-    """Poisson profile G(lam) = E g(N_lam) = 1 + sum_{k=1..3} (w_k - 1) P_k
-    with P_k = e^-lam lam^k / k!; lam may be a scalar or an array."""
+    """Poisson profile G(lam) = E g(N_lam) = 1 + sum_{k=1..3} (w_k - 1) P_k,
+    P_k from dist._poisson_terms (0 past lam = 745); lam a scalar or array."""
     lam = np.asarray(lam, dtype=float)
     if not np.all((lam >= 0.0) & np.isfinite(lam)):
         raise ValueError("lam must be finite and >= 0")
-    e = np.exp(-lam)
-    out = _witness_mean((lam * e, lam ** 2 * e / 2.0, lam ** 3 * e / 6.0))
+    out = _witness_mean(itertools.islice(_poisson_terms(lam), 1, 4))
     return out if out.ndim else float(out)
 
 
@@ -216,7 +216,7 @@ def sup_G_minus_g():
     arg, value, _ = sup_search(lambda t: np.abs(G_of_lambda(t) - g_of_lambda(t)),
                                lams, breaks=nodes)
     w1 = max(abs(w - 1.0) for w in _WITNESS)
-    tail = w1 * math.exp(-lam) * (1.0 + lam + lam ** 2 / 2.0 + lam ** 3 / 6.0)
+    tail = w1 * sum(itertools.islice(_poisson_terms(lam), 4))
     cert = (f"for lambda > {lam:g}: |G - g| = |G - 1| <= {w1:g} P(N <= 3) "
             f"<= {tail:.3e} (decreasing in lambda)")
     return SupSearchResult(value, arg, (0.0, lam), cert)

@@ -14,16 +14,16 @@ moment bound used downstream.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import gammaln, pdtr, xlogy
 
-from .dist import (_BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, LOG2716, BinomialLaw,
-                   _blocks, _check_n, _exact_near_max, _window_err,
-                   inv_moment_shift_V)
+from .dist import (_BAND_LOG_MASS, _POISSON_LAM_MAX, _SCAN_LOG_MASS, LOG4,
+                   LOG2716, BinomialLaw, _blocks, _check_n, _exact_near_max,
+                   _poisson_terms, _window_err, inv_moment_shift_V)
 from .search import sup_search
 
 # The x-grid of sup_H_n: H_SCAN_POINTS uniform points of (0, 1/2], and a
@@ -89,16 +89,19 @@ def nu(lam):
         nu(lam) = sqrt(lam) (2 P(N = ceil(lam)) - P(N = 0))
                 + (1/sqrt(lam)) (2 P(N <= ceil(lam)) - 1 - P(N = 0)),
 
-    N Poisson(lam).  Jumps at integer lam through the ceiling.  lam may be
-    a scalar (a float is returned) or an array; P(N <= m) is the regularized
-    Poisson cdf pdtr."""
+    N Poisson(lam), 0 < lam <= 700; it jumps at integers through the ceiling.
+    lam may be a scalar (a float is returned) or an array, whose points one
+    pass over dist._poisson_terms advances together."""
     lam = np.asarray(lam, dtype=float)
-    if not np.all((lam > 0.0) & np.isfinite(lam)):
-        raise ValueError("lam must be positive and finite")
+    if not np.all((lam > 0.0) & (lam <= _POISSON_LAM_MAX)):  # NaN fails too
+        raise ValueError(f"lam must lie in (0, {_POISSON_LAM_MAX:g}], got lam={lam}")
     m = np.ceil(lam)
-    pm = np.exp(m * np.log(lam) - lam - gammaln(m + 1.0))
-    p0 = np.exp(-lam)
-    cm = pdtr(m, lam)
+    terms = _poisson_terms(lam)
+    p0 = next(terms)
+    pm, cm = np.zeros_like(lam), np.array(p0)
+    for j, p in enumerate(itertools.islice(terms, int(np.max(m, initial=0.0))), 1):
+        np.add(cm, p, out=cm, where=m >= j)
+        np.copyto(pm, p, where=m == j)
     out = np.sqrt(lam) * (2.0 * pm - p0) + (2.0 * cm - 1.0 - p0) / np.sqrt(lam)
     return out if out.ndim else float(out)
 
@@ -327,7 +330,7 @@ def _q(u, r):
     (and r log r -> 0) where 1 + u has cancelled to 0."""
     if abs(u) < 0.25:
         return float(polyval(u, _Q_SERIES))
-    r_log_r = xlogy(r, r) if u < -0.5 else r * math.log1p(u)
+    r_log_r = r * math.log1p(u) if u >= -0.5 else r * math.log(r) if r > 0.0 else 0.0
     return (r_log_r - u) / u / u
 
 

@@ -1,10 +1,12 @@
 """Discrete laws and inverse moments.
 
 The binomial law and the band kernel that every expectation over
-Binomial(n, x) runs on, the exact binomial-Poisson total variation distance
-beside its bound, the Stirling bound on the binomial mode, and the closed
-form E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y for V = U1 + U2,
-taken by its series in 1/(y+1) where the closed form cancels.
+Binomial(n, x) runs on, the Poisson terms that every Poisson probability is
+read from, the exact binomial-Poisson total variation distance beside its
+bound, the Stirling bound on the binomial mode, and the closed form
+E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y for V = U1 + U2, taken
+by its series in 1/(y+1) where the closed form cancels.  The one module that
+imports scipy: gammaln for log C(n, k), xlogy for that closed form.
 
 The band kernel: by Bernstein's inequality all but exp(-760) of a
 Binomial(n, x) row lies in a band |k - nx| <= t around nx, and every entry
@@ -29,6 +31,7 @@ _exact_near_max.
 
 import ctypes
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -64,6 +67,8 @@ _BAND_LATTICE = 64
 # series fall by c^-2 <= 1/9 each, so 17 of them reach below 1e-17.
 _INV_SERIES_FROM = 2.0
 _INV_SERIES = np.array([2.0 / ((2 * j + 1) * (2 * j + 2)) for j in range(17)])
+# Largest lam of nu and tv_binom_poisson: e^-lam is normal up to lam = 708.39.
+_POISSON_LAM_MAX = 700.0
 
 
 def _check_n(n):
@@ -90,8 +95,8 @@ def _log_binom(n):
 def _keep_freed_memory():
     """Under glibc, serve arrays below 32 MB from the heap and keep up to 64 MB
     of it when freed, so block loops reuse their memory: one
-    bernstein_derivative(f, 10**4, 2, x) over 2,000 points then takes 620
-    minor page faults, not 2.7e4 (glibc 2.36)."""
+    bernstein_derivative(f, 10**4, 2, x) over 2,000 points then takes about
+    610 minor page faults, not 2.9e4 (glibc 2.36)."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -260,20 +265,28 @@ class BinomialLaw:
         return out
 
 
+def _poisson_terms(lam):
+    """P(N = 0), P(N = 1), ... without end for N Poisson(lam), lam a float or
+    an array: p_0 = e^-lam, p_j = p_{j-1} (lam/j), each within about 2j
+    roundings while e^-lam is a normal float; past lam = 745 all are 0."""
+    p = np.exp(-lam)
+    for j in itertools.count(1):
+        yield p
+        p = p * (lam / j)
+
+
 def tv_binom_poisson(n, lam):
     """d_TV(S_n(lam/n), N_lam) = (1/2) sum_k |P(S = k) - P(N = k)|, for
-    0 < lam <= n.
-
-    The sum runs to max(n, k*) with k* = ceil(lam) + ceil(40 sqrt(lam + 1))
-    + 40, beyond which the Poisson mass is below 1e-15 for lam <= 100."""
-    if not 0.0 < lam <= n:
-        raise ValueError(f"need 0 < lam <= n, got lam={lam}, n={n}")
-    cut = max(n, math.ceil(lam) + math.ceil(40.0 * math.sqrt(lam + 1.0)) + 40)
-    k = np.arange(cut + 1, dtype=float)
-    p = np.zeros(cut + 1)
-    p[:n + 1] = BinomialLaw(n, lam / n).pmf_vector()
-    q = np.exp(k * math.log(lam) - lam - gammaln(k + 1))
-    return 0.5 * float(np.sum(np.abs(p - q)))
+    0 < lam <= min(n, 700): over the terms of _poisson_terms up to k = n, or
+    until they underflow to 0, plus the Poisson mass beyond, 1 - P(N <= k)."""
+    if not (0.0 < lam <= n and lam <= _POISSON_LAM_MAX):
+        raise ValueError(f"need 0 < lam <= min(n, {_POISSON_LAM_MAX:g}), "
+                         f"got lam={lam}, n={n}")
+    p = BinomialLaw(n, lam / n).pmf_vector()
+    q = np.array(list(itertools.takewhile(
+        lambda t: t > 0.0, itertools.islice(_poisson_terms(lam), n + 1))))
+    k = len(q)
+    return 0.5 * float(np.sum(np.abs(p[:k] - q)) + np.sum(p[k:]) + (1.0 - np.sum(q)))
 
 
 def tv_binom_poisson_bound(n, lam):

@@ -166,12 +166,15 @@ def omega2_phi(f, delta):
     if getattr(f, "breakpoints", None) is not None:
         res = _vertices(f, diff, smax, delta, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), True, what)
     else:
-        # the corners c and 1 - c: c on the 2^-53 grid, so 1 - c is exact, and
-        # low enough that delta phi(c) >= c, so the cap puts an arm on 0 or 1
-        c = round(delta ** 2 / (1.0 + delta ** 2) * 2.0 ** 53) * 2.0 ** -53
+        # the corners c and r, where delta phi meets x and 1 - x, each stepped
+        # outward until it reaches them, so the cap puts an arm on 0 or 1
+        c = delta ** 2 / (1.0 + delta ** 2)
         while delta * math.sqrt(c * (1.0 - c)) < c:
-            c -= 2.0 ** -53
-        res = _boundary(f, diff, smax, [c, 1.0 - c], what)
+            c = math.nextafter(c, 0.0)
+        r = 1.0 / (1.0 + delta ** 2)
+        while delta * math.sqrt(r * (1.0 - r)) < 1.0 - r:
+            r = math.nextafter(r, 1.0)
+        res = _boundary(f, diff, smax, [c, r], what)
     x, s = res.arg_x, res.arg_h
     p = math.sqrt(x * (1.0 - x))
     h = min(s / p, delta) if p > 0.0 else 0.0

@@ -1,12 +1,15 @@
 """The scan settings (the modulus search grid constant and the fixed lambda
 scan of sup_C with its refinement-gain guard), the ledger of every defaulted
-parameter and command-line flag, and the guards on non-finite input."""
+parameter and command-line flag, the one module that imports scipy, and the
+guards on non-finite input."""
 
 import argparse
+import ast
 import importlib
 import inspect
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +92,38 @@ def test_options_ledger():
         "verify": sorted(common + ["--seed", "--suite"]),
         "sweep": ["--a-range", "--help", "--m", "--out", "--step", "-h"],
     }
+
+
+def _scipy_use(path):
+    """Whether the module at path imports scipy, and the functions (dotted
+    from the module, or the module's name at top level) that call gammaln."""
+    imports, callers = False, set()
+
+    def visit(node, where):
+        nonlocal imports
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                imports |= any(a.name.split(".")[0] == "scipy" for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                imports |= (child.module or "").split(".")[0] == "scipy"
+            elif isinstance(child, ast.Call):
+                fn = child.func
+                if getattr(fn, "id", getattr(fn, "attr", None)) == "gammaln":
+                    callers.add(where)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if named else where)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return imports, callers
+
+
+def test_scipy_is_imported_by_dist_alone():
+    # every Poisson probability comes from dist._poisson_terms, so of scipy
+    # only dist's gammaln (log C(n, k) of the band kernel) and xlogy remain
+    paths = sorted(Path(bcv.__file__).parent.glob("*.py"))
+    use = {path.name: _scipy_use(path) for path in paths}
+    assert {name for name, (imports, _) in use.items() if imports} == {"dist.py"}
+    assert set().union(*(callers for _, callers in use.values())) == {"dist._log_comb"}
 
 
 @pytest.mark.parametrize("call", [lambda: J_limit(13, math.inf),

@@ -1,6 +1,7 @@
 """The binomial law and its band kernel, total variation, and inverse-moment
 closed forms."""
 
+import itertools
 import math
 import os
 import platform
@@ -19,11 +20,11 @@ import bcv
 from oracles import (dense_binomial_row, frac_binom_pmf, mp_inv_moment_shift,
                      quad_integral, tent_density)
 from bcv.bernstein import bernstein_apply_many, bernstein_derivative
-from bcv.bounds import iterate_converse_check
-from bcv.central import H_n_exact, _H_grid
+from bcv.bounds import G_of_lambda, iterate_converse_check
+from bcv.central import H_n_exact, _H_grid, nu
 from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, _EXP_ZERO, _SCAN_LOG_MASS,
                       BinomialLaw, _band_windows, _blocks, _exact_near_max,
-                      _log_binom, inv_moment_shift_V,
+                      _log_binom, _poisson_terms, inv_moment_shift_V,
                       stirling_mode_bound_check, tv_binom_poisson,
                       tv_binom_poisson_bound)
 
@@ -277,8 +278,9 @@ def test_batched_expectations_never_build_a_dense_row(monkeypatch):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's heap limits")
 def test_block_loops_do_not_page_fault_every_block():
     # in a fresh interpreter, so no earlier test has grown glibc's limits:
-    # without them the 35 band blocks of this derivative take 1.3e4 minor
-    # page faults, with them about 4.6e3
+    # without them the 753 band blocks of this derivative, of at most 2^15
+    # entries, take about 2.9e4 minor page faults, with them about 610
+    # (glibc 2.36)
     code = ("import resource, numpy as np\n"
             "from bcv import bernstein\n"
             "x = np.linspace(0.01, 0.99, 2000)\n"
@@ -296,7 +298,9 @@ def test_scan_passes_hold_few_blocks_of_memory():
     # sup_H_n(100) and of the witness's norm pass: with blocks of 2^18
     # entries they were 7.3 and 7.4 MB; with 2^15, 1.5 and 2.8 MB, about 6
     # and 11 blocks of 8 _BLOCK_ENTRIES bytes, so the bounds of 8 and 16
-    # blocks leave 1.4 times headroom
+    # blocks leave 1.4 times headroom.  sup_C's 10^5-point nu pass holds a
+    # few arrays of the grid, about 8 MB; a (points x k) table of its Poisson
+    # terms would take 49 MB
     code = ("import tracemalloc\n"
             "from bcv import bounds, central\n"
             "f = bounds.build_fn_lower(10 ** 4)\n"
@@ -305,14 +309,18 @@ def test_scan_passes_hold_few_blocks_of_memory():
             "print(tracemalloc.get_traced_memory()[1])\n"
             "tracemalloc.reset_peak()\n"
             "bounds.modulus_upper_check(f, 10 ** 4)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+            "tracemalloc.reset_peak()\n"
+            "central.sup_C()\n"
             "print(tracemalloc.get_traced_memory()[1])\n")
     src = os.path.dirname(os.path.dirname(bcv.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
-    sup_h, modulus = map(int, out.stdout.split())
+    sup_h, modulus, sup_c = map(int, out.stdout.split())
     block = 8 * _BLOCK_ENTRIES
     assert sup_h < 8 * block
     assert modulus < 16 * block
+    assert sup_c <= 11e6
 
 
 @given(data=st.data(), rows=st.integers(1, 3), points=st.integers(1, 12))
@@ -397,11 +405,26 @@ def test_tv_distance_agrees_with_direct_half_l1():
         assert tv_binom_poisson(n, lam) == pytest.approx(direct, abs=1e-12), (n, lam)
 
 
-def test_poisson_truncation_tail_is_negligible():
-    # the cutoff of tv_binom_poisson's sum, ceil(lam) + ceil(40 sqrt(lam+1)) + 40
-    for lam in (0.5, 10.0, 100.0):
-        cut = math.ceil(lam) + math.ceil(40.0 * math.sqrt(lam + 1.0)) + 40
-        assert float(stats.poisson.sf(cut, lam)) < 1e-15
+def test_poisson_kernel_rejects_lambda_beyond_its_normal_start():
+    # p_0 = e^-lam is a normal float up to lam = 708.39; past 700 nu and
+    # tv_binom_poisson raise, naming lam, where a ceil(lam)-step pass would
+    # run on (and at lam = 1e9 never end).  G needs P_1..P_3 only, which
+    # round to 0 long before, so G is 1.0 there, correct to the last bit
+    with pytest.raises(ValueError, match="lam=700.5"):
+        nu(700.5)
+    with pytest.raises(ValueError, match="lam=800.0"):
+        tv_binom_poisson(1000, 800.0)
+    assert G_of_lambda(1e4) == 1.0
+
+
+def test_poisson_terms_follow_the_recurrence_for_arrays_and_floats():
+    lams = np.array([0.0, 0.5, 3.0, 40.0])
+    terms = list(itertools.islice(_poisson_terms(lams), 6))
+    for k, row in enumerate(terms):
+        exact = [float(stats.poisson.pmf(k, lam)) for lam in lams]
+        np.testing.assert_allclose(row, exact, rtol=1e-14, atol=0.0)
+        assert np.array_equal(row, [list(itertools.islice(_poisson_terms(lam), 6))[k]
+                                    for lam in lams])
 
 
 @given(st.integers(1, 60), st.floats(1e-3, 1.0))

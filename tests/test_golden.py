@@ -10,13 +10,22 @@ printed number fails here and has to regenerate the fixture and say why:
 rewrites every fixture from the current code and prints, for each JSON
 fixture, every field of _FIELDS that moved, per claim_id, old -> new, and
 each claim_id added or removed (for a non-JSON fixture, its name if its
-bytes moved).
+bytes moved), and
+
+    python tests/test_golden.py --console
+
+runs the installed bcv executable for every case instead, and exits
+non-zero, naming each fixture, on a non-zero exit or on any byte that
+differs.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import re
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -92,5 +101,29 @@ def regenerate():
         path.write_text(text)
 
 
+def console():
+    exe = shutil.which("bcv")
+    if exe is None:
+        raise SystemExit("no bcv executable on PATH")
+    failed = []
+    for name in sorted(CASES):
+        path = _fixture(name)
+        run = subprocess.run([exe, *CASES[name]], capture_output=True, text=True)
+        if run.returncode != 0:
+            failed.append(f"{path.name}: bcv {' '.join(CASES[name])} exited "
+                          f"{run.returncode}: {run.stderr.strip()}")
+        elif _without_runtime(run.stdout) != path.read_text():
+            failed.append(f"{path.name}: bcv {' '.join(CASES[name])} differs")
+    if failed:
+        raise SystemExit("\n".join(failed))
+    print(f"{exe}: all {len(CASES)} fixtures match")
+
+
 if __name__ == "__main__":
-    regenerate()
+    parser = argparse.ArgumentParser(description="Regenerate the golden fixtures.")
+    parser.add_argument("--console", action="store_true",
+                        help="check the installed bcv executable against them instead")
+    if parser.parse_args().console:
+        console()
+    else:
+        regenerate()
