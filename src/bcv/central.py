@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .dist import (_BAND_LOG_MASS, _POISSON_LAM_MAX, _SCAN_LOG_MASS, LOG4,
-                   LOG2716, BinomialLaw, _blocks, _check_n, _exact_near_max,
-                   _poisson_terms, _window_err, inv_moment_shift_V)
+from .dist import (_BAND_LOG_MASS, _BLOCK_ENTRIES, _POISSON_LAM_MAX,
+                   _SCAN_LOG_MASS, LOG4, LOG2716, BinomialLaw, _blocks, _check_n,
+                   _exact_near_max, _poisson_terms, _window_err, inv_moment_shift_V)
 from .search import sup_search
 
 # The x-grid of sup_H_n: H_SCAN_POINTS uniform points of (0, 1/2], and a
@@ -37,6 +37,9 @@ H_LAMBDA_MAX = 40.0
 # covers lambda >= C_LAMBDA_MAX.
 C_SCAN_POINTS = 100_000
 C_LAMBDA_MAX = 60.0
+# lambda points per block of C_of_lambda: a block's ~8 live float arrays
+# total one band block of dist._blocks, 8 _BLOCK_ENTRIES bytes.
+_C_BLOCK = _BLOCK_ENTRIES // 8
 # The flat profile level c of C~ = 2 c log(27/16) + r and of the large-lambda
 # branch I_n(x) <= c (1-x).
 C_FLAT = 0.8
@@ -45,6 +48,12 @@ C_FLAT = 0.8
 # cancel; there the series, truncated below 1e-17, take over.
 _Q_SERIES = np.array([(-1.0) ** j / ((j + 1) * (j + 2)) for j in range(24)])
 _A_SERIES = np.array([(-1.0) ** j / (2 * j + 3) for j in range(13)])
+# Taylor coefficients d_2, d_3, ... of e^{-lam} (1 + lam + 2 lam^2) - 1 =
+# sqrt(lam) nu(lam) on (0, 1], d_j = (-1)^j (1/j! - 1/(j-1)! + 2/(j-2)!)
+# = (-1)^j (2j-1)(j-1)/j!; below lam = 1/4 the closed form cancels, and
+# nu = lam^{3/2} sum_i d_{i+2} lam^i, truncated below 1e-17, takes over.
+_NU_SERIES = np.array([(-1.0) ** j * ((2 * j - 1) * (j - 1) / math.factorial(j))
+                       for j in range(2, 16)])
 
 
 @dataclass(frozen=True)
@@ -91,7 +100,11 @@ def nu(lam):
 
     N Poisson(lam), 0 < lam <= 700; it jumps at integers through the ceiling.
     lam may be a scalar (a float is returned) or an array, whose points one
-    pass over dist._poisson_terms advances together."""
+    pass over dist._poisson_terms advances together.  Below lam = 1/4,
+    where 1 - P(N = 0) and the cdf terms cancel, nu is its Taylor series
+    lam^{3/2} (3/2 - (5/3) lam + ...), which stays within a few ulps of the
+    true value and positive down to the smallest lam whose lam^{3/2} is a
+    normal float."""
     lam = np.asarray(lam, dtype=float)
     if not np.all((lam > 0.0) & (lam <= _POISSON_LAM_MAX)):  # NaN fails too
         raise ValueError(f"lam must lie in (0, {_POISSON_LAM_MAX:g}], got lam={lam}")
@@ -103,6 +116,7 @@ def nu(lam):
         np.add(cm, p, out=cm, where=m >= j)
         np.copyto(pm, p, where=m == j)
     out = np.sqrt(lam) * (2.0 * pm - p0) + (2.0 * cm - 1.0 - p0) / np.sqrt(lam)
+    out = np.where(lam < 0.25, lam ** 1.5 * polyval(lam, _NU_SERIES), out)
     return out if out.ndim else float(out)
 
 
@@ -117,14 +131,24 @@ def r_of_lambda(lam):
 
 def C_of_lambda(lam):
     """C(lam) = 2 log(27/16) nu(lam) + r(lam), extended by C(0) = 0; lam may
-    be a scalar or an array."""
+    be a scalar or an array.
+
+    An array is taken in consecutive blocks of _C_BLOCK points, so the
+    temporaries of nu and r stay the size of one band block, whatever the
+    grid.  Both are elementwise, so every value is bit for bit that of a
+    scalar call; on a sorted grid each block also stops nu's Poisson
+    recurrence at its own largest ceil(lam)."""
     lam = np.asarray(lam, dtype=float)
     if not np.all((lam >= 0.0) & np.isfinite(lam)):
         raise ValueError("lam must be finite and >= 0")
-    pos = lam > 0.0
-    c = 2.0 * LOG2716 * nu(np.where(pos, lam, 1.0)) + r_of_lambda(lam)
-    out = np.where(pos, c, 0.0)
-    return out if out.ndim else float(out)
+    flat = lam.ravel()
+    out = np.empty_like(flat)
+    for a in range(0, len(flat), _C_BLOCK):
+        block = flat[a:a + _C_BLOCK]
+        pos = block > 0.0
+        c = 2.0 * LOG2716 * nu(np.where(pos, block, 1.0)) + r_of_lambda(block)
+        out[a:a + _C_BLOCK] = np.where(pos, c, 0.0)
+    return out.reshape(lam.shape) if lam.ndim else float(out[0])
 
 
 def C_tilde(lam):
@@ -146,6 +170,16 @@ def _tail_certificate():
     return cert
 
 
+def _C_grid():
+    """The sorted grid of sup_C: the uniform points of (0, C_LAMBDA_MAX], and
+    each integer there with a point either side of it, since the ceiling in
+    nu jumps at integers."""
+    ints = np.arange(1.0, math.floor(C_LAMBDA_MAX) + 1.0)
+    return np.unique(np.concatenate([
+        np.linspace(0.0, C_LAMBDA_MAX, C_SCAN_POINTS + 1)[1:],
+        ints - 1e-9, ints, ints + 1e-9]))
+
+
 def sup_C():
     """sup over lambda of C(lambda), scanned on C_SCAN_POINTS grid points of
     (0, C_LAMBDA_MAX] and at each integer and either side of it, with a
@@ -153,13 +187,8 @@ def sup_C():
     Refinement stays on one piece (m-1, m] of the ceiling in nu.  Raises
     RuntimeError when the grid is too coarse: refinement then moves the sup
     by more than 1e-3."""
-    ints = np.arange(1.0, math.floor(C_LAMBDA_MAX) + 1.0)
-    # the ceiling jumps at integers; sample both sides and the integer itself
-    lams = np.unique(np.concatenate([
-        np.linspace(0.0, C_LAMBDA_MAX, C_SCAN_POINTS + 1)[1:],
-        ints - 1e-9, ints, ints + 1e-9]))
     arg, value, grid_value = sup_search(
-        C_of_lambda, lams, breaks=np.arange(math.ceil(C_LAMBDA_MAX) + 1.0))
+        C_of_lambda, _C_grid(), breaks=np.arange(math.ceil(C_LAMBDA_MAX) + 1.0))
     if value - grid_value > 1e-3:
         raise RuntimeError("scan too coarse: refinement moved the sup by "
                            f"{value - grid_value:.2e}")

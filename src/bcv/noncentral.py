@@ -165,15 +165,28 @@ def _cpu_count():
 
 def _simulate_point(n, m, trials, x, g):
     """Mean of phi^2(x)/phi^2(W) over trials paths of W started at x, all
-    drawn from the stream g, and its standard error."""
+    drawn from the stream g, and its standard error.
+
+    The paths live in two reused buffers of trials floats, theta in v and
+    the second uniform draw in u.  A step draws S from theta before v is
+    overwritten, then forms U_1 + U_2, adds S and divides by n in place;
+    addition commutes in IEEE arithmetic, so each double is that of
+    (S + (U_1 + U_2))/n, and the draws keep their order.  The ratio is
+    formed in u."""
+    v, u = np.empty(trials), np.empty(trials)
     theta = x  # every path starts at x: the first draw takes a scalar p
     for _ in range(m):
         s = g.binomial(n - 2, theta, size=trials)
-        v = g.random(trials) + g.random(trials)
-        theta = (s + v) / n
-    if not (np.all(theta > 0.0) and np.all(theta < 1.0)):
+        g.random(out=v)
+        v += g.random(out=u)
+        v += s
+        v /= n
+        theta = v
+    if not (np.all(v > 0.0) and np.all(v < 1.0)):
         raise AssertionError("composition left (0,1); V in (0,2) forbids this")
-    ratio = (x * (1.0 - x)) / (theta * (1.0 - theta))
+    np.subtract(1.0, v, out=u)
+    u *= v
+    ratio = np.divide(x * (1.0 - x), u, out=u)
     return np.mean(ratio), np.std(ratio, ddof=1) / math.sqrt(trials)
 
 
@@ -185,11 +198,11 @@ def simulate_J(n, m, a, trials, rng, grid_points=64):
     averages phi^2(x)/phi^2(W).  Reports the max over the grid with its
     standard error; per-point estimates ride along.
 
-    Grid points run concurrently, one thread per available CPU.  Each point
-    draws from its own rng stream spawned from the caller's generator, so
-    the result is bit-identical for any CPU count and evaluation order.  The
-    speedup relies on numpy releasing the GIL inside Generator.binomial and
-    Generator.random, where nearly all the time goes.
+    Grid points run concurrently, one thread per available CPU.  rng must
+    be a numpy Generator: each point draws from its own stream spawned from
+    it, so the result is bit-identical for any CPU count and evaluation
+    order.  The speedup relies on numpy releasing the GIL inside
+    Generator.binomial and Generator.random, where nearly all the time goes.
     """
     for name, v in (("n", n), ("m", m), ("trials", trials), ("grid_points", grid_points)):
         if not isinstance(v, (int, np.integer)):
@@ -202,6 +215,8 @@ def simulate_J(n, m, a, trials, rng, grid_points=64):
         raise ValueError("m must be >= 1")
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     xa = edge_region_max(a, n)
     xs = np.linspace(0.0, xa, grid_points + 2)[1:-1]
     streams = rng.spawn(len(xs))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import mc_H_n, mp_nu, mp_phi_ratio_lhs, quad_integral
 from bcv import central
 from bcv.bounds import central_converse_check
-from bcv.central import (C_of_lambda, C_tilde, D_coeff,
+from bcv.central import (C_of_lambda, C_tilde, D_coeff, _C_grid,
                          _H_grid, _H_n_scan, _H_weight, H_n_exact, H_n_upper,
                          I_n_branch_check, I_n_brute, I_n_closed, K_func,
                          SupSearchResult, nu, phi_ratio_moment_sides,
@@ -63,6 +63,38 @@ def test_nu_matches_high_precision_oracle():
     for lam, value in zip(lams.tolist(), got.tolist()):
         assert value == pytest.approx(mp_nu(lam), rel=0.0, abs=5e-15), lam
     assert np.array_equal(got, [nu(lam) for lam in lams.tolist()])
+
+
+def test_nu_is_accurate_and_positive_below_a_quarter():
+    # on (0, 1/4) the closed form cancelled: nu(1e-9) read -8.0e-13 (true
+    # 4.7e-14) and nu(1e-6) was off by 7.8e-5 relative; the oracle needs
+    # more digits as lam shrinks, since it cancels in the same way
+    lams = np.concatenate([np.logspace(-200.0, math.log10(0.25), 400)[:-1],
+                           (1e-30, 1e-9, 1e-6, 6e-4, np.nextafter(0.25, 0.0))])
+    got = nu(lams)
+    assert np.all(got > 0.0)
+    for lam, value in zip(lams.tolist(), got.tolist()):
+        want = mp_nu(lam, dps=60 + 3 * int(abs(math.log10(lam))))
+        assert value == pytest.approx(want, rel=1e-15, abs=0.0), lam
+    assert np.array_equal(got, [nu(lam) for lam in lams.tolist()])
+    # the series and the closed form agree where they meet
+    assert nu(np.nextafter(0.25, 0.0)) == pytest.approx(nu(0.25), rel=2e-15)
+    # below lam^{3/2} ~ 1e-308 nu underflows to 0, never below it
+    assert C_of_lambda(1e-320) == 0.0 and nu(1e-320) == 0.0
+
+
+def test_C_of_lambda_in_blocks_equals_its_pieces_and_scalar_calls():
+    # C_of_lambda takes an array in blocks of _C_BLOCK points; the values
+    # may not depend on where a point falls in its block
+    lams = _C_grid()
+    got = C_of_lambda(lams)
+    assert central._C_BLOCK == 4096 and len(lams) > 20 * central._C_BLOCK
+    pieces = np.concatenate([C_of_lambda(p) for p in np.split(lams, [1, 4095, 4097])])
+    assert got.tobytes() == pieces.tobytes()
+    at = np.random.default_rng(32).choice(len(lams), 200, replace=False)
+    assert got[at].tolist() == [C_of_lambda(lam) for lam in lams[at].tolist()]
+    assert C_of_lambda(lams.reshape(2, -1)).tobytes() == got.tobytes()
+    assert C_of_lambda(np.array([])).shape == (0,)
 
 
 def test_nu_continuous_with_slope_kink_at_integers():

@@ -298,9 +298,10 @@ def test_scan_passes_hold_few_blocks_of_memory():
     # sup_H_n(100) and of the witness's norm pass: with blocks of 2^18
     # entries they were 7.3 and 7.4 MB; with 2^15, 1.5 and 2.8 MB, about 6
     # and 11 blocks of 8 _BLOCK_ENTRIES bytes, so the bounds of 8 and 16
-    # blocks leave 1.4 times headroom.  sup_C's 10^5-point nu pass holds a
-    # few arrays of the grid, about 8 MB; a (points x k) table of its Poisson
-    # terms would take 49 MB
+    # blocks leave 1.4 times headroom.  sup_C took nu over its whole
+    # 100,174-point grid at once, 8.5 MB here; with C_of_lambda's blocks of
+    # 4,096 points it is 2.9 MB, mostly building the grid and what the calls
+    # before it keep, so the bound of 4 MB leaves 1.37 times headroom
     code = ("import tracemalloc\n"
             "from bcv import bounds, central\n"
             "f = bounds.build_fn_lower(10 ** 4)\n"
@@ -320,7 +321,7 @@ def test_scan_passes_hold_few_blocks_of_memory():
     block = 8 * _BLOCK_ENTRIES
     assert sup_h < 8 * block
     assert modulus < 16 * block
-    assert sup_c <= 11e6
+    assert sup_c <= 4e6
 
 
 @given(data=st.data(), rows=st.integers(1, 3), points=st.integers(1, 12))
