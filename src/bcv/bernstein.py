@@ -93,15 +93,14 @@ def _krawtchouk_basis(n, m):
 
 
 def _krawtchouk_rows(factors, xs):
-    """K_m(x; y) for each x in the list xs, one row each, from the factors of
-    _krawtchouk_factors.  The per-point powers are taken on Python floats:
-    numpy's array power can round them differently."""
+    """K_m(x; y) for each x of the 1-D array xs, one row each, from the
+    factors of _krawtchouk_factors: row j of the factors times (-x)^(m-j),
+    then times (1-x)^j, summed over j."""
     m = len(factors) - 1
+    x = xs.reshape(-1, 1)
     out = np.zeros((len(xs), factors.shape[1]))
     for j in range(m + 1):
-        s1 = np.array([(-v) ** (m - j) for v in xs]).reshape(-1, 1)
-        s2 = np.array([(1.0 - v) ** j for v in xs]).reshape(-1, 1)
-        out = out + factors[j] * s1 * s2
+        out = out + factors[j] * (-x) ** (m - j) * (1.0 - x) ** j
     return out
 
 
@@ -118,7 +117,7 @@ def krawtchouk(n, m, x, y):
     if not (isinstance(m, (int, np.integer)) and 0 <= m <= n):
         raise ValueError(f"m must be an integer in [0, n], got m={m}, n={n}")
     y = np.asarray(y, dtype=float)
-    out = _krawtchouk_rows(_krawtchouk_factors(n, m, y.ravel()), [x])[0]
+    out = _krawtchouk_rows(_krawtchouk_factors(n, m, y.ravel()), np.array([x], dtype=float))[0]
     return out.reshape(y.shape) if y.ndim else float(out[0])
 
 
@@ -197,12 +196,15 @@ def _derivative_and_apply(fs, n, m, xs, log_mass):
             diff = diff + math.comb(m, l) * (-1) ** (m - l) * fk[j + l]
         diffs.append(diff)
     fall = float(math.perm(n, m))
-    # per-point factors as Python floats, rounded as in the one-point formula
-    pref = np.array([math.factorial(m) / p ** (2 * m) for p in phi(xs).tolist()])
+    with np.errstate(divide="ignore", over="ignore"):
+        pref = math.factorial(m) / phi(xs) ** (2 * m)
+    if not np.all(np.isfinite(pref)):
+        raise ValueError(f"m!/phi(x)^(2m) overflows at x={float(xs[np.argmin(np.isfinite(pref))])} "
+                         f"(m={m}): the Krawtchouk form cannot be scaled")
     # per function: kraw, apply, kraw_env, apply_env, fdiff, fdiff_env
     outs = [[np.empty(len(xs)) for _ in range(6)] for _ in fs]
     for sl, cols, rows in _blocks(n, xs, log_mass):
-        krows = _krawtchouk_rows(basis[:, cols], xs[sl].tolist())
+        krows = _krawtchouk_rows(basis[:, cols], xs[sl])
         # one buffer holds each function's products p * fk, then its terms
         # (p * fk) * K_m in place, so a batch holds no more rows than one f
         pf = np.empty_like(rows)

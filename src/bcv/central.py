@@ -48,12 +48,13 @@ C_FLAT = 0.8
 # cancel; there the series, truncated below 1e-17, take over.
 _Q_SERIES = np.array([(-1.0) ** j / ((j + 1) * (j + 2)) for j in range(24)])
 _A_SERIES = np.array([(-1.0) ** j / (2 * j + 3) for j in range(13)])
-# Taylor coefficients d_2, d_3, ... of e^{-lam} (1 + lam + 2 lam^2) - 1 =
+# Taylor coefficients d_2, ..., d_27 of e^{-lam} (1 + lam + 2 lam^2) - 1 =
 # sqrt(lam) nu(lam) on (0, 1], d_j = (-1)^j (1/j! - 1/(j-1)! + 2/(j-2)!)
-# = (-1)^j (2j-1)(j-1)/j!; below lam = 1/4 the closed form cancels, and
-# nu = lam^{3/2} sum_i d_{i+2} lam^i, truncated below 1e-17, takes over.
+# = (-1)^j (2j-1)(j-1)/j!.  On that first piece, where ceil(lam) = 1, the
+# closed form cancels (badly below lam = 1/4, by a few ulps up to 1), so
+# nu = lam^{3/2} sum_i d_{i+2} lam^i, truncated below 1e-26, is used there.
 _NU_SERIES = np.array([(-1.0) ** j * ((2 * j - 1) * (j - 1) / math.factorial(j))
-                       for j in range(2, 16)])
+                       for j in range(2, 28)])
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def nu(lam):
 
     N Poisson(lam), 0 < lam <= 700; it jumps at integers through the ceiling.
     lam may be a scalar (a float is returned) or an array, whose points one
-    pass over dist._poisson_terms advances together.  Below lam = 1/4,
+    pass over dist._poisson_terms advances together.  On 0 < lam <= 1,
     where 1 - P(N = 0) and the cdf terms cancel, nu is its Taylor series
     lam^{3/2} (3/2 - (5/3) lam + ...), which stays within a few ulps of the
     true value and positive down to the smallest lam whose lam^{3/2} is a
@@ -116,7 +117,7 @@ def nu(lam):
         np.add(cm, p, out=cm, where=m >= j)
         np.copyto(pm, p, where=m == j)
     out = np.sqrt(lam) * (2.0 * pm - p0) + (2.0 * cm - 1.0 - p0) / np.sqrt(lam)
-    out = np.where(lam < 0.25, lam ** 1.5 * polyval(lam, _NU_SERIES), out)
+    out = np.where(lam <= 1.0, lam ** 1.5 * polyval(lam, _NU_SERIES), out)
     return out if out.ndim else float(out)
 
 

@@ -10,32 +10,57 @@ _MAX_ITER = 200
 def golden_max(f, lo, hi, tol):
     """Return (argmax, max) of f on [lo, hi] by golden-section search, as
     Python floats; stops once the bracket is at most tol wide, or after
-    _MAX_ITER steps.  f is vectorised: it is called once on the two first
-    points, then on one point per step, each as a 1-D array.
+    _MAX_ITER steps.
+
+    f is vectorised and called on 1-D arrays: once on the two first points,
+    then once per round of two steps, and once on the final point.  Before
+    a round, the bracket fixes the point the next step needs on either
+    outcome of its comparison, and the two points the step after needs on
+    each of those, so one call on all six gives every value both steps can
+    read; their comparisons, the stopping rule and the _MAX_ITER count are
+    those of one step at a time, so the points visited and the result are
+    too.  This needs f to give each point the value it gives that point
+    alone, whatever the other points of the call.  A round may evaluate
+    points that the walk then discards, so a ValueError from f can name a
+    point of the bracket that a one-step search would never have visited.
 
     Assumes f is unimodal on the bracket; on a multimodal bracket it still
     converges to a local maximum, so callers feed it brackets around coarse
     grid winners only.
     """
-    at = lambda t: float(f(np.array([t]))[0])
     a, b = float(min(lo, hi)), float(max(lo, hi))
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = np.asarray(f(np.array([c, d])), dtype=float)
-    for _ in range(_MAX_ITER):
-        if b - a <= tol:
-            break
-        # fc >= fd: the max lies in [a, d], so d becomes b and c becomes d;
-        # otherwise it lies in [c, b], so c becomes a and d becomes c
-        if fc >= fd:
+    fc, fd = np.asarray(f(np.array([c, d])), dtype=float).tolist()
+    steps = 0
+    while steps < _MAX_ITER and b - a > tol:
+        # fc >= fd: the max lies in [a, d], so d becomes b and c becomes d,
+        # and the new c is cl; otherwise it lies in [c, b], so c becomes a
+        # and d becomes c, and the new d is dr.  The step after that makes
+        # the same choice on the new bracket: cl and its successors cll
+        # (again left) or clr (then right), dr and drl or drr
+        cl, dr = d - _INVPHI * (d - a), c + _INVPHI * (b - c)
+        cll, clr = c - _INVPHI * (c - a), cl + _INVPHI * (d - cl)
+        drl, drr = dr - _INVPHI * (dr - c), d + _INVPHI * (b - d)
+        vals = np.asarray(f(np.array([cl, dr, cll, clr, drl, drr])), dtype=float).tolist()
+        left = fc >= fd
+        if left:
             b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = at(c)
+            c, fc = cl, vals[0]
         else:
             a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = at(d)
+            d, fd = dr, vals[1]
+        steps += 1
+        if steps == _MAX_ITER or b - a <= tol:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c, fc = (cll, vals[2]) if left else (drl, vals[4])
+        else:
+            a, c, fc = c, d, fd
+            d, fd = (clr, vals[3]) if left else (drr, vals[5])
+        steps += 1
     x = float(0.5 * (a + b))
-    return x, at(x)
+    return x, float(f(np.array([x]))[0])
 
 
 def sup_search(f, xs, tol=1e-12, breaks=None, scan=None):

@@ -343,6 +343,12 @@ def test_derivative_validation():
         bernstein_derivative(f, 5, 1, 0.0)
     with pytest.raises(ValueError):
         bernstein_derivative(f, 5, 1, np.array([[0.5, 1.0]]))
+    # the prefactor m!/phi(x)^(2m) is not finite: phi^6 = 1e-600 underflows
+    # to 0, and 100!/phi^200 = 9e157/1e-200
+    with pytest.raises(ValueError, match=r"overflows at x=1e-200 \(m=3\)"):
+        bernstein_derivative(f, 30, 3, np.array([0.3, 1e-200]))
+    with pytest.raises(ValueError, match=r"overflows at x=0.01 \(m=100\)"):
+        bernstein_derivative(f, 200, 100, 0.01)
 
 
 @pytest.mark.parametrize("n", [10.0, 2.5, 0, pytest.param(np.float64(10.0), id="float64")])

@@ -65,20 +65,22 @@ def test_nu_matches_high_precision_oracle():
     assert np.array_equal(got, [nu(lam) for lam in lams.tolist()])
 
 
-def test_nu_is_accurate_and_positive_below_a_quarter():
+def test_nu_is_accurate_and_positive_up_to_one():
     # on (0, 1/4) the closed form cancelled: nu(1e-9) read -8.0e-13 (true
-    # 4.7e-14) and nu(1e-6) was off by 7.8e-5 relative; the oracle needs
-    # more digits as lam shrinks, since it cancels in the same way
-    lams = np.concatenate([np.logspace(-200.0, math.log10(0.25), 400)[:-1],
-                           (1e-30, 1e-9, 1e-6, 6e-4, np.nextafter(0.25, 0.0))])
+    # 4.7e-14) and nu(1e-6) was off by 7.8e-5 relative; on (1/4, 1] it
+    # still lost bits, 3.1e-15 relative near 1/4; the oracle needs more
+    # digits as lam shrinks, since it cancels in the same way
+    lams = np.concatenate([np.logspace(-200.0, 0.0, 400), np.linspace(0.25, 1.0, 76),
+                           (1e-30, 1e-9, 1e-6, 6e-4, np.nextafter(0.25, 0.0),
+                            np.nextafter(1.0, 0.0))])
     got = nu(lams)
     assert np.all(got > 0.0)
     for lam, value in zip(lams.tolist(), got.tolist()):
         want = mp_nu(lam, dps=60 + 3 * int(abs(math.log10(lam))))
         assert value == pytest.approx(want, rel=1e-15, abs=0.0), lam
     assert np.array_equal(got, [nu(lam) for lam in lams.tolist()])
-    # the series and the closed form agree where they meet
-    assert nu(np.nextafter(0.25, 0.0)) == pytest.approx(nu(0.25), rel=2e-15)
+    # the series at 1 and the closed form just above it agree where they meet
+    assert nu(1.0) == pytest.approx(nu(np.nextafter(1.0, 2.0)), rel=1e-15)
     # below lam^{3/2} ~ 1e-308 nu underflows to 0, never below it
     assert C_of_lambda(1e-320) == 0.0 and nu(1e-320) == 0.0
 
@@ -94,6 +96,10 @@ def test_C_of_lambda_in_blocks_equals_its_pieces_and_scalar_calls():
     at = np.random.default_rng(32).choice(len(lams), 200, replace=False)
     assert got[at].tolist() == [C_of_lambda(lam) for lam in lams[at].tolist()]
     assert C_of_lambda(lams.reshape(2, -1)).tobytes() == got.tobytes()
+    # golden_max's six points of a round, across an integer, where nu's
+    # ceil(lam) steps
+    across = 3.0 + np.array([-1e-9, -4.4e-16, 0.0, 4.4e-16, 1e-15, 1e-9])
+    assert C_of_lambda(across).tolist() == [C_of_lambda(lam) for lam in across.tolist()]
     assert C_of_lambda(np.array([])).shape == (0,)
 
 
@@ -260,7 +266,7 @@ def test_sup_H_n_searches_once_per_n(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("n", [10, 50, 10_000, 100_000])
+@pytest.mark.parametrize("n", [10, 50, 100, 10_000, 100_000])
 def test_batched_H_n_equals_scalar_calls_bitwise(n):
     lam = np.array([0.5, 1.0, 2.0, 3.0, 7.5, 20.0])
     xs = np.concatenate([np.linspace(0.02, 0.5, 13), lam / n])
@@ -268,6 +274,9 @@ def test_batched_H_n_equals_scalar_calls_bitwise(n):
     many = H_n_exact(n, xs)
     assert many.shape == xs.shape
     assert np.array_equal(many, [H_n_exact(n, float(x)) for x in xs])
+    # golden_max's six points of a round, near the peak at lam = nx = 3.45
+    near = (3.45 + np.linspace(-1e-3, 1e-3, 6)) / n
+    assert H_n_exact(n, near).tolist() == [H_n_exact(n, x) for x in near.tolist()]
     assert not _H_weight(n).flags.writeable
 
 

@@ -46,6 +46,8 @@ CASES = {
     "upper_csv": ["upper", "--format", "csv"],
     "constants_text": ["constants", "--format", "text"],
     "sweep": ["sweep", "--a-range", "5.0,10.0", "--step", "0.1"],
+    # the benchmark's headline sweep, 381 rows
+    "sweep_step0.01": ["sweep", "--a-range", "5.0,10.0", "--step", "0.01"],
 }
 _SUFFIX = {"json": ".json", "csv": ".csv", "text": ".txt"}
 # The fields of a report entry that regenerate compares; runtime_ms is zeroed.

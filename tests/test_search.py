@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bcv import bounds, cli, moduli
 from bcv.bounds import fn_lower_error_sup, sup_G_minus_g
 from bcv.central import sup_C, sup_C_tilde, sup_H_n
+from bcv.moduli import omega2_phi
 from bcv.search import golden_max, sup_search
 from oracles import scalar_golden_max
 
@@ -56,8 +58,9 @@ def test_golden_max_equals_the_scalar_reference(lo, hi, c, tol):
 
     got = golden_max(f, lo, hi, tol)
     assert type(got[0]) is float and type(got[1]) is float
-    # the two first points in one call, then one point per step and at the end
-    assert sizes[0] == 2 and set(sizes[1:]) == {1}
+    # the two first points in one call, then six points per round of two
+    # steps, then the final point
+    assert sizes == [2] + [6] * (len(sizes) - 2) + [1]
     assert got == scalar_golden_max(lambda t: float(f(np.array([t]))[0]), lo, hi, tol)
 
 
@@ -135,3 +138,23 @@ def test_every_sup_reports_python_floats(search):
     assert type(res.sup_value) is float
     assert type(res.arg) is float
     assert all(type(b) is float for b in res.scan_range)
+
+
+@pytest.mark.parametrize("module, search, points", [
+    (bounds, sup_G_minus_g, 2.0 + np.array([-1e-6, -1e-9, -4.4e-16, 0.0, 4.4e-16, 1e-6])),
+    (bounds, lambda: fn_lower_error_sup(10_000), (2.0 + np.linspace(-1e-3, 1e-3, 6)) / 10_000),
+    (moduli, lambda: omega2_phi(cli._SINE, 0.1), np.linspace(0.0098, 0.01, 6)),
+], ids=["G_minus_g_across_a_node", "fn_lower_error_10000", "omega2_phi_sine_across_a_corner"])
+def test_sup_objectives_give_a_batch_the_values_of_single_points(monkeypatch, module, search,
+                                                                 points):
+    # golden_max evaluates six points per round and keeps one or two, so the
+    # objective each search passes to sup_search must give a point the
+    # value it gives that point alone (H_n and C: see test_central.py)
+    objectives = []
+    real = module.sup_search
+    monkeypatch.setattr(module, "sup_search",
+                        lambda f, *args, **kwargs: objectives.append(f) or real(f, *args, **kwargs))
+    search()
+    (f,) = objectives
+    singles = np.concatenate([f(points[i:i + 1]) for i in range(len(points))])
+    assert f(points).tobytes() == singles.tobytes()
