@@ -20,10 +20,11 @@ import numpy as np
 from .bernstein import (PiecewiseLinearFn, _derivative_and_apply,
                         bernstein_apply_many)
 from .central import K_func, SupSearchResult, sup_H_n
-from .dist import (_BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, _check_n,
+from .dist import (_BAND_LOG_MASS, _BLOCK_ENTRIES, _SCAN_LOG_MASS, LOG4, _check_n,
                    _exact_near_max, _poisson_terms, _window_err)
 from .moduli import X_POINTS, omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
+from .quadrature import gauss_legendre
 from .search import sup_search
 
 SQRT2 = math.sqrt(2.0)
@@ -94,8 +95,13 @@ def upper_expr_H2(a, m):
     i = first_valid_i(a)
     if i > m:
         raise ValueError(f"need m >= first_valid_i(a) = {i}")
-    js = J_limit(np.arange(i, m + 2), a).tolist()
-    j_top = js.pop()
+    return _expr_H2(i, J_limit(np.arange(i, m + 2), a))
+
+
+def _expr_H2(i, js):
+    """upper_expr_H2 from i = first_valid_i(a) and the array of J(k, a) at
+    k = i..m+1."""
+    *js, j_top = js.tolist()
     if j_top >= 1.0:
         raise ValueError(f"J(m+1, a) = {j_top:.4g} >= 1: expression undefined")
     return 4.0 + SQRT2 * (i + sum(js)) / (1.0 - j_top) * LOG4
@@ -123,19 +129,33 @@ def sweep_upper(a_lo, a_hi, step, m):
     """Reports over an a-grid, plus a 0.01-step refinement pass around the
     coarse minimum of the max column.  Grid points where the K-driven
     expression is undefined (denominator <= 0, roughly a < 6.2) are skipped
-    rather than reported."""
+    rather than reported.
+
+    Each report is upper_bound_report's at its a, bit for bit, but the
+    J(k, a) of a block of values of a come from one J_limit call, so from
+    one pass of the alpha recursion; a block holds about _BLOCK_ENTRIES
+    entries of its J table and of the recursion's terms."""
     if not (a_lo > 0.0 and a_hi > a_lo and 0.0 < step < math.inf):
         raise ValueError("need 0 < a_lo < a_hi and a finite step > 0")
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"m must be an integer >= 1, got m={m!r}")
+    ks = np.arange(1, m + 2)
+    block = max(1, _BLOCK_ENTRIES // (m + 1 + len(gauss_legendre()[0])))
 
     def reports_at(avals):
+        avals = np.fromiter(avals, dtype=float)
         out = []
-        for a in avals:
-            try:
-                out.append(upper_bound_report(float(a), m))
-            except ValueError:  # an expression is undefined at this a
-                pass
+        for start in range(0, len(avals), block):
+            part = avals[start:start + block]
+            for a, js in zip(part.tolist(), J_limit(ks, part)):
+                i = first_valid_i(a)
+                if i > m:  # upper_expr_H2 is undefined at this a
+                    continue
+                try:
+                    e1, e2 = upper_expr_H1(a), _expr_H2(i, js[i - 1:])
+                except ValueError:  # an expression is undefined at this a
+                    continue
+                out.append(UpperBoundReport(a, m, i, e1, e2, max(e1, e2)))
         return out
 
     reports = reports_at(np.arange(a_lo, a_hi + step / 2.0, step))
@@ -278,15 +298,18 @@ def _d2_and_apply(fs, n, x, log_mass):
     over their blocks' windows at log_mass in one _derivative_and_apply
     pass, and how far each can lie from its full-window value, from
     dist._window_err: a term of B_n f is at most max|f|, and one of the
-    Krawtchouk sum at most pref C(n, 2) max|f|, pref = 2/phi^4, as
-    |K_2(x; k)| <= C(n, 2) at integer k in [0, n] (Vandermonde).  One
-    tuple (d2, bn, d2_err, bn_err) per function."""
+    Krawtchouk sum at most (pref/2) max|f| ((k - nx)^2 + |k - nx| + nx(1-x)),
+    pref = 2/phi^4, as K_2(x; k) = ((k - nx)^2 - (1 - 2x)(k - nx)
+    - nx(1-x))/2; the computed rows exceed that bound by at most 1e-10
+    relative for n <= 10^6, far inside the factor 2 of _dropped_moments.
+    One tuple (d2, bn, d2_err, bn_err) per function."""
     out = []
     for f, (d2, bn, d2_env, bn_env) in zip(fs, _derivative_and_apply(fs, n, 2, x, log_mass)):
         fmax = float(np.max(np.abs(f(np.arange(n + 1) / n))))
-        d2_bound = 2.0 / (x * (1.0 - x)) ** 2 * math.comb(n, 2) * fmax
-        out.append((d2, bn, _window_err(n, x, log_mass, d2_bound, d2_env),
-                    _window_err(n, x, log_mass, fmax, bn_env)))
+        c = fmax / (x * (1.0 - x)) ** 2  # (pref/2) max|f|
+        d2_coefs = (c * (n * x * (1.0 - x)), c, c)
+        out.append((d2, bn, _window_err(n, x, log_mass, d2_coefs, d2_env),
+                    _window_err(n, x, log_mass, (fmax, 0.0, 0.0), bn_env)))
     return out
 
 
@@ -300,9 +323,13 @@ def _norms(fs, n, xs):
 
     A first pass sums every inner point over a window that holds its narrow
     window, at log-mass _SCAN_LOG_MASS + log n + log C(n, 2), for all of fs
-    at once (_d2_and_apply); dist._exact_near_max then sums full windows
-    again, one function at a time, only where either of its maxima can sit.
-    The two-form check of (B_n f)'' runs on every sum taken."""
+    at once (_d2_and_apply), which bounds each sum's distance to its
+    full-window value by the moments its window leaves out.  Then
+    dist._exact_near_max sums full windows again, one function at a time,
+    only where either of its maxima can sit.  The two-form check of
+    (B_n f)'' runs on every sum taken: the log C(n, 2) in the log-mass keeps
+    what the narrow windows leave out of its two forms far below its
+    tolerance."""
     inner = (xs > 0.0) & (xs < 1.0)
     x = xs[inner]
     w = x * (1.0 - x)

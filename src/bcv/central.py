@@ -251,12 +251,13 @@ def _H_n_scan(n, xs):
     """H_n_exact(n, xs) wherever it can hold the grid max, and an upper bound
     on it strictly below that max everywhere else: each point is summed over
     a window that holds its narrow window at log-mass _SCAN_LOG_MASS + log n,
-    a term of _H_sums is at most n max(w), and dist._exact_near_max calls
-    H_n_exact where the max can sit."""
+    a term of _H_sums is at most max(w) |k - nx|, so dist._window_err
+    charges max(w) times the dropped first moment, and dist._exact_near_max
+    calls H_n_exact where the max can sit."""
     log_mass = _SCAN_LOG_MASS + math.log(n)
     scale = np.sqrt(xs * (1.0 - xs)) * math.sqrt(n)
     sums = _H_sums(n, xs, log_mass)
-    err = _window_err(n, xs, log_mass, n * float(np.max(_H_weight(n))), sums)
+    err = _window_err(n, xs, log_mass, (0.0, float(np.max(_H_weight(n))), 0.0), sums)
     return _exact_near_max(scale * sums, scale * err, lambda i: H_n_exact(n, xs[i]))[0]
 
 

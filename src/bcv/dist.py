@@ -26,7 +26,10 @@ block scattered into a row of n + 1 entries.
 The two-pass scans (central._H_n_scan, bounds._norms) sum over narrow
 windows, or unions of them, bound the distance to the full-window sums by
 _window_err, and sum full windows again only where a max can sit, by
-_exact_near_max.
+_exact_near_max.  _window_err charges each dropped tail from the entry at
+its edge: beyond the window the ratio of neighbouring entries is at most
+its value rho < 1 at that edge, so the tail and its first two moments about
+nx are at most that entry times geometric sums in rho (_dropped_moments).
 """
 
 import ctypes
@@ -49,12 +52,14 @@ _BLOCK_ENTRIES = 1 << 15
 # Log-mass beyond which exp underflows to exactly 0.0 with room to spare:
 # exp(-745.2) already rounds to zero.
 _BAND_LOG_MASS = 760.0
-# The narrow windows of the two-pass scans sit at log-mass this plus the log
-# of the bound on a term's factor besides the pmf: log n in central._H_n_scan
-# (43.2 at n = 10^4), log n + log C(n, 2) in bounds._norms (60.9 there).  The
-# tail _window_err charges is then 4 e^-34, about 7e-15, of that bound divided
-# by n or less, below its rounding term near the max.
-_SCAN_LOG_MASS = 34.0
+# The narrow windows of the two-pass scans sit at log-mass this plus log n in
+# central._H_n_scan (21.2 at n = 10^4), plus log n + log C(n, 2) in
+# bounds._norms (38.9 there).  It is the least integer that keeps both scans'
+# full-window reruns at 8 or fewer for n >= 1000 and, at every scanned point,
+# the dropped tails of the two forms of (B_n f)'' together at 1e-2 or less of
+# the tolerance of their consistency check (at 11, the cube of bcv verify's
+# converse checks reaches 2.1e-2 at n = 10^4).
+_SCAN_LOG_MASS = 12.0
 # The relative pad of _exact_near_max's enclosures, 8 units in the last place.
 _PAD = 2.0 ** -50
 # exp(x) for x < -745.1332 is below 2^-1075 and rounds to +0.0, so rows skip
@@ -104,6 +109,18 @@ def _keep_freed_memory():
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+def _point_logs(xs):
+    """The columns log x and log1p(-x) over the float array xs, 0 at every
+    point outside (0, 1), by math.log/log1p per point: np.log can differ
+    from them by an ulp."""
+    inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
+    xi = xs[inner].tolist()
+    lx, l1x = np.zeros((2, len(xs), 1))
+    lx[inner, 0] = [math.log(v) for v in xi]
+    l1x[inner, 0] = [math.log1p(-v) for v in xi]
+    return lx, l1x
+
+
 def _band_windows(n, xs, log_mass=_BAND_LOG_MASS):
     """Validated points and each one's window [lo, hi] of k.
 
@@ -135,14 +152,16 @@ def _blocks(n, xs, log_mass=_BAND_LOG_MASS):
     inside any batch.  Below it, the pass is a scan whose sums feed
     _window_err enclosures only: a block takes consecutive points while they
     fit over the union of their windows, which holds each point's window."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    yield from _logged_blocks(n, xs, _point_logs(xs), log_mass)
+
+
+def _logged_blocks(n, xs, logs, log_mass):
+    """_blocks of the float array xs, given their _point_logs(xs), so that
+    passes over several n can share them."""
     _keep_freed_memory()
     xs, lo, hi = _band_windows(n, xs, log_mass)
-    # math.log/log1p per x: np.log can differ from them by an ulp
-    inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
-    xi = xs[inner].tolist()
-    lx, l1x = np.zeros((2, len(xs), 1))
-    lx[inner, 0] = [math.log(v) for v in xi]
-    l1x[inner, 0] = [math.log1p(-v) for v in xi]
+    lx, l1x = logs
     for a, e, l, h in _spans(lo, hi, log_mass < _BAND_LOG_MASS):
         rows = _window_rows(n, xs[a:e], lx[a:e], l1x[a:e], l, h + 1)
         yield slice(a, e), slice(l, h + 1), rows
@@ -206,19 +225,72 @@ def _window_rows(n, xs, lx, l1x, offset, end):
     return logs
 
 
-def _window_err(n, xs, log_mass, term_bound, env):
+def _dropped_moments(n, xs, lo, hi):
+    """Upper bounds t_j, j = 0, 1, 2, one row each, on the sum over the k
+    outside [lo, hi] of p_k |k - nx|^j, the p_k as _window_rows builds them,
+    for points xs of [0, 1] and integer arrays lo <= hi in [0, n].
+
+    Above hi the ratio p_{k+1}/p_k = ((n - k)/(k + 1)) x/(1 - x) falls with
+    k.  With rho its value at the edge e = hi + 1, p_{e+i} <= p_e rho^i, so
+    with d = |e - nx| the tail is at most p_e sum_i rho^i (d + i)^j:
+
+        j = 0:  p_e / (1 - rho)
+        j = 1:  p_e (d / (1 - rho) + rho / (1 - rho)^2)
+        j = 2:  p_e (d^2 / (1 - rho) + 2 d rho / (1 - rho)^2
+                     + rho (1 + rho) / (1 - rho)^3).
+
+    Below lo the mirror holds, with e = lo - 1 and the ratio
+    p_{k-1}/p_k = (k/(n - k + 1)) (1 - x)/x.  A side that reaches 0 or n
+    adds nothing, and one whose rho is not below 1 adds inf.
+
+    p_e comes from the same log kernel, doubled: each entry's log-mass,
+    three gammaln values and two products, is off by far less than log(2)/2
+    for n <= 10^8 (ROADMAP item 4), and rho is taken 8 ulps up.  p_e
+    + 2^-1074, and (n + 1) n^j 2^-1074 added, cover exp's absolute rounding
+    of subnormal entries."""
+    xs = np.asarray(xs, dtype=float)
+    nx = n * xs
+    with np.errstate(divide="ignore"):
+        lx, l1x = np.log(xs), np.log1p(-xs)
+        odds = xs / (1.0 - xs)
+    tiny = (n + 1) * 2.0 ** -1074 * np.array([[1.0], [n], [float(n) * n]])
+    out = np.zeros((3, len(xs)))
+    for e, cut, ratio in ((np.minimum(hi + 1, n), hi < n, lambda e: (n - e) / (e + 1.0) * odds),
+                          (np.maximum(lo - 1, 0), lo > 0, lambda e: e / (n - e + 1.0) / odds)):
+        # 0 log 0 = 0 where x = 0 or 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(e > 0, e * lx, 0.0) + np.where(e < n, (n - e) * l1x, 0.0)
+            rho = ratio(e) * (1.0 + 2.0 ** -49)
+        p = 2.0 * (np.exp(_log_binom(n)[e] + logs) + 2.0 ** -1074)
+        ok = rho < 1.0
+        r = np.where(ok, rho, 0.0)
+        d = np.abs(e - nx)
+        s0 = 1.0 / (1.0 - r)
+        s1 = r * s0 * s0
+        s2 = r * (1.0 + r) * s0 * s0 * s0
+        sums = np.where(ok, [s0, d * s0 + s1, d * d * s0 + 2.0 * d * s1 + s2], np.inf)
+        out += np.where(cut, p * sums + tiny, 0.0)
+    return out
+
+
+def _window_err(n, xs, log_mass, coefs, env):
     """How far sum_k p_k g_k over each point's window at log_mass T, or over
     any window of k that holds it, can lie from the same sum over its full
-    window, given term_bound >= |g_k| and the envelope env = sum_k |p_k g_k|:
-    term_bound 4 e^-T + gamma env.  The window's entries are those of the
-    full row, and it leaves out mass at most 2 e^-T (Bernstein's
-    inequality), doubled for the entries' rounding.
-    Either sum, of at most n + 1 terms, rounds by at most (n + 1) 2^-53 env;
-    gamma = 4(n + 1) 2^-53 covers both with room for the callers' products.
-    0 where the window is all of [0, n], as the full one is then."""
-    _, lo, hi = _band_windows(n, xs, log_mass)
-    err = term_bound * (4.0 * math.exp(-log_mass)) + 4.0 * (n + 1) * 2.0 ** -53 * env
-    return np.where((lo == 0) & (hi == n), 0.0, err)
+    window, given weights coefs = (c_0, c_1, c_2), scalars or one per point,
+    with |g_k| <= c_0 + c_1 |k - nx| + c_2 |k - nx|^2, and the envelope
+    env = sum_k |p_k g_k|: sum_j c_j t_j + gamma env, with t_j the dropped
+    moments of _dropped_moments over the point's own window.  The window's
+    entries are those of the full row, and a wider window leaves out a part
+    of the same tail.  Either sum, of at most n + 1 terms, rounds by at most
+    (n + 1) 2^-53 env; gamma = 4(n + 1) 2^-53 covers both with room for the
+    callers' products.  0 where the window is all of [0, n], as the full one
+    is then."""
+    xs, lo, hi = _band_windows(n, xs, log_mass)
+    cut = (lo > 0) | (hi < n)
+    if not np.any(cut):
+        return np.zeros(len(xs))
+    tail = sum(c * t for c, t in zip(coefs, _dropped_moments(n, xs, lo, hi)))
+    return np.where(cut, tail + 4.0 * (n + 1) * 2.0 ** -53 * env, 0.0)
 
 
 def _exact_near_max(values, errs, full):

@@ -73,22 +73,30 @@ def epsilon_n(n):
 
 
 def _L_and_alpha1(k, a):
-    """L_k(a) and alpha_{k-1}(1) for an integer k >= 1 or an array of them.
+    """L_k(a) and alpha_{k-1}(1) for an integer k >= 1 or an array of them,
+    and a float a or a 1-D array of them; for an array of a, L has one row
+    per a, each bit for bit that of its a alone.
 
     One pass of the alpha recursion over the quadrature nodes and theta = 1
-    serves every k up to max(k), so a table of J(k, a) costs O(max k)."""
+    serves every k up to max(k) and every a, so a table of J(k, a) costs
+    O(max k) passes however many a it holds."""
     ks = np.asarray(k)
     if ks.dtype.kind not in "iu" or np.any(ks < 1):
         raise ValueError("k must be an integer >= 1")
+    av = np.asarray(a, dtype=float)
     theta, w = gauss_legendre()
-    L = np.empty(int(ks.max()))
-    a1 = np.empty_like(L)
+    L = np.empty((av.size, int(ks.max())))
+    a1 = np.empty(L.shape[1])
+    minus_a = -av.reshape(-1, 1)
     # v is alpha_j on the nodes and at theta = 1
-    for j, v in zip(range(len(L)), _alpha_iterates(np.append(theta, 1.0))):
+    for j, v in zip(range(L.shape[1]), _alpha_iterates(np.append(theta, 1.0))):
         r = v[:-1] / theta
-        L[j] = w @ (r * r * np.exp(-a * v[:-1]))
+        terms = r * r * np.exp(minus_a * v[:-1])
+        # a stack of one-row products: each row's sum is the dot w @ row
+        L[:, j] = (terms[:, None, :] @ w[:, None])[:, 0, 0]
         a1[j] = v[-1]
-    return L[ks - 1], a1[ks - 1]
+    L = L[:, ks - 1]
+    return L.reshape(av.shape + ks.shape), a1[ks - 1]
 
 
 def L_k(k, a):
@@ -106,12 +114,16 @@ def L_k(k, a):
 
 
 def J_limit(k, a):
-    """Limit constant J(k, a) for an integer k >= 1 or an array of them; the
-    second term decays exponentially in a."""
-    if not (a > 0.0 and math.isfinite(a)):
+    """Limit constant J(k, a) for an integer k >= 1 or an array of them, and
+    a float a or a 1-D array of them, which gives one row per a (every a
+    shares one pass of the alpha recursion); the second term decays
+    exponentially in a."""
+    av = np.asarray(a, dtype=float)
+    if not np.all((av > 0.0) & np.isfinite(av)):  # NaN fails too
         raise ValueError("a must be positive and finite")
-    L, a1 = _L_and_alpha1(k, a)
-    out = a * (2.0 * L * LOG2716 + (LOG4 - 2.0 * LOG2716) * a1 * a1 * np.exp(-a * a1))
+    L, a1 = _L_and_alpha1(k, av)
+    av = av.reshape(av.shape + (1,) * np.ndim(k))
+    out = av * (2.0 * L * LOG2716 + (LOG4 - 2.0 * LOG2716) * a1 * a1 * np.exp(-av * a1))
     return out if out.ndim else float(out)
 
 

@@ -23,7 +23,7 @@ from bcv.bounds import (CONVERSE_A, CONVERSE_M, G_LAMBDA_MAX, SQRT2, _NORM_XS,
                         noncentral_converse_check, smooth_class_constant,
                         sup_G_minus_g, sweep_upper, upper_bound_report,
                         upper_expr_H1, upper_expr_H2)
-from bcv.dist import _BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, _log_binom
+from bcv.dist import _BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, _log_binom, _window_err
 from bcv.noncentral import J_limit, first_valid_i
 
 
@@ -474,6 +474,37 @@ def test_narrow_norm_pass_lies_within_its_window_err_on_the_modulus_grid(n):
     (d2, bn, d2_err, bn_err), (d2_full, bn_full) = _narrow_and_full(f, n, xs, log_mass)
     assert np.all(np.abs(bn_full - bn) <= bn_err)
     assert np.all(np.abs(d2_full - d2) <= d2_err)
+
+
+def _two_form_tail_ratio(f, n, xs):
+    """The largest ratio over the points xs of (0, 1) of the dropped-tail
+    bounds of both forms of (B_n f)'' in _norms' narrow pass to the
+    tolerance of their consistency check in _derivative_and_apply, that
+    tolerance taken on the Krawtchouk form's terms alone, so from below."""
+    log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
+    (kraw, _, kraw_env, _), = _derivative_and_apply([f], n, 2, xs, log_mass)
+    fk = f(np.arange(n + 1) / n)
+    # the Krawtchouk terms as _d2_and_apply bounds them, with env = 0
+    c = float(np.max(np.abs(fk))) / (xs * (1.0 - xs)) ** 2
+    kraw_tail = _window_err(n, xs, log_mass, (c * n * xs * (1.0 - xs), c, c), 0.0)
+    # the difference form n(n-1) E Delta^2 f over S_{n-2}, summed at the same log-mass
+    diff = float(np.max(np.abs(fk[2:] - 2.0 * fk[1:-1] + fk[:-2])))
+    fdiff_tail = _window_err(n - 2, xs, log_mass, (n * (n - 1) * diff, 0.0, 0.0), 0.0)
+    tol = bernstein._REL_TOL * np.maximum(1.0, np.abs(kraw)) + 1e-10 * kraw_env
+    return float(np.max((kraw_tail + fdiff_tail) / tol))
+
+
+@pytest.mark.parametrize("name, n", [("witness", 10_000), ("witness", 100_000),
+                                     ("cube", 10_000), ("sine", 10_000)])
+def test_narrow_pass_tails_stay_far_below_the_two_form_tolerance(name, n):
+    # what the narrow pass leaves out of either form of (B_n f)'' could,
+    # if it reached the consistency check's tolerance, raise
+    # ConsistencyError on sums that agree at full windows: _SCAN_LOG_MASS
+    # keeps it at 1e-2 of that tolerance or less, on the witness's modulus
+    # grid and on bcv verify's corpus of converse checks
+    f = _NORM_FNS[name](n)
+    xs = _modulus_norm_grid(f, n) if name == "witness" else _NORM_XS
+    assert _two_form_tail_ratio(f, n, xs[(xs > 0.0) & (xs < 1.0)]) <= 1e-2
 
 
 def test_narrow_enclosure_needs_its_tail_term(monkeypatch):

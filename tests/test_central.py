@@ -350,21 +350,22 @@ def test_narrow_H_sums_lie_within_their_window_err_of_the_full_sums(n):
     log_mass = central._SCAN_LOG_MASS + math.log(n)
     narrow = central._H_sums(n, xs, log_mass)
     full = central._H_sums(n, xs, _BAND_LOG_MASS)
-    err = _window_err(n, xs, log_mass, n * float(np.max(_H_weight(n))), narrow)
+    err = _window_err(n, xs, log_mass, (0.0, float(np.max(_H_weight(n))), 0.0), narrow)
     assert np.all(np.abs(full - narrow) <= err)
 
 
 def test_scan_enclosure_fails_without_its_tail_term(monkeypatch):
     # at the narrow log-mass T = 5 the band leaves out far more mass than
-    # the rounding margin: kept, the tail term makes every point a candidate
-    # and the scan exact; dropped, the upper bounds fall below H_n_exact
+    # the rounding margin: kept, the tail term keeps every upper bound above
+    # H_n_exact (3,459 of the 6,096 points become candidates); dropped, the
+    # upper bounds fall below H_n_exact
     n = 10_000
     xs = _H_grid(n)
     monkeypatch.setattr(central, "_SCAN_LOG_MASS", 5.0 - math.log(n))
     _assert_scan_encloses(monkeypatch, n, xs)
     monkeypatch.setattr(central, "_window_err",
-                        lambda n, xs, log_mass, term_bound, env:
-                        _window_err(n, xs, log_mass, 0.0, env))
+                        lambda n, xs, log_mass, coefs, env:
+                        _window_err(n, xs, log_mass, (0.0, 0.0, 0.0), env))
     with pytest.raises(AssertionError):
         _assert_scan_encloses(monkeypatch, n, xs)
 

@@ -23,7 +23,7 @@ from bcv.bernstein import bernstein_apply_many, bernstein_derivative
 from bcv.bounds import G_of_lambda, iterate_converse_check
 from bcv.central import H_n_exact, _H_grid, nu
 from bcv.dist import (LOG4, LOG2716, _BLOCK_ENTRIES, _EXP_ZERO, _SCAN_LOG_MASS,
-                      BinomialLaw, _band_windows, _blocks, _exact_near_max,
+                      BinomialLaw, _band_windows, _blocks, _dropped_moments, _exact_near_max,
                       _log_binom, _poisson_terms, inv_moment_shift_V,
                       stirling_mode_bound_check, tv_binom_poisson,
                       tv_binom_poisson_bound)
@@ -376,6 +376,50 @@ def test_exact_near_max_sums_again_where_the_enclosures_overlap():
     assert asked == [0, 1]
     assert out[0, 0] == 1.0 and out[0, 1] == 0.9
     assert -4.5 <= out[0, 2] < 1.0
+
+
+@pytest.mark.parametrize("n", [3, 10, 63, 64, 10_000, 1_000_000])
+def test_dropped_moments_bound_the_dense_tails_on_each_side(n):
+    # windows that reach 0, that reach n, interior ones, and the narrow
+    # windows of the scans, at points within 1e-9 of 0 and 1 and inside
+    xs = np.array([1e-9, 1.0 - 1e-9, 0.05, 0.5, 0.77, min(3.45 / n, 0.3)])
+    k = np.arange(n + 1)
+    for x in xs.tolist():
+        row = dense_binomial_row(n, x)
+        moments = row * np.abs(k - n * x) ** np.arange(3).reshape(-1, 1)
+        # left[:, a] sums the entries below a, right[:, b] those above b,
+        # each from its own end, so without cancellation
+        zero = np.zeros((3, 1))
+        left = np.hstack([zero, np.cumsum(moments, axis=1)])
+        right = np.hstack([np.cumsum(moments[:, ::-1], axis=1)[:, ::-1][:, 1:], zero])
+        spread = math.sqrt(n * x * (1.0 - x)) + 1.0
+        cuts = {0, n, *(int(np.clip(n * x + c * spread, 0, n)) for c in (-9, -4, -1, 1, 4, 9))}
+        for log_mass in (5.0, _SCAN_LOG_MASS + math.log(n), 40.0):
+            _, lo, hi = _band_windows(n, [x], log_mass)
+            cuts |= {int(lo[0]), int(hi[0])}
+        for lo, hi in itertools.product(sorted(cuts), repeat=2):
+            if lo > hi:
+                continue
+            # each side alone, then both: a window that reaches 0 or n on a
+            # side leaves nothing out there
+            for a, b in ((lo, n), (0, hi), (lo, hi)):
+                t = _dropped_moments(n, np.array([x]), np.array([a]), np.array([b]))[:, 0]
+                assert np.all(t >= left[:, a] + right[:, b]), (n, x, a, b)
+        t = _dropped_moments(n, np.array([x]), np.array([0]), np.array([n]))
+        assert np.array_equal(t, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("n", [3, 64, 10_000, 1_000_000])
+def test_dropped_moments_of_a_band_window_stay_below_its_bernstein_charge(n):
+    # a window at log-mass T holds its Bernstein band, outside which lies
+    # mass at most 2 e^-T: the edge bounds, rounding slack and all, stay
+    # within twice that, and n times it for the first moment
+    xs = np.concatenate([[1e-9, 1.0 - 1e-9, 0.0, 1.0], np.linspace(0.0, 1.0, 1001)])
+    for log_mass in (1.0, 5.0, _SCAN_LOG_MASS + math.log(n), 40.0, 700.0):
+        xs, lo, hi = _band_windows(n, xs, log_mass)
+        t0, t1, _ = _dropped_moments(n, xs, lo, hi)
+        assert np.all(t0 <= 4.0 * math.exp(-log_mass)), (n, log_mass)
+        assert np.all(t1 <= 4.0 * n * math.exp(-log_mass)), (n, log_mass)
 
 
 # ---------------------------------------------------------------------------
