@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _BAND_LOG_MASS, BinomialLaw, _blocks, _check_n, _logged_blocks, _point_logs
+from .dist import _BAND_LOG_MASS, BinomialLaw, _blocks, _check_n
 from .quadrature import gauss_legendre
 
 # Relative tolerance of the two-form check in bernstein_derivative.
@@ -203,9 +203,7 @@ def _derivative_and_apply(fs, n, m, xs, log_mass):
                          f"(m={m}): the Krawtchouk form cannot be scaled")
     # per function: kraw, apply, kraw_env, apply_env, fdiff, fdiff_env
     outs = [[np.empty(len(xs)) for _ in range(6)] for _ in fs]
-    # log x and log1p(-x), shared by the passes over S_n and S_{n-m}
-    logs = _point_logs(xs)
-    for sl, cols, rows in _logged_blocks(n, xs, logs, log_mass):
+    for sl, cols, rows in _blocks(n, xs, log_mass):
         krows = _krawtchouk_rows(basis[:, cols], xs[sl])
         # one buffer holds each function's products p * fk, then its terms
         # (p * fk) * K_m in place, so a batch holds no more rows than one f
@@ -218,7 +216,7 @@ def _derivative_and_apply(fs, n, m, xs, log_mass):
             kraw[sl] = pref[sl] * np.sum(pf, axis=1)
             kraw_env[sl] = pref[sl] * np.sum(np.abs(pf), axis=1)
     if m < n:
-        for sl, cols, rows in _logged_blocks(n - m, xs, logs, log_mass):
+        for sl, cols, rows in _blocks(n - m, xs, log_mass):
             for diff, (*_, fdiff, fdiff_env) in zip(diffs, outs):
                 fdiff[sl] = fall * np.sum(rows * diff[cols], axis=1)
                 fdiff_env[sl] = fall * np.sum(rows * np.abs(diff[cols]), axis=1)

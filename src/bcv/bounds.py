@@ -90,27 +90,32 @@ def upper_expr_H1(a):
 def upper_expr_H2(a, m):
     """4 + sqrt(2)(i + sum_{k=i}^m J(k,a)) / (1 - J(m+1,a)) * log 4, with
     i = first_valid_i(a)."""
+    return _expr_H2(a, m, lambda i: J_limit(np.arange(i, m + 2), a))
+
+
+def _expr_H2(a, m, js):
+    """upper_expr_H2, with js(i) the array of J(k, a) at k = i..m+1: only the
+    sweep takes its J from a shared table."""
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"m must be an integer >= 1, got m={m!r}")
     i = first_valid_i(a)
     if i > m:
         raise ValueError(f"need m >= first_valid_i(a) = {i}")
-    return _expr_H2(i, J_limit(np.arange(i, m + 2), a))
-
-
-def _expr_H2(i, js):
-    """upper_expr_H2 from i = first_valid_i(a) and the array of J(k, a) at
-    k = i..m+1."""
-    *js, j_top = js.tolist()
+    *js, j_top = js(i).tolist()
     if j_top >= 1.0:
         raise ValueError(f"J(m+1, a) = {j_top:.4g} >= 1: expression undefined")
     return 4.0 + SQRT2 * (i + sum(js)) / (1.0 - j_top) * LOG4
 
 
 def upper_bound_report(a, m):
+    return _report(a, m, lambda i: J_limit(np.arange(i, m + 2), a))
+
+
+def _report(a, m, js):
+    """upper_bound_report, with js as in _expr_H2."""
     i = first_valid_i(a)
     e1 = upper_expr_H1(a)
-    e2 = upper_expr_H2(a, m)
+    e2 = _expr_H2(a, m, js)
     return UpperBoundReport(a, m, i, e1, e2, max(e1, e2))
 
 
@@ -147,15 +152,11 @@ def sweep_upper(a_lo, a_hi, step, m):
         out = []
         for start in range(0, len(avals), block):
             part = avals[start:start + block]
-            for a, js in zip(part.tolist(), J_limit(ks, part)):
-                i = first_valid_i(a)
-                if i > m:  # upper_expr_H2 is undefined at this a
-                    continue
+            for a, row in zip(part.tolist(), J_limit(ks, part)):
                 try:
-                    e1, e2 = upper_expr_H1(a), _expr_H2(i, js[i - 1:])
+                    out.append(_report(a, m, lambda i, row=row: row[i - 1:]))
                 except ValueError:  # an expression is undefined at this a
-                    continue
-                out.append(UpperBoundReport(a, m, i, e1, e2, max(e1, e2)))
+                    pass
         return out
 
     reports = reports_at(np.arange(a_lo, a_hi + step / 2.0, step))

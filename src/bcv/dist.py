@@ -53,13 +53,15 @@ _BLOCK_ENTRIES = 1 << 15
 # exp(-745.2) already rounds to zero.
 _BAND_LOG_MASS = 760.0
 # The narrow windows of the two-pass scans sit at log-mass this plus log n in
-# central._H_n_scan (21.2 at n = 10^4), plus log n + log C(n, 2) in
-# bounds._norms (38.9 there).  It is the least integer that keeps both scans'
-# full-window reruns at 8 or fewer for n >= 1000 and, at every scanned point,
-# the dropped tails of the two forms of (B_n f)'' together at 1e-2 or less of
-# the tolerance of their consistency check (at 11, the cube of bcv verify's
-# converse checks reaches 2.1e-2 at n = 10^4).
-_SCAN_LOG_MASS = 12.0
+# central._H_n_scan (23.2 at n = 10^4), plus log n + log C(n, 2) in
+# bounds._norms (40.9 there).  It is the least integer that keeps both scans'
+# full-window reruns at 8 or fewer for n >= 1000 and the dropped tails of the
+# two forms of (B_n f)'' together at 1e-2 or less of the tolerance of their
+# consistency check: at every point of bounds._NORM_XS for bcv verify's
+# functions, probed at 1,155 values of n from 64 to 20,000, and of the
+# witness's modulus grid at 10^4 and 10^5.  The cube is the worst, 6.7e-3 at
+# n = 1,450; at 13 it reaches 1.8e-2 (n = 400).
+_SCAN_LOG_MASS = 14.0
 # The relative pad of _exact_near_max's enclosures, 8 units in the last place.
 _PAD = 2.0 ** -50
 # exp(x) for x < -745.1332 is below 2^-1075 and rounds to +0.0, so rows skip
@@ -109,18 +111,6 @@ def _keep_freed_memory():
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def _point_logs(xs):
-    """The columns log x and log1p(-x) over the float array xs, 0 at every
-    point outside (0, 1), by math.log/log1p per point: np.log can differ
-    from them by an ulp."""
-    inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
-    xi = xs[inner].tolist()
-    lx, l1x = np.zeros((2, len(xs), 1))
-    lx[inner, 0] = [math.log(v) for v in xi]
-    l1x[inner, 0] = [math.log1p(-v) for v in xi]
-    return lx, l1x
-
-
 def _band_windows(n, xs, log_mass=_BAND_LOG_MASS):
     """Validated points and each one's window [lo, hi] of k.
 
@@ -152,16 +142,14 @@ def _blocks(n, xs, log_mass=_BAND_LOG_MASS):
     inside any batch.  Below it, the pass is a scan whose sums feed
     _window_err enclosures only: a block takes consecutive points while they
     fit over the union of their windows, which holds each point's window."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    yield from _logged_blocks(n, xs, _point_logs(xs), log_mass)
-
-
-def _logged_blocks(n, xs, logs, log_mass):
-    """_blocks of the float array xs, given their _point_logs(xs), so that
-    passes over several n can share them."""
     _keep_freed_memory()
     xs, lo, hi = _band_windows(n, xs, log_mass)
-    lx, l1x = logs
+    # math.log/log1p per x: np.log can differ from them by an ulp
+    inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
+    xi = xs[inner].tolist()
+    lx, l1x = np.zeros((2, len(xs), 1))
+    lx[inner, 0] = [math.log(v) for v in xi]
+    l1x[inner, 0] = [math.log1p(-v) for v in xi]
     for a, e, l, h in _spans(lo, hi, log_mass < _BAND_LOG_MASS):
         rows = _window_rows(n, xs[a:e], lx[a:e], l1x[a:e], l, h + 1)
         yield slice(a, e), slice(l, h + 1), rows

@@ -129,6 +129,28 @@ def test_sweep_sorted_refined_and_consistent():
     assert at72.expr_H2 == pytest.approx(direct.expr_H2, rel=1e-12)
 
 
+@pytest.mark.parametrize("a_lo, a_hi, step", [(6.0, 7.5, 0.1), (6.5, 5106.5, 850.0)])
+def test_sweep_rows_are_upper_bound_reports_and_skip_undefined_a(a_lo, a_hi, step):
+    # the sweep's J come from one table per block of a, yet each row is
+    # upper_bound_report's bit for bit, and a grid point is skipped exactly
+    # where that raises: below a = 6.2, where 1 - 0.99 K(a)/3 <= 0, and at
+    # a = 5106.5, where first_valid_i needs an index above its depth
+    m = 20
+    with pytest.raises(ValueError, match="depth"):
+        first_valid_i(5106.5)
+    reports = sweep_upper(a_lo, a_hi, step, m)
+    assert all(r == upper_bound_report(r.a, m) for r in reports)
+    coarse = []
+    for a in np.arange(a_lo, a_hi + step / 2.0, step).tolist():
+        try:
+            coarse.append(upper_bound_report(a, m))
+        except ValueError:
+            pass
+    grid = {r.a for r in coarse}
+    assert [r for r in reports if r.a in grid] == coarse
+    assert 0 < len(coarse) < len(np.arange(a_lo, a_hi + step / 2.0, step))
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep_upper(5.0, 4.0, 0.1, 20)
@@ -495,13 +517,17 @@ def _two_form_tail_ratio(f, n, xs):
 
 
 @pytest.mark.parametrize("name, n", [("witness", 10_000), ("witness", 100_000),
-                                     ("cube", 10_000), ("sine", 10_000)])
+                                     *[(name, n) for name in ("cube", "sine")
+                                       for n in (64, 200, 1000, 10_000)],
+                                     ("cube", 400), ("cube", 1450)])
 def test_narrow_pass_tails_stay_far_below_the_two_form_tolerance(name, n):
     # what the narrow pass leaves out of either form of (B_n f)'' could,
     # if it reached the consistency check's tolerance, raise
     # ConsistencyError on sums that agree at full windows: _SCAN_LOG_MASS
     # keeps it at 1e-2 of that tolerance or less, on the witness's modulus
-    # grid and on bcv verify's corpus of converse checks
+    # grid and on bcv verify's functions over _NORM_XS at any n >= 64; the
+    # cube is the worst of them, near n = 1450, and at n = 400 it would
+    # break the bound one log-mass lower
     f = _NORM_FNS[name](n)
     xs = _modulus_norm_grid(f, n) if name == "witness" else _NORM_XS
     assert _two_form_tail_ratio(f, n, xs[(xs > 0.0) & (xs < 1.0)]) <= 1e-2
