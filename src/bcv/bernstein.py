@@ -6,7 +6,6 @@ Kantorovich representation through Irwin-Hall smoothing, and exact absolute
 central moments of S_n(x)/n.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -56,15 +55,24 @@ def phi(x):
     return out if out.ndim else float(out)
 
 
+def _grid_values(f, n):
+    """fk = f(k/n), k = 0..n: all that B_n f and its derivatives read of f."""
+    _check_n(n)
+    return np.asarray(f(np.arange(n + 1) / n), dtype=float)
+
+
 def bernstein_apply_many(f, n, xs):
     """B_n f(x) = sum_k f(k/n) C(n,k) x^k (1-x)^(n-k) on an array of points,
-    sharing one grid evaluation of f; each point's sum runs over its window."""
-    _check_n(n)
-    vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
+    all read from one table f(k/n); each point's sum runs over its window."""
+    return _apply_table(_grid_values(f, n), n, xs)
+
+
+def _apply_table(fk, n, xs):
+    """bernstein_apply_many from the table fk = f(k/n) of _grid_values."""
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
     for sl, cols, rows in _blocks(n, xs):
-        out[sl] = np.sum(rows * vals[cols], axis=1)
+        out[sl] = np.sum(rows * fk[cols], axis=1)
     return out
 
 
@@ -84,12 +92,9 @@ def _krawtchouk_factors(n, m, y):
     return np.array([_gen_binom(n - y, m - j) * _gen_binom(y, j) for j in range(m + 1)])
 
 
-@functools.lru_cache(maxsize=8)
 def _krawtchouk_basis(n, m):
-    """_krawtchouk_factors over y = 0..n, read-only."""
-    out = _krawtchouk_factors(n, m, np.arange(n + 1, dtype=float))
-    out.flags.writeable = False
-    return out
+    """_krawtchouk_factors over y = 0..n."""
+    return _krawtchouk_factors(n, m, np.arange(n + 1, dtype=float))
 
 
 def _krawtchouk_rows(factors, xs):
@@ -156,45 +161,37 @@ def bernstein_derivative(f, n, m, x):
     than that.
     """
     xa = np.asarray(x, dtype=float)
-    (kraw, *_), = _derivative_and_apply([f], n, m, xa.ravel(), _BAND_LOG_MASS)
+    (kraw, *_), = _derivative_and_apply([_grid_values(f, n)], n, m, xa.ravel(), _BAND_LOG_MASS)
     return kraw.reshape(xa.shape) if xa.ndim else float(kraw[0])
 
 
-def _derivative_and_apply(fs, n, m, xs, log_mass):
-    """For each function f of the sequence fs, ((B_n f)^(m), B_n f) at the
-    points of the 1-D array xs, each point summed over its block's window
-    from dist._blocks at log_mass and checked as in bernstein_derivative,
-    plus the envelopes of the two sums, pref sum |p f K_m| and sum |p f|
-    (pref = m!/phi^(2m)), from which dist._window_err bounds their distance
-    to the full-window values: one tuple (kraw, apply, kraw_env, apply_env)
-    per function, in the order of fs.
+def _derivative_and_apply(fks, n, m, xs, log_mass):
+    """For each table fk of the sequence fks, from _grid_values (which checks
+    n), ((B_n f)^(m), B_n f) at the points of the 1-D array xs,
+    each point summed over its block's window from dist._blocks at log_mass
+    and checked as in bernstein_derivative, plus the envelopes of the two
+    sums, pref sum |p f K_m| and sum |p f| (pref = m!/phi^(2m)), from which
+    dist._window_err bounds their distance to the full-window values: one
+    tuple (kraw, apply, kraw_env, apply_env) per table, in the order of fks.
 
     The work that does not depend on f, the pmf rows, the Krawtchouk rows
     and the S_{n-m} rows of each block, is done once per block for all of
-    fs; each function then runs the arithmetic of a one-function call, so
-    its tuple is bit for bit what [f] alone gives.  The Krawtchouk terms are
-    built on the products rows * f(k/n) whose row sums are B_n f, bit for
-    bit as bernstein_apply_many sums them.  At the full log-mass
-    _BAND_LOG_MASS a point's values depend on (f, n, m, x) alone, never on
-    the other points or functions of a call; below it, the points of a block
-    of dist._blocks are summed over the union of their windows, so a value
-    depends also on the points beside it, within dist._window_err."""
-    _check_n(n)
+    fks; each table then runs the arithmetic of a one-table call, so its
+    tuple is bit for bit what [fk] alone gives.  The Krawtchouk terms are
+    built on the products rows * fk whose row sums are B_n f, bit for bit as
+    bernstein_apply_many sums them; the difference form, np.diff(fk, m),
+    feeds only the check.  At the full log-mass _BAND_LOG_MASS a point's
+    values depend on (fk, n, m, x) alone, never on the other points or
+    tables of a call; below it, the points of a block of dist._blocks are
+    summed over the union of their windows, so a value depends also on the
+    points beside it, within dist._window_err."""
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, n], got m={m}, n={n}")
     if not np.all((xs > 0.0) & (xs < 1.0)):
         raise ValueError("x must lie in (0,1)")
-    k = np.arange(n + 1)
-    fks = [np.asarray(f(k / n), dtype=float) for f in fs]
     basis = _krawtchouk_basis(n, m)
-    # Delta_{1/n}^m f(j/n) for all j at once, reusing the grid values of f
-    j = np.arange(n - m + 1)
-    diffs = []
-    for fk in fks:
-        diff = np.zeros(n - m + 1)
-        for l in range(m + 1):
-            diff = diff + math.comb(m, l) * (-1) ** (m - l) * fk[j + l]
-        diffs.append(diff)
+    # Delta_{1/n}^m f(j/n), j = 0..n-m
+    diffs = [np.diff(fk, m) for fk in fks]
     fall = float(math.perm(n, m))
     with np.errstate(divide="ignore", over="ignore"):
         pref = math.factorial(m) / phi(xs) ** (2 * m)
@@ -202,7 +199,7 @@ def _derivative_and_apply(fs, n, m, xs, log_mass):
         raise ValueError(f"m!/phi(x)^(2m) overflows at x={float(xs[np.argmin(np.isfinite(pref))])} "
                          f"(m={m}): the Krawtchouk form cannot be scaled")
     # per function: kraw, apply, kraw_env, apply_env, fdiff, fdiff_env
-    outs = [[np.empty(len(xs)) for _ in range(6)] for _ in fs]
+    outs = [[np.empty(len(xs)) for _ in range(6)] for _ in fks]
     for sl, cols, rows in _blocks(n, xs, log_mass):
         krows = _krawtchouk_rows(basis[:, cols], xs[sl])
         # one buffer holds each function's products p * fk, then its terms

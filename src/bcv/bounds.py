@@ -17,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import (PiecewiseLinearFn, _derivative_and_apply,
-                        bernstein_apply_many)
+from .bernstein import PiecewiseLinearFn, _apply_table, _derivative_and_apply, _grid_values
 from .central import K_func, SupSearchResult, sup_H_n
-from .dist import (_BAND_LOG_MASS, _BLOCK_ENTRIES, _SCAN_LOG_MASS, LOG4, _check_n,
-                   _exact_near_max, _poisson_terms, _window_err)
+from .dist import (_BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, _check_n, _exact_near_max,
+                   _poisson_terms, _window_err)
 from .moduli import X_POINTS, omega2_phi
 from .noncentral import J_limit, finite_n_J_bound, first_valid_i
-from .quadrature import gauss_legendre
 from .search import sup_search
 
 SQRT2 = math.sqrt(2.0)
@@ -90,85 +88,80 @@ def upper_expr_H1(a):
 def upper_expr_H2(a, m):
     """4 + sqrt(2)(i + sum_{k=i}^m J(k,a)) / (1 - J(m+1,a)) * log 4, with
     i = first_valid_i(a)."""
-    return _expr_H2(a, m, lambda i: J_limit(np.arange(i, m + 2), a))
+    return _expr_H2(a, _J_row(a, m))
 
 
-def _expr_H2(a, m, js):
-    """upper_expr_H2, with js(i) the array of J(k, a) at k = i..m+1: only the
-    sweep takes its J from a shared table."""
+def _J_row(a, m):
+    """J(k, a) at k = 1..m+1: a row, or one per a of a 1-D array of them."""
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"m must be an integer >= 1, got m={m!r}")
+    return J_limit(np.arange(1, m + 2), a)
+
+
+def _expr_H2(a, js):
+    """upper_expr_H2 from js, the row J(k, a) at k = 1..m+1 of _J_row."""
     i = first_valid_i(a)
-    if i > m:
+    if i > len(js) - 1:
         raise ValueError(f"need m >= first_valid_i(a) = {i}")
-    *js, j_top = js(i).tolist()
+    *js, j_top = js[i - 1:].tolist()
     if j_top >= 1.0:
         raise ValueError(f"J(m+1, a) = {j_top:.4g} >= 1: expression undefined")
     return 4.0 + SQRT2 * (i + sum(js)) / (1.0 - j_top) * LOG4
 
 
 def upper_bound_report(a, m):
-    return _report(a, m, lambda i: J_limit(np.arange(i, m + 2), a))
+    return _report(a, _J_row(a, m))
 
 
-def _report(a, m, js):
-    """upper_bound_report, with js as in _expr_H2."""
-    i = first_valid_i(a)
+def _report(a, js):
+    """upper_bound_report from js, the row of _expr_H2."""
     e1 = upper_expr_H1(a)
-    e2 = _expr_H2(a, m, js)
-    return UpperBoundReport(a, m, i, e1, e2, max(e1, e2))
+    e2 = _expr_H2(a, js)
+    return UpperBoundReport(a, len(js) - 1, first_valid_i(a), e1, e2, max(e1, e2))
 
 
 def smooth_class_constant():
-    """Limit constant 4 + sqrt(2)(sqrt(2)+1)/(1 - 0.99/sqrt(3)) * log 4 for
-    the class where the central kernel attains its limit sqrt(3).
-
-    It is lim_{a -> inf} upper_expr_H1(a), approached from above as
-    kappa a^(-1/2) + O(1/a) with kappa = (9/8)(0.99/3) sqrt(2)(sqrt(2)+1)
-    log 4 / (1 - 0.99/sqrt(3))^2 = 9.5734..., since K(a) - sqrt(3) is
-    (9/8) a^(-1/2) + O(1/a)."""
-    return 4.0 + SQRT2 * (SQRT2 + 1.0) / (1.0 - 0.99 / math.sqrt(3.0)) * LOG4
+    """upper_expr_H1(inf), for the class where the central kernel attains its
+    limit K(inf) = sqrt(3), exact in floating point too.  upper_expr_H1(a)
+    approaches it from above as kappa a^(-1/2) + O(1/a) with kappa = (9/8)
+    (0.99/3) sqrt(2)(sqrt(2)+1) log 4 / (1 - 0.99/sqrt(3))^2 = 9.5734...,
+    since K(a) - sqrt(3) is (9/8) a^(-1/2) + O(1/a)."""
+    return upper_expr_H1(math.inf)
 
 
 def sweep_upper(a_lo, a_hi, step, m):
-    """Reports over an a-grid, plus a 0.01-step refinement pass around the
-    coarse minimum of the max column.  Grid points where the K-driven
-    expression is undefined (denominator <= 0, roughly a < 6.2) are skipped
-    rather than reported.
+    """Reports at the points a_lo + j step of [a_lo, a_hi], plus a 0.01-step
+    refinement pass between the coarse neighbours of the minimum of the max
+    column.  Grid points where the K-driven expression is undefined
+    (denominator <= 0, roughly a < 6.2) are skipped rather than reported.
 
-    Each report is upper_bound_report's at its a, bit for bit, but the
-    J(k, a) of a block of values of a come from one J_limit call, so from
-    one pass of the alpha recursion; a block holds about _BLOCK_ENTRIES
-    entries of its J table and of the recursion's terms."""
+    Each report is upper_bound_report's at its a, bit for bit, but each pass
+    takes the J(k, a) of all its values of a from one _J_row call, so from
+    one pass of the alpha recursion."""
     if not (a_lo > 0.0 and a_hi > a_lo and 0.0 < step < math.inf):
         raise ValueError("need 0 < a_lo < a_hi and a finite step > 0")
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ValueError(f"m must be an integer >= 1, got m={m!r}")
-    ks = np.arange(1, m + 2)
-    block = max(1, _BLOCK_ENTRIES // (m + 1 + len(gauss_legendre()[0])))
 
-    def reports_at(avals):
-        avals = np.fromiter(avals, dtype=float)
+    def reports_at(lo, hi, step, skip):
+        """Reports at np.arange's points lo + j step up to hi, hi kept
+        through rounding, but for those whose a to 6 places is in skip."""
+        grid = np.arange(lo, hi + step / 2.0, step).tolist()
+        avals = [a for a in grid if a <= hi + 1e-9 * step and round(a, 6) not in skip]
         out = []
-        for start in range(0, len(avals), block):
-            part = avals[start:start + block]
-            for a, row in zip(part.tolist(), J_limit(ks, part)):
-                try:
-                    out.append(_report(a, m, lambda i, row=row: row[i - 1:]))
-                except ValueError:  # an expression is undefined at this a
-                    pass
+        for a, row in zip(avals, _J_row(np.array(avals), m) if avals else ()):
+            try:
+                out.append(_report(a, row))
+            except ValueError:  # an expression is undefined at this a
+                pass
         return out
 
-    reports = reports_at(np.arange(a_lo, a_hi + step / 2.0, step))
+    reports = reports_at(a_lo, a_hi, step, set())
     if not reports:
         raise ValueError("no a in the range admits the upper-bound expressions")
     if len(reports) > 2:
         k = min(range(len(reports)), key=lambda j: reports[j].max)
         lo = reports[max(k - 1, 0)].a
         hi = reports[min(k + 1, len(reports) - 1)].a
-        seen = {round(r.a, 6) for r in reports}
-        reports += reports_at(a for a in np.arange(lo, hi + 0.005, 0.01)
-                              if round(float(a), 6) not in seen)
+        reports += reports_at(lo, hi, 0.01, {round(r.a, 6) for r in reports})
         reports.sort(key=lambda r: r.a)
     return reports
 
@@ -294,19 +287,19 @@ def _need_n(n, least):
         raise ValueError(f"need an integer n >= {least}, got n={n}")
 
 
-def _d2_and_apply(fs, n, x, log_mass):
-    """For each f of fs, ((B_n f)'', B_n f) at the points x of (0, 1), summed
-    over their blocks' windows at log_mass in one _derivative_and_apply
-    pass, and how far each can lie from its full-window value, from
-    dist._window_err: a term of B_n f is at most max|f|, and one of the
-    Krawtchouk sum at most (pref/2) max|f| ((k - nx)^2 + |k - nx| + nx(1-x)),
-    pref = 2/phi^4, as K_2(x; k) = ((k - nx)^2 - (1 - 2x)(k - nx)
-    - nx(1-x))/2; the computed rows exceed that bound by at most 1e-10
-    relative for n <= 10^6, far inside the factor 2 of _dropped_moments.
-    One tuple (d2, bn, d2_err, bn_err) per function."""
+def _d2_and_apply(fks, n, x, log_mass):
+    """For each table fk = f(k/n), k = 0..n, of fks, ((B_n f)'', B_n f) at
+    the points x of (0, 1), summed over their blocks' windows at log_mass in
+    one _derivative_and_apply pass, and how far each can lie from its
+    full-window value, from dist._window_err: a term of B_n f is at most
+    max|fk|, and one of the Krawtchouk sum at most (pref/2) max|fk|
+    ((k - nx)^2 + |k - nx| + nx(1-x)), pref = 2/phi^4, as K_2(x; k) =
+    ((k - nx)^2 - (1 - 2x)(k - nx) - nx(1-x))/2; the computed rows exceed
+    that bound by at most 1e-10 relative for n <= 10^6, far inside the
+    factor 2 of _dropped_moments.  One tuple (d2, bn, d2_err, bn_err) each."""
     out = []
-    for f, (d2, bn, d2_env, bn_env) in zip(fs, _derivative_and_apply(fs, n, 2, x, log_mass)):
-        fmax = float(np.max(np.abs(f(np.arange(n + 1) / n))))
+    for fk, (d2, bn, d2_env, bn_env) in zip(fks, _derivative_and_apply(fks, n, 2, x, log_mass)):
+        fmax = float(np.max(np.abs(fk)))
         c = fmax / (x * (1.0 - x)) ** 2  # (pref/2) max|f|
         d2_coefs = (c * (n * x * (1.0 - x)), c, c)
         out.append((d2, bn, _window_err(n, x, log_mass, d2_coefs, d2_env),
@@ -318,31 +311,33 @@ def _norms(fs, n, xs):
     """For each f of the sequence fs, (max |B_n f - f| over xs,
     max phi^2 |(B_n f)''| over the points of xs inside (0, 1)), bit for bit
     as summing every point over its full window gives them, and as fs = [f]
-    gives them; the points 0 and 1 take bernstein_apply_many.  Both are grid
-    maxima: lower estimates of the norms, so a check built on them is not
-    certified.
+    gives them; the points 0 and 1 take bernstein_apply_many's sums.  Both
+    are grid maxima: lower estimates of the norms, so a check built on them
+    is not certified.
 
-    A first pass sums every inner point over a window that holds its narrow
-    window, at log-mass _SCAN_LOG_MASS + log n + log C(n, 2), for all of fs
-    at once (_d2_and_apply), which bounds each sum's distance to its
-    full-window value by the moments its window leaves out.  Then
-    dist._exact_near_max sums full windows again, one function at a time,
-    only where either of its maxima can sit.  The two-form check of
-    (B_n f)'' runs on every sum taken: the log C(n, 2) in the log-mass keeps
-    what the narrow windows leave out of its two forms far below its
-    tolerance."""
+    Each f is evaluated once on the grid k/n (_grid_values) and once on xs;
+    every sum below reads that one table.  A first pass sums every inner
+    point over a window that holds its narrow window, at log-mass
+    _SCAN_LOG_MASS + log n + log C(n, 2), for all of fs at once
+    (_d2_and_apply), which bounds each sum's distance to its full-window
+    value by the moments its window leaves out.  Then dist._exact_near_max
+    sums full windows again, one function at a time, only where either of
+    its maxima can sit.  The two-form check of (B_n f)'' runs on every sum
+    taken: the log C(n, 2) in the log-mass keeps what the narrow windows
+    leave out of its two forms far below its tolerance."""
     inner = (xs > 0.0) & (xs < 1.0)
     x = xs[inner]
     w = x * (1.0 - x)
     log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
+    fks = [_grid_values(f, n) for f in fs]
     out = []
-    for f, (d2, bn, d2_err, bn_err) in zip(fs, _d2_and_apply(fs, n, x, log_mass)):
+    for f, fk, (d2, bn, d2_err, bn_err) in zip(fs, fks, _d2_and_apply(fks, n, x, log_mass)):
         fxs = f(xs)
         fx = fxs[inner]
-        edge = np.max(np.abs(bernstein_apply_many(f, n, xs[~inner]) - fxs[~inner]), initial=0.0)
+        edge = np.max(np.abs(_apply_table(fk, n, xs[~inner]) - fxs[~inner]), initial=0.0)
 
         def full(i):
-            (d2_full, bn_full, _, _), = _derivative_and_apply([f], n, 2, x[i], _BAND_LOG_MASS)
+            (d2_full, bn_full, _, _), = _derivative_and_apply([fk], n, 2, x[i], _BAND_LOG_MASS)
             return np.abs(bn_full - fx[i]), w[i] * np.abs(d2_full)
 
         err, wd2 = _exact_near_max([np.abs(bn - fx), w * np.abs(d2)], [bn_err, w * d2_err], full)
@@ -464,8 +459,8 @@ def iterate_converse_check(f, n):
     j/n, so h is represented exactly by its grid values B_n f(j/n) - f(j/n).
     """
     _need_n(n, 2)
-    grid = np.arange(n + 1) / n
-    h_grid = bernstein_apply_many(f, n, grid) - f(grid)
+    fk = _grid_values(f, n)
+    h_grid = _apply_table(fk, n, np.arange(n + 1) / n) - fk
 
     def h_fn(y):
         return h_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import LOG4, LOG2716, _check_n
+from .dist import _BLOCK_ENTRIES, LOG4, LOG2716, _check_n
 from .quadrature import gauss_legendre
 
 
@@ -78,8 +78,8 @@ def _L_and_alpha1(k, a):
     per a, each bit for bit that of its a alone.
 
     One pass of the alpha recursion over the quadrature nodes and theta = 1
-    serves every k up to max(k) and every a, so a table of J(k, a) costs
-    O(max k) passes however many a it holds."""
+    serves every k up to max(k) and every a, in blocks of a of about
+    _BLOCK_ENTRIES entries, so a table of J(k, a) costs O(max k) passes."""
     ks = np.asarray(k)
     if ks.dtype.kind not in "iu" or np.any(ks < 1):
         raise ValueError("k must be an integer >= 1")
@@ -88,12 +88,14 @@ def _L_and_alpha1(k, a):
     L = np.empty((av.size, int(ks.max())))
     a1 = np.empty(L.shape[1])
     minus_a = -av.reshape(-1, 1)
+    block = max(1, _BLOCK_ENTRIES // (L.shape[1] + len(theta)))
     # v is alpha_j on the nodes and at theta = 1
     for j, v in zip(range(L.shape[1]), _alpha_iterates(np.append(theta, 1.0))):
         r = v[:-1] / theta
-        terms = r * r * np.exp(minus_a * v[:-1])
-        # a stack of one-row products: each row's sum is the dot w @ row
-        L[:, j] = (terms[:, None, :] @ w[:, None])[:, 0, 0]
+        for s in range(0, len(L), block):
+            terms = r * r * np.exp(minus_a[s:s + block] * v[:-1])
+            # a stack of one-row products: each row's sum is the dot w @ row
+            L[s:s + block, j] = (terms[:, None, :] @ w[:, None])[:, 0, 0]
         a1[j] = v[-1]
     L = L[:, ks - 1]
     return L.reshape(av.shape + ks.shape), a1[ks - 1]
@@ -115,9 +117,9 @@ def L_k(k, a):
 
 def J_limit(k, a):
     """Limit constant J(k, a) for an integer k >= 1 or an array of them, and
-    a float a or a 1-D array of them, which gives one row per a (every a
-    shares one pass of the alpha recursion); the second term decays
-    exponentially in a."""
+    a float a or a 1-D array of them of any length, which gives one row per
+    a, bit for bit that of its a alone (every a shares one pass of the alpha
+    recursion, _L_and_alpha1); the second term decays exponentially in a."""
     av = np.asarray(a, dtype=float)
     if not np.all((av > 0.0) & np.isfinite(av)):  # NaN fails too
         raise ValueError("a must be positive and finite")

@@ -11,7 +11,7 @@ from scipy import stats
 
 from oracles import d2_norm, dense_iteration_matrix, error_norm, mp_binom_pmf
 from bcv import bernstein, bounds, cli
-from bcv.bernstein import _derivative_and_apply, bernstein_apply_many
+from bcv.bernstein import _derivative_and_apply, _grid_values, bernstein_apply_many
 from bcv.bounds import (CONVERSE_A, CONVERSE_M, G_LAMBDA_MAX, SQRT2, _NORM_XS,
                         G_of_lambda, LowerBoundReport, UpperBoundReport,
                         ValidatorResult, _d2_and_apply, _fn_lower_error,
@@ -23,6 +23,7 @@ from bcv.bounds import (CONVERSE_A, CONVERSE_M, G_LAMBDA_MAX, SQRT2, _NORM_XS,
                         noncentral_converse_check, smooth_class_constant,
                         sup_G_minus_g, sweep_upper, upper_bound_report,
                         upper_expr_H1, upper_expr_H2)
+from bcv.central import K_func
 from bcv.dist import _BAND_LOG_MASS, _SCAN_LOG_MASS, LOG4, _log_binom, _window_err
 from bcv.noncentral import J_limit, first_valid_i
 
@@ -111,6 +112,15 @@ def test_smooth_class_constant_value():
     assert v == pytest.approx(15.047731866651418, abs=1e-9)
 
 
+def test_smooth_class_constant_is_the_H1_expression_at_infinity_bitwise():
+    # K(inf) is sqrt(3) exactly, and 1 - 0.99 sqrt(3)/3 == 1 - 0.99/sqrt(3)
+    # in binary64, so the limit constant keeps the value of its closed form
+    assert K_func(math.inf).hex() == math.sqrt(3.0).hex()
+    assert smooth_class_constant().hex() == upper_expr_H1(math.inf).hex()
+    closed = 4.0 + SQRT2 * (SQRT2 + 1.0) / (1.0 - 0.99 / math.sqrt(3.0)) * LOG4
+    assert smooth_class_constant().hex() == closed.hex()
+
+
 def test_smooth_class_beats_general_constant():
     for a in (6.5, 7.2, 8.0):
         assert smooth_class_constant() < upper_bound_report(a, 20).max
@@ -168,6 +178,52 @@ def test_sweep_names_a_bad_m(m):
     # reported that no a in the range admits the expressions
     with pytest.raises(ValueError, match=f"got m={m!r}"):
         sweep_upper(7.0, 7.4, 0.1, m)
+
+
+def _coarse_grid(a_lo, a_hi, step):
+    """The sweep's coarse grid: np.arange's points up to a_hi, a_hi kept."""
+    grid = np.arange(a_lo, a_hi + step / 2.0, step)
+    return grid[grid <= a_hi + 1e-9 * step].tolist()
+
+
+@pytest.mark.parametrize("a_lo, a_hi, step", [(6.3, 7.3, 0.4), (6.5, 8.0, 0.4),
+                                              (7.0, 7.5, 0.3), (6.5, 7.9, 0.333),
+                                              (6.3, 7.5, 0.4)])
+def test_sweep_stays_inside_its_range_and_its_refinement_bracket(a_lo, a_hi, step):
+    # np.arange(a_lo, a_hi + step/2, step) overshoots a_hi when step does not
+    # divide the range (6.3, 7.3, 0.4 gave a = 7.5), and the 0.01-step
+    # refinement overshot its bracket the same way (6.5, 7.9, 0.333 gave
+    # 7.503 past the bracket's 7.499); a_hi itself stays, up to rounding,
+    # when step divides the range (6.3 + 3 (0.4) is 7.500000000000001)
+    reports = sweep_upper(a_lo, a_hi, step, 20)
+    avals = [r.a for r in reports]
+    assert a_lo <= min(avals) and max(avals) <= a_hi + 1e-9 * step
+    coarse = _coarse_grid(a_lo, a_hi, step)
+    on_grid = [r for r in reports if r.a in coarse]
+    assert [r.a for r in on_grid] == [a for a in coarse if a >= 6.2]
+    assert a_hi - on_grid[-1].a < (1.0 - 1e-6) * step  # no point below a_hi dropped
+    if len(on_grid) > 2:
+        k = min(range(len(on_grid)), key=lambda j: on_grid[j].max)
+        lo, hi = on_grid[max(k - 1, 0)].a, on_grid[min(k + 1, len(on_grid) - 1)].a
+        assert all(lo <= a <= hi for a in avals if a not in coarse)
+
+
+@pytest.mark.parametrize("a_lo, a_hi, step", [(5.0, 10.0, 0.01), (6.9, 7.5, 0.1)])
+def test_sweep_takes_one_J_table_per_pass(monkeypatch, a_lo, a_hi, step):
+    # the coarse pass and the refinement pass, if it has points, each make
+    # one J_limit call over all their values of a
+    want = sweep_upper(a_lo, a_hi, step, 20)
+    sizes = []
+
+    def spy(k, a):
+        sizes.append(np.size(a))
+        return J_limit(k, a)
+
+    monkeypatch.setattr(bounds, "J_limit", spy)
+    assert sweep_upper(a_lo, a_hi, step, 20) == want
+    coarse = _coarse_grid(a_lo, a_hi, step)
+    refined = sum(r.a not in coarse for r in want)
+    assert sizes == [len(coarse)] + ([refined] if refined else [])
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +471,11 @@ def test_batched_norm_pass_equals_one_function_calls_bitwise(n):
         assert _norms(fns, n, xs) == [_norms([f], n, xs)[0] for f in fns], (n, xs[:3])
     x = _batch_grid(fns, n)[1:-1:7]  # every window width, at a seventh of the cost
     log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
+    fks = [_grid_values(f, n) for f in fns]
     for m, mass in ((1, _BAND_LOG_MASS), (2, log_mass), (2, _BAND_LOG_MASS), (3, _BAND_LOG_MASS)):
-        many = _derivative_and_apply(fns, n, m, x, mass)
-        for f, got in zip(fns, many):
-            (want,) = _derivative_and_apply([f], n, m, x, mass)
+        many = _derivative_and_apply(fks, n, m, x, mass)
+        for fk, got in zip(fks, many):
+            (want,) = _derivative_and_apply([fk], n, m, x, mass)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, m, mass)
 
 
@@ -469,8 +526,9 @@ def test_iterate_converse_takes_both_norms_from_one_pass(monkeypatch):
 def _narrow_and_full(f, n, xs, log_mass):
     """_d2_and_apply's (values, window errors) at log_mass and its values at
     the full windows, at the points xs."""
-    (d2, bn, d2_err, bn_err), = _d2_and_apply([f], n, xs, log_mass)
-    (d2_full, bn_full, _, _), = _d2_and_apply([f], n, xs, _BAND_LOG_MASS)
+    fk = _grid_values(f, n)
+    (d2, bn, d2_err, bn_err), = _d2_and_apply([fk], n, xs, log_mass)
+    (d2_full, bn_full, _, _), = _d2_and_apply([fk], n, xs, _BAND_LOG_MASS)
     return (d2, bn, d2_err, bn_err), (d2_full, bn_full)
 
 
@@ -504,8 +562,8 @@ def _two_form_tail_ratio(f, n, xs):
     tolerance of their consistency check in _derivative_and_apply, that
     tolerance taken on the Krawtchouk form's terms alone, so from below."""
     log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
-    (kraw, _, kraw_env, _), = _derivative_and_apply([f], n, 2, xs, log_mass)
-    fk = f(np.arange(n + 1) / n)
+    fk = _grid_values(f, n)
+    (kraw, _, kraw_env, _), = _derivative_and_apply([fk], n, 2, xs, log_mass)
     # the Krawtchouk terms as _d2_and_apply bounds them, with env = 0
     c = float(np.max(np.abs(fk))) / (xs * (1.0 - xs)) ** 2
     kraw_tail = _window_err(n, xs, log_mass, (c * n * xs * (1.0 - xs), c, c), 0.0)
@@ -548,6 +606,33 @@ def test_narrow_enclosure_needs_its_tail_term(monkeypatch):
     assert np.max(np.abs(bn_full - bn)) > 4.0 * (n + 1) * 2.0 ** -53
 
 
+def _grid_counting(f, n):
+    """f, counting its calls whose last argument is the grid k/n, k = 0..n,
+    and the list of those calls."""
+    grid, calls = np.arange(n + 1) / n, []
+
+    def counted(*args):
+        if np.shape(args[-1]) == grid.shape and np.array_equal(args[-1], grid):
+            calls.append(1)
+        return f(*args)
+
+    return counted, calls
+
+
+def test_norm_passes_evaluate_f_once_on_the_grid(monkeypatch):
+    # every sum of a norm pass, narrow, full-window and at x in {0, 1}, and
+    # max|f| read one table f(k/n)
+    n = 10_000
+    counted, calls = _grid_counting(bernstein.PiecewiseLinearFn.__call__, n)
+    monkeypatch.setattr(bernstein.PiecewiseLinearFn, "__call__", counted)
+    assert modulus_upper_check(build_fn_lower(n), n)
+    assert len(calls) == 1
+    cube = lambda y: np.asarray(y) ** 3
+    counted, calls = _grid_counting(cube, 50)
+    assert central_converse_check(counted, 50) == central_converse_check(cube, 50)
+    assert len(calls) == 1
+
+
 def test_witness_norms_sum_few_points_over_full_windows(monkeypatch):
     # the narrow pass sums every inner point; full windows are summed again
     # only where a max can sit
@@ -556,9 +641,9 @@ def test_witness_norms_sum_few_points_over_full_windows(monkeypatch):
     xs = _modulus_norm_grid(f, n)
     seen = []
 
-    def spy(fs, n, m, xs, log_mass):
+    def spy(fks, n, m, xs, log_mass):
         seen.append((log_mass, len(xs)))
-        return _derivative_and_apply(fs, n, m, xs, log_mass)
+        return _derivative_and_apply(fks, n, m, xs, log_mass)
 
     monkeypatch.setattr(bounds, "_derivative_and_apply", spy)
     _norms([f], n, xs)

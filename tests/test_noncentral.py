@@ -167,6 +167,14 @@ def test_L_k_and_J_limit_on_an_array_of_k_equal_single_calls():
         L_k(1.5, 7.2)
 
 
+def test_J_limit_over_more_a_than_one_block_equals_single_calls():
+    # 1,000 values of a at m = 20 span 11 blocks of _L_and_alpha1
+    ks, avals = np.arange(1, 22), np.linspace(6.0, 9.0, 1000)
+    rows = J_limit(ks, avals)
+    assert rows.shape == (1000, 21)
+    assert np.array_equal(rows, [J_limit(ks, float(a)) for a in avals])
+
+
 def test_L_k_matches_midpoint_riemann():
     ref = riemann_midpoint(
         lambda t: (plain_alpha(2, t) / t) ** 2 * math.exp(-7.2 * plain_alpha(2, t)),
