@@ -157,12 +157,11 @@ def sweep_upper(a_lo, a_hi, step, m):
     reports = reports_at(a_lo, a_hi, step, set())
     if not reports:
         raise ValueError("no a in the range admits the upper-bound expressions")
-    if len(reports) > 2:
-        k = min(range(len(reports)), key=lambda j: reports[j].max)
-        lo = reports[max(k - 1, 0)].a
-        hi = reports[min(k + 1, len(reports) - 1)].a
-        reports += reports_at(lo, hi, 0.01, {round(r.a, 6) for r in reports})
-        reports.sort(key=lambda r: r.a)
+    k = min(range(len(reports)), key=lambda j: reports[j].max)
+    lo = reports[max(k - 1, 0)].a
+    hi = reports[min(k + 1, len(reports) - 1)].a
+    reports += reports_at(lo, hi, 0.01, {round(r.a, 6) for r in reports})
+    reports.sort(key=lambda r: r.a)
     return reports
 
 
@@ -287,67 +286,49 @@ def _need_n(n, least):
         raise ValueError(f"need an integer n >= {least}, got n={n}")
 
 
-def _d2_and_apply(fks, n, x, log_mass):
-    """For each table fk = f(k/n), k = 0..n, of fks, ((B_n f)'', B_n f) at
-    the points x of (0, 1), summed over their blocks' windows at log_mass in
-    one _derivative_and_apply pass, and how far each can lie from its
-    full-window value, from dist._window_err: a term of B_n f is at most
-    max|fk|, and one of the Krawtchouk sum at most (pref/2) max|fk|
-    ((k - nx)^2 + |k - nx| + nx(1-x)), pref = 2/phi^4, as K_2(x; k) =
-    ((k - nx)^2 - (1 - 2x)(k - nx) - nx(1-x))/2; the computed rows exceed
-    that bound by at most 1e-10 relative for n <= 10^6, far inside the
-    factor 2 of _dropped_moments.  One tuple (d2, bn, d2_err, bn_err) each."""
-    out = []
-    for fk, (d2, bn, d2_env, bn_env) in zip(fks, _derivative_and_apply(fks, n, 2, x, log_mass)):
-        fmax = float(np.max(np.abs(fk)))
-        c = fmax / (x * (1.0 - x)) ** 2  # (pref/2) max|f|
-        d2_coefs = (c * (n * x * (1.0 - x)), c, c)
-        out.append((d2, bn, _window_err(n, x, log_mass, d2_coefs, d2_env),
-                    _window_err(n, x, log_mass, (fmax, 0.0, 0.0), bn_env)))
-    return out
+def _norms(fks, fxs, n, x):
+    """For each table fk = f(k/n), k = 0..n, of fks (bernstein._grid_values)
+    and the values fx = f(x) of fxs at the points x of (0, 1), (max |B_n f - f|,
+    max phi^2 |(B_n f)''|) over x, bit for bit as summing every point over
+    its full window gives them, and as one table alone gives them.  Both are
+    grid maxima: lower estimates of the norms, so a check built on them is
+    not certified.  No grid needs 0 or 1: the band kernel's row there is a
+    unit vector, so B_n f = f at both, bit for bit.
 
-
-def _norms(fs, n, xs):
-    """For each f of the sequence fs, (max |B_n f - f| over xs,
-    max phi^2 |(B_n f)''| over the points of xs inside (0, 1)), bit for bit
-    as summing every point over its full window gives them, and as fs = [f]
-    gives them; the points 0 and 1 take bernstein_apply_many's sums.  Both
-    are grid maxima: lower estimates of the norms, so a check built on them
-    is not certified.
-
-    Each f is evaluated once on the grid k/n (_grid_values) and once on xs;
-    every sum below reads that one table.  A first pass sums every inner
-    point over a window that holds its narrow window, at log-mass
-    _SCAN_LOG_MASS + log n + log C(n, 2), for all of fs at once
-    (_d2_and_apply), which bounds each sum's distance to its full-window
-    value by the moments its window leaves out.  Then dist._exact_near_max
-    sums full windows again, one function at a time, only where either of
-    its maxima can sit.  The two-form check of (B_n f)'' runs on every sum
-    taken: the log C(n, 2) in the log-mass keeps what the narrow windows
-    leave out of its two forms far below its tolerance."""
-    inner = (xs > 0.0) & (xs < 1.0)
-    x = xs[inner]
+    A first pass sums every point over a window that holds its narrow
+    window, at log-mass _SCAN_LOG_MASS + log n + log C(n, 2), for all of fks
+    at once, and bounds each sum's distance to its full-window value by
+    dist._window_err: a term of B_n f is at most max|fk|, and one of the
+    Krawtchouk sum at most (pref/2) max|fk| ((k - nx)^2 + |k - nx| +
+    nx(1-x)), pref = 2/phi^4, as K_2(x; k) = ((k - nx)^2 - (1 - 2x)(k - nx)
+    - nx(1-x))/2; the computed rows exceed that bound by at most 1e-10
+    relative for n <= 10^6, far inside the factor 2 of _dropped_moments.
+    Then dist._exact_near_max sums full windows again, one table at a time,
+    only where either maximum can sit.  The two-form check of (B_n f)'' runs
+    on every sum taken: the log C(n, 2) in the log-mass keeps what the
+    narrow windows leave out of its two forms far below its tolerance."""
     w = x * (1.0 - x)
     log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
-    fks = [_grid_values(f, n) for f in fs]
     out = []
-    for f, fk, (d2, bn, d2_err, bn_err) in zip(fs, fks, _d2_and_apply(fks, n, x, log_mass)):
-        fxs = f(xs)
-        fx = fxs[inner]
-        edge = np.max(np.abs(_apply_table(fk, n, xs[~inner]) - fxs[~inner]), initial=0.0)
+    narrow = _derivative_and_apply(fks, n, 2, x, log_mass)
+    for fk, fx, (d2, bn, d2_env, bn_env) in zip(fks, fxs, narrow):
+        fmax = float(np.max(np.abs(fk)))
+        c = fmax / w ** 2  # (pref/2) max|f|
+        d2_err = _window_err(n, x, log_mass, (c * (n * x * (1.0 - x)), c, c), d2_env)
+        bn_err = _window_err(n, x, log_mass, (fmax, 0.0, 0.0), bn_env)
 
         def full(i):
             (d2_full, bn_full, _, _), = _derivative_and_apply([fk], n, 2, x[i], _BAND_LOG_MASS)
             return np.abs(bn_full - fx[i]), w[i] * np.abs(d2_full)
 
         err, wd2 = _exact_near_max([np.abs(bn - fx), w * np.abs(d2)], [bn_err, w * d2_err], full)
-        out.append((float(np.max(err, initial=edge)), float(np.max(wd2))))
+        out.append((float(np.max(err)), float(np.max(wd2))))
     return out
 
 
 def modulus_upper_sides(f, n):
     """(LHS, RHS) of omega2_phi(f; 1/sqrt(n)) <= 4 ||B_n f - f||
-    + (log 4 / n) ||phi^2 (B_n f)''||, norms over grids on [0,1] and (0,1).
+    + (log 4 / n) ||phi^2 (B_n f)''||, norms over one grid on (0, 1).
     f may be one function, or a sequence of functions, which gives a list
     of (LHS, RHS), one per function: functions whose norm grids are the same
     share one pass of the norms (_norms).
@@ -367,21 +348,24 @@ def modulus_upper_sides(f, n):
         groups.setdefault(xs.tobytes(), []).append(i)
     rhs = [0.0] * len(fs)
     for idx in groups.values():
-        for i, (err, wd2) in zip(idx, _norms([fs[i] for i in idx], n, grids[idx[0]])):
+        x = grids[idx[0]]
+        fks, fxs = [_grid_values(fs[i], n) for i in idx], [fs[i](x) for i in idx]
+        for i, (err, wd2) in zip(idx, _norms(fks, fxs, n, x)):
             rhs[i] = 4.0 * err + LOG4 / n * wd2
     sides = list(zip(lhs, rhs))
     return sides[0] if callable(f) else sides
 
 
 def _modulus_norm_grid(f, n):
-    """The sorted norm grid of modulus_upper_sides on [0, 1]."""
+    """The sorted norm grid of modulus_upper_sides on (0, 1)."""
     lam = np.linspace(0.0, 40.0, 2001) / n
     xs = np.concatenate([np.linspace(0.0, 1.0, X_POINTS // 2 + 1),
                          lam, 1.0 - lam])
     bp = getattr(f, "breakpoints", None)
     if bp is not None:
         xs = np.concatenate([xs, np.asarray(bp, dtype=float)])
-    return np.unique(np.clip(xs, 0.0, 1.0))
+    xs = np.unique(xs)
+    return xs[(xs > 0.0) & (xs < 1.0)]
 
 
 def modulus_upper_check(f, n):
@@ -409,7 +393,8 @@ def central_converse_check(f, n):
     h = sup_H_n(n - 2).sup_value
     mult = 1.0 - math.sqrt((n + 1.0) / n) * h * K_func(CONVERSE_A) / 3.0
     out = []
-    for err, wd2 in _norms(fs, n, _NORM_XS):
+    fks, fxs = [_grid_values(g, n) for g in fs], [g(_NORM_XS) for g in fs]
+    for err, wd2 in _norms(fks, fxs, n, _NORM_XS):
         lhs = mult * wd2 / (2.0 * n)
         rhs = (SQRT2 + 1.0) / SQRT2 * err
         if mult <= 0.0:
@@ -441,7 +426,7 @@ def noncentral_converse_check(f, n):
     if mult <= 0.0:
         return ValidatorResult(True, False, 0.0, 0.0,
                                f"vacuous: 1 - J bound = {mult:.4f} <= 0")
-    (err, wd2), = _norms([f], n, _NORM_XS)
+    (err, wd2), = _norms([_grid_values(f, n)], [f(_NORM_XS)], n, _NORM_XS)
     lhs = wd2 * mult / n
     rhs = SQRT2 * (i + sum(js[k] for k in range(i, m + 1))) * err
     return ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs,
@@ -455,17 +440,16 @@ def iterate_converse_check(f, n):
 
     norms over (0, 1/2].  By linearity (B_n g)'' - g'' = (B_n h)'' with
     h = g - f, taken as one derivative: the two derivatives it replaces are
-    up to n times their difference.  The derivative only reads h on the grid
-    j/n, so h is represented exactly by its grid values B_n f(j/n) - f(j/n).
+    up to n times their difference.  h enters _norms as its table
+    B_n f(k/n) - f(k/n), all that the derivative reads of it, and its values
+    B_n f - f on the norm points, which only its unused error norm reads.
+    f is evaluated once on the grid k/n and once on the norm points.
     """
     _need_n(n, 2)
-    fk = _grid_values(f, n)
-    h_grid = _apply_table(fk, n, np.arange(n + 1) / n) - fk
-
-    def h_fn(y):
-        return h_grid[np.rint(np.asarray(y, dtype=float) * n).astype(int)]
-
-    (_, wd2), (err, _) = _norms([h_fn, f], n, _NORM_XS)
+    fk, fx = _grid_values(f, n), f(_NORM_XS)
+    hk = _apply_table(fk, n, np.arange(n + 1) / n) - fk
+    hx = _apply_table(fk, n, _NORM_XS) - fx
+    (_, wd2), (err, _) = _norms([hk, fk], [hx, fx], n, _NORM_XS)
     lhs = wd2 / (2.0 * n)
     rhs = err / SQRT2
     return ValidatorResult(lhs <= rhs + 1e-12, True, lhs, rhs, "g = B_n f")

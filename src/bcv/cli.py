@@ -245,12 +245,8 @@ def _cmd_hn(args):
 
 def _suite_dist():
     def tv_gap():
-        worst = -math.inf
-        for n in (10, 20, 50):
-            for lam in (0.5, 1.0, 2.0):
-                worst = max(worst, dist.tv_binom_poisson(n, lam)
-                            - dist.tv_binom_poisson_bound(n, lam))
-        return worst
+        return np.max([dist.tv_binom_poisson(n, lam) - dist.tv_binom_poisson_bound(n, lam)
+                       for n in (10, 20, 50) for lam in (0.5, 1.0, 2.0)])
 
     def stirling_all():
         return float(sum(np.sum(dist.stirling_mode_bound_check(n, np.arange(1, n)))
@@ -270,11 +266,9 @@ def _suite_dist():
 
 def _suite_bernstein():
     def ortho_gap():
-        worst = 0.0
-        for r, m in ((1, 1), (2, 2), (3, 3), (1, 2), (0, 3)):
-            c, e = bernstein.krawtchouk_orthogonality_check(12, 0.3, r, m)
-            worst = max(worst, abs(c - e) / max(1.0, abs(e)))
-        return worst
+        pairs = [bernstein.krawtchouk_orthogonality_check(12, 0.3, r, m)
+                 for r, m in ((1, 1), (2, 2), (3, 3), (1, 2), (0, 3))]
+        return np.max([abs(c - e) / max(1.0, abs(e)) for c, e in pairs])
 
     def deriv_spots():
         count = 0
@@ -287,20 +281,13 @@ def _suite_bernstein():
         dm = {1: lambda y: 3.0 * np.asarray(y) ** 2,
               2: lambda y: 6.0 * np.asarray(y),
               3: lambda y: 6.0 * np.ones_like(np.asarray(y, dtype=float))}
-        worst = 0.0
-        for m in (1, 2, 3):
-            lhs, rhs = bernstein.kantorovich_check(_CUBE, dm[m], 10, m, 0.3)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-        return worst
+        sides = [bernstein.kantorovich_check(_CUBE, dm[m], 10, m, 0.3) for m in (1, 2, 3)]
+        return np.max([abs(lhs - rhs) / max(1.0, abs(lhs)) for lhs, rhs in sides])
 
     def moment_gap():
-        worst = 0.0
-        for n in (10, 40):
-            for k in (2, 4, 6):
-                a = bernstein.central_moment(n, 0.3, k)
-                b = bernstein.central_moment_closed(n, 0.3, k)
-                worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
-        return worst
+        pairs = [(bernstein.central_moment(n, 0.3, k), bernstein.central_moment_closed(n, 0.3, k))
+                 for n in (10, 40) for k in (2, 4, 6)]
+        return np.max([abs(a - b) / max(abs(b), 1e-300) for a, b in pairs])
 
     return [
         _Check("bernstein.krawtchouk_orthogonality", ortho_gap,
@@ -318,9 +305,9 @@ def _suite_moduli():
         # max(omega1 - 0.6, omega2, omega2_phi) >= 0 as omega2 >= 0, so "<="
         # judges it as |value| <= 1e-10 would
         _Check("moduli.affine_vanishes",
-              lambda: max(moduli.omega1(_AFFINE, 0.3).value - 0.3 * 2.0,
-                          moduli.omega2(_AFFINE, 0.3).value,
-                          moduli.omega2_phi(_AFFINE, 0.3).value),
+              lambda: np.max([moduli.omega1(_AFFINE, 0.3).value - 0.3 * 2.0,
+                              moduli.omega2(_AFFINE, 0.3).value,
+                              moduli.omega2_phi(_AFFINE, 0.3).value]),
               "<=", 1e-10, grid="delta=0.3"),
         _Check("moduli.quadratic_exact",
               lambda: abs(moduli.omega2_phi(_SQUARE, 0.2).value - 0.02),
@@ -334,29 +321,18 @@ def _suite_moduli():
 
 def _suite_central():
     def closed_vs_brute():
-        worst = 0.0
-        for n in (1, 3, 50, 200):
-            for x in (0.01, 0.25, 0.5, 0.9):
-                a = central.I_n_closed(n, x)
-                b = central.I_n_brute(n, x)
-                worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-        return worst
+        pairs = [(central.I_n_closed(n, x), central.I_n_brute(n, x))
+                 for n in (1, 3, 50, 200) for x in (0.01, 0.25, 0.5, 0.9)]
+        return np.max([abs(a - b) / max(1.0, abs(b)) for a, b in pairs])
 
     def upper_margin():
-        worst = math.inf
-        for n in (10, 100):
-            for x in (0.05, 0.2, 0.35, 0.5):
-                worst = min(worst, central.H_n_upper(n, x) - central.H_n_exact(n, x))
-        return worst
+        return np.min([central.H_n_upper(n, x) - central.H_n_exact(n, x)
+                       for n in (10, 100) for x in (0.05, 0.2, 0.35, 0.5)])
 
     def ratio_margin():
-        worst = math.inf
-        for m in (2, 3):
-            for x in (0.2, 0.5, 0.8):
-                for z in (0.1, 0.5, 0.9):
-                    lhs, rhs = central.phi_ratio_moment_sides(m, x, z)
-                    worst = min(worst, rhs - lhs)
-        return worst
+        sides = [central.phi_ratio_moment_sides(m, x, z)
+                 for m in (2, 3) for x in (0.2, 0.5, 0.8) for z in (0.1, 0.5, 0.9)]
+        return np.min([rhs - lhs for lhs, rhs in sides])
 
     def branch_spots():
         return float(sum(bool(central.I_n_branch_check(1000, x, lambda0=10.0))
@@ -378,7 +354,7 @@ def _suite_central():
 def _suite_noncentral(seed):
     def alpha_drop():
         alphas = itertools.islice(noncentral._alpha_iterates(1.0), 201)
-        return max(b - a for a, b in itertools.pairwise(alphas))
+        return np.max([b - a for a, b in itertools.pairwise(alphas)])
 
     def mc_margin():
         rng = np.random.default_rng(seed)

@@ -6,7 +6,9 @@ read from, the exact binomial-Poisson total variation distance beside its
 bound, the Stirling bound on the binomial mode, and the closed form
 E 1/(y+V) = (y+2)log(y+2) - 2(y+1)log(y+1) + y log y for V = U1 + U2, taken
 by its series in 1/(y+1) where the closed form cancels.  The one module that
-imports scipy: gammaln for log C(n, k), xlogy for that closed form.
+imports scipy, inside the two functions that need it, so that commands
+which form no binomial row never load it: gammaln for log C(n, k), xlogy
+for that closed form.
 
 The band kernel: by Bernstein's inequality all but exp(-760) of a
 Binomial(n, x) row lies in a band |k - nx| <= t around nx, and every entry
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import gammaln, xlogy
 
 LOG4 = math.log(4.0)
 LOG2716 = math.log(27.0 / 16.0)
@@ -87,6 +88,8 @@ def _check_n(n):
 def _log_comb(n, k):
     """log C(n, k) for a float array k, from gammaln; it forms the band
     kernel's tables _log_binom."""
+    from scipy.special import gammaln
+
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
@@ -388,6 +391,8 @@ def inv_moment_shift_V(y):
     series about c = y + 1, sum_j 2 c^(-2j-1)/((2j+1)(2j+2)), is taken
     instead.
     """
+    from scipy.special import xlogy
+
     y = np.asarray(y, dtype=float)
     if not np.all(y >= 0):  # NaN fails too
         raise ValueError("y must be >= 0")

@@ -13,16 +13,18 @@ def golden_max(f, lo, hi, tol):
     _MAX_ITER steps.
 
     f is vectorised and called on 1-D arrays: once on the two first points,
-    then once per round of two steps, and once on the final point.  Before
-    a round, the bracket fixes the point the next step needs on either
-    outcome of its comparison, and the two points the step after needs on
-    each of those, so one call on all six gives every value both steps can
-    read; their comparisons, the stopping rule and the _MAX_ITER count are
-    those of one step at a time, so the points visited and the result are
-    too.  This needs f to give each point the value it gives that point
-    alone, whatever the other points of the call.  A round may evaluate
-    points that the walk then discards, so a ValueError from f can name a
-    point of the bracket that a one-step search would never have visited.
+    then once per round of two steps, and once on the final point.  A round
+    starts at every even step: its one call takes the point the step adds
+    on either outcome of its comparison, and the two the step after can add
+    on each of those.  Each step then forms its new point by the one-step
+    expression, which gives one of those six bit for bit, and reads that
+    point's value from the call; so the comparisons, the stopping rule and
+    the _MAX_ITER count are those of one step at a time, and the points
+    visited and the result are too.  This needs f to give each point the
+    value it gives that point alone, whatever the other points of the call.
+    A round may evaluate points that the walk then discards, so a ValueError
+    from f can name a point of the bracket that a one-step search would
+    never have visited.
 
     Assumes f is unimodal on the bracket; on a multimodal bracket it still
     converges to a local maximum, so callers feed it brackets around coarse
@@ -33,31 +35,21 @@ def golden_max(f, lo, hi, tol):
     fc, fd = np.asarray(f(np.array([c, d])), dtype=float).tolist()
     steps = 0
     while steps < _MAX_ITER and b - a > tol:
-        # fc >= fd: the max lies in [a, d], so d becomes b and c becomes d,
-        # and the new c is cl; otherwise it lies in [c, b], so c becomes a
-        # and d becomes c, and the new d is dr.  The step after that makes
-        # the same choice on the new bracket: cl and its successors cll
-        # (again left) or clr (then right), dr and drl or drr
-        cl, dr = d - _INVPHI * (d - a), c + _INVPHI * (b - c)
-        cll, clr = c - _INVPHI * (c - a), cl + _INVPHI * (d - cl)
-        drl, drr = dr - _INVPHI * (dr - c), d + _INVPHI * (b - d)
-        vals = np.asarray(f(np.array([cl, dr, cll, clr, drl, drr])), dtype=float).tolist()
-        left = fc >= fd
-        if left:
-            b, d, fd = d, c, fc
-            c, fc = cl, vals[0]
-        else:
-            a, c, fc = c, d, fd
-            d, fd = dr, vals[1]
-        steps += 1
-        if steps == _MAX_ITER or b - a <= tol:
-            break
+        if steps % 2 == 0:
+            # the new c if fc >= fd (then [a, d] is kept), or the new d, and
+            # the step after's new c or d on each of those brackets
+            cl, dr = d - _INVPHI * (d - a), c + _INVPHI * (b - c)
+            pts = [cl, dr, c - _INVPHI * (c - a), cl + _INVPHI * (d - cl),
+                   dr - _INVPHI * (dr - c), d + _INVPHI * (b - d)]
+            value = dict(zip(pts, np.asarray(f(np.array(pts)), dtype=float).tolist()))
         if fc >= fd:
             b, d, fd = d, c, fc
-            c, fc = (cll, vals[2]) if left else (drl, vals[4])
+            c = b - _INVPHI * (b - a)
+            fc = value[c]
         else:
             a, c, fc = c, d, fd
-            d, fd = (clr, vals[3]) if left else (drr, vals[5])
+            d = a + _INVPHI * (b - a)
+            fd = value[d]
         steps += 1
     x = float(0.5 * (a + b))
     return x, float(f(np.array([x]))[0])

@@ -14,7 +14,7 @@ from bcv import bernstein, bounds, cli
 from bcv.bernstein import _derivative_and_apply, _grid_values, bernstein_apply_many
 from bcv.bounds import (CONVERSE_A, CONVERSE_M, G_LAMBDA_MAX, SQRT2, _NORM_XS,
                         G_of_lambda, LowerBoundReport, UpperBoundReport,
-                        ValidatorResult, _d2_and_apply, _fn_lower_error,
+                        ValidatorResult, _fn_lower_error,
                         _modulus_norm_grid, _norms,
                         build_fn_lower,
                         central_converse_check, fn_lower_error_sup,
@@ -417,6 +417,12 @@ def _iterate_h(n):
 
 # the functions bcv verify's bounds.modulus_upper_corpus check passes to
 # modulus_upper_check, the witness, and an h of iterate_converse_check
+def _norms_of(fs, n, xs):
+    """_norms of the functions fs at the points xs of (0, 1), from each one's
+    table f(k/n) and values f(xs)."""
+    return _norms([_grid_values(f, n) for f in fs], [f(xs) for f in fs], n, xs)
+
+
 _NORM_FNS = {
     "square": lambda n: cli._SQUARE,
     "cube": lambda n: cli._CUBE,
@@ -435,11 +441,25 @@ _NORM_FNS = {
 def test_shared_norm_pass_equals_the_two_norms_bitwise(name, n):
     f = _NORM_FNS[name](n)
     grid = _modulus_norm_grid(f, n)
-    # the modulus grid holds both endpoints and f's breakpoints
-    assert grid[0] == 0.0 and grid[-1] == 1.0
-    assert set(getattr(f, "breakpoints", ())) <= set(grid.tolist())
+    # the modulus grid lies inside (0, 1) and holds f's breakpoints there;
+    # B_n f = f at 0 and 1 (test_bernstein_apply_is_f_at_both_endpoints_bitwise)
+    assert 0.0 < grid[0] and grid[-1] < 1.0
+    assert {b for b in getattr(f, "breakpoints", ()) if 0.0 < b < 1.0} <= set(grid.tolist())
     for xs in (grid, _NORM_XS):
-        assert _norms([f], n, xs) == [(error_norm(f, n, xs), d2_norm(f, n, xs))], xs[:3]
+        assert _norms_of([f], n, xs) == [(error_norm(f, n, xs), d2_norm(f, n, xs))], xs[:3]
+
+
+# bcv verify's functions and the witness, which needs n >= 8
+_ENDPOINT_CASES = [(name, n) for name in ("square", "cube", "vee", "sine", "witness")
+                   for n in (2, 10, 50, 10_000) if name != "witness" or n >= 8]
+
+
+@pytest.mark.parametrize("name, n", _ENDPOINT_CASES)
+def test_bernstein_apply_is_f_at_both_endpoints_bitwise(name, n):
+    # the band kernel's row at 0 or 1 is a unit vector, so the norm grids
+    # leave both points out: |B_n f - f| is exactly 0 there
+    f, ends = _NORM_FNS[name](n), np.array([0.0, 1.0])
+    assert bernstein_apply_many(f, n, ends).tobytes() == np.asarray(f(ends), dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("nan_at", [0.25, 0.2505])
@@ -450,7 +470,7 @@ def test_norms_stay_nan_where_f_is_nan(nan_at):
     n = 1000
     f = lambda y: np.where(np.asarray(y) == nan_at, np.nan, np.asarray(y) ** 2)
     xs = np.union1d(_NORM_XS, [nan_at])
-    got, = _norms([f], n, xs)
+    got, = _norms_of([f], n, xs)
     assert np.isnan(got[0])
     np.testing.assert_equal(got, (error_norm(f, n, xs), d2_norm(f, n, xs)))
 
@@ -460,7 +480,7 @@ _BATCH_FNS = ("square", "cube", "vee", "sine", "witness")
 
 
 def _batch_grid(fns, n):
-    """The union of the modulus norm grids of fns: 0, 1 and every breakpoint."""
+    """The union of the modulus norm grids of fns: every breakpoint in (0, 1)."""
     return np.unique(np.concatenate([_modulus_norm_grid(f, n) for f in fns]))
 
 
@@ -468,8 +488,8 @@ def _batch_grid(fns, n):
 def test_batched_norm_pass_equals_one_function_calls_bitwise(n):
     fns = [_NORM_FNS[name](n) for name in _BATCH_FNS]
     for xs in (_batch_grid(fns, n), _NORM_XS):
-        assert _norms(fns, n, xs) == [_norms([f], n, xs)[0] for f in fns], (n, xs[:3])
-    x = _batch_grid(fns, n)[1:-1:7]  # every window width, at a seventh of the cost
+        assert _norms_of(fns, n, xs) == [_norms_of([f], n, xs)[0] for f in fns], (n, xs[:3])
+    x = _batch_grid(fns, n)[::7]  # every window width, at a seventh of the cost
     log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
     fks = [_grid_values(f, n) for f in fns]
     for m, mass in ((1, _BAND_LOG_MASS), (2, log_mass), (2, _BAND_LOG_MASS), (3, _BAND_LOG_MASS)):
@@ -484,19 +504,19 @@ def test_nan_function_leaves_the_other_norms_of_its_batch_alone():
     square, cube = _NORM_FNS["square"](n), _NORM_FNS["cube"](n)
     bad = lambda y: np.where(np.asarray(y) == 0.2505, np.nan, np.asarray(y) ** 2)
     xs = np.union1d(_NORM_XS, [0.2505])
-    got = _norms([square, bad, cube], n, xs)
+    got = _norms_of([square, bad, cube], n, xs)
     assert np.isnan(got[1][0])
     np.testing.assert_equal(got[1], (error_norm(bad, n, xs), d2_norm(bad, n, xs)))
-    assert [got[0], got[2]] == [_norms([square], n, xs)[0], _norms([cube], n, xs)[0]]
+    assert [got[0], got[2]] == [_norms_of([square], n, xs)[0], _norms_of([cube], n, xs)[0]]
 
 
 def _count_norm_passes(monkeypatch):
     """Patch bounds._norms to record the number of functions of each pass."""
     passes = []
 
-    def spy(fs, n, xs):
-        passes.append(len(fs))
-        return _norms(fs, n, xs)
+    def spy(fks, fxs, n, x):
+        passes.append(len(fks))
+        return _norms(fks, fxs, n, x)
 
     monkeypatch.setattr(bounds, "_norms", spy)
     return passes
@@ -523,12 +543,27 @@ def test_iterate_converse_takes_both_norms_from_one_pass(monkeypatch):
     assert passes == [2]
 
 
-def _narrow_and_full(f, n, xs, log_mass):
-    """_d2_and_apply's (values, window errors) at log_mass and its values at
-    the full windows, at the points xs."""
-    fk = _grid_values(f, n)
-    (d2, bn, d2_err, bn_err), = _d2_and_apply([fk], n, xs, log_mass)
-    (d2_full, bn_full, _, _), = _d2_and_apply([fk], n, xs, _BAND_LOG_MASS)
+def _narrow_and_full(f, n, xs, scan_log_mass=_SCAN_LOG_MASS):
+    """The narrow pass of _norms over the points xs of (0, 1), with
+    scan_log_mass in place of _SCAN_LOG_MASS: ((B_n f)'', B_n f) there and
+    the window errors _norms hands dist._exact_near_max for them, and the
+    two at full windows."""
+    fk, seen = _grid_values(f, n), []
+
+    def record(fn):
+        def spy(*args):
+            seen.append(fn(*args))
+            return seen[-1]
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_SCAN_LOG_MASS", scan_log_mass)
+        mp.setattr(bounds, "_derivative_and_apply", record(_derivative_and_apply))
+        mp.setattr(bounds, "_window_err", record(_window_err))
+        _norms([fk], [f(xs)], n, xs)
+    # the narrow pass, then the window errors of (B_n f)'' and of B_n f
+    ((d2, bn, _, _),), d2_err, bn_err = seen[:3]
+    (d2_full, bn_full, _, _), = _derivative_and_apply([fk], n, 2, xs, _BAND_LOG_MASS)
     return (d2, bn, d2_err, bn_err), (d2_full, bn_full)
 
 
@@ -537,8 +572,7 @@ def _narrow_and_full(f, n, xs, log_mass):
 def test_full_window_values_lie_in_the_narrow_enclosure(n, name, xs):
     assume(name != "witness" or n >= 8)  # build_fn_lower needs n >= 8
     f, xs = _NORM_FNS[name](n), np.array(xs)
-    log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
-    (d2, bn, d2_err, bn_err), (d2_full, bn_full) = _narrow_and_full(f, n, xs, log_mass)
+    (d2, bn, d2_err, bn_err), (d2_full, bn_full) = _narrow_and_full(f, n, xs)
     assert np.all(np.abs(bn_full - bn) <= bn_err), (bn_full - bn, bn_err)
     assert np.all(np.abs(d2_full - d2) <= d2_err), (d2_full - d2, d2_err)
 
@@ -549,9 +583,8 @@ def test_narrow_norm_pass_lies_within_its_window_err_on_the_modulus_grid(n):
     # point over more than its narrow window; every third inner point of the
     # modulus grid, at a third of the cost
     f = build_fn_lower(n)
-    xs = _modulus_norm_grid(f, n)[1:-1:3]
-    log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
-    (d2, bn, d2_err, bn_err), (d2_full, bn_full) = _narrow_and_full(f, n, xs, log_mass)
+    xs = _modulus_norm_grid(f, n)[::3]
+    (d2, bn, d2_err, bn_err), (d2_full, bn_full) = _narrow_and_full(f, n, xs)
     assert np.all(np.abs(bn_full - bn) <= bn_err)
     assert np.all(np.abs(d2_full - d2) <= d2_err)
 
@@ -564,7 +597,7 @@ def _two_form_tail_ratio(f, n, xs):
     log_mass = _SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2))
     fk = _grid_values(f, n)
     (kraw, _, kraw_env, _), = _derivative_and_apply([fk], n, 2, xs, log_mass)
-    # the Krawtchouk terms as _d2_and_apply bounds them, with env = 0
+    # the Krawtchouk terms as _norms bounds them, with env = 0
     c = float(np.max(np.abs(fk))) / (xs * (1.0 - xs)) ** 2
     kraw_tail = _window_err(n, xs, log_mass, (c * n * xs * (1.0 - xs), c, c), 0.0)
     # the difference form n(n-1) E Delta^2 f over S_{n-2}, summed at the same log-mass
@@ -600,7 +633,8 @@ def test_narrow_enclosure_needs_its_tail_term(monkeypatch):
     n = 1000
     f = build_fn_lower(n)
     xs = np.linspace(0.01, 0.99, 99)
-    (d2, bn, d2_err, bn_err), (d2_full, bn_full) = _narrow_and_full(f, n, xs, 3.0)
+    scan_log_mass = 3.0 - math.log(n) - math.log(math.comb(n, 2))  # log-mass 3
+    (d2, bn, d2_err, bn_err), (d2_full, bn_full) = _narrow_and_full(f, n, xs, scan_log_mass)
     assert np.all(np.abs(bn_full - bn) <= bn_err)
     assert np.all(np.abs(d2_full - d2) <= d2_err)
     assert np.max(np.abs(bn_full - bn)) > 4.0 * (n + 1) * 2.0 ** -53
@@ -620,8 +654,8 @@ def _grid_counting(f, n):
 
 
 def test_norm_passes_evaluate_f_once_on_the_grid(monkeypatch):
-    # every sum of a norm pass, narrow, full-window and at x in {0, 1}, and
-    # max|f| read one table f(k/n)
+    # every sum of a norm pass, narrow and full-window, and max|f| read one
+    # table f(k/n); iterate_converse_check's h is formed from that table too
     n = 10_000
     counted, calls = _grid_counting(bernstein.PiecewiseLinearFn.__call__, n)
     monkeypatch.setattr(bernstein.PiecewiseLinearFn, "__call__", counted)
@@ -630,6 +664,9 @@ def test_norm_passes_evaluate_f_once_on_the_grid(monkeypatch):
     cube = lambda y: np.asarray(y) ** 3
     counted, calls = _grid_counting(cube, 50)
     assert central_converse_check(counted, 50) == central_converse_check(cube, 50)
+    assert len(calls) == 1
+    counted, calls = _grid_counting(cube, 50)
+    assert iterate_converse_check(counted, 50) == iterate_converse_check(cube, 50)
     assert len(calls) == 1
 
 
@@ -646,9 +683,9 @@ def test_witness_norms_sum_few_points_over_full_windows(monkeypatch):
         return _derivative_and_apply(fks, n, m, xs, log_mass)
 
     monkeypatch.setattr(bounds, "_derivative_and_apply", spy)
-    _norms([f], n, xs)
+    _norms_of([f], n, xs)
     narrow, *full = seen
-    assert narrow == (_SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2)), len(xs) - 2)
+    assert narrow == (_SCAN_LOG_MASS + math.log(n) + math.log(math.comb(n, 2)), len(xs))
     assert all(log_mass == _BAND_LOG_MASS for log_mass, _ in full)
     assert sum(points for _, points in full) <= 8
 

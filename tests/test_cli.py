@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+from collections.abc import Iterator
 
 import pytest
 
@@ -333,6 +335,51 @@ def test_verify_alpha_check_reads_the_library_iterates(monkeypatch):
     assert entry["computed"] == 1.0 and not entry["pass"]
 
 
+def _nan_at(fn, spot):
+    """fn, but with the value at index spot NaN: that item of an iterator it
+    returns, or else that call's value, the first of a tuple or a
+    ModulusResult's value."""
+    calls = itertools.count()
+
+    def spoiled(*args):
+        out, i = fn(*args), next(calls)
+        if isinstance(out, Iterator):
+            return (math.nan if j == spot else v for j, v in enumerate(out))
+        if i != spot:
+            return out
+        if isinstance(out, tuple):
+            return (math.nan, *out[1:])
+        if isinstance(out, moduli.ModulusResult):
+            return dataclasses.replace(out, value=math.nan)
+        return math.nan
+
+    return spoiled
+
+
+# A spot of each claim that reduces over spots, never its first: the call
+# (or, for the alpha iterates, the item) of module.name whose value is made NaN
+@pytest.mark.parametrize("claim_id, module, name, spot", [
+    ("dist.tv_bound_dominates", cli.dist, "tv_binom_poisson", 1),
+    ("bernstein.krawtchouk_orthogonality", cli.bernstein, "krawtchouk_orthogonality_check", 1),
+    ("bernstein.kantorovich_agreement", cli.bernstein, "kantorovich_check", 1),
+    ("bernstein.moment_closed_forms", cli.bernstein, "central_moment", 1),
+    # omega2 is the second of omega1, omega2 and omega2_phi
+    ("moduli.affine_vanishes", moduli, "omega2", 0),
+    ("central.I_closed_vs_brute", central, "I_n_closed", 1),
+    ("central.H_upper_dominates", central, "H_n_upper", 1),
+    ("central.phi_ratio_bound", central, "phi_ratio_moment_sides", 1),
+    # a NaN iterate spoils the differences on either side of it
+    ("noncentral.alpha_decreasing", cli.noncentral, "_alpha_iterates", 2),
+])
+def test_verify_spot_reductions_fail_on_one_nan_spot(monkeypatch, claim_id, module, name, spot):
+    # Python's max(worst, nan) keeps worst: a running max or min would drop
+    # a NaN at any spot but the first, and its claim would pass
+    monkeypatch.setattr(module, name, _nan_at(getattr(module, name), spot))
+    (check,) = [c for c in cli._SUITES[claim_id.split(".")[0]](0) if c.claim_id == claim_id]
+    entry = check.run()
+    assert math.isnan(entry["computed"]) and not entry["pass"]
+
+
 def test_verify_rejects_negative_seed(capsys):
     assert run_cli_usage_error(capsys, "verify", "--seed", "-1") == 2
 
@@ -522,6 +569,21 @@ def test_import_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.strip() == "False"
+
+
+def test_commands_that_form_no_binomial_row_do_not_load_scipy():
+    # of scipy only dist's gammaln (binomial rows) and xlogy (E 1/(y+V))
+    # remain, each imported where it is called
+    code = ("import contextlib, io, sys\n"
+            "from bcv.cli import main\n"
+            "for argv in (['upper'], ['constants'], ['lower', '--n', '1000'], ['sweep']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

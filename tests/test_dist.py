@@ -301,8 +301,11 @@ def test_scan_passes_hold_few_blocks_of_memory():
     # blocks leave 1.4 times headroom.  sup_C took nu over its whole
     # 100,174-point grid at once, 8.5 MB here; with C_of_lambda's blocks of
     # 4,096 points it is 2.9 MB, mostly building the grid and what the calls
-    # before it keep, so the bound of 4 MB leaves 1.37 times headroom
+    # before it keep, so the bound of 4 MB leaves 1.37 times headroom.
+    # scipy.special, which the first binomial row imports, is loaded before
+    # tracing starts: its import is not the scans' memory
     code = ("import tracemalloc\n"
+            "import scipy.special\n"
             "from bcv import bounds, central\n"
             "f = bounds.build_fn_lower(10 ** 4)\n"
             "tracemalloc.start()\n"

@@ -51,6 +51,8 @@ CASES = {
     "sweep_step0.01": ["sweep", "--a-range", "5.0,10.0", "--step", "0.01"],
     # a step that does not divide the range: every row stays inside it
     "sweep_uneven_step0.4": ["sweep", "--a-range", "6.3,7.3", "--step", "0.4"],
+    # two coarse rows: the 0.01-step refinement runs between them
+    "sweep_two_rows": ["sweep", "--a-range", "7.0,7.5", "--step", "0.3"],
 }
 _SUFFIX = {"json": ".json", "csv": ".csv", "text": ".txt"}
 # The fields of a report entry that regenerate compares; runtime_ms is zeroed.
